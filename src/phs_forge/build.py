@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from . import exact
-from .diffop import BoundaryForm, DiffOpMatrix, jet
+from .diffop import BoundaryForm, DiffOpMatrix
 from .exact import check_spd, fr, mat_inverse, scalar_json, to_float
 from .models import KinematicModel, ModelError, validate_model
 from .poly import Poly
@@ -233,24 +233,6 @@ def boundary_port_map(sys: PHSystem, normal) -> BoundaryPortMap:
         u_arg_labels=_jet_labels(e_eps, sys.op.order, sys.model.ell),
         y_labels=_jet_labels(e_p, sys.op.order, sys.model.ell),
     )
-
-
-def boundary_pairing_value(sys: PHSystem, e_p: Sequence[Poly], e_eps: Sequence[Poly]) -> Fraction:
-    """Exact boundary power for polynomial co-energy fields."""
-    dom = sys.model.domain
-    total = Fraction(0)
-    order, axes = sys.op.order, sys.op.axes
-    jp = jet(e_p, order, axes)
-    je = jet(e_eps, order, axes)
-    for face in dom.faces():
-        q = sys.boundary.q_partial(face[2])
-        acc = Poly.zero(jp[0].coords)
-        for i, pi in enumerate(jp):
-            for j, ej in enumerate(je):
-                if q[i][j] != 0:
-                    acc = acc + q[i][j] * (pi * ej)
-        total += dom.integrate_face(acc, face)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -159,11 +159,26 @@ def _profile(parts):
     raise ValueError(f"bad input profile {':'.join(parts)!r}")
 
 
+def _parse_dt(text: str) -> float:
+    try:
+        dt = float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        dt = None
+    if dt is None or dt <= 0:
+        raise ValueError(f"--dt expects a positive rational or decimal, got {text!r}")
+    return dt
+
+
 def cmd_simulate(args) -> int:
     try:
         sys_ = _validated_system(args)
         if sys_ is None:
             return EXIT_INVALID_MODEL
+        dt = _parse_dt(args.dt)
+        if args.steps < 1:
+            raise ValueError(f"--steps must be >= 1, got {args.steps}")
+        if args.record < 0:
+            raise ValueError(f"--record must be >= 0, got {args.record}")
         cells = tuple(int(c) for c in args.cells.split(","))
         dsys = discretize(sys_, GridSpec(cells), _parse_bc(args.bc, sys_.model.ell))
         inputs = _parse_inputs(args.input, dsys)
@@ -180,7 +195,7 @@ def cmd_simulate(args) -> int:
         state0 = dsys.zero_state()
     traj, log = simulate(
         dsys,
-        dt=float(Fraction(args.dt)),
+        dt=dt,
         steps=args.steps,
         inputs=inputs,
         state0=state0,

@@ -10,16 +10,20 @@ construction.  The formal adjoint flips the sign of odd-order terms, and the
 difference  integral(v^T F w - w^T F* v)  collapses to a boundary quadratic
 form between jets of w and v.  ``ibp_residual`` evaluates that identity with
 exact arithmetic and must return rational zero for every valid operator: it is
-the master oracle for this module.
+the master oracle for this module, and the only place that pairs jets with a
+boundary form or integrates the volume mismatch.  Its ``form=`` and
+``adjoint=`` keywords default to the operator's own ``BoundaryForm`` and
+``formal_adjoint()``; the verify suite's energy check passes the stored ones of
+a compiled system, and its mutation suite passes corrupted ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import ExactError, fr, identity, mat_add, mat_scale, transpose, zeros
+from .exact import ExactError, fr, mat_add, mat_scale, transpose, zeros
 from .poly import Poly
 
 Matrix = List[List[Fraction]]
@@ -333,10 +337,16 @@ def _pair(u: Sequence[Poly], mat_: Matrix, v: Sequence[Poly]) -> Poly:
 
 
 def boundary_pairing(
-    op: DiffOpMatrix, v: Sequence[Poly], w: Sequence[Poly], dom: DomainSpec
+    op: DiffOpMatrix,
+    v: Sequence[Poly],
+    w: Sequence[Poly],
+    dom: DomainSpec,
+    form: Optional[BoundaryForm] = None,
 ) -> Fraction:
-    """Boundary side of the adjoint identity via the assembled Q form."""
-    form = BoundaryForm(op)
+    """Boundary side of the adjoint identity via the assembled Q form
+    (``form`` defaults to the operator's own)."""
+    if form is None:
+        form = BoundaryForm(op)
     jw = jet(w, op.order, op.axes)
     jv = jet(v, op.order, op.axes)
     total = Fraction(0)
@@ -377,13 +387,20 @@ def boundary_pairing_sum_form(
 
 
 def volume_mismatch(
-    op: DiffOpMatrix, v: Sequence[Poly], w: Sequence[Poly], dom: DomainSpec
+    op: DiffOpMatrix,
+    v: Sequence[Poly],
+    w: Sequence[Poly],
+    dom: DomainSpec,
+    adjoint: Optional[DiffOpMatrix] = None,
 ) -> Fraction:
-    """integral_Omega (v^T F w - w^T F* v) dx, exactly."""
+    """integral_Omega (v^T F w - w^T F* v) dx, exactly (``adjoint`` stands in
+    for F*; it defaults to the formal adjoint)."""
     if len(v) != op.m or len(w) != op.n:
         raise ExactError("field dimensions do not match the operator")
+    if adjoint is None:
+        adjoint = op.formal_adjoint()
     fw = op.apply(w)
-    fsv = op.formal_adjoint().apply(v)
+    fsv = adjoint.apply(v)
     coords = v[0].coords
     integrand = Poly.zero(coords)
     for vi, fwi in zip(v, fw):
@@ -394,8 +411,16 @@ def volume_mismatch(
 
 
 def ibp_residual(
-    op: DiffOpMatrix, v: Sequence[Poly], w: Sequence[Poly], dom: DomainSpec
+    op: DiffOpMatrix,
+    v: Sequence[Poly],
+    w: Sequence[Poly],
+    dom: DomainSpec,
+    form: Optional[BoundaryForm] = None,
+    adjoint: Optional[DiffOpMatrix] = None,
 ) -> Fraction:
     """Residual of the integration-by-parts identity; exactly zero for every
-    operator of the supported class and any polynomial fields."""
-    return volume_mismatch(op, v, w, dom) - boundary_pairing(op, v, w, dom)
+    operator of the supported class and any polynomial fields, as long as
+    ``form`` and ``adjoint`` are left at (or equal) the operator's own."""
+    return volume_mismatch(op, v, w, dom, adjoint=adjoint) - boundary_pairing(
+        op, v, w, dom, form=form
+    )

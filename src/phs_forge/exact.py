@@ -132,17 +132,6 @@ def to_float(x) -> float:
     return float(x)
 
 
-def scalar_str(x) -> str:
-    """Canonical text form: 'num/den', optionally '*pi^k'."""
-    if isinstance(x, PiRat):
-        base = f"{x.q.numerator}/{x.q.denominator}"
-        if x.k == 0:
-            return base
-        return base + ("*pi" if x.k == 1 else f"*pi^{x.k}")
-    x = fr(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def scalar_json(x):
     """[num, den] for rationals, [num, den, k] for pi-tagged values."""
     if isinstance(x, PiRat) and x.k != 0:
@@ -154,10 +143,6 @@ def scalar_json(x):
 # ---------------------------------------------------------------------------
 # Dense exact matrices: lists of lists of Fraction / PiRat.
 # ---------------------------------------------------------------------------
-
-
-def mat(rows):
-    return [list(r) for r in rows]
 
 
 def zeros(r: int, c: int):
@@ -176,36 +161,8 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in r] for r in a]
-
-
 def mat_scale(a, s):
     return [[s * x for x in r] for r in a]
-
-
-def mat_mul(a, b):
-    rb = len(b)
-    cb = len(b[0])
-    out = []
-    for row in a:
-        assert len(row) == rb, "dimension mismatch in mat_mul"
-        out.append([sum((row[k] * b[k][j] for k in range(rb)), Fraction(0)) for j in range(cb)])
-    return out
-
-
-def mat_vec(a, v):
-    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    return all(ra[j] == rb[j] for ra, rb in zip(a, b) for j in range(len(ra)))
 
 
 def is_symmetric(a) -> bool:

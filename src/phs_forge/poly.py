@@ -72,9 +72,6 @@ class Poly:
             raise ExactError(f"polynomial {self} is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         i = self.coords.index(name)
         return max((e[i] for e in self.terms), default=0)
@@ -258,10 +255,6 @@ class PolyMatrix:
         self.rows = len(entries)
         self.cols = width
         self.coords = coords
-
-    @staticmethod
-    def from_scalars(coords, rows) -> "PolyMatrix":
-        return PolyMatrix([[Poly.constant(coords, v) for v in r] for r in rows])
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix([list(col) for col in zip(*self.entries)])

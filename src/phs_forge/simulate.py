@@ -17,6 +17,7 @@ in the symbolic stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -486,9 +487,7 @@ def _assemble(dsys: DiscreteSystem, density_scale=None, stiffness_scale=None):
                     to_float(f1.axis_position(a, gidx[a], bounds[a][0], dsys.dx[a]))
                     for a in range(ell)
                 ]
-                factor = scale(*pos)
-                if factor <= 0.0:
-                    raise ValueError("material scaling must be positive")
+                factor = _scale_value(scale, pos)
             c_rows.append(base + f1.offset + node)
             c_cols.append(base + f2.offset + node)
             c_data.append(v * factor)
@@ -496,7 +495,7 @@ def _assemble(dsys: DiscreteSystem, density_scale=None, stiffness_scale=None):
     # density scales the mass, so its inverse scales the momentum co-energy
     inv_density = None
     if density_scale is not None:
-        inv_density = lambda *pos: 1.0 / density_scale(*pos)
+        inv_density = lambda *pos: 1.0 / _scale_value(density_scale, pos)
     for i in range(sys.n):
         for j in range(sys.n):
             if sys.mass_inv[i][j] != 0:
@@ -519,6 +518,13 @@ def _assemble(dsys: DiscreteSystem, density_scale=None, stiffness_scale=None):
 # ---------------------------------------------------------------------------
 # Energy, states, inputs
 # ---------------------------------------------------------------------------
+
+
+def _scale_value(scale, pos) -> float:
+    value = scale(*pos)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"material scaling must be positive and finite, got {value!r} at {pos}")
+    return value
 
 
 def discrete_hamiltonian(dsys: DiscreteSystem, state: np.ndarray) -> float:
@@ -642,6 +648,12 @@ def _stepper(dsys: DiscreteSystem, dt: float) -> _MidpointStepper:
     return stepper
 
 
+def _checked_dt(dt) -> float:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    return float(dt)
+
+
 def step_midpoint(
     dsys: DiscreteSystem,
     state: np.ndarray,
@@ -650,9 +662,7 @@ def step_midpoint(
     t: float = 0.0,
 ) -> np.ndarray:
     """One implicit-midpoint step (the factorization is cached per dt)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    new_state, _ = _stepper(dsys, float(dt)).step(np.asarray(state, dtype=float), t, inputs)
+    new_state, _ = _stepper(dsys, _checked_dt(dt)).step(np.asarray(state, dtype=float), t, inputs)
     return new_state
 
 
@@ -669,14 +679,16 @@ def simulate(
     The residual column reports |dH - dt * (midpoint power)| per step, the
     discrete counterpart of the continuous power balance.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = _checked_dt(dt)
     if steps < 1:
         raise ValueError("need at least one step")
-    dt = float(dt)
+    if record_every < 0:
+        raise ValueError("record_every must be >= 0")
     state = dsys.zero_state() if state0 is None else np.array(state0, dtype=float)
     if state.shape != (dsys.num_dofs,):
         raise ValueError(f"initial state must have {dsys.num_dofs} entries")
+    if not np.all(np.isfinite(state)):
+        raise ValueError("initial state has non-finite entries")
 
     stepper = _stepper(dsys, dt)
     times = np.zeros(steps + 1)

@@ -4,9 +4,13 @@ Everything here is a falsification attempt run in exact arithmetic: the
 adjoint/boundary identity on random polynomial fields, the energy-rate
 collapse to boundary terms, the first-order limits between models, and a
 mutation suite that plants sign/transposition/index bugs in the boundary
-blocks and requires the residual oracle to expose them.  Reports are
-deterministic for a fixed seed; serialized reports omit wall-clock timing so
-two runs with the same seed are byte-identical.
+blocks and requires the residual oracle to expose them.  There is one oracle:
+the energy check and all seven mutations run ``diffop.ibp_residual``, the
+energy check with the stored adjoint and boundary form of the compiled system
+(so it certifies what ``export`` writes), each mutation with a corrupted
+``form=`` or ``adjoint=``.  Reports are deterministic for a fixed seed;
+serialized reports omit wall-clock timing so two runs with the same seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from .diffop import (
     boundary_pairing,
     boundary_pairing_sum_form,
     ibp_residual,
-    jet,
     volume_mismatch,
 )
-from .exact import is_symmetric, mat_add, mat_scale, transpose, zeros
+from .exact import is_symmetric, mat_add, mat_scale, transpose
 from .models import (
     KinematicModel,
     builtin_model,
@@ -90,10 +93,9 @@ def check_lemma1(
         for t in range(trials):
             started = time.perf_counter()
             v, w = _random_fields(rng, model.op, degree)
-            res = ibp_residual(model.op, v, w, model.domain)
-            sum_form = volume_mismatch(model.op, v, w, model.domain) - boundary_pairing_sum_form(
-                model.op, v, w, model.domain
-            )
+            lhs = volume_mismatch(model.op, v, w, model.domain)
+            res = lhs - boundary_pairing(model.op, v, w, model.domain)
+            sum_form = lhs - boundary_pairing_sum_form(model.op, v, w, model.domain)
             ok = res == 0 and sum_form == 0
             witness = None if ok else f"residual {res} (sum form {sum_form})"
             out.append(
@@ -112,7 +114,8 @@ def check_energy_structure(sys, trials: int = 5, seed: int = 0) -> CheckResult:
 
     Three exact ingredients are verified: symmetry of M and K, equality of
     the stored adjoint with the recomputed formal adjoint, and the vanishing
-    residual of the adjoint identity on random co-energy fields.  When all
+    residual of the adjoint identity, taken with the stored adjoint and
+    boundary form, on random co-energy fields.  When all
     matrix entries are rational the variational balance is additionally
     integrated directly from the quadratic energy (this is the path that
     convicts an asymmetric stiffness matrix).
@@ -136,7 +139,9 @@ def check_energy_structure(sys, trials: int = 5, seed: int = 0) -> CheckResult:
     )
     for t in range(trials):
         e_eps, e_p = _random_fields(rng, sys.op, degree)
-        res = ibp_residual(sys.op, e_eps, e_p, sys.model.domain)
+        res = ibp_residual(
+            sys.op, e_eps, e_p, sys.model.domain, form=sys.boundary, adjoint=sys.op_adjoint
+        )
         if res != 0:
             return _result(
                 f"energy:{name}", name, False, f"trial {t + 1}: pairing residual {res}", started
@@ -187,19 +192,7 @@ def _variational_balance_residual(sys, rng: random.Random, degree: int) -> Fract
     for a, b in zip(eps_dot, grad_eps):
         integrand = integrand + a * b
     rate = model.domain.integrate(integrand)
-
-    boundary = Fraction(0)
-    jp = jet(e_p, sys.op.order, sys.op.axes)
-    je = jet(e_eps, sys.op.order, sys.op.axes)
-    for face in model.domain.faces():
-        q = sys.boundary.q_partial(face[2])
-        acc = Poly.zero(coords)
-        for i, pi in enumerate(jp):
-            for j, ej in enumerate(je):
-                if q[i][j] != 0:
-                    acc = acc + q[i][j] * (pi * ej)
-        boundary += model.domain.integrate_face(acc, face)
-    return rate - boundary
+    return rate - boundary_pairing(sys.op, e_eps, e_p, model.domain, form=sys.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -207,33 +200,26 @@ def _variational_balance_residual(sys, rng: random.Random, degree: int) -> Fract
 # ---------------------------------------------------------------------------
 
 
-def _mutated_boundary_residual(model: KinematicModel, mutate: Callable[[BoundaryForm], None],
-                               rng: random.Random, trials: int = 4):
-    """Largest-magnitude residual seen under a corrupted boundary form."""
-    form = BoundaryForm(model.op)
-    form.q_axes = [[row[:] for row in q] for q in form.q_axes]
-    mutate(form)
+def _worst_residual(model: KinematicModel, rng: random.Random, form=None, adjoint=None,
+                    trials: int = 4) -> Fraction:
+    """Largest-magnitude ``ibp_residual`` seen under a corrupted boundary form
+    or adjoint."""
     worst = Fraction(0)
     for _ in range(trials):
         v, w = _random_fields(rng, model.op, model.order + 2)
-        lhs = volume_mismatch(model.op, v, w, model.domain)
-        rhs = Fraction(0)
-        jw = jet(w, model.op.order, model.op.axes)
-        jv = jet(v, model.op.order, model.op.axes)
-        for face in model.domain.faces():
-            q = zeros(form.rows, form.cols)
-            for nk, mat_ in zip(face[2], form.q_axes):
-                q = mat_add(q, mat_scale(mat_, nk))
-            acc = Poly.zero(v[0].coords)
-            for i, wi in enumerate(jw):
-                for j, vj in enumerate(jv):
-                    if q[i][j] != 0:
-                        acc = acc + q[i][j] * (wi * vj)
-            rhs += model.domain.integrate_face(acc, face)
-        res = lhs - rhs
+        res = ibp_residual(model.op, v, w, model.domain, form=form, adjoint=adjoint)
         if abs(res) > abs(worst):
             worst = res
     return worst
+
+
+def _mutated_form(op: DiffOpMatrix, mutate: Callable[[BoundaryForm], None]) -> BoundaryForm:
+    """A freshly built boundary form, with private copies of its axis
+    matrices, corrupted by ``mutate``."""
+    form = BoundaryForm(op)
+    form.q_axes = [[row[:] for row in q] for q in form.q_axes]
+    mutate(form)
+    return form
 
 
 def _negate_block(form: BoundaryForm, rows, cols):
@@ -250,92 +236,28 @@ def check_mutations(seed: int = 0) -> List[CheckResult]:
     kirchhoff = builtin_model("kirchhoff_rayleigh")
     results: List[CheckResult] = []
 
-    def run(mutation_id: str, model: KinematicModel, corrupted_residual: Callable[[random.Random], Fraction]):
+    def run(mutation_id: str, model: KinematicModel, mutate=None, adjoint=None):
         started = time.perf_counter()
         rng = random.Random(f"{seed}:mutation:{mutation_id}")
-        worst = corrupted_residual(rng)
+        form = None if mutate is None else _mutated_form(model.op, mutate)
+        worst = _worst_residual(model, rng, form=form, adjoint=adjoint)
         ok = worst != 0
-        witness = "undetected: all residuals zero" if not ok else None
-        res = _result(f"mutation:{mutation_id}", model.name, ok, witness, started)
+        res = _result(
+            f"mutation:{mutation_id}", model.name, ok, "undetected: all residuals zero", started
+        )
         if ok:
             res.witness = f"detected with residual {worst}"
         results.append(res)
 
     n, m = timoshenko.n, timoshenko.m
-
-    run(
-        "p-block-sign-flip",
-        timoshenko,
-        lambda rng: _mutated_boundary_residual(
-            timoshenko, lambda f: _negate_block(f, range(n), range(m)), rng
-        ),
-    )
-
     rn, rm = rayleigh.n, rayleigh.m
-    run(
-        "w2-block-sign-flip",
-        rayleigh,
-        lambda rng: _mutated_boundary_residual(
-            rayleigh, lambda f: _negate_block(f, range(rn), range(rm, rm + rm)), rng
-        ),
-    )
-    run(
-        "v2-block-zeroed",
-        rayleigh,
-        lambda rng: _mutated_boundary_residual(
-            rayleigh, lambda f: _zero_block(f, range(rn, rn + rn), range(rm)), rng
-        ),
-    )
-    run(
-        "w2-order-index-shift",
-        rayleigh,
-        lambda rng: _mutated_boundary_residual(rayleigh, _shift_w2_to_first_order, rng),
-    )
-    run(
-        "p-block-transposed",
-        kirchhoff,
-        lambda rng: _mutated_boundary_residual(kirchhoff, _transpose_p_block, rng),
-    )
-
-    def adjoint_sign_residual(rng: random.Random) -> Fraction:
-        wrong = DiffOpMatrix(
-            timoshenko.n,
-            timoshenko.m,
-            timoshenko.op.axes,
-            p0=transpose(timoshenko.op.p0),
-            pk={(k, i): transpose(mat_) for (k, i), mat_ in timoshenko.op.pk.items()},
-        )
-        worst = Fraction(0)
-        for _ in range(4):
-            v, w = _random_fields(rng, timoshenko.op, timoshenko.order + 2)
-            fw = timoshenko.op.apply(w)
-            fsv = wrong.apply(v)
-            coords = v[0].coords
-            integrand = Poly.zero(coords)
-            for vi, fwi in zip(v, fw):
-                integrand = integrand + vi * fwi
-            for wi, fsvi in zip(w, fsv):
-                integrand = integrand - wi * fsvi
-            lhs = timoshenko.domain.integrate(integrand)
-            res = lhs - boundary_pairing(timoshenko.op, v, w, timoshenko.domain)
-            if abs(res) > abs(worst):
-                worst = res
-        return worst
-
-    run("adjoint-parity-dropped", timoshenko, adjoint_sign_residual)
-
-    def alternating_sign_residual(rng: random.Random) -> Fraction:
-        worst = Fraction(0)
-        for _ in range(4):
-            v, w = _random_fields(rng, rayleigh.op, rayleigh.order + 2)
-            lhs = volume_mismatch(rayleigh.op, v, w, rayleigh.domain)
-            rhs = _sum_form_without_alternation(rayleigh.op, v, w, rayleigh.domain)
-            res = lhs - rhs
-            if abs(res) > abs(worst):
-                worst = res
-        return worst
-
-    run("alternating-sign-dropped", rayleigh, alternating_sign_residual)
+    run("p-block-sign-flip", timoshenko, lambda f: _negate_block(f, range(n), range(m)))
+    run("w2-block-sign-flip", rayleigh, lambda f: _negate_block(f, range(rn), range(rm, rm + rm)))
+    run("v2-block-zeroed", rayleigh, lambda f: _zero_block(f, range(rn, rn + rn), range(rm)))
+    run("w2-order-index-shift", rayleigh, _shift_w2_to_first_order)
+    run("p-block-transposed", kirchhoff, _transpose_p_block)
+    run("adjoint-parity-dropped", timoshenko, adjoint=_adjoint_without_parity(timoshenko.op))
+    run("alternating-sign-dropped", rayleigh, _drop_alternating_sign)
     return results
 
 
@@ -356,6 +278,26 @@ def _shift_w2_to_first_order(form: BoundaryForm):
         for i in range(n):
             for j in range(m):
                 q[i][m + (k - 1) * m + j] = -wrong[i][j]
+
+
+def _drop_alternating_sign(form: BoundaryForm):
+    """Negate the odd column blocks, undoing the (-1)^c of the jet layout."""
+    op = form.op
+    block = op.m * op.ell
+    for c in range(1, max(op.order, 1), 2):
+        start = op.m + (c - 1) * block
+        _negate_block(form, range(form.rows), range(start, start + block))
+
+
+def _adjoint_without_parity(op: DiffOpMatrix) -> DiffOpMatrix:
+    """Transposed coefficients without the (-1)^i of the formal adjoint."""
+    return DiffOpMatrix(
+        op.n,
+        op.m,
+        op.axes,
+        p0=transpose(op.p0),
+        pk={(k, i): transpose(mat_) for (k, i), mat_ in op.pk.items()},
+    )
 
 
 def _transpose_p_block(form: BoundaryForm):
@@ -469,37 +411,6 @@ def check_limits_and_reductions(seed: int = 0) -> List[CheckResult]:
         detail = None if ok else "aggregated stiffness does not match the reduced model"
     out.append(_result("reduction:torsion-two-strain", "torsion", ok, detail, started))
     return out
-
-
-def _sum_form_without_alternation(op, v, w, dom) -> Fraction:
-    total = Fraction(0)
-    for face in dom.faces():
-        _, _, normal = face
-        for k in range(1, op.ell + 1):
-            nk = normal[k - 1]
-            if nk == 0:
-                continue
-            name = op.axes[k - 1]
-            for i in range(1, op.order + 1):
-                pki = op.coeff(k, i)
-                if all(x == 0 for row in pki for x in row):
-                    continue
-                for j in range(1, i + 1):
-                    dw = list(w)
-                    for _ in range(i - j):
-                        dw = [f.diff(name) for f in dw]
-                    dv = list(v)
-                    for _ in range(j - 1):
-                        dv = [f.diff(name) for f in dv]
-                    coords = dv[0].coords
-                    acc = Poly.zero(coords)
-                    pt = transpose(pki)
-                    for a, wa in enumerate(dw):
-                        for b, vb in enumerate(dv):
-                            if pt[a][b] != 0:
-                                acc = acc + pt[a][b] * (wa * vb)
-                    total += nk * dom.integrate_face(acc, face)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Every tolerance is pinned here; symbolic criteria demand exact rational
 equality, the simulation criteria use the stated float tolerances.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -207,9 +208,15 @@ def test_criterion_7_power_balance():
         assert float(np.max(log2.residual[1:] / scale2)) <= 1e-10
 
 
+# SHA-256 of the seed-7 report: a refactor of the exact stage must leave the
+# report bytes unchanged, witnesses included.
+REPORT_SEED7_SHA256 = "19d5db1a635266a919f9a99622dbe0d649d3485c6e59ea56829003aad4d57cb3"
+
+
 def test_criterion_8_verify_report_determinism():
     with criterion(8, "deterministic verification report"):
         blob1 = report_json(run_all(seed=7, trials=20), 7)
         blob2 = report_json(run_all(seed=7, trials=20), 7)
         assert blob1.encode("utf-8") == blob2.encode("utf-8")
         assert '"failures":0' in blob1
+        assert hashlib.sha256(blob1.encode("utf-8")).hexdigest() == REPORT_SEED7_SHA256

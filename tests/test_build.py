@@ -8,7 +8,6 @@ import pytest
 from phs_forge.build import (
     BuildError,
     assemble_phs,
-    boundary_pairing_value,
     boundary_port_map,
     export_system,
     hamiltonian_value,
@@ -16,6 +15,7 @@ from phs_forge.build import (
     mass_matrix,
     stiffness_matrix,
 )
+from phs_forge.diffop import boundary_pairing
 from phs_forge.exact import ExactError, PiRat, leading_minors
 from phs_forge.models import builtin_model
 from phs_forge.poly import Poly, PolyMatrix
@@ -273,10 +273,11 @@ def test_truss_boundary_pairing_sign():
     x1 = ("z1",)
     e_p = [Poly.constant(x1, F(2))]
     e_eps = [Poly.constant(x1, F(5))]
-    assert boundary_pairing_value(sys_, e_p, e_eps) == F(0)  # constants: b and a cancel
+    dom = sys_.model.domain
+    assert boundary_pairing(sys_.op, e_eps, e_p, dom, form=sys_.boundary) == F(0)  # b, a cancel
     z1 = Poly.variable(x1, "z1")
     e_p = [z1]
-    assert boundary_pairing_value(sys_, e_p, e_eps) == F(5)  # 1*5 - 0*5
+    assert boundary_pairing(sys_.op, e_eps, e_p, dom, form=sys_.boundary) == F(5)  # 1*5 - 0*5
 
 
 def test_lagrangian_form_truss_wave_stiffness():

@@ -256,3 +256,26 @@ def test_build_emit_model_round_trips(tmp_path):
     assert json.loads((tmp_path / "t.json").read_text())["mass"] == json.loads(
         (tmp_path / "t2.json").read_text()
     )["mass"]
+
+
+def _simulate_string(tmp_path, *extra):
+    return main(
+        ["simulate", "--builtin", "string", "--cells", "8", "--steps", "3",
+         "--energy", str(tmp_path / "e.csv"), *extra]
+    )
+
+
+def test_simulate_rejects_bad_dt(tmp_path, capsys):
+    for dt in ("1/0", "nan", "0", "-1/100", "1e-400", "abc"):
+        assert _simulate_string(tmp_path, f"--dt={dt}") == EXIT_INVALID_MODEL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--dt" in err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_simulate_rejects_bad_step_and_record_counts(tmp_path, capsys):
+    for flag, value in (("--record", "-1"), ("--steps", "0")):
+        assert _simulate_string(tmp_path, "--dt", "1/100", f"{flag}={value}") == EXIT_INVALID_MODEL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+    assert not (tmp_path / "e.csv").exists()

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phs_forge.diffop import (
     BoundaryForm,
@@ -284,3 +286,57 @@ def test_domain_requires_nonempty_ranges():
 def test_operator_order_is_tight():
     op = DiffOpMatrix(1, 1, X1, pk={(1, 1): [[1]], (1, 2): [[0]]})
     assert op.order == 1
+
+
+# ---------------------------------------------------------------------------
+# Property: the oracle holds for random operators, and its form=/adjoint=
+# keywords are no-ops when given the operator's own form and adjoint
+# ---------------------------------------------------------------------------
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def operators(draw):
+    ell = draw(st.integers(1, 3))
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    order = draw(st.integers(0, 3))
+
+    def matrix():
+        return draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=m, max_size=m))
+
+    keys = [(k, i) for k in range(1, ell + 1) for i in range(1, order + 1)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)) if keys else []
+    axes = ("z1", "z2", "z3")[:ell]
+    return DiffOpMatrix(m, n, axes, p0=matrix(), pk={key: matrix() for key in chosen})
+
+
+@st.composite
+def fields(draw, axes, count, degree):
+    exps = st.tuples(*[st.integers(0, degree)] * len(axes)).filter(lambda e: sum(e) <= degree)
+    return [Poly(axes, draw(st.dictionaries(exps, SMALL, max_size=4))) for _ in range(count)]
+
+
+@st.composite
+def domains(draw, axes):
+    lo = st.sampled_from([F(-1), F(0), F(1, 2)])
+    length = st.sampled_from([F(1, 3), F(1), F(2)])
+    bounds = []
+    for _ in axes:
+        a = draw(lo)
+        bounds.append((a, a + draw(length)))
+    return DomainSpec(axes, tuple(bounds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ibp_oracle_properties_on_random_operators(data):
+    op = data.draw(operators())
+    degree = op.order + 1
+    v = data.draw(fields(op.axes, op.m, degree))
+    w = data.draw(fields(op.axes, op.n, degree))
+    dom = data.draw(domains(op.axes))
+    res = ibp_residual(op, v, w, dom)
+    assert res == 0
+    assert boundary_pairing(op, v, w, dom) == boundary_pairing_sum_form(op, v, w, dom)
+    assert ibp_residual(op, v, w, dom, form=BoundaryForm(op), adjoint=op.formal_adjoint()) == res

@@ -134,6 +134,21 @@ def test_dt_must_be_positive():
         simulate(dsys, dt=0.0, steps=10)
     with pytest.raises(ValueError):
         simulate(dsys, dt=1e-2, steps=0)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            step_midpoint(dsys, dsys.zero_state(), dt)
+        with pytest.raises(ValueError, match="finite"):
+            simulate(dsys, dt=dt, steps=10)
+    assert not dsys._steppers  # rejected before any factorization
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_initial_state_rejected(bad):
+    dsys = _dsys("string", (8,))
+    state = random_state(dsys, 1)
+    state[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate(dsys, dt=1e-2, steps=10, state0=state)
 
 
 def test_hamiltonian_quadrature_constant_momentum_string():
@@ -240,6 +255,10 @@ def test_varying_coefficients_must_be_positive():
     sys_ = assemble_phs(builtin_model("string"))
     with pytest.raises(ValueError, match="positive"):
         discretize(sys_, GridSpec((8,)), density_scale=lambda x: -1.0)
+    for which in ("density_scale", "stiffness_scale"):
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                discretize(sys_, GridSpec((8,)), **{which: lambda x: bad})
 
 
 def test_energy_log_shape_contract():
@@ -253,6 +272,8 @@ def test_trajectory_snapshots_cadence():
     dsys = _dsys("string", (8,))
     traj, log = simulate(dsys, dt=1e-2, steps=10, state0=random_state(dsys, 1), record_every=4)
     assert [s[0] for s in traj.snapshots] == [0, 4, 8, 10]
+    with pytest.raises(ValueError, match="record_every"):
+        simulate(dsys, dt=1e-2, steps=10, record_every=-1)
 
 
 def test_csv_outputs(tmp_path):

@@ -42,6 +42,24 @@ def test_mutation_suite_detects_all_planted_bugs():
     assert all("residual" in (r.witness or "") for r in results)
 
 
+def test_mutations_attack_the_shipped_oracle(monkeypatch):
+    """Every planted bug reaches diffop.ibp_residual as a corrupted form= or
+    adjoint=, never through a private copy of the pairing."""
+    from phs_forge import verify
+
+    corrupted = []
+    oracle = verify.ibp_residual
+
+    def spy(op, v, w, dom, form=None, adjoint=None):
+        corrupted.append((form is not None) != (adjoint is not None))
+        return oracle(op, v, w, dom, form=form, adjoint=adjoint)
+
+    monkeypatch.setattr(verify, "ibp_residual", spy)
+    results = check_mutations(seed=3)
+    assert all(r.ok for r in results)
+    assert len(corrupted) == 4 * len(results) and all(corrupted)
+
+
 def test_energy_structure_passes_for_builtins():
     for name in ("timoshenko", "reddy_plate", "torsion", "rayleigh_beam"):
         sys_ = assemble_phs(builtin_model(name))
