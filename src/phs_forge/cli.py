@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from fractions import Fraction
@@ -147,22 +148,31 @@ def _parse_inputs(specs, dsys):
 
 
 def _profile(parts):
-    import math
-
     if parts[0] == "const" and len(parts) == 2:
-        value = float(Fraction(parts[1]))
+        value = _finite_float(parts[1], "const value")
         return lambda t: value
     if parts[0] == "sin" and len(parts) == 3:
-        amp = float(Fraction(parts[1]))
-        omega = float(Fraction(parts[2]))
+        amp = _finite_float(parts[1], "sin amplitude")
+        omega = _finite_float(parts[2], "sin frequency")
         return lambda t: amp * math.sin(omega * t)
     raise ValueError(f"bad input profile {':'.join(parts)!r}")
 
 
+def _finite_float(text: str, what: str) -> float:
+    """A rational or decimal literal as a finite float; ValueError otherwise."""
+    try:
+        value = float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{what} expects a finite rational or decimal, got {text!r}")
+    return value
+
+
 def _parse_dt(text: str) -> float:
     try:
-        dt = float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        dt = _finite_float(text, "--dt")
+    except ValueError:
         dt = None
     if dt is None or dt <= 0:
         raise ValueError(f"--dt expects a positive rational or decimal, got {text!r}")

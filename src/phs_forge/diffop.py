@@ -327,12 +327,17 @@ class DomainSpec:
 
 
 def _pair(u: Sequence[Poly], mat_: Matrix, v: Sequence[Poly]) -> Poly:
+    """u^T M v, factored by rows as sum_i u_i (sum_j M_ij v_j): one
+    polynomial product per nonzero row instead of one per nonzero entry."""
     coords = u[0].coords
     acc = Poly.zero(coords)
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            if mat_[i][j] != 0:
-                acc = acc + mat_[i][j] * (ui * vj)
+    for ui, row in zip(u, mat_):
+        mv = Poly.zero(coords)
+        for mij, vj in zip(row, v):
+            if mij != 0:
+                mv = mv + mij * vj
+        if not mv.is_zero:
+            acc = acc + ui * mv
     return acc
 
 

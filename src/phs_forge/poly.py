@@ -39,6 +39,21 @@ class Poly:
         self.coords = coords
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, coords: Tuple[str, ...], terms: Dict[Exponents, Fraction]) -> "Poly":
+        """Wrap an already canonical term dict without copying or checking it.
+
+        Canonical means: distinct coordinate names, exponent tuples of
+        non-negative ints of the right arity, Fraction values and no zero
+        coefficients.  Only ring and calculus results built from canonical
+        operands go through here; everything else uses the validating
+        constructor.
+        """
+        p = object.__new__(cls)
+        p.coords = coords
+        p.terms = terms
+        return p
+
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero(coords) -> "Poly":
@@ -90,13 +105,18 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.coords, out)
+            if e in out:
+                c = out[e] + c
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return Poly._raw(self.coords, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.coords, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.coords, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -109,14 +129,19 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = fr(other)
-            return Poly(self.coords, {e: c * v for e, v in self.terms.items()})
+            if not c:
+                return Poly._raw(self.coords, {})
+            return Poly._raw(self.coords, {e: c * v for e, v in self.terms.items()})
         self._check(other)
         out: Dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.coords, out)
+                if e in out:
+                    out[e] += c1 * c2
+                else:
+                    out[e] = c1 * c2
+        return Poly._raw(self.coords, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -146,17 +171,16 @@ class Poly:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out[ne] = out.get(ne, Fraction(0)) + c * e[i]
-        return Poly(self.coords, out)
+            # e -> ne is one-to-one on the surviving terms: nothing to sum
+            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+        return Poly._raw(self.coords, out)
 
     def antiderivative(self, name: str) -> "Poly":
         i = self.coords.index(name)
         out: Dict[Exponents, Fraction] = {}
         for e, c in self.terms.items():
-            ne = e[:i] + (e[i] + 1,) + e[i + 1 :]
-            out[ne] = c / (e[i] + 1)
-        return Poly(self.coords, out)
+            out[e[:i] + (e[i] + 1,) + e[i + 1 :]] = c / (e[i] + 1)
+        return Poly._raw(self.coords, out)
 
     def integrate(self, name: str, lo, hi) -> "Poly":
         """Exact definite integral over ``name`` in (lo, hi).
@@ -178,8 +202,11 @@ class Poly:
                 val *= v ** e[i]
                 ne[i] = 0
             key = tuple(ne)
-            out[key] = out.get(key, Fraction(0)) + val
-        return Poly(self.coords, out)
+            if key in out:
+                out[key] += val
+            else:
+                out[key] = val
+        return Poly._raw(self.coords, {e: c for e, c in out.items() if c})
 
     def eval(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value; every coordinate with a nonzero exponent must
@@ -193,6 +220,8 @@ class Poly:
     def extend(self, coords: Iterable[str]) -> "Poly":
         """Reinterpret over a superset coordinate tuple."""
         coords = tuple(coords)
+        if len(set(coords)) != len(coords):
+            raise ExactError(f"duplicate coordinate names: {coords}")
         pos = []
         for c in self.coords:
             if c not in coords:
@@ -203,9 +232,8 @@ class Poly:
             ne = [0] * len(coords)
             for p, expo in zip(pos, e):
                 ne[p] = expo
-            key = tuple(ne)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly(coords, out)
+            out[tuple(ne)] = c  # one-to-one: the positions are distinct
+        return Poly._raw(coords, out)
 
     # -- display ---------------------------------------------------------------
     def __str__(self):
@@ -258,20 +286,6 @@ class PolyMatrix:
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix([list(col) for col in zip(*self.entries)])
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ExactError("dimension mismatch in PolyMatrix product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly.zero(self.coords)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
 
     def apply(self, vec):
         """Matrix times a vector of Polys (coordinates may be a superset)."""

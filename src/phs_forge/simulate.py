@@ -18,6 +18,7 @@ in the symbolic stage.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -195,7 +196,8 @@ def _operator_terms(sys: PHSystem):
 
 def _solve_shifts(sys: PHSystem, ell: int):
     """Per-component lattice parities making every operator term single-
-    lattice; falls back to fully collocated when no assignment exists."""
+    lattice; falls back to fully collocated, with a RuntimeWarning, when no
+    assignment exists."""
     op = sys.op
     if op.order != 1:
         return [(0,) * ell] * op.n, [(0,) * ell] * op.m
@@ -216,6 +218,9 @@ def _solve_shifts(sys: PHSystem, ell: int):
             if sys.stiffness[i][j] != 0:
                 edges.append((n + i, n + j, zero))
 
+    def label(node: int) -> str:
+        return f"p{node + 1}" if node < n else f"eps{node - n + 1}"
+
     adj: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
     for a, b, parity in edges:
         adj.setdefault(a, []).append((b, parity))
@@ -235,7 +240,13 @@ def _solve_shifts(sys: PHSystem, ell: int):
                     assign[b] = want
                     stack.append(b)
                 elif assign[b] != want:
-                    # inconsistent staggering: collocate everything
+                    warnings.warn(
+                        f"no consistent staggering: the parities of {label(a)} and {label(b)} "
+                        "conflict; falling back to a fully collocated grid, which carries "
+                        "odd-even (checkerboard) modes",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
                     return [(0,) * ell] * n, [(0,) * ell] * m
     return [assign[i] for i in range(n)], [assign[n + j] for j in range(m)]
 
@@ -634,6 +645,8 @@ class _MidpointStepper:
         u_values = []
         for ch in inputs:
             u_val = float(ch.u(t_mid))
+            if not math.isfinite(u_val):
+                raise ValueError(f"input {ch.name} is not finite at t = {t_mid!r}: {u_val!r}")
             u_values.append(u_val)
             if u_val != 0.0:
                 rhs = rhs + (self.dt * u_val) * ch.vector

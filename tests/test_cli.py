@@ -279,3 +279,18 @@ def test_simulate_rejects_bad_step_and_record_counts(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_simulate_rejects_non_finite_input_profiles(tmp_path, capsys):
+    def run(profile):
+        return main(
+            ["simulate", "--builtin", "truss", "--cells", "16", "--dt", "1/1000", "--steps", "3",
+             "--energy", str(tmp_path / "e.csv"), "--input", f"traction:right:u1:{profile}"]
+        )
+
+    for profile in ("const:1e400", "sin:1e400:1", "sin:1:-1e400", "const:abc"):
+        assert run(profile) == EXIT_INVALID_MODEL, profile
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "expects a finite" in err, err
+    assert not (tmp_path / "e.csv").exists()
+    assert run("sin:1/2:7") == EXIT_OK

@@ -18,6 +18,7 @@ from phs_forge.diffop import (
     jet,
     jet_layout,
     volume_mismatch,
+    _pair,
 )
 from phs_forge.models import builtin_model, random_poly
 from phs_forge.poly import Poly
@@ -340,3 +341,20 @@ def test_ibp_oracle_properties_on_random_operators(data):
     assert res == 0
     assert boundary_pairing(op, v, w, dom) == boundary_pairing_sum_form(op, v, w, dom)
     assert ibp_residual(op, v, w, dom, form=BoundaryForm(op), adjoint=op.formal_adjoint()) == res
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_row_factored_pair_equals_naive_double_sum(data):
+    axes = ("z1", "z2", "z3")[: data.draw(st.integers(1, 3))]
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(2, 3), F(-5, 2)])  # zero rows too
+    q = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    u = [random_poly(rng, axes, 2) for _ in range(rows)]
+    v = [random_poly(rng, axes, 2) for _ in range(cols)]
+    naive = Poly.zero(axes)
+    for i in range(rows):
+        for j in range(cols):
+            naive = naive + q[i][j] * (u[i] * v[j])
+    assert _pair(u, q, v) == naive

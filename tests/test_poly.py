@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phs_forge.exact import ExactError
 from phs_forge.models import random_poly
@@ -80,16 +82,82 @@ def test_coordinate_set_mismatch_raises():
         z(Z3, "z3") + z(Z23, "z3")
 
 
-def test_ring_distributivity_randomized():
-    rng = random.Random(20240)
-    coords = ("z1", "z2")
-    for _ in range(100):
-        a = random_poly(rng, coords, 4)
-        b = random_poly(rng, coords, 4)
-        c = random_poly(rng, coords, 4)
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+def test_constructor_validates_and_cancels():
+    with pytest.raises(ExactError, match="negative"):
+        Poly(Z3, {(-1,): F(1)})
+    with pytest.raises(ExactError, match="arity"):
+        Poly(Z3, {(1, 0): F(1)})
+    with pytest.raises(ExactError, match="duplicate"):
+        Poly(("z3", "z3"), {})
+    with pytest.raises(ExactError, match="floats"):
+        Poly(Z3, {(1,): 0.5})
+    with pytest.raises(ExactError, match="duplicate"):
+        z(Z3, "z3").extend(("z3", "z3"))
+    p = Poly(Z3, {(1,): 2, (0,): F(0), (2,): "1/2"})
+    assert p.terms == {(1,): F(2), (2,): F(1, 2)}
+    assert all(type(c) is F for c in p.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# Properties: ring laws, and every operation returns a canonical Poly (int
+# exponent tuples of the right arity, Fraction values, no zero coefficients)
+# even though ring and calculus results skip the validating constructor
+# ---------------------------------------------------------------------------
+
+COORDS = ("z1", "z2", "z3")
+COEFFS = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def polys(draw, coords, max_terms=5):
+    exps = st.tuples(*[st.integers(0, 3)] * len(coords))
+    return Poly(coords, draw(st.dictionaries(exps, COEFFS, max_size=max_terms)))
+
+
+@st.composite
+def poly_triples(draw):
+    coords = COORDS[: draw(st.integers(1, 3))]
+    return tuple(draw(polys(coords)) for _ in range(3))
+
+
+def assert_canonical(r):
+    assert r.terms == Poly(r.coords, r.terms).terms
+    for e, c in r.terms.items():
+        assert len(e) == len(r.coords) and all(type(x) is int and x >= 0 for x in e)
+        assert type(c) is F and c != 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_triples())
+def test_ring_laws(abc):
+    a, b, c = abc
+    zero = Poly.zero(a.coords)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) * c == a * c + b * c
+    assert (a + b) - b == a
+    assert a - a == zero and (a + (-a)).terms == {}
+    assert 0 * a == zero and a * 0 == zero and a * zero == zero
+    assert 1 * a == a and a * Poly.constant(a.coords, 1) == a
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_operation_results_are_canonical(data):
+    a, b, c = data.draw(poly_triples())
+    name = data.draw(st.sampled_from(a.coords))
+    q = data.draw(COEFFS)
+    lo, hi = data.draw(COEFFS), data.draw(COEFFS)
+    results = [
+        a + b, a - b, a * b, (a + b) * c - a * c, -a, a - a,
+        q * a, a * q, 3 * a, 0 * a, a + 2, 1 - a, a**2,
+        a.diff(name), a.antiderivative(name), a.integrate(name, lo, hi),
+        a.subs({name: q}), a.subs({name: 0}), a.extend(COORDS + ("x",)),
+    ]
+    for r in results:
+        assert_canonical(r)
 
 
 def test_fundamental_theorem_randomized():
@@ -123,15 +191,14 @@ def test_extend_preserves_values():
     assert q.eval({"z1": F(9), "z2": F(-4), "z3": F(1, 2)}) == p.eval({"z3": F(1, 2)})
 
 
-def test_poly_matrix_product_and_transpose():
+def test_poly_matrix_transpose():
     z3 = z(Z3, "z3")
     one = Poly.constant(Z3, 1)
     zero = Poly.zero(Z3)
-    a = PolyMatrix([[-z3, zero], [zero, one]])
-    at_a = a.transpose() @ a
-    assert at_a.entries[0][0] == z3**2
-    assert at_a.entries[0][1].is_zero
-    assert at_a.entries[1][1] == one
+    a = PolyMatrix([[-z3, zero], [one, one]])
+    at = a.transpose()
+    assert at.entries == [[-z3, one], [zero, one]]
+    assert at.transpose() == a
 
 
 def test_poly_str_round_trips_through_parser():

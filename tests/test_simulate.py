@@ -2,13 +2,15 @@
 conservation and the per-step power balance."""
 
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from phs_forge.build import assemble_phs
-from phs_forge.models import builtin_model, random_poly
+from phs_forge.modelfile import parse_model
+from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.simulate import (
     GridSpec,
     SimulationUnsupported,
@@ -119,6 +121,63 @@ def test_difference_consistency_exact_on_quadratics(name, cells):
     assert errors == [], errors[:3]
 
 
+# One field w with u1 = -z3 w, u3 = w: the shear strain d1(w) - w couples w to
+# eps2 both through a difference (odd parity) and an identity (even parity),
+# so no staggering makes every term single-lattice.
+MIXED_PARITY_MODEL = """
+version = 1
+name = mixed_parity_shear
+
+[coords]
+distributed = z1
+complementary = z2 z3
+
+[domain]
+interval = 0, 1
+
+[section]
+rectangle = 1, 1
+
+[params]
+rho = 1
+
+[lambda1]
+-z3
+0
+1
+
+[lambda2]
+-z3, 0
+0, 1
+
+[F]
+d1
+d1 - 1
+
+[C]
+1, 0
+0, 1
+"""
+
+
+def test_inconsistent_staggering_warns_and_collocates():
+    sys_ = assemble_phs(parse_model(MIXED_PARITY_MODEL))
+    with pytest.warns(RuntimeWarning, match="parities of p1 and eps2 conflict"):
+        dsys = discretize(sys_, GridSpec((8,)))
+    assert all(f.shifts == (0,) for f in dsys.p_fields + dsys.eps_fields)
+
+
+def test_builtins_stagger_without_fallback():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name in builtin_names():
+            sys_ = assemble_phs(builtin_model(name))
+            try:
+                discretize(sys_, GridSpec((4,) * sys_.model.ell))
+            except SimulationUnsupported:
+                continue
+
+
 def test_zero_state_stays_zero():
     dsys = _dsys("string", (16,))
     state = dsys.zero_state()
@@ -225,6 +284,16 @@ def test_traction_rejected_on_clamped_face_and_half_lattice():
         boundary_traction_input(dsys, "left", "psi", lambda t: 1.0)
     with pytest.raises(ValueError, match="no nodes"):
         boundary_traction_input(dsys, "right", "w", lambda t: 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_input_value_rejected(bad):
+    dsys = _dsys("truss", (16,), {"left": "clamped", "right": "clamped"})
+    channel = distributed_input(dsys, 0, lambda t: bad if t > 2e-3 else 1.0)
+    with pytest.raises(ValueError, match=r"input distributed:0 is not finite at t = 0\.0025"):
+        simulate(dsys, dt=1e-3, steps=5, inputs=[channel])
+    with pytest.raises(ValueError, match="distributed:0 is not finite"):
+        step_midpoint(dsys, dsys.zero_state(), 1e-3, inputs=[channel], t=0.01)
 
 
 def test_distributed_input_requires_map():
