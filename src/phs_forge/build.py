@@ -20,7 +20,7 @@ from . import exact
 from .diffop import BoundaryForm, DiffOpMatrix
 from .exact import check_spd, fr, mat_inverse, scalar_json, to_float
 from .models import KinematicModel, ModelError, validate_model
-from .poly import Poly
+from .poly import Poly, dot, mat_apply
 from .sections import section_moment  # re-exported: step-1 helper lives with sections
 
 __all__ = [
@@ -49,26 +49,13 @@ def _section_gram(model: KinematicModel, left, weight, right):
     ``left`` and ``right`` are PolyMatrix factors over the complementary
     coordinates, ``weight`` a rational matrix (or None for the identity).
     """
-    rows = left.cols
-    cols = right.cols
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = Poly.zero(left.coords)
-            for a in range(left.rows):
-                for b in range(right.rows):
-                    wab = (
-                        Fraction(1 if a == b else 0)
-                        if weight is None
-                        else weight[a][b]
-                    )
-                    if wab == 0:
-                        continue
-                    acc = acc + wab * (left.entries[a][i] * right.entries[b][j])
-            row.append(model.section.integrate(acc))
-        out.append(row)
-    return out
+    right_cols = right.transpose().entries
+    if weight is not None:
+        right_cols = [mat_apply(weight, col) for col in right_cols]
+    return [
+        [model.section.integrate(dot(col, rcol)) for rcol in right_cols]
+        for col in left.transpose().entries
+    ]
 
 
 def mass_matrix(model: KinematicModel, require_spd: bool = True):
@@ -249,21 +236,14 @@ class LagrangianFormSystem:
     j0: list
 
     def e_r(self, r: Sequence[Poly]) -> List[Poly]:
-        strains = self.system.op.apply(r)
         k = self.system.stiffness
-        coords = strains[0].coords
-        forced = []
-        for i in range(len(strains)):
-            acc = Poly.zero(coords)
-            for j, s in enumerate(strains):
-                if k[i][j] != 0:
-                    if not isinstance(k[i][j], Fraction):
-                        raise BuildError(
-                            "symbolic force expansion needs rational stiffness entries"
-                        )
-                    acc = acc + k[i][j] * s
-            forced.append(acc)
-        return self.system.op_adjoint.apply(forced)
+        _require_rational(k, "symbolic force expansion needs rational stiffness entries")
+        return self.system.op_adjoint.apply(mat_apply(k, self.system.op.apply(r)))
+
+
+def _require_rational(matrix, message: str) -> None:
+    if any(x != 0 and not isinstance(x, Fraction) for row in matrix for x in row):
+        raise BuildError(message)
 
 
 def lagrangian_form(sys: PHSystem) -> LagrangianFormSystem:
@@ -282,23 +262,10 @@ def lagrangian_form(sys: PHSystem) -> LagrangianFormSystem:
 
 def hamiltonian_value(sys: PHSystem, p: Sequence[Poly], eps: Sequence[Poly]) -> Fraction:
     """Exact H = 1/2 integral(p^T M^-1 p + eps^T K eps) for polynomial states."""
-    dom = sys.model.domain
-    coords = p[0].coords if p else eps[0].coords
-
-    def quad(fields, matrix):
-        acc = Poly.zero(coords)
-        for i, fi in enumerate(fields):
-            for j, fj in enumerate(fields):
-                entry = matrix[i][j]
-                if entry == 0:
-                    continue
-                if not isinstance(entry, Fraction):
-                    raise BuildError("symbolic Hamiltonian needs rational matrix entries")
-                acc = acc + entry * (fi * fj)
-        return acc
-
-    total = quad(list(p), sys.mass_inv) + quad(list(eps), sys.stiffness)
-    return dom.integrate(total) / 2
+    for matrix in (sys.mass_inv, sys.stiffness):
+        _require_rational(matrix, "symbolic Hamiltonian needs rational matrix entries")
+    total = dot(p, mat_apply(sys.mass_inv, p)) + dot(eps, mat_apply(sys.stiffness, eps))
+    return sys.model.domain.integrate(total) / 2
 
 
 # ---------------------------------------------------------------------------

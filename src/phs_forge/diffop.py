@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import ExactError, fr, mat_add, mat_scale, transpose, zeros
-from .poly import Poly
+from .poly import Poly, dot, mat_apply
 
 Matrix = List[List[Fraction]]
 
@@ -133,22 +133,13 @@ class DiffOpMatrix:
         """Apply to a vector of polynomials over (a superset of) the axes."""
         if len(w) != self.n:
             raise ExactError(f"operator expects {self.n} fields, got {len(w)}")
-        coords = w[0].coords
-        out = []
-        for r in range(self.m):
-            acc = Poly.zero(coords)
-            for c in range(self.n):
-                if self.p0[r][c] != 0:
-                    acc = acc + self.p0[r][c] * w[c]
-            for (k, i), mat_ in self.pk.items():
-                name = self.axes[k - 1]
-                for c in range(self.n):
-                    if mat_[r][c] != 0:
-                        d = w[c]
-                        for _ in range(i):
-                            d = d.diff(name)
-                        acc = acc + mat_[r][c] * d
-            out.append(acc)
+        out = mat_apply(self.p0, w)
+        for (k, i), mat_ in self.pk.items():
+            name = self.axes[k - 1]
+            d = list(w)
+            for _ in range(i):
+                d = [f.diff(name) for f in d]
+            out = [a + b for a, b in zip(out, mat_apply(mat_, d))]
         return out
 
 
@@ -196,12 +187,10 @@ class BoundaryForm:
 
     def __init__(self, op: DiffOpMatrix):
         self.op = op
-        n, m, ell = op.n, op.m, op.ell
-        order = max(op.order, 1)
-        self.rows = n + (order - 1) * n * ell
-        self.cols = m + (order - 1) * m * ell
-        self.p_axes = [transpose(op.coeff(k, 1)) for k in range(1, ell + 1)]
-        self.q_axes = [self._assemble_axis(k) for k in range(1, ell + 1)]
+        self.rows = jet_layout(op.n, op.order, op.ell)
+        self.cols = jet_layout(op.m, op.order, op.ell)
+        self.p_axes = [transpose(op.coeff(k, 1)) for k in range(1, op.ell + 1)]
+        self.q_axes = [self._assemble_axis(k) for k in range(1, op.ell + 1)]
 
     def _assemble_axis(self, k: int) -> Matrix:
         op = self.op
@@ -293,9 +282,6 @@ class DomainSpec:
     def ell(self) -> int:
         return len(self.axes)
 
-    def lengths(self) -> Tuple[Fraction, ...]:
-        return tuple(hi - lo for lo, hi in self.bounds)
-
     def faces(self):
         """Yield (axis_index, fixed_value, normal_vector) per boundary face."""
         out = []
@@ -329,16 +315,7 @@ class DomainSpec:
 def _pair(u: Sequence[Poly], mat_: Matrix, v: Sequence[Poly]) -> Poly:
     """u^T M v, factored by rows as sum_i u_i (sum_j M_ij v_j): one
     polynomial product per nonzero row instead of one per nonzero entry."""
-    coords = u[0].coords
-    acc = Poly.zero(coords)
-    for ui, row in zip(u, mat_):
-        mv = Poly.zero(coords)
-        for mij, vj in zip(row, v):
-            if mij != 0:
-                mv = mv + mij * vj
-        if not mv.is_zero:
-            acc = acc + ui * mv
-    return acc
+    return dot(u, mat_apply(mat_, v))
 
 
 def boundary_pairing(
@@ -404,15 +381,7 @@ def volume_mismatch(
         raise ExactError("field dimensions do not match the operator")
     if adjoint is None:
         adjoint = op.formal_adjoint()
-    fw = op.apply(w)
-    fsv = adjoint.apply(v)
-    coords = v[0].coords
-    integrand = Poly.zero(coords)
-    for vi, fwi in zip(v, fw):
-        integrand = integrand + vi * fwi
-    for wi, fsvi in zip(w, fsv):
-        integrand = integrand - wi * fsvi
-    return dom.integrate(integrand)
+    return dom.integrate(dot(v, op.apply(w)) - dot(w, adjoint.apply(v)))
 
 
 def ibp_residual(

@@ -105,8 +105,16 @@ class OpEntry:
             terms[k] = terms.get(k, Fraction(0)) + v
         return OpEntry(self.c0 + other.c0, terms)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return OpEntry(-self.c0, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Fraction):
@@ -127,6 +135,8 @@ class OpEntry:
                 key = (k1, i1 + i2)
                 terms[key] = terms.get(key, Fraction(0)) + v1 * v2
         return OpEntry(0, terms)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         out = OpEntry(1)
@@ -197,7 +207,7 @@ class _ExprParser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
-            val = _add(val, rhs) if op == "+" else _add(val, _neg(rhs))
+            val = val + rhs if op == "+" else val - rhs
         return val
 
     def term(self):
@@ -205,13 +215,20 @@ class _ExprParser:
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.take()
             rhs = self.unary()
-            val = _mul(val, rhs) if op == "*" else _div(val, rhs)
+            if op == "*":
+                val = val * rhs
+            elif not isinstance(rhs, Fraction):
+                raise ParseError("can only divide by rational constants")
+            elif rhs == 0:
+                raise ParseError("division by zero")
+            else:
+                val = val * (1 / rhs)
         return val
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return _neg(self.unary())
+            return -self.unary()
         if self.peek() == ("op", "+"):
             self.take()
             return self.unary()
@@ -231,7 +248,7 @@ class _ExprParser:
             n = int(val)
             if neg:
                 raise ParseError("negative exponents are not supported")
-            return _pow(base, n)
+            return base**n
         return base
 
     def atom(self):
@@ -251,48 +268,6 @@ class _ExprParser:
                 raise ParseError(f"derivative token {val!r} is not allowed in {self.what}")
             raise ParseError(f"constant {val!r} has no binding (in {self.what})")
         raise ParseError(f"unexpected token in {self.text!r}")
-
-
-def _add(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    if isinstance(a, OpEntry) or isinstance(b, OpEntry):
-        a = a if isinstance(a, OpEntry) else OpEntry(a)
-        b = b if isinstance(b, OpEntry) else OpEntry(b)
-        return a + b
-    if isinstance(a, Poly) or isinstance(b, Poly):
-        return a + b
-    raise ParseError("cannot add these values")
-
-
-def _neg(a):
-    return -a
-
-
-def _mul(a, b):
-    if isinstance(a, OpEntry) or isinstance(b, OpEntry):
-        if isinstance(a, Poly) or isinstance(b, Poly):
-            raise ParseError("operator coefficients must be constants, not coordinates")
-        a = a if isinstance(a, OpEntry) else OpEntry(a)
-        b = b if isinstance(b, OpEntry) else OpEntry(b)
-        return a * b
-    return a * b
-
-
-def _div(a, b):
-    if isinstance(b, Fraction):
-        if b == 0:
-            raise ParseError("division by zero")
-        if isinstance(a, OpEntry):
-            return a * (1 / b)
-        return a * Fraction(1, 1) / b if isinstance(a, Fraction) else a * (1 / b)
-    raise ParseError("can only divide by rational constants")
-
-
-def _pow(a, n: int):
-    if isinstance(a, (Fraction, Poly, OpEntry)):
-        return a**n
-    raise ParseError("cannot exponentiate this value")
 
 
 def eval_scalar(text: str, params: Dict[str, Fraction], what: str) -> Fraction:
@@ -576,10 +551,6 @@ def parse_model_file(path: str) -> KinematicModel:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def serialize_model(model: KinematicModel) -> str:
     out: List[str] = []
     out.append(f"version = {FORMAT_VERSION}")
@@ -600,7 +571,7 @@ def serialize_model(model: KinematicModel) -> str:
     if model.params:
         out.append("[params]")
         for k in sorted(model.params):
-            out.append(f"{k} = {_fmt_fraction(model.params[k])}")
+            out.append(f"{k} = {model.params[k]}")
         if "rho" not in model.params:
             out.append(f"rho = {model.rho}")
         out.append("")
@@ -620,12 +591,12 @@ def serialize_model(model: KinematicModel) -> str:
     out.append("")
     out.append("[C]")
     for row in model.cmat:
-        out.append(", ".join(_fmt_fraction(x) for x in row))
+        out.append(", ".join(str(x) for x in row))
     out.append("")
     if model.bd is not None:
         out.append("[Bd]")
         for row in model.bd:
-            out.append(", ".join(_fmt_fraction(x) for x in row))
+            out.append(", ".join(str(x) for x in row))
         out.append("")
     out.append("[structure]")
     out.append(f"names = {', '.join(model.r_names)}")

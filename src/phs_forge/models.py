@@ -171,12 +171,6 @@ class KinematicModel:
                 out.append(free[j].diff(self.dist[axis - 1]))
         return out
 
-    def describe(self) -> str:
-        return (
-            f"{self.name}: ell={self.ell} N={self.order} n={self.n} "
-            f"m={self.m} d={self.d}"
-        )
-
 
 def random_poly(rng: random.Random, coords: Sequence[str], degree: int) -> Poly:
     """Random polynomial with integer coefficients in {-3..3}."""

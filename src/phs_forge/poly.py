@@ -10,7 +10,7 @@ calculus these polynomials need to support.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .exact import ExactError, fr
 
@@ -292,13 +292,7 @@ class PolyMatrix:
         if len(vec) != self.cols:
             raise ExactError("dimension mismatch in PolyMatrix.apply")
         coords = vec[0].coords
-        out = []
-        for i in range(self.rows):
-            acc = Poly.zero(coords)
-            for k in range(self.cols):
-                acc = acc + self.entries[i][k].extend(coords) * vec[k]
-            out.append(acc)
-        return out
+        return [dot([p.extend(coords) for p in row], vec) for row in self.entries]
 
     def col_is_zero(self, j: int) -> bool:
         return all(self.entries[i][j].is_zero for i in range(self.rows))
@@ -315,3 +309,26 @@ class PolyMatrix:
         return "\n".join("[" + ", ".join(str(p) for p in r) + "]" for r in self.entries)
 
     __repr__ = __str__
+
+
+def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
+    """sum_i u_i v_i over Polys sharing a coordinate tuple; a term with a
+    zero factor is skipped."""
+    acc = Poly._raw(u[0].coords, {})
+    for a, b in zip(u, v):
+        if a.terms and b.terms:
+            acc = acc + a * b
+    return acc
+
+
+def mat_apply(matrix, fields: Sequence[Poly]) -> List[Poly]:
+    """A rational matrix times a vector of Polys; zero entries are skipped."""
+    coords = fields[0].coords
+    out = []
+    for row in matrix:
+        acc = Poly._raw(coords, {})
+        for c, f in zip(row, fields):
+            if c != 0:
+                acc = acc + f * c
+        out.append(acc)
+    return out

@@ -166,10 +166,12 @@ class DiscreteSystem:
         return self.num_p + f.offset + f.flat(gidx)
 
     def field_by_name(self, name: str) -> FieldLayout:
-        for f in self.p_fields + self.eps_fields:
+        fields = self.p_fields + self.eps_fields
+        for f in fields:
             if f.name == name or f.label == name:
                 return f
-        raise KeyError(f"unknown field {name!r}")
+        known = ", ".join(f"{f.label} ({f.name})" for f in fields)
+        raise ValueError(f"unknown field {name!r}; known fields: {known}")
 
     def zero_state(self) -> np.ndarray:
         return np.zeros(self.num_dofs)
@@ -729,6 +731,10 @@ def simulate(
                 p_distributed += p
         state = new_state
         h_new = discrete_hamiltonian(dsys, state)
+        if not math.isfinite(h_new):
+            raise ValueError(
+                f"energy is not finite after step {k + 1} (t = {(k + 1) * dt!r}): {h_new!r}"
+            )
         times[k + 1] = (k + 1) * dt
         energy[k + 1] = h_new
         bpow[k + 1] = p_boundary

@@ -39,7 +39,7 @@ from .models import (
     random_poly,
     torsion_two_strain,
 )
-from .poly import Poly
+from .poly import dot, mat_apply
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -165,17 +165,6 @@ def _variational_balance_residual(sys, rng: random.Random, degree: int) -> Fract
     p = [random_poly(rng, model.dist, degree) for _ in range(sys.n)]
     eps = [random_poly(rng, model.dist, degree) for _ in range(sys.m)]
 
-    def mat_apply(matrix, fields):
-        coords = fields[0].coords
-        out = []
-        for row in matrix:
-            acc = Poly.zero(coords)
-            for entry, f in zip(row, fields):
-                if entry != 0:
-                    acc = acc + entry * f
-            out.append(acc)
-        return out
-
     def sym(a):
         return mat_scale(mat_add(a, transpose(a)), Fraction(1, 2))
 
@@ -185,13 +174,7 @@ def _variational_balance_residual(sys, rng: random.Random, degree: int) -> Fract
     eps_dot = sys.op.apply(e_p)
     grad_p = mat_apply(sym(sys.mass_inv), p)
     grad_eps = mat_apply(sym(sys.stiffness), eps)
-    coords = p[0].coords
-    integrand = Poly.zero(coords)
-    for a, b in zip(p_dot, grad_p):
-        integrand = integrand + a * b
-    for a, b in zip(eps_dot, grad_eps):
-        integrand = integrand + a * b
-    rate = model.domain.integrate(integrand)
+    rate = model.domain.integrate(dot(p_dot, grad_p) + dot(eps_dot, grad_eps))
     return rate - boundary_pairing(sys.op, e_eps, e_p, model.domain, form=sys.boundary)
 
 

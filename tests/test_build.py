@@ -1,6 +1,8 @@
 """Compilation stage: section moments, exact mass/stiffness, golden system
 structures, boundary ports and the constant-skew alternative form."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -14,10 +16,12 @@ from phs_forge.build import (
     lagrangian_form,
     mass_matrix,
     stiffness_matrix,
+    write_matrix_csv,
 )
 from phs_forge.diffop import boundary_pairing
 from phs_forge.exact import ExactError, PiRat, leading_minors
-from phs_forge.models import builtin_model
+from phs_forge.modelfile import serialize_model
+from phs_forge.models import builtin_model, builtin_names
 from phs_forge.poly import Poly, PolyMatrix
 from phs_forge.sections import (
     CircleSection,
@@ -322,6 +326,36 @@ def test_hamiltonian_value_string_constant_momentum():
     p = [Poly.constant(x1, 1)]
     eps = [Poly.zero(x1)]
     assert hamiltonian_value(sys_, p, eps) == F(1, 2)
+
+
+def test_symbolic_entries_refused_by_polynomial_energy_and_force():
+    # torsion's circular section makes M and K pi-tagged (1/2*pi)
+    sys_ = assemble_phs(builtin_model("torsion"))
+    x1 = ("z1",)
+    with pytest.raises(BuildError, match="symbolic Hamiltonian needs rational matrix entries"):
+        hamiltonian_value(sys_, [Poly.constant(x1, 1)], [Poly.zero(x1)])
+    with pytest.raises(BuildError, match="symbolic force expansion needs rational stiffness"):
+        lagrangian_form(sys_).e_r([Poly.variable(x1, "z1") ** 2])
+
+
+# SHA-256 over every builtin's export JSON, float CSVs and model text; a
+# change here means `export` or `build --emit-model` output moved.
+ARTIFACT_DIGEST = "f3b0c4077e01ef5b71a2be7408eca45d967acaf1b9e4171d2149e6064cf9ce25"
+
+
+def test_export_and_model_text_digest_of_all_builtins(tmp_path):
+    h = hashlib.sha256()
+    for name in builtin_names():
+        sys_ = assemble_phs(builtin_model(name))
+        doc = json.dumps(export_system(sys_), sort_keys=True, separators=(",", ":"))
+        h.update(doc.encode())
+        for matrix in (sys_.mass, sys_.stiffness):
+            path = tmp_path / "m.csv"
+            write_matrix_csv(str(path), matrix)
+            h.update(path.read_bytes())
+        h.update(serialize_model(sys_.model).encode())
+    assert len(builtin_names()) == 12
+    assert h.hexdigest() == ARTIFACT_DIGEST
 
 
 def test_export_structure_and_rational_pairs():

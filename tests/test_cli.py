@@ -2,7 +2,7 @@
 
 import json
 
-from phs_forge.cli import EXIT_INVALID_MODEL, EXIT_OK, main
+from phs_forge.cli import EXIT_ERROR, EXIT_INVALID_MODEL, EXIT_OK, main
 
 BROKEN_MODEL = """
 version = 1
@@ -281,16 +281,31 @@ def test_simulate_rejects_bad_step_and_record_counts(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
-def test_simulate_rejects_non_finite_input_profiles(tmp_path, capsys):
-    def run(profile):
-        return main(
-            ["simulate", "--builtin", "truss", "--cells", "16", "--dt", "1/1000", "--steps", "3",
-             "--energy", str(tmp_path / "e.csv"), "--input", f"traction:right:u1:{profile}"]
-        )
+def _simulate_truss_traction(tmp_path, spec):
+    return main(
+        ["simulate", "--builtin", "truss", "--cells", "16", "--dt", "1/1000", "--steps", "3",
+         "--energy", str(tmp_path / "e.csv"), "--input", f"traction:right:{spec}"]
+    )
 
+
+def test_simulate_rejects_non_finite_input_profiles(tmp_path, capsys):
     for profile in ("const:1e400", "sin:1e400:1", "sin:1:-1e400", "const:abc"):
-        assert run(profile) == EXIT_INVALID_MODEL, profile
+        assert _simulate_truss_traction(tmp_path, f"u1:{profile}") == EXIT_INVALID_MODEL, profile
         err = capsys.readouterr().err
         assert err.startswith("error:") and "expects a finite" in err, err
     assert not (tmp_path / "e.csv").exists()
-    assert run("sin:1/2:7") == EXIT_OK
+    assert _simulate_truss_traction(tmp_path, "u1:sin:1/2:7") == EXIT_OK
+
+
+def test_simulate_rejects_unknown_traction_component(tmp_path, capsys):
+    assert _simulate_truss_traction(tmp_path, "u:const:1") == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown field 'u'") and "p1 (u1)" in err, err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_simulate_stops_when_energy_overflows(tmp_path, capsys):
+    assert _simulate_truss_traction(tmp_path, "u1:const:1e300") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "error: energy is not finite after step 1" in err, err
+    assert not (tmp_path / "e.csv").exists()

@@ -358,3 +358,24 @@ def test_row_factored_pair_equals_naive_double_sum(data):
         for j in range(cols):
             naive = naive + q[i][j] * (u[i] * v[j])
     assert _pair(u, q, v) == naive
+
+    # DiffOpMatrix.apply against a per-entry reference on a random operator
+    op = data.draw(operators())
+    w = [random_poly(rng, op.axes, op.order + 1) for _ in range(op.n)]
+    assert op.apply(w) == _apply_per_entry(op, w)
+
+
+def _apply_per_entry(op, w):
+    """(F w)_r = sum_c P0[r][c] w_c + sum_(k,i) Pk(k,i)[r][c] d_k^i w_c."""
+    out = []
+    for r in range(op.m):
+        acc = Poly.zero(w[0].coords)
+        for c in range(op.n):
+            acc = acc + op.p0[r][c] * w[c]
+            for (k, i), mat_ in op.pk.items():
+                d = w[c]
+                for _ in range(i):
+                    d = d.diff(op.axes[k - 1])
+                acc = acc + mat_[r][c] * d
+        out.append(acc)
+    return out

@@ -161,6 +161,70 @@ def test_parse_rejects_decimal_literals():
         parse_model(text)
 
 
+_TINY = """
+version = 1
+name = tiny
+
+[coords]
+distributed = z1
+complementary = z2 z3
+
+[domain]
+interval = 0, 1
+
+[section]
+moments = I0: 1, I2: 1
+
+[params]
+rho = 1
+{param}
+
+[lambda1]
+{lam}
+0
+0
+
+[lambda2]
+1
+
+[F]
+{op}
+
+[C]
+1
+"""
+
+
+def _tiny(param="", lam="1", op="d1"):
+    return parse_model(_TINY.format(param=param, lam=lam, op=op))
+
+
+@pytest.mark.parametrize(
+    "section, text, match",
+    [
+        ("param", "x = 1/(1-1)", "division by zero"),
+        ("lam", "1/z3", "divide"),
+        ("op", "1/d1", "divide"),
+    ],
+)
+def test_parse_division_errors(section, text, match):
+    with pytest.raises(ParseError, match=match):
+        _tiny(**{section: text})
+
+
+def test_parse_operator_and_polynomial_arithmetic():
+    op = _tiny(op="1 - d1").op
+    assert op.p0 == [[F(1)]] and op.pk == {(1, 1): [[F(-1)]]}
+    op = _tiny(op="-(d1 - 1)/2").op
+    assert op.p0 == [[F(1, 2)]] and op.pk == {(1, 1): [[F(-1, 2)]]}
+    op = _tiny(op="2*d1^2 - d1*3/4").op
+    assert op.p0 == [[F(0)]] and op.pk == {(1, 1): [[F(-3, 4)]], (1, 2): [[F(2)]]}
+    z3 = Poly.variable(("z2", "z3"), "z3")
+    lam = _tiny(lam="(z3 - 1/3*z3^3)/2").lambda1
+    assert lam.entries[0][0] == F(1, 2) * z3 - F(1, 6) * z3**3
+    assert _tiny(param="x = 2 - 3/4*(1 + 1)^2").params["x"] == F(-1)
+
+
 def test_parse_requires_density():
     text = """
 version = 1

@@ -296,6 +296,23 @@ def test_non_finite_input_value_rejected(bad):
         step_midpoint(dsys, dsys.zero_state(), 1e-3, inputs=[channel], t=0.01)
 
 
+def test_unknown_field_name_rejected():
+    dsys = _dsys("timoshenko", (16,), {"left": "clamped", "right": "free"})
+    with pytest.raises(ValueError, match=r"unknown field 'u1'; known fields: p1 \(psi\), p2 \(w\)"):
+        boundary_traction_input(dsys, "right", "u1", lambda t: 1.0)
+    with pytest.raises(ValueError, match="unknown field"):
+        fourier_state(dsys, "q")
+
+
+def test_energy_overflow_stops_the_run():
+    dsys = _dsys("truss", (16,), {"left": "clamped", "right": "clamped"})
+    channel = distributed_input(dsys, 0, lambda t: 1e300)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"energy is not finite after step 1 \(t = 0\.001\)"
+    ):
+        simulate(dsys, dt=1e-3, steps=5, inputs=[channel])
+
+
 def test_distributed_input_requires_map():
     dsys = _dsys("string", (8,))
     with pytest.raises(ValueError, match="no distributed input"):
