@@ -100,6 +100,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        print(f"error: --trials must be >= 1, got {args.trials}", file=_sys.stderr)
+        return EXIT_INVALID_MODEL
     names = None if args.all or not args.model else list(args.model)
     results = run_all(seed=args.seed, model_names=names, trials=args.trials)
     failures = [r for r in results if not r.ok]
@@ -284,7 +287,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact check suite")
     p.add_argument("--all", action="store_true", help="check every builtin")
-    p.add_argument("--model", action="append", help="check one model (repeatable)")
+    p.add_argument(
+        "--model", action="append", choices=builtin_names(), help="check one model (repeatable)"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--json", help="write the machine-readable report here")

@@ -161,7 +161,8 @@ def jet(fields: Sequence[Poly], order: int, axes: Sequence[str]) -> List[Poly]:
 
 
 def jet_layout(n_fields: int, order: int, ell: int) -> int:
-    """Length of the jet vector for an n_fields-vector."""
+    """Length of the jet vector for an n_fields-vector; for order >= 1 this is
+    also where the jet block of that order starts."""
     return n_fields * (1 + (max(order, 1) - 1) * ell)
 
 
@@ -206,21 +207,15 @@ class BoundaryForm:
         def pt(i):
             return transpose(op.coeff(k, i))  # n x m
 
-        def row_block_start(r):
-            return 0 if r == 0 else n + (r - 1) * n * ell
-
-        def col_block_start(c):
-            return 0 if c == 0 else m + (c - 1) * m * ell
-
         # (0, 0): axis-k share of P
         paste(0, 0, pt(1))
         # (0, c): (-1)^c W_{c+1}; only the axis-k slot of the block row
         for c in range(1, order):
             block = mat_scale(pt(c + 1), Fraction((-1) ** c))
-            paste(0, col_block_start(c) + (k - 1) * m, block)
+            paste(0, jet_layout(m, c, ell) + (k - 1) * m, block)
         # (r, 0): V_{r+1}; only the axis-k slot of the block column
         for r in range(1, order):
-            paste(row_block_start(r) + (k - 1) * n, 0, pt(r + 1))
+            paste(jet_layout(n, r, ell) + (k - 1) * n, 0, pt(r + 1))
         # (r, c): (-1)^c L_{r+c+1}, diagonal in the axis index
         for r in range(1, order):
             for c in range(1, order):
@@ -228,11 +223,7 @@ class BoundaryForm:
                 if i > order:
                     continue
                 block = mat_scale(pt(i), Fraction((-1) ** c))
-                paste(
-                    row_block_start(r) + (k - 1) * n,
-                    col_block_start(c) + (k - 1) * m,
-                    block,
-                )
+                paste(jet_layout(n, r, ell) + (k - 1) * n, jet_layout(m, c, ell) + (k - 1) * m, block)
         return big
 
     def p_partial(self, normal: Sequence[Fraction]) -> Matrix:

@@ -17,10 +17,12 @@ in the symbolic stage.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,36 +62,32 @@ class FieldLayout:
     shifts: Tuple[int, ...]  # 0 = integer lattice, 1 = half lattice, per axis
     starts: Tuple[int, ...]
     counts: Tuple[int, ...]
-    offset: int = 0  # within the family vector
+    offset: int  # state index of the first node; momenta precede strains
+    weights: Tuple[List[Fraction], ...]  # exact quadrature weight per node, per axis
 
     @property
     def size(self) -> int:
-        out = 1
-        for c in self.counts:
-            out *= c
-        return out
+        return math.prod(self.counts)
 
-    def flat(self, gidx: Tuple[int, ...]) -> int:
+    def dof(self, gidx: Tuple[int, ...]) -> int:
+        """State index of lattice node ``gidx`` (last axis fastest)."""
         out = 0
         for g, s, c in zip(gidx, self.starts, self.counts):
             out = out * c + (g - s)
-        return out
+        return self.offset + out
 
     def contains(self, gidx: Tuple[int, ...]) -> bool:
         return all(s <= g < s + c for g, s, c in zip(gidx, self.starts, self.counts))
 
     def nodes(self):
-        ranges = [range(s, s + c) for s, c in zip(self.starts, self.counts)]
-        if len(ranges) == 1:
-            for g in ranges[0]:
-                yield (g,)
-        else:
-            for g0 in ranges[0]:
-                for g1 in ranges[1]:
-                    yield (g0, g1)
+        return itertools.product(*(range(s, s + c) for s, c in zip(self.starts, self.counts)))
 
-    def axis_position(self, axis: int, g: int, lo: Fraction, dx: Fraction) -> Fraction:
-        return lo + (Fraction(g) + Fraction(self.shifts[axis], 2)) * dx
+    def position(self, gidx: Tuple[int, ...], bounds, dx) -> Tuple[Fraction, ...]:
+        """Exact coordinates of a node on a domain with these axis bounds."""
+        return tuple(
+            lo + (g + Fraction(s, 2)) * h
+            for g, s, (lo, _), h in zip(gidx, self.shifts, bounds, dx)
+        )
 
 
 @dataclass
@@ -144,7 +142,6 @@ class DiscreteSystem:
     J: sparse.csr_matrix
     C: sparse.csr_matrix
     W: np.ndarray
-    _axis_weights: Dict[Tuple[str, int], List[Fraction]] = field(default_factory=dict)
     _steppers: Dict[float, object] = field(default_factory=dict)
 
     @property
@@ -159,18 +156,16 @@ class DiscreteSystem:
     def num_dofs(self) -> int:
         return self.num_p + self.num_eps
 
-    def p_dof(self, f: FieldLayout, gidx) -> int:
-        return f.offset + f.flat(gidx)
-
-    def eps_dof(self, f: FieldLayout, gidx) -> int:
-        return self.num_p + f.offset + f.flat(gidx)
+    @property
+    def fields(self) -> List[FieldLayout]:
+        """Every field in state order."""
+        return self.p_fields + self.eps_fields
 
     def field_by_name(self, name: str) -> FieldLayout:
-        fields = self.p_fields + self.eps_fields
-        for f in fields:
+        for f in self.fields:
             if f.name == name or f.label == name:
                 return f
-        known = ", ".join(f"{f.label} ({f.name})" for f in fields)
+        known = ", ".join(f"{f.label} ({f.name})" for f in self.fields)
         raise ValueError(f"unknown field {name!r}; known fields: {known}")
 
     def zero_state(self) -> np.ndarray:
@@ -329,66 +324,35 @@ def discretize(
     for i in range(sys.m):
         eps_restrict[i] = eps_restrict[find(i)]
 
-    def lattice_count(axis: int, shift: int) -> int:
-        return grid.cells[axis] + (1 if shift == 0 else 0)
+    fields: List[FieldLayout] = []
 
-    p_fields: List[FieldLayout] = []
-    offset = 0
-    for i in range(sys.n):
-        shifts = p_shifts[i]
+    def layout(label, name, kind, index, shifts, dropped):
+        """A half lattice has ``cells`` nodes; an integer lattice ``cells + 1``,
+        less each end node that ``dropped[axis] = (low, high)`` removes."""
         starts, counts = [], []
-        for a in range(ell):
-            start, count = 0, lattice_count(a, shifts[a])
-            if shifts[a] == 0:
-                lo_face = faces[0] if a == 0 else faces[2]
-                hi_face = faces[1] if a == 0 else faces[3]
-                if bc[lo_face] == "clamped":
-                    start, count = start + 1, count - 1
-                if bc[hi_face] == "clamped":
-                    count -= 1
-            starts.append(start)
-            counts.append(count)
-        name = model.r_names[i] if i < len(model.r_names) else f"r{i + 1}"
-        layout = FieldLayout(f"p{i + 1}", name, "p", i, shifts, tuple(starts), tuple(counts), offset)
-        offset += layout.size
-        p_fields.append(layout)
-
-    eps_fields: List[FieldLayout] = []
-    offset = 0
-    for j in range(sys.m):
-        shifts = eps_shifts[j]
-        starts, counts = [], []
-        for a in range(ell):
-            if shifts[a] == 1:
-                starts.append(0)
-                counts.append(lattice_count(a, 1))
-            elif eps_restrict[j][a]:
-                starts.append(1)
-                counts.append(lattice_count(a, 0) - 2)
-            else:
-                starts.append(0)
-                counts.append(lattice_count(a, 0))
-        layout = FieldLayout(
-            f"eps{j + 1}", f"eps{j + 1}", "eps", j, shifts, tuple(starts), tuple(counts), offset
+        for a, shift in enumerate(shifts):
+            lo, hi = (False, False) if shift else dropped[a]
+            starts.append(int(lo))
+            counts.append(grid.cells[a] + 1 - shift - lo - hi)
+        weights = tuple(
+            _axis_weights(kind, *args) for args in zip(counts, starts, shifts, grid.cells, dx)
         )
-        offset += layout.size
-        eps_fields.append(layout)
+        offset = fields[-1].offset + fields[-1].size if fields else 0
+        fields.append(
+            FieldLayout(label, name, kind, index, shifts, tuple(starts), tuple(counts), offset, weights)
+        )
 
-    dsys = DiscreteSystem(
-        system=sys,
-        grid=grid,
-        bc=bc,
-        p_fields=p_fields,
-        eps_fields=eps_fields,
-        dx=dx,
-        d_exact=[],
-        D=None,
-        J=None,
-        C=None,
-        W=None,
-    )
-    _assemble(dsys, density_scale, stiffness_scale)
-    return dsys
+    # momenta drop the node at a clamped face
+    clamped = [(bc[faces[2 * a]] == "clamped", bc[faces[2 * a + 1]] == "clamped") for a in range(ell)]
+    for i in range(sys.n):
+        name = model.r_names[i] if i < len(model.r_names) else f"r{i + 1}"
+        layout(f"p{i + 1}", name, "p", i, p_shifts[i], clamped)
+    for j in range(sys.m):
+        layout(f"eps{j + 1}", f"eps{j + 1}", "eps", j, eps_shifts[j], [(r, r) for r in eps_restrict[j]])
+    p_fields, eps_fields = fields[: sys.n], fields[sys.n :]
+
+    d_exact, D, W, C, J = _assemble(sys, p_fields, eps_fields, dx, density_scale, stiffness_scale)
+    return DiscreteSystem(sys, grid, bc, p_fields, eps_fields, dx, d_exact, D, J, C, W)
 
 
 def _stencil(shift_src: int, shift_tgt: int, order: int, g: int, dx: Fraction):
@@ -432,61 +396,51 @@ def _axis_weights(
     ]
 
 
-def _assemble(dsys: DiscreteSystem, density_scale=None, stiffness_scale=None):
-    sys = dsys.system
-    ell = sys.model.ell
-    cells = dsys.grid.cells
+def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiffness_scale=None):
+    """(d_exact, D, W, C, J) on the laid-out fields; d_exact is indexed by state."""
     bounds = sys.model.domain.bounds
+    fields = p_fields + eps_fields
 
     # exact difference operator entries
-    entries: List[Tuple[int, int, Fraction]] = []
+    d_exact: List[Tuple[int, int, Fraction]] = []
     for r, c, k, i, coeff in _operator_terms(sys):
-        ef = dsys.eps_fields[r]
-        pf = dsys.p_fields[c]
+        ef = eps_fields[r]
+        pf = p_fields[c]
         axis = k - 1 if k else None
         for gidx in ef.nodes():
             if axis is None:
                 pieces = [(gidx, coeff)]
             else:
                 pieces = []
-                for src_g, w in _stencil(pf.shifts[axis], ef.shifts[axis], i, gidx[axis], dsys.dx[axis]):
-                    src = tuple(src_g if a == axis else gidx[a] for a in range(ell))
+                for src_g, w in _stencil(pf.shifts[axis], ef.shifts[axis], i, gidx[axis], dx[axis]):
+                    src = gidx[:axis] + (src_g,) + gidx[axis + 1 :]
                     pieces.append((src, coeff * w))
-            row = ef.offset + ef.flat(gidx)
+            row = ef.dof(gidx)
             for src, w in pieces:
                 if pf.contains(src):
-                    entries.append((row, pf.offset + pf.flat(src), w))
-    dsys.d_exact = entries
+                    d_exact.append((row, pf.dof(src), w))
 
-    num_p, num_eps = dsys.num_p, dsys.num_eps
-    data = np.fromiter((to_float(w) for (_, _, w) in entries), dtype=float, count=len(entries))
-    rows = np.fromiter((r for (r, _, _) in entries), dtype=np.int64, count=len(entries))
-    cols = np.fromiter((c for (_, c, _) in entries), dtype=np.int64, count=len(entries))
-    D = sparse.coo_matrix((data, (rows, cols)), shape=(num_eps, num_p)).tocsr()
-    dsys.D = D
+    num_p = eps_fields[0].offset
+    num_dofs = fields[-1].offset + fields[-1].size
+    data = np.fromiter((to_float(w) for (_, _, w) in d_exact), dtype=float, count=len(d_exact))
+    rows = np.fromiter((r for (r, _, _) in d_exact), dtype=np.int64, count=len(d_exact)) - num_p
+    cols = np.fromiter((c for (_, c, _) in d_exact), dtype=np.int64, count=len(d_exact))
+    D = sparse.coo_matrix((data, (rows, cols)), shape=(num_dofs - num_p, num_p)).tocsr()
 
-    # quadrature weights
-    weights = np.zeros(num_p + num_eps)
-    for fam, base in ((dsys.p_fields, 0), (dsys.eps_fields, num_p)):
-        for f in fam:
-            axis_w = []
-            for a in range(ell):
-                w = _axis_weights(f.kind, f.counts[a], f.starts[a], f.shifts[a], cells[a], dsys.dx[a])
-                axis_w.append([to_float(x) for x in w])
-                dsys._axis_weights[(f.label, a)] = w
-            if ell == 1:
-                block = np.array(axis_w[0])
-            else:
-                block = np.outer(axis_w[0], axis_w[1]).ravel()
-            weights[base + f.offset : base + f.offset + f.size] = block
-    dsys.W = weights
+    # quadrature weights: per-field outer products of the axis weights
+    W = np.concatenate(
+        [
+            reduce(np.multiply.outer, [np.array([to_float(x) for x in w]) for w in f.weights]).ravel()
+            for f in fields
+        ]
+    )
 
     # co-energy map: block M^-1 on momenta, K on strains, per shared node
     c_rows: List[int] = []
     c_cols: List[int] = []
     c_data: List[float] = []
 
-    def couple(f1: FieldLayout, f2: FieldLayout, value, base: int, scale):
+    def couple(f1: FieldLayout, f2: FieldLayout, value, scale):
         if (f1.shifts, f1.starts, f1.counts) != (f2.shifts, f2.starts, f2.counts):
             raise SimulationUnsupported(
                 f"coupled components {f1.label} and {f2.label} have different "
@@ -496,36 +450,29 @@ def _assemble(dsys: DiscreteSystem, density_scale=None, stiffness_scale=None):
         for node, gidx in enumerate(f1.nodes()):
             factor = 1.0
             if scale is not None:
-                pos = [
-                    to_float(f1.axis_position(a, gidx[a], bounds[a][0], dsys.dx[a]))
-                    for a in range(ell)
-                ]
-                factor = _scale_value(scale, pos)
-            c_rows.append(base + f1.offset + node)
-            c_cols.append(base + f2.offset + node)
+                factor = _scale_value(scale, [to_float(x) for x in f1.position(gidx, bounds, dx)])
+            c_rows.append(f1.offset + node)
+            c_cols.append(f2.offset + node)
             c_data.append(v * factor)
 
     # density scales the mass, so its inverse scales the momentum co-energy
     inv_density = None
     if density_scale is not None:
         inv_density = lambda *pos: 1.0 / _scale_value(density_scale, pos)
-    for i in range(sys.n):
-        for j in range(sys.n):
-            if sys.mass_inv[i][j] != 0:
-                couple(dsys.p_fields[i], dsys.p_fields[j], sys.mass_inv[i][j], 0, inv_density)
-    for i in range(sys.m):
-        for j in range(sys.m):
-            if sys.stiffness[i][j] != 0:
-                couple(
-                    dsys.eps_fields[i], dsys.eps_fields[j], sys.stiffness[i][j], num_p, stiffness_scale
-                )
-    n_dofs = num_p + num_eps
-    dsys.C = sparse.coo_matrix((c_data, (c_rows, c_cols)), shape=(n_dofs, n_dofs)).tocsr()
+    for family, matrix, scale in (
+        (p_fields, sys.mass_inv, inv_density),
+        (eps_fields, sys.stiffness, stiffness_scale),
+    ):
+        for i, f1 in enumerate(family):
+            for j, f2 in enumerate(family):
+                if matrix[i][j] != 0:
+                    couple(f1, f2, matrix[i][j], scale)
+    C = sparse.coo_matrix((c_data, (c_rows, c_cols)), shape=(num_dofs, num_dofs)).tocsr()
 
     # weighted flux block and the exactly skew interconnection matrix
-    w_eps = sparse.diags(weights[num_p:])
-    s_hat = (w_eps @ D).tocsr()
-    dsys.J = sparse.bmat([[None, -s_hat.T], [s_hat, None]], format="csr")
+    s_hat = (sparse.diags(W[num_p:]) @ D).tocsr()
+    J = sparse.bmat([[None, -s_hat.T], [s_hat, None]], format="csr")
+    return d_exact, D, W, C, J
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +506,13 @@ def fourier_state(dsys: DiscreteSystem, component: str = "p1", mode: int = 1) ->
         raise ValueError("fourier_state drives a momentum component")
     if len(dsys.dx) != 1:
         raise ValueError("fourier_state supports 1D grids")
-    lo, hi = dsys.system.model.domain.bounds[0]
+    bounds = dsys.system.model.domain.bounds
+    lo, hi = bounds[0]
     length = to_float(hi - lo)
     state = dsys.zero_state()
     for gidx in f.nodes():
-        x = to_float(f.axis_position(0, gidx[0], lo, dsys.dx[0]))
-        state[dsys.p_dof(f, gidx)] = np.sin(mode * np.pi * (x - to_float(lo)) / length)
+        (x,) = f.position(gidx, bounds, dsys.dx)
+        state[f.dof(gidx)] = np.sin(mode * np.pi * (to_float(x) - to_float(lo)) / length)
     return state
 
 
@@ -598,11 +546,11 @@ def boundary_traction_input(
     for gidx in f.nodes():
         if gidx[axis] != face_index:
             continue
-        dof = dsys.p_dof(f, gidx)
+        dof = f.dof(gidx)
         tangential = 1.0
         for a in range(len(dsys.dx)):
             if a != axis:
-                tangential *= to_float(dsys._axis_weights[(f.label, a)][gidx[a] - f.starts[a]])
+                tangential *= to_float(f.weights[a][gidx[a] - f.starts[a]])
         vector[dof] = tangential / dsys.W[dof]
         wvector[dof] = tangential
     return InputChannel(f"traction:{face}:{component}", "boundary", vector, wvector, u)
@@ -622,8 +570,7 @@ def distributed_input(
         coeff = to_float(bd[i][column])
         if coeff == 0.0:
             continue
-        for gidx in f.nodes():
-            vector[dsys.p_dof(f, gidx)] = coeff
+        vector[f.offset : f.offset + f.size] = coeff
     wvector = vector * dsys.W
     return InputChannel(f"distributed:{column}", "distributed", vector, wvector, u)
 
@@ -713,35 +660,37 @@ def simulate(
     resid = np.zeros(steps + 1)
     energy[0] = discrete_hamiltonian(dsys, state)
 
-    labels = [f.label for f in dsys.p_fields + dsys.eps_fields]
+    labels = [f.label for f in dsys.fields]
     snapshots = [(0, 0.0, state.copy())]
 
-    for k in range(steps):
-        t = k * dt
-        new_state, u_values = stepper.step(state, t, inputs)
-        mid = 0.5 * (state + new_state)
-        e_mid = dsys.C @ mid
-        p_boundary = 0.0
-        p_distributed = 0.0
-        for ch, u_val in zip(inputs, u_values):
-            p = float(e_mid @ ch.wvector) * u_val
-            if ch.kind == "boundary":
-                p_boundary += p
-            else:
-                p_distributed += p
-        state = new_state
-        h_new = discrete_hamiltonian(dsys, state)
-        if not math.isfinite(h_new):
-            raise ValueError(
-                f"energy is not finite after step {k + 1} (t = {(k + 1) * dt!r}): {h_new!r}"
-            )
-        times[k + 1] = (k + 1) * dt
-        energy[k + 1] = h_new
-        bpow[k + 1] = p_boundary
-        dpow[k + 1] = p_distributed
-        resid[k + 1] = abs(h_new - energy[k] - dt * (p_boundary + p_distributed))
-        if record_every and (k + 1) % record_every == 0:
-            snapshots.append((k + 1, times[k + 1], state.copy()))
+    # entered once, not per step (~2 us each); overflow shows as non-finite energy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            t = k * dt
+            new_state, u_values = stepper.step(state, t, inputs)
+            mid = 0.5 * (state + new_state)
+            e_mid = dsys.C @ mid
+            p_boundary = 0.0
+            p_distributed = 0.0
+            for ch, u_val in zip(inputs, u_values):
+                p = float(e_mid @ ch.wvector) * u_val
+                if ch.kind == "boundary":
+                    p_boundary += p
+                else:
+                    p_distributed += p
+            state = new_state
+            h_new = discrete_hamiltonian(dsys, state)
+            if not math.isfinite(h_new):
+                raise ValueError(
+                    f"energy is not finite after step {k + 1} (t = {(k + 1) * dt!r}): {h_new!r}"
+                )
+            times[k + 1] = (k + 1) * dt
+            energy[k + 1] = h_new
+            bpow[k + 1] = p_boundary
+            dpow[k + 1] = p_distributed
+            resid[k + 1] = abs(h_new - energy[k] - dt * (p_boundary + p_distributed))
+            if record_every and (k + 1) % record_every == 0:
+                snapshots.append((k + 1, times[k + 1], state.copy()))
     if not snapshots or snapshots[-1][0] != steps:
         snapshots.append((steps, times[-1], state.copy()))
 
@@ -757,28 +706,22 @@ def simulate(
 def difference_consistency_errors(dsys: DiscreteSystem, fields: Sequence[Poly]):
     """Apply the exact difference entries to samples of polynomial momentum
     co-energy fields and compare with the symbolically applied operator at the
-    strain nodes.  Returns the list of nonzero (row, error) pairs; empty for
-    polynomials of degree <= 2 on unclamped grids."""
+    strain nodes.  Returns the list of nonzero (state index, error) pairs;
+    empty for polynomials of degree <= 2 on unclamped grids."""
     sys = dsys.system
     model = sys.model
-    ell = model.ell
-    p_vals: Dict[int, Fraction] = {}
-    for i, f in enumerate(dsys.p_fields):
-        for gidx in f.nodes():
-            assign = {
-                model.dist[a]: f.axis_position(a, gidx[a], model.domain.bounds[a][0], dsys.dx[a])
-                for a in range(ell)
-            }
-            p_vals[dsys.p_dof(f, gidx)] = fields[i].eval(assign)
-    applied = sys.op.apply(list(fields))
-    expected: Dict[int, Fraction] = {}
-    for j, f in enumerate(dsys.eps_fields):
-        for gidx in f.nodes():
-            assign = {
-                model.dist[a]: f.axis_position(a, gidx[a], model.domain.bounds[a][0], dsys.dx[a])
-                for a in range(ell)
-            }
-            expected[f.offset + f.flat(gidx)] = applied[j].eval(assign)
+
+    def values(fam, polys):
+        return {
+            f.dof(gidx): polys[f.index].eval(
+                dict(zip(model.dist, f.position(gidx, model.domain.bounds, dsys.dx)))
+            )
+            for f in fam
+            for gidx in f.nodes()
+        }
+
+    p_vals = values(dsys.p_fields, fields)
+    expected = values(dsys.eps_fields, sys.op.apply(list(fields)))
     got: Dict[int, Fraction] = {row: Fraction(0) for row in expected}
     for row, col, w in dsys.d_exact:
         got[row] += w * p_vals[col]
@@ -806,11 +749,7 @@ def write_trajectory_csv(path: str, dsys: DiscreteSystem, traj: Trajectory) -> N
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,time,label,node,value\n")
         for step, t, state in traj.snapshots:
-            for f in dsys.p_fields:
+            for f in dsys.fields:
                 seg = state[f.offset : f.offset + f.size]
-                for node, value in enumerate(seg):
-                    fh.write(f"{step},{t:.17g},{f.label},{node},{value:.17g}\n")
-            for f in dsys.eps_fields:
-                seg = state[dsys.num_p + f.offset : dsys.num_p + f.offset + f.size]
                 for node, value in enumerate(seg):
                     fh.write(f"{step},{t:.17g},{f.label},{node},{value:.17g}\n")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from phs_forge.cli import EXIT_ERROR, EXIT_INVALID_MODEL, EXIT_OK, main
 
 BROKEN_MODEL = """
@@ -136,6 +138,24 @@ def test_verify_single_model_includes_reduction(tmp_path):
     doc = json.loads(report.read_text())
     ids = [c["id"] for c in doc["checks"]]
     assert "reduction:torsion-two-strain" in ids
+
+
+def test_verify_rejects_fewer_than_one_trial(tmp_path, capsys):
+    for trials in ("0", "-1"):
+        report = tmp_path / "r.json"
+        args = ["verify", "--model", "truss", "--trials", trials, "--json", str(report)]
+        assert main(args) == EXIT_INVALID_MODEL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--trials" in captured.err
+        assert "checks passed" not in captured.out
+        assert not report.exists()
+
+
+def test_verify_unknown_model_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", "nosuch"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
 
 
 def test_simulate_string_conserves(tmp_path, capsys):

@@ -3,6 +3,8 @@ and byte-stable reporting."""
 
 from fractions import Fraction as F
 
+import pytest
+
 from phs_forge.build import assemble_phs
 from phs_forge.models import builtin_model, builtin_names
 from phs_forge.verify import (
@@ -20,6 +22,14 @@ def test_lemma1_all_builtins_pass_quick():
     results = check_lemma1(models, trials=3, seed=13)
     assert len(results) == 3 * len(models)
     assert all(r.ok for r in results), [r.check_id for r in results if not r.ok]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_lemma1_needs_at_least_one_trial(trials):
+    with pytest.raises(ValueError, match="at least one lemma1 trial"):
+        check_lemma1([builtin_model("truss")], trials=trials)
+    with pytest.raises(ValueError, match="at least one lemma1 trial"):
+        run_all(seed=1, model_names=["truss"], trials=trials)
 
 
 def test_lemma1_trivial_zero_fields():
