@@ -31,6 +31,7 @@ from .models import (
     ValidationReport,
     builtin_model,
     builtin_names,
+    derive_operator,
     validate_model,
 )
 from .poly import Poly, PolyMatrix

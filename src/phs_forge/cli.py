@@ -14,7 +14,7 @@ import os
 import sys as _sys
 from fractions import Fraction
 
-from .build import BuildError, assemble_phs, export_system, write_matrix_csv
+from .build import assemble_phs, export_system, write_matrix_csv
 from .exact import ExactError
 from .modelfile import parse_model_file, serialize_model
 from .models import ModelError, builtin_model, builtin_names, validate_model
@@ -49,8 +49,11 @@ def _load_model(args):
     for item in getattr(args, "param", None) or []:
         if "=" not in item:
             raise ModelError(f"--param expects NAME=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        params[key.strip()] = Fraction(value.strip())
+        key, value = (s.strip() for s in item.split("=", 1))
+        try:
+            params[key] = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"--param {key} expects a rational, got {value!r}") from None
     return builtin_model(args.builtin, params or None, validate=False)
 
 
@@ -69,29 +72,34 @@ def cmd_list_models(args) -> int:
     return EXIT_OK
 
 
-def _validated_system(args):
-    model = _load_model(args)
-    report = validate_model(model)
-    if not report.ok:
-        print(report, file=_sys.stderr)
+def _compile(args):
+    """Load, validate and assemble the model ``args`` names; None (exit code
+    2) after printing the report or ``error:`` line when it is invalid."""
+    try:
+        model = _load_model(args)
+        report = validate_model(model)
+        if not report.ok:
+            print(report, file=_sys.stderr)
+            return None
+        return assemble_phs(model, validate=False)
+    except (ModelError, ExactError) as exc:
+        print(f"error: {exc}", file=_sys.stderr)
         return None
-    return assemble_phs(model, validate=False)
+
+
+def _write_system_json(path: str, sys_) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(export_system(sys_), fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def cmd_build(args) -> int:
-    try:
-        sys_ = _validated_system(args)
-    except (ModelError, BuildError, ExactError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INVALID_MODEL
+    sys_ = _compile(args)
     if sys_ is None:
         return EXIT_INVALID_MODEL
     print(sys_.summary())
-    out = args.out or _out_path(args, f"{sys_.model.name}.phs.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(export_system(sys_), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    print(f"wrote {out}")
+    _write_system_json(args.out or _out_path(args, f"{sys_.model.name}.phs.json"), sys_)
     if args.emit_model:
         with open(args.emit_model, "w", encoding="utf-8") as fh:
             fh.write(serialize_model(sys_.model))
@@ -183,10 +191,10 @@ def _parse_dt(text: str) -> float:
 
 
 def cmd_simulate(args) -> int:
+    sys_ = _compile(args)
+    if sys_ is None:
+        return EXIT_INVALID_MODEL
     try:
-        sys_ = _validated_system(args)
-        if sys_ is None:
-            return EXIT_INVALID_MODEL
         dt = _parse_dt(args.dt)
         if args.steps < 1:
             raise ValueError(f"--steps must be >= 1, got {args.steps}")
@@ -198,7 +206,7 @@ def cmd_simulate(args) -> int:
     except SimulationUnsupported as exc:
         print(f"unsupported: {exc}", file=_sys.stderr)
         return EXIT_INVALID_MODEL
-    except (ModelError, BuildError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID_MODEL
 
@@ -230,25 +238,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        sys_ = _validated_system(args)
-    except (ModelError, BuildError, ExactError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INVALID_MODEL
+    sys_ = _compile(args)
     if sys_ is None:
         return EXIT_INVALID_MODEL
-    base = args.out_dir or os.environ.get("PHS_FORGE_OUT") or "."
-    os.makedirs(base, exist_ok=True)
     name = sys_.model.name
-    json_path = os.path.join(base, f"{name}.phs.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(export_system(sys_), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    mass_path = os.path.join(base, f"{name}.mass.csv")
-    stiff_path = os.path.join(base, f"{name}.stiffness.csv")
-    write_matrix_csv(mass_path, sys_.mass)
-    write_matrix_csv(stiff_path, sys_.stiffness)
-    for path in (json_path, mass_path, stiff_path):
+    _write_system_json(_out_path(args, f"{name}.phs.json"), sys_)
+    for kind, matrix in (("mass", sys_.mass), ("stiffness", sys_.stiffness)):
+        path = _out_path(args, f"{name}.{kind}.csv")
+        write_matrix_csv(path, matrix)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -325,7 +322,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, BuildError, ExactError, SimulationUnsupported, ValueError) as exc:
+    except (ExactError, ValueError) as exc:  # every phs_forge error but ExactError is a ValueError
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
 

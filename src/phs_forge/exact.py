@@ -201,33 +201,13 @@ def ldl_pivots(a):
 
 
 def leading_minors(a):
-    """Exact leading principal minors det(a[:k,:k]) for k = 1..n."""
-    pivots, _ = _pivots_allow_zero(a)
-    minors = []
-    acc = Fraction(1)
-    for d in pivots:
+    """Exact leading principal minors det(a[:k,:k]): the running products of
+    the LDL^T pivots, up to the first non-positive one."""
+    minors, acc = [], Fraction(1)
+    for d in ldl_pivots(a)[0]:
         acc = acc * d
         minors.append(acc)
     return minors
-
-
-def _pivots_allow_zero(a):
-    """Gaussian pivots without symmetry assumptions; zero pivot stops early
-    with the remaining minors reported as zero."""
-    n = len(a)
-    work = [row[:] for row in a]
-    pivots = []
-    for j in range(n):
-        d = work[j][j]
-        if is_zero(d):
-            pivots.extend([Fraction(0)] * (n - j))
-            return pivots, None
-        pivots.append(d)
-        for i in range(j + 1, n):
-            f = work[i][j] / d
-            for k2 in range(j, n):
-                work[i][k2] = work[i][k2] - f * work[j][k2]
-    return pivots, None
 
 
 def check_spd(a):
@@ -248,20 +228,35 @@ def check_spd(a):
     return True, "symmetric positive definite"
 
 
-def mat_inverse(a):
-    """Exact inverse by Gauss-Jordan with partial (nonzero) pivoting."""
-    n = len(a)
-    work = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not is_zero(work[r][col])), None)
+def row_reduce(a, ncols: int):
+    """Exact Gauss-Jordan elimination to reduced row echelon form.
+
+    Pivots are sought in the first ``ncols`` columns; later columns are
+    right-hand sides.  Returns ``(rows, pivot_cols)``; the rank is
+    ``len(pivot_cols)``.
+    """
+    work = [row[:] for row in a]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(work)) if not is_zero(work[r][col])), None)
         if pivot_row is None:
-            raise ExactError("matrix is singular")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-        d = work[col][col]
-        work[col] = [x / d for x in work[col]]
-        for r in range(n):
-            if r != col and not is_zero(work[r][col]):
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        d = work[rank][col]
+        work[rank] = [x / d for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and not is_zero(work[r][col]):
                 f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+    return work, pivots
+
+
+def mat_inverse(a):
+    """Exact inverse: row-reduce ``[a | I]`` and read off the right half."""
+    n = len(a)
+    work, pivots = row_reduce([row[:] + e for row, e in zip(a, identity(n))], n)
+    if len(pivots) < n:
+        raise ExactError("matrix is singular")
     return [row[n:] for row in work]

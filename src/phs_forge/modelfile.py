@@ -6,7 +6,9 @@ Polynomial entries may use the complementary coordinates; operator entries use
 the derivative tokens d1, d2, d3 with constant coefficients; products of
 derivative tokens along different axes (mixed partials) are rejected because
 the supported operator class admits pure powers of a single axis derivative
-only.
+only.  The [F] section may be left out when [structure] has no dN(...)
+entry: the operator is then derived from lambda1 and lambda2
+(``models.derive_operator``), and the serializer still writes it.
 
 Example::
 
@@ -349,7 +351,7 @@ def parse_model(text: str) -> KinematicModel:
         raise ParseError(f"unsupported model format version {version!r}")
     name = header.get("name", "model")
 
-    for required in ("coords", "domain", "section", "lambda1", "lambda2", "F", "C"):
+    for required in ("coords", "domain", "section", "lambda1", "lambda2", "C"):
         if required not in sections:
             raise ParseError(f"missing required section [{required}]")
 
@@ -379,7 +381,7 @@ def parse_model(text: str) -> KinematicModel:
 
     lam1 = _parse_poly_matrix(sections["lambda1"], comp, params, "lambda1")
     lam2 = _parse_poly_matrix(sections["lambda2"], comp, params, "lambda2")
-    op = _parse_operator(sections["F"], dist, params)
+    op = _parse_operator(sections["F"], dist, params) if "F" in sections else None
 
     cmat = _parse_cmat(sections["C"], params)
     bd = None
@@ -390,7 +392,7 @@ def parse_model(text: str) -> KinematicModel:
         ]
 
     r_names, free_fields, structure, strain_check = _parse_structure(
-        sections.get("structure"), op.n, dist
+        sections.get("structure"), lam1.cols if op is None else op.n, dist
     )
 
     model = KinematicModel(
@@ -568,17 +570,11 @@ def serialize_model(model: KinematicModel) -> str:
     out.append("[section]")
     out.append(model.section.descriptor() if model.section.kind != "none" else "none")
     out.append("")
-    if model.params:
-        out.append("[params]")
-        for k in sorted(model.params):
-            out.append(f"{k} = {model.params[k]}")
-        if "rho" not in model.params:
-            out.append(f"rho = {model.rho}")
-        out.append("")
-    else:
-        out.append("[params]")
+    out.append("[params]")
+    out.extend(f"{k} = {model.params[k]}" for k in sorted(model.params))
+    if "rho" not in model.params:
         out.append(f"rho = {model.rho}")
-        out.append("")
+    out.append("")
     out.append("[lambda1]")
     out.extend(_poly_rows_text(model.lambda1))
     out.append("")

@@ -2,23 +2,26 @@
 
 A model is the input to the compiler: a displacement-field factor map
 (lambda1), a strain factor map (lambda2) together with the matrix
-differential operator it multiplies, a constitutive matrix, a density, and
-the geometry (spatial domain plus cross-section).  Validation enforces the
-structural conditions the compiler relies on: no zero columns in lambda1, no
-zero rows or columns in lambda2 or the operator, a symmetric positive
-definite constitutive matrix, and consistency of the declared factorization
-with the actual small-strain tensor of the displacement field.
+differential operator F it multiplies, a constitutive matrix, a density, and
+the geometry (spatial domain plus cross-section).  When every component of r
+is free, F follows from lambda1 and lambda2 (``derive_operator``); reduced
+models and those whose r holds a slope of another component state it.
+Validation enforces the structural conditions the compiler relies on: no
+zero columns in lambda1, no zero rows or columns in lambda2 or the operator,
+a symmetric positive definite constitutive matrix, and an exact proof that
+the factorization reproduces the small-strain tensor of the displacement
+field.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffop import DiffOpMatrix, DomainSpec
-from .exact import check_spd, fr
+from .exact import check_spd, fr, row_reduce
 from .poly import Poly, PolyMatrix
 from .sections import (
     CircleSection,
@@ -119,7 +122,7 @@ class KinematicModel:
     section: Section
     lambda1: PolyMatrix
     lambda2: PolyMatrix
-    op: DiffOpMatrix
+    op: Optional[DiffOpMatrix]  # None: derived from lambda1 and lambda2
     cmat: list
     rho: Fraction
     bd: Optional[list] = None
@@ -133,6 +136,8 @@ class KinematicModel:
     strain_check: bool = True
 
     def __post_init__(self):
+        if self.op is None:
+            self.op = derive_operator(self.dist, self.lambda1, self.lambda2)
         if not self.r_names:
             self.r_names = tuple(f"r{i + 1}" for i in range(self.n))
         if not self.structure:
@@ -158,18 +163,6 @@ class KinematicModel:
     @property
     def order(self) -> int:
         return self.op.order
-
-    def sample_r(self, rng: random.Random, degree: int) -> List[Poly]:
-        """Random admissible generalized displacements over all of X."""
-        free = [random_poly(rng, self.dist, degree).extend(ALL_COORDS) for _ in self.free_fields]
-        out = []
-        for comp_spec in self.structure:
-            if comp_spec[0] == "free":
-                out.append(free[comp_spec[1]])
-            else:
-                _, j, axis = comp_spec
-                out.append(free[j].diff(self.dist[axis - 1]))
-        return out
 
 
 def random_poly(rng: random.Random, coords: Sequence[str], degree: int) -> Poly:
@@ -241,12 +234,60 @@ def full_voigt_strain(u: Sequence[Poly]) -> List[Poly]:
     ]
 
 
-def validate_model(
-    model: KinematicModel,
-    seed: int = 0,
-    trials: int = 5,
-    relax: Sequence[str] = (),
-) -> ValidationReport:
+def derive_operator(dist: Sequence[str], lambda1: PolyMatrix, lambda2: PolyMatrix) -> DiffOpMatrix:
+    """The constant first-order F with voigt(lambda1 r) = lambda2 F r for every r.
+
+    With r free, the Voigt strain of ``u = lambda1 r`` is ``B_0 r + sum_k B_k
+    d_k r`` with B over the complementary coordinates: the probe ``r = e_c``
+    gives column c of ``B_0``, and ``r = e_c z_k`` gives ``z_k B_0 e_c + B_k
+    e_c``.  Matching the coefficient of every complementary monomial in
+    ``lambda2 X = B`` is one exact linear system for all the ``X``; F exists
+    and is unique exactly when that system is consistent and of rank m.
+    """
+    dist = tuple(dist)
+    n, m, d = lambda1.cols, lambda2.cols, lambda2.rows
+    refuse = "the kinematics do not determine F; state it"
+    if lambda1.rows != 3:
+        raise ModelError(f"{refuse}: lambda1 has {lambda1.rows} rows, not 3")
+
+    def voigt(c: int, factor: Poly) -> List[Poly]:
+        zero = Poly.zero(ALL_COORDS)
+        return full_voigt_strain(lambda1.apply([factor if j == c else zero for j in range(n)]))
+
+    one = Poly.constant(ALL_COORDS, 1)
+    b0 = [voigt(c, one) for c in range(n)]
+    blocks = [b0]  # blocks[s][c][voigt row]: B_0, then B_k for each axis k
+    for name in dist:
+        z = Poly.variable(ALL_COORDS, name)
+        blocks.append([[p - z * q for p, q in zip(voigt(c, z), b0[c])] for c in range(n)])
+    rows = [i for i in range(6) if any(not col[i].is_zero for blk in blocks for col in blk)]
+    if len(rows) != d:
+        raise ModelError(
+            f"{refuse}: lambda1 r has {len(rows)} nonzero strain components "
+            f"(voigt {[i + 1 for i in rows]}), but lambda2 has {d} rows"
+        )
+    lam2 = [[p.extend(ALL_COORDS) for p in row] for row in lambda2.entries]
+    monomials = sorted(
+        {e for row in lam2 for p in row for e in p.terms}
+        | {e for blk in blocks for col in blk for i in rows for e in col[i].terms}
+    )
+    system = [
+        [p.terms.get(e, _Z) for p in lam2[a]]
+        + [col[i].terms.get(e, _Z) for blk in blocks for col in blk]
+        for a, i in enumerate(rows)
+        for e in monomials
+    ]
+    work, pivots = row_reduce(system, m)
+    if any(x != 0 for row in work[len(pivots):] for x in row):
+        raise ModelError(f"{refuse}: no constant F solves lambda2 F r = voigt(lambda1 r)")
+    if len(pivots) < m:
+        raise ModelError(f"{refuse}: lambda2 has coefficient rank {len(pivots)} < m = {m}")
+    x = [row[m:] for row in work[:m]]
+    pk = {(k, 1): [row[k * n : (k + 1) * n] for row in x] for k in range(1, len(dist) + 1)}
+    return DiffOpMatrix(m, n, dist, p0=[row[:n] for row in x], pk=pk)
+
+
+def validate_model(model: KinematicModel, relax: Sequence[str] = ()) -> ValidationReport:
     checks: List[ValidationCheck] = []
     relax = set(relax)
 
@@ -319,7 +360,7 @@ def validate_model(
     # strain factorization consistency
     if shape_ok:
         if model.strain_check:
-            ok, detail = _strain_consistency(model, seed, trials)
+            ok, detail = _strain_consistency(model)
             add("strain-consistency", ok, detail)
         else:
             add(
@@ -331,34 +372,45 @@ def validate_model(
     return ValidationReport(model.name, checks)
 
 
-def _strain_consistency(model: KinematicModel, seed: int, trials: int):
-    rng = random.Random(seed)
-    degree = model.order + 2
-    rows: List[int] = []
+def _strain_consistency(model: KinematicModel):
+    """Prove voigt(lambda1 r) = lambda2 F r on the admissible fields r.
+
+    Both sides are linear differential operators in the free fields, with
+    coefficients constant in the distributed coordinates and of order at most
+    ``max(order, 1) + 1`` (one more than F's for a structure entry ``dN(.)``).
+    Two such operators are equal exactly when they agree on every monomial
+    ``e_j z^alpha`` with ``|alpha|`` up to that order, so the check is exact.
+    """
+    degree = max(model.order, 1) + 1
+    zero = Poly.zero(ALL_COORDS)
     samples = []
-    for _ in range(trials):
-        r = model.sample_r(rng, degree)
-        u = model.lambda1.apply(r)
-        voigt = full_voigt_strain(u)
-        rhs = model.lambda2.apply(model.op.apply(r))
-        samples.append((voigt, rhs))
-        for i, p in enumerate(voigt):
-            if not p.is_zero and i not in rows:
-                rows.append(i)
-    rows.sort()
+    for j, name in enumerate(model.free_fields):
+        for alpha in _exponents_up_to(model.ell, degree):
+            mono = Poly(model.dist, {alpha: _ONE})
+            free = [mono.extend(ALL_COORDS) if i == j else zero for i in range(len(model.free_fields))]
+            r = [
+                free[spec[1]] if spec[0] == "free" else free[spec[1]].diff(model.dist[spec[2] - 1])
+                for spec in model.structure
+            ]
+            voigt = full_voigt_strain(model.lambda1.apply(r))
+            samples.append((f"{name} = {mono}", voigt, model.lambda2.apply(model.op.apply(r))))
+    rows = [i for i in range(6) if any(not voigt[i].is_zero for _, voigt, _ in samples)]
     if len(rows) != model.d:
         return False, (
             f"displacement field produces {len(rows)} nonzero strain components "
             f"(voigt indices {[i + 1 for i in rows]}), but d = {model.d}"
         )
-    for t, (voigt, rhs) in enumerate(samples):
+    for field_text, voigt, rhs in samples:
         for j, i in enumerate(rows):
             if voigt[i] != rhs[j]:
                 return False, (
-                    f"trial {t + 1}: strain component {j + 1} (voigt {i + 1}) "
+                    f"field {field_text}: strain component {j + 1} (voigt {i + 1}) "
                     f"mismatch: field gives {voigt[i]}, factorization gives {rhs[j]}"
                 )
-    return True, f"factorization matches voigt components {[i + 1 for i in rows]} on {trials} fields"
+    return True, (
+        f"factorization proved on voigt components {[i + 1 for i in rows]} "
+        f"(every monomial field of degree <= {degree})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +482,6 @@ def _truss(params):
     comp = ("z2", "z3")
     lam1 = _poly_rows(comp, [[1], [0], [0]])
     lam2 = _poly_rows(comp, [[1]])
-    op = DiffOpMatrix(1, 1, ("z1",), pk={(1, 1): [[1]]})
     return KinematicModel(
         "truss",
         ("z1",),
@@ -439,7 +490,7 @@ def _truss(params):
         _beam_section(p),
         lam1,
         lam2,
-        op,
+        None,
         scalar_young(p["E"]),
         p["rho"],
         bd=[[_ONE]],
@@ -454,7 +505,6 @@ def _string(params):
     comp = ("z2", "z3")
     lam1 = _poly_rows(comp, [[0], [0], [1]])
     lam2 = _poly_rows(comp, [[1]])
-    op = DiffOpMatrix(1, 1, ("z1",), pk={(1, 1): [[1]]})
     section = _beam_section(p)
     area = section.integrate(Poly.constant(section.coords, 1))
     return KinematicModel(
@@ -465,7 +515,7 @@ def _string(params):
         section,
         lam1,
         lam2,
-        op,
+        None,
         string_tension(p["T"], area),
         p["rho"],
         params=p,
@@ -481,7 +531,6 @@ def _torsion(params):
     z3 = Poly.variable(comp, "z3")
     lam1 = _poly_rows(comp, [[0], [z3], [-z2]])
     lam2 = PolyMatrix([[z3], [-z2]])
-    op = DiffOpMatrix(1, 1, ("z1",), pk={(1, 1): [[1]]})
     if p.get("R", 0) > 0:
         section: Section = CircleSection(p["R"])
     else:
@@ -494,7 +543,7 @@ def _torsion(params):
         section,
         lam1,
         lam2,
-        op,
+        None,
         shear_pair(p["G"]),
         p["rho"],
         params=p,
@@ -510,21 +559,7 @@ def torsion_two_strain(params=None) -> KinematicModel:
     z2 = Poly.variable(comp, "z2")
     z3 = Poly.variable(comp, "z3")
     lam2 = PolyMatrix([[z3, Poly.zero(comp)], [Poly.zero(comp), -z2]])
-    op = DiffOpMatrix(2, 1, ("z1",), pk={(1, 1): [[1], [1]]})
-    return KinematicModel(
-        "torsion_two_strain",
-        base.dist,
-        comp,
-        base.domain,
-        base.section,
-        base.lambda1,
-        lam2,
-        op,
-        base.cmat,
-        base.rho,
-        params=base.params,
-        r_names=("theta",),
-    )
+    return replace(base, name="torsion_two_strain", lambda2=lam2, op=None)
 
 
 def _timoshenko(params):
@@ -541,13 +576,6 @@ def _timoshenko(params):
     one = Poly.constant(comp, 1)
     lam1 = PolyMatrix([[-z3, zero], [zero, zero], [zero, one]])
     lam2 = PolyMatrix([[-z3, zero], [zero, one]])
-    op = DiffOpMatrix(
-        2,
-        2,
-        ("z1",),
-        p0=[[0, 0], [-1, 0]],
-        pk={(1, 1): [[1, 0], [0, 1]]},
-    )
     cmat = [[p["E"], _Z], [_Z, p["kappa"] * p["G"]]]
     return KinematicModel(
         "timoshenko",
@@ -557,7 +585,7 @@ def _timoshenko(params):
         _beam_section(p),
         lam1,
         lam2,
-        op,
+        None,
         cmat,
         p["rho"],
         params=p,
@@ -672,15 +700,6 @@ def _elasticity2d(params):
     comp = ("z3",)
     lam1 = _poly_rows(comp, [[1, 0], [0, 1], [0, 0]])
     lam2 = _poly_rows(comp, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    op = DiffOpMatrix(
-        3,
-        2,
-        ("z1", "z2"),
-        pk={
-            (1, 1): [[1, 0], [0, 0], [0, 1]],
-            (2, 1): [[0, 0], [0, 1], [1, 0]],
-        },
-    )
     return KinematicModel(
         "elasticity2d",
         ("z1", "z2"),
@@ -689,7 +708,7 @@ def _elasticity2d(params):
         IntervalSection(p["h"]),
         lam1,
         lam2,
-        op,
+        None,
         plane_stress(p["E"], p["nu"]),
         p["rho"],
         params=p,
@@ -703,16 +722,6 @@ def _elasticity3d(params):
     comp = ()
     lam1 = _poly_rows(comp, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     lam2 = _poly_rows(comp, [[int(i == j) for j in range(6)] for i in range(6)])
-    op = DiffOpMatrix(
-        6,
-        3,
-        ("z1", "z2", "z3"),
-        pk={
-            (1, 1): [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
-            (2, 1): [[0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]],
-            (3, 1): [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0], [1, 0, 0], [0, 1, 0]],
-        },
-    )
     return KinematicModel(
         "elasticity3d",
         ("z1", "z2", "z3"),
@@ -721,7 +730,7 @@ def _elasticity3d(params):
         PointSection(),
         lam1,
         lam2,
-        op,
+        None,
         iso3d(p["E"], p["nu"]),
         p["rho"],
         params=p,
@@ -748,16 +757,6 @@ def _mindlin_plate(params):
             [zero, zero, zero, zero, one],
         ]
     )
-    op = DiffOpMatrix(
-        5,
-        3,
-        ("z1", "z2"),
-        p0=[[0, 0, 0], [0, 0, 0], [0, 0, 0], [-1, 0, 0], [0, -1, 0]],
-        pk={
-            (1, 1): [[1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
-            (2, 1): [[0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]],
-        },
-    )
     return KinematicModel(
         "mindlin_plate",
         ("z1", "z2"),
@@ -766,7 +765,7 @@ def _mindlin_plate(params):
         IntervalSection(p["h"]),
         lam1,
         lam2,
-        op,
+        None,
         bending_shear_block(p["E"], p["nu"], G),
         p["rho"],
         params=p,

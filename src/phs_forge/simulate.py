@@ -651,6 +651,10 @@ def simulate(
         raise ValueError(f"initial state must have {dsys.num_dofs} entries")
     if not np.all(np.isfinite(state)):
         raise ValueError("initial state has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = discrete_hamiltonian(dsys, state)
+    if not math.isfinite(h0):
+        raise ValueError(f"initial state has non-finite energy: {h0!r}")
 
     stepper = _stepper(dsys, dt)
     times = np.zeros(steps + 1)
@@ -658,7 +662,7 @@ def simulate(
     bpow = np.zeros(steps + 1)
     dpow = np.zeros(steps + 1)
     resid = np.zeros(steps + 1)
-    energy[0] = discrete_hamiltonian(dsys, state)
+    energy[0] = h0
 
     labels = [f.label for f in dsys.fields]
     snapshots = [(0, 0.0, state.copy())]

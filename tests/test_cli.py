@@ -329,3 +329,50 @@ def test_simulate_stops_when_energy_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: energy is not finite after step 1" in err, err
     assert not (tmp_path / "e.csv").exists()
+
+
+def _model_text(name, **replace):
+    from phs_forge.modelfile import serialize_model
+    from phs_forge.models import builtin_model
+
+    text = serialize_model(builtin_model(name))
+    for old, new in replace.items():
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("build", ["--out", "{tmp}/x.json"]),
+        ("export", ["--out-dir", "{tmp}/out"]),
+        ("simulate", ["--cells", "8", "--dt", "1/100", "--steps", "2", "--energy", "{tmp}/e.csv"]),
+    ],
+)
+def test_every_compiling_command_rejects_an_empty_interval(tmp_path, capsys, command, extra):
+    # simulate used to let this ExactError through to exit code 1
+    path = tmp_path / "backwards.phsm"
+    path.write_text(_model_text("timoshenko", **{"interval = 0, 1": "interval = 1, 0"}))
+    extra = [e.format(tmp=tmp_path) for e in extra]
+    assert main([command, "--file", str(path), *extra]) == EXIT_INVALID_MODEL
+    assert capsys.readouterr().err.startswith("error: empty axis range (1, 0)")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+def test_every_compiling_command_rejects_a_non_rational_param(tmp_path, capsys, command):
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    args = [command, "--builtin", "truss", "--param", "E=abc", "--out-dir", str(tmp_path), *extra]
+    assert main(args) == EXIT_INVALID_MODEL
+    assert capsys.readouterr().err.startswith("error: --param E expects a rational")
+
+
+def test_build_refuses_constrained_file_without_operator(tmp_path, capsys):
+    # rayleigh_beam: r = d1(w), w; its F is one point of a family, so it must be stated
+    text = _model_text("rayleigh_beam", **{"[F]\nd1, d1^2\n\n": ""})
+    path = tmp_path / "rayleigh.phsm"
+    path.write_text(text)
+    assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error: the kinematics do not determine F; state it"), err

@@ -221,6 +221,14 @@ def test_non_finite_initial_state_rejected(bad):
         simulate(dsys, dt=1e-2, steps=10, state0=state)
 
 
+def test_initial_state_with_infinite_energy_rejected():
+    dsys = _dsys("truss", (16,))
+    state = np.full(dsys.num_dofs, 1e200)  # finite entries, overflowing energy
+    # no np.errstate here: pytest turns numpy's overflow warning into an error
+    with pytest.raises(ValueError, match="initial state has non-finite energy"):
+        simulate(dsys, dt=1e-3, steps=3, state0=state)
+
+
 def test_hamiltonian_quadrature_constant_momentum_string():
     dsys = _dsys("string", (8,))
     state = dsys.zero_state()
