@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_ERROR
 
 
-def _parse_bc(text, ell: int):
+def _parse_bc(text):
     bc = {}
     if text:
         for item in text.split(","):
@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
         if args.record < 0:
             raise ValueError(f"--record must be >= 0, got {args.record}")
         cells = tuple(int(c) for c in args.cells.split(","))
-        dsys = discretize(sys_, GridSpec(cells), _parse_bc(args.bc, sys_.model.ell))
+        dsys = discretize(sys_, GridSpec(cells), _parse_bc(args.bc))
         inputs = _parse_inputs(args.input, dsys)
     except SimulationUnsupported as exc:
         print(f"unsupported: {exc}", file=_sys.stderr)

@@ -517,10 +517,14 @@ def _parse_structure(lines, n, dist):
     if lines is None:
         return (), (), (), True
     kv = _kv_lines(lines, "structure")
-    names = tuple(s.strip() for s in kv.get("names", "").split(",")) if "names" in kv else ()
-    fields = tuple(s.strip() for s in kv["fields"].split(",")) if "fields" in kv else ()
+    names = tuple(_split_entries(kv["names"])) if "names" in kv else ()
+    if names and len(names) != n:
+        raise ParseError(f"structure names line has {len(names)} entries, operator expects {n}")
+    fields = tuple(_split_entries(kv["fields"])) if "fields" in kv else ()
     strain_check = kv.get("strain_check", "true").strip().lower() != "false"
     structure: List[tuple] = []
+    if fields and "r" not in kv:
+        raise ParseError("[structure] with a fields line needs an r line")
     if "r" in kv:
         if not fields:
             raise ParseError("[structure] with an r line needs a fields line")
@@ -540,6 +544,10 @@ def _parse_structure(lines, n, dist):
                 structure.append(("free", fields.index(item)))
         if len(structure) != n:
             raise ParseError(f"structure r line has {len(structure)} entries, operator expects {n}")
+        used = {spec[1] for spec in structure}  # the field index of ("free", j) and ("d", j, axis)
+        unused = [f for j, f in enumerate(fields) if j not in used]
+        if unused:
+            raise ParseError(f"free field {unused[0]!r} is used by no r item in structure")
     return names, fields, tuple(structure), strain_check
 
 

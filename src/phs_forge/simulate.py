@@ -355,20 +355,21 @@ def discretize(
     return DiscreteSystem(sys, grid, bc, p_fields, eps_fields, dx, d_exact, D, J, C, W)
 
 
-def _stencil(shift_src: int, shift_tgt: int, order: int, g: int, dx: Fraction):
-    """1D stencil along one axis: list of (source index, coefficient)."""
+def _stencil(shift_src: int, shift_tgt: int, order: int, dx: Fraction):
+    """1D stencil along one axis: list of (source index - target index,
+    coefficient); the same at every node."""
     if order == 0:
-        return [(g, Fraction(1))]
+        return [(0, Fraction(1))]
     if order == 1:
         if shift_src == 0 and shift_tgt == 1:
-            return [(g, -1 / dx), (g + 1, 1 / dx)]
+            return [(0, -1 / dx), (1, 1 / dx)]
         if shift_src == 1 and shift_tgt == 0:
-            return [(g - 1, -1 / dx), (g, 1 / dx)]
+            return [(-1, -1 / dx), (0, 1 / dx)]
         if shift_src == shift_tgt:
-            return [(g - 1, Fraction(-1, 2) / dx), (g + 1, Fraction(1, 2) / dx)]
+            return [(-1, Fraction(-1, 2) / dx), (1, Fraction(1, 2) / dx)]
     if order == 2 and shift_src == shift_tgt:
         w = 1 / dx**2
-        return [(g - 1, w), (g, -2 * w), (g + 1, w)]
+        return [(-1, w), (0, -2 * w), (1, w)]
     raise SimulationUnsupported(
         f"no stencil for derivative order {order} between these lattices"
     )
@@ -401,28 +402,27 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
     bounds = sys.model.domain.bounds
     fields = p_fields + eps_fields
 
-    # exact difference operator entries
+    # exact difference operator entries; each term has one stencil pattern
     d_exact: List[Tuple[int, int, Fraction]] = []
+    values: List[float] = []
     for r, c, k, i, coeff in _operator_terms(sys):
         ef = eps_fields[r]
         pf = p_fields[c]
-        axis = k - 1 if k else None
+        axis = k - 1 if k else 0  # a k = 0 term has order 0: one identity entry
+        stencil = _stencil(pf.shifts[axis], ef.shifts[axis], i, dx[axis])
+        pattern = [(delta, coeff * w) for delta, w in stencil]
+        pattern = [(delta, w, to_float(w)) for delta, w in pattern]
         for gidx in ef.nodes():
-            if axis is None:
-                pieces = [(gidx, coeff)]
-            else:
-                pieces = []
-                for src_g, w in _stencil(pf.shifts[axis], ef.shifts[axis], i, gidx[axis], dx[axis]):
-                    src = gidx[:axis] + (src_g,) + gidx[axis + 1 :]
-                    pieces.append((src, coeff * w))
             row = ef.dof(gidx)
-            for src, w in pieces:
+            for delta, w, value in pattern:
+                src = gidx[:axis] + (gidx[axis] + delta,) + gidx[axis + 1 :]
                 if pf.contains(src):
                     d_exact.append((row, pf.dof(src), w))
+                    values.append(value)
 
     num_p = eps_fields[0].offset
     num_dofs = fields[-1].offset + fields[-1].size
-    data = np.fromiter((to_float(w) for (_, _, w) in d_exact), dtype=float, count=len(d_exact))
+    data = np.array(values, dtype=float)
     rows = np.fromiter((r for (r, _, _) in d_exact), dtype=np.int64, count=len(d_exact)) - num_p
     cols = np.fromiter((c for (_, c, _) in d_exact), dtype=np.int64, count=len(d_exact))
     D = sparse.coo_matrix((data, (rows, cols)), shape=(num_dofs - num_p, num_p)).tocsr()
@@ -586,7 +586,14 @@ class _MidpointStepper:
         eye = sparse.identity(dsys.num_dofs, format="csr")
         self.dt = dt
         self.forward = (eye + (dt / 2.0) * a_mat).tocsr()
-        self.lu = splu((eye - (dt / 2.0) * a_mat).tocsc())
+        # the pattern is (nearly) symmetric and A is similar to a skew matrix:
+        # order A + A^T, prefer diagonal pivots (backward error is tested)
+        self.lu = splu(
+            (eye - (dt / 2.0) * a_mat).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.01,
+            options={"SymmetricMode": True},
+        )
 
     def step(self, state: np.ndarray, t: float, inputs: Sequence[InputChannel]):
         rhs = self.forward @ state
@@ -651,8 +658,10 @@ def simulate(
         raise ValueError(f"initial state must have {dsys.num_dofs} entries")
     if not np.all(np.isfinite(state)):
         raise ValueError("initial state has non-finite entries")
+    C, W = dsys.C, dsys.W
+    e = C @ state  # co-energy of the current state, one product per step
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = discrete_hamiltonian(dsys, state)
+        h0 = 0.5 * float(state @ (W * e))
     if not math.isfinite(h0):
         raise ValueError(f"initial state has non-finite energy: {h0!r}")
 
@@ -672,18 +681,19 @@ def simulate(
         for k in range(steps):
             t = k * dt
             new_state, u_values = stepper.step(state, t, inputs)
-            mid = 0.5 * (state + new_state)
-            e_mid = dsys.C @ mid
+            e_new = C @ new_state
             p_boundary = 0.0
             p_distributed = 0.0
-            for ch, u_val in zip(inputs, u_values):
-                p = float(e_mid @ ch.wvector) * u_val
-                if ch.kind == "boundary":
-                    p_boundary += p
-                else:
-                    p_distributed += p
-            state = new_state
-            h_new = discrete_hamiltonian(dsys, state)
+            if inputs:
+                e_mid = 0.5 * (e + e_new)  # C is linear: the co-energy at the midpoint
+                for ch, u_val in zip(inputs, u_values):
+                    p = float(e_mid @ ch.wvector) * u_val
+                    if ch.kind == "boundary":
+                        p_boundary += p
+                    else:
+                        p_distributed += p
+            state, e = new_state, e_new
+            h_new = 0.5 * float(state @ (W * e))
             if not math.isfinite(h_new):
                 raise ValueError(
                     f"energy is not finite after step {k + 1} (t = {(k + 1) * dt!r}): {h_new!r}"

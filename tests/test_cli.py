@@ -376,3 +376,20 @@ def test_build_refuses_constrained_file_without_operator(tmp_path, capsys):
     assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
     err = capsys.readouterr().err
     assert err.startswith("error: the kinematics do not determine F; state it"), err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("names = psi, w", "names = psi", "structure names line has 1 entries, operator expects 2"),
+        ("fields = psi, w", "fields = psi, w, q", "free field 'q' is used by no r item"),
+        ("\nr = psi, w", "", "with a fields line needs an r line"),
+    ],
+    ids=["names-short", "field-unused", "no-r-line"],
+)
+def test_build_refuses_structure_that_does_not_match_r(tmp_path, capsys, old, new, message):
+    path = tmp_path / "timoshenko.phsm"
+    path.write_text(_model_text("timoshenko", **{old: new}))
+    assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from phs_forge.build import assemble_phs
 from phs_forge.modelfile import parse_model
@@ -26,6 +27,7 @@ from phs_forge.simulate import (
     random_state,
     simulate,
     step_midpoint,
+    _stepper,
 )
 
 
@@ -269,6 +271,50 @@ def test_conservation_closed_systems_quick():
         state = random_state(dsys, seed=11)
         traj, log = simulate(dsys, dt=1e-3, steps=2000, state0=state)
         assert log.relative_drift <= 1e-11, (name, log.relative_drift)
+
+
+@pytest.mark.parametrize("name", SIMULABLE)
+def test_midpoint_solve_is_backward_stable(name):
+    """The fill-reducing ordering relaxes pivoting towards the diagonal; the
+    factored solve must still leave a roundoff-level residual."""
+    ell = _SYSTEMS[name].model.ell
+    cells = (64,) if ell == 1 else (8, 7)
+    faces = FACES[ell]
+    rng = np.random.default_rng(17)
+    for bc in (
+        {},
+        {face: "clamped" for face in faces},
+        {face: ("clamped" if k % 2 == 0 else "free") for k, face in enumerate(faces)},
+    ):
+        dsys = discretize(_SYSTEMS[name], GridSpec(cells), bc)
+        a_mat = sparse.diags(1.0 / dsys.W) @ dsys.J @ dsys.C
+        for dt in (1e-3, 1e-1):
+            midpoint = sparse.identity(dsys.num_dofs) - (dt / 2.0) * a_mat
+            r = rng.standard_normal(dsys.num_dofs)
+            y = _stepper(dsys, dt).lu.solve(r)
+            error = np.linalg.norm(midpoint @ y - r) / np.linalg.norm(r)
+            assert error <= 1e-12, (bc, dt, error)
+
+
+@pytest.mark.parametrize(
+    "name, cells, bc, bound",
+    [
+        ("rayleigh_beam", (128,), {"left": "clamped", "right": "clamped"}, 3_000),
+        ("mindlin_plate", (16, 16), {}, 55_000),
+    ],
+    ids=["rayleigh_beam-128-clamped", "mindlin_plate-16x16-free"],
+)
+def test_midpoint_factorization_fill(name, cells, bc, bound):
+    lu = _stepper(_dsys(name, cells, bc), 1e-3).lu
+    assert lu.L.nnz + lu.U.nnz <= bound
+
+
+def test_logged_energy_is_the_discrete_hamiltonian():
+    dsys = _dsys("timoshenko", (32,), {"left": "clamped", "right": "free"})
+    state = random_state(dsys, seed=6)
+    traj, log = simulate(dsys, dt=1e-3, steps=40, state0=state, record_every=20)
+    for step, _, snapshot in traj.snapshots:
+        assert log.energy[step] == discrete_hamiltonian(dsys, snapshot)
 
 
 def test_power_balance_with_boundary_traction():
