@@ -230,14 +230,16 @@ class BoundaryForm:
         """P(n) = sum_k Pk(k,1)^T n_k, the first-order boundary matrix."""
         out = zeros(self.op.n, self.op.m)
         for nk, mat_ in zip(normal, self.p_axes):
-            out = mat_add(out, mat_scale(mat_, fr(nk)))
+            if nk:
+                out = mat_add(out, mat_scale(mat_, fr(nk)))
         return out
 
     def q_partial(self, normal: Sequence[Fraction]) -> Matrix:
         """The full boundary form contracted with a concrete unit normal."""
         out = zeros(self.rows, self.cols)
         for nk, mat_ in zip(normal, self.q_axes):
-            out = mat_add(out, mat_scale(mat_, fr(nk)))
+            if nk:
+                out = mat_add(out, mat_scale(mat_, fr(nk)))
         return out
 
 

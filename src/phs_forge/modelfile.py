@@ -71,6 +71,11 @@ from .sections import (
 
 FORMAT_VERSION = 1
 
+# largest exponent accepted after '^', counting nested powers as their product
+# ((x^8)^8 is x^64); the builtin texts use at most 3, and an unbounded one
+# (10^100000000) would stall exact evaluation
+MAX_EXPONENT = 64
+
 
 class ParseError(ModelError):
     pass
@@ -184,6 +189,7 @@ class _ExprParser:
         self.env = env
         self.what = what
         self.text = text
+        self.chain = 1  # product of the nested exponents in the last atom
 
     def peek(self):
         return self.tokens[self.pos]
@@ -237,7 +243,9 @@ class _ExprParser:
         return self.power()
 
     def power(self):
+        outer, self.chain = self.chain, 1
         base = self.atom()
+        chain = self.chain
         if self.peek() == ("op", "^"):
             self.take()
             kind, val = self.take()
@@ -247,10 +255,16 @@ class _ExprParser:
                 kind, val = self.take()
             if kind != "num":
                 raise ParseError(f"exponent must be an integer literal in {self.text!r}")
-            n = int(val)
             if neg:
                 raise ParseError("negative exponents are not supported")
-            return base**n
+            n = int(val)
+            chain *= n
+            if chain > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {chain} exceeds the limit of {MAX_EXPONENT} in {self.text!r}"
+                )
+            base = base**n
+        self.chain = max(outer, chain)
         return base
 
     def atom(self):

@@ -168,16 +168,12 @@ class KinematicModel:
 def random_poly(rng: random.Random, coords: Sequence[str], degree: int) -> Poly:
     """Random polynomial with integer coefficients in {-3..3}."""
     coords = tuple(coords)
-    terms = {}
+    num = {}
     for exps in _exponents_up_to(len(coords), degree):
         c = rng.randint(-3, 3)
         if c:
-            terms[exps] = Fraction(c)
-    p = Poly(coords, terms)
-    if p.is_zero:
-        one = (0,) * len(coords)
-        p = Poly(coords, {one: Fraction(1)})
-    return p
+            num[exps] = c
+    return Poly._raw(coords, num or {(0,) * len(coords): 1})
 
 
 def _exponents_up_to(arity: int, degree: int):
@@ -266,14 +262,14 @@ def derive_operator(dist: Sequence[str], lambda1: PolyMatrix, lambda2: PolyMatri
             f"{refuse}: lambda1 r has {len(rows)} nonzero strain components "
             f"(voigt {[i + 1 for i in rows]}), but lambda2 has {d} rows"
         )
-    lam2 = [[p.extend(ALL_COORDS) for p in row] for row in lambda2.entries]
+    # each polynomial's coefficients, read once: terms builds a fresh dict
+    lam2 = [[p.extend(ALL_COORDS).terms for p in row] for row in lambda2.entries]
+    strain = {i: [col[i].terms for blk in blocks for col in blk] for i in rows}
     monomials = sorted(
-        {e for row in lam2 for p in row for e in p.terms}
-        | {e for blk in blocks for col in blk for i in rows for e in col[i].terms}
+        {e for row in lam2 for t in row for e in t} | {e for i in rows for t in strain[i] for e in t}
     )
     system = [
-        [p.terms.get(e, _Z) for p in lam2[a]]
-        + [col[i].terms.get(e, _Z) for blk in blocks for col in blk]
+        [t.get(e, _Z) for t in lam2[a]] + [t.get(e, _Z) for t in strain[i]]
         for a, i in enumerate(rows)
         for e in monomials
     ]

@@ -1,15 +1,20 @@
 """Exact multivariate polynomials over the rationals.
 
-A :class:`Poly` is a sparse map from dense exponent tuples to Fraction
-coefficients over a fixed, ordered tuple of coordinate names.  All arithmetic
-is exact; there is deliberately no factorization, gcd or symbolic-function
-machinery -- differentiation, definite integration and evaluation are the only
-calculus these polynomials need to support.
+A :class:`Poly` is a sparse map from dense exponent tuples to rational
+coefficients over a fixed, ordered tuple of coordinate names.  It is stored as
+integer numerators over one positive common denominator (the layout of FLINT's
+``fmpq_poly``), so sums, products and the calculus run in Python ints and each
+result is reduced once, by one gcd.  All arithmetic is exact; there is
+deliberately no factorization or symbolic-function machinery --
+differentiation, definite integration and evaluation are the only calculus
+these polynomials need to support.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, itemgetter
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .exact import ExactError, fr
@@ -18,7 +23,13 @@ Exponents = Tuple[int, ...]
 
 
 class Poly:
-    __slots__ = ("coords", "terms")
+    """``sum_e num[e] / den * z^e``, kept canonical: no zero numerator, ``den
+    >= 1``, ``gcd(den, *num.values()) == 1``, and ``den == 1`` for zero.  The
+    canonical form is unique, so equality and hashing compare ``num`` and
+    ``den`` directly.  Instances are immutable by convention: nothing writes to
+    ``num`` after construction."""
+
+    __slots__ = ("coords", "num", "den")
 
     def __init__(self, coords: Iterable[str], terms: Mapping[Exponents, Fraction]):
         coords = tuple(coords)
@@ -36,23 +47,42 @@ class Poly:
                 clean[exps] = clean.get(exps, Fraction(0)) + c
                 if clean[exps] == 0:
                     del clean[exps]
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so this is already canonical
+        den = lcm(*(c.denominator for c in clean.values()))
         self.coords = coords
-        self.terms = clean
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
 
     @classmethod
-    def _raw(cls, coords: Tuple[str, ...], terms: Dict[Exponents, Fraction]) -> "Poly":
-        """Wrap an already canonical term dict without copying or checking it.
+    def _raw(cls, coords: Tuple[str, ...], num: Dict[Exponents, int], den: int = 1) -> "Poly":
+        """The one constructor for results: integer numerators over ``den``,
+        reduced by their common gcd; the dict is not checked, and is copied
+        only when the gcd is not 1.
 
-        Canonical means: distinct coordinate names, exponent tuples of
-        non-negative ints of the right arity, Fraction values and no zero
-        coefficients.  Only ring and calculus results built from canonical
+        The caller guarantees distinct coordinate names, exponent tuples of
+        non-negative ints of the right arity, int values, no zero numerators
+        and ``den >= 1``.  Only ring and calculus results built from canonical
         operands go through here; everything else uses the validating
         constructor.
         """
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: n // g for e, n in num.items()}
         p = object.__new__(cls)
         p.coords = coords
-        p.terms = terms
+        p.num = num
+        p.den = den
         return p
+
+    @property
+    def terms(self) -> Dict[Exponents, Fraction]:
+        """The coefficients as a fresh ``{exponents: Fraction}`` dict (a
+        read-only view: writing to it does not change the polynomial)."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.num.items()}
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -75,21 +105,21 @@ class Poly:
     # -- queries -------------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(any(e) for e in self.num)
 
     def constant_value(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         if not self.is_constant():
             raise ExactError(f"polynomial {self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.num.values())), self.den)
 
     def degree_in(self, name: str) -> int:
         i = self.coords.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.num), default=0)
 
     def depends_on(self, name: str) -> bool:
         return self.degree_in(name) > 0
@@ -103,20 +133,33 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.coords, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        den = self.den
+        if den == other.den:
+            out = dict(self.num)
+            scale = 1
+        else:
+            den = lcm(den, other.den)
+            s = den // self.den
+            out = {e: n * s for e, n in self.num.items()}
+            scale = den // other.den
+        for e, n in other.num.items():
+            n *= scale
             if e in out:
-                c = out[e] + c
-                if not c:
+                n += out[e]
+                if not n:
                     del out[e]
                     continue
-            out[e] = c
-        return Poly._raw(self.coords, out)
+            out[e] = n
+        return Poly._raw(self.coords, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.coords, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.coords, {e: -n for e, n in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -128,20 +171,20 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = fr(other)
-            if not c:
+            if not other:
                 return Poly._raw(self.coords, {})
-            return Poly._raw(self.coords, {e: c * v for e, v in self.terms.items()})
+            p = other.numerator
+            out = {e: n * p for e, n in self.num.items()}
+            return Poly._raw(self.coords, out, self.den * other.denominator)
         self._check(other)
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if e in out:
-                    out[e] += c1 * c2
-                else:
-                    out[e] = c1 * c2
-        return Poly._raw(self.coords, {e: c for e, c in out.items() if c})
+        out: Dict[Exponents, int] = {}
+        get = out.get
+        right = list(other.num.items())
+        for e1, n1 in self.num.items():
+            for e2, n2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + n1 * n2
+        return Poly._raw(self.coords, {e: n for e, n in out.items() if n}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -158,29 +201,30 @@ class Poly:
             if isinstance(other, (int, Fraction)):
                 return self == Poly.constant(self.coords, other)
             return NotImplemented
-        return self.coords == other.coords and self.terms == other.terms
+        return self.coords == other.coords and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.coords, frozenset(self.terms.items())))
+        return hash((self.coords, self.den, frozenset(self.num.items())))
 
     # -- calculus -------------------------------------------------------------
     def diff(self, name: str) -> "Poly":
         """Partial derivative with respect to the named coordinate."""
         i = self.coords.index(name)
-        out: Dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            # e -> ne is one-to-one on the surviving terms: nothing to sum
-            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
-        return Poly._raw(self.coords, out)
+        out: Dict[Exponents, int] = {}
+        for e, n in self.num.items():
+            k = e[i]
+            if k:
+                # e -> ne is one-to-one on the surviving terms: nothing to sum
+                out[e[:i] + (k - 1,) + e[i + 1 :]] = n * k
+        return Poly._raw(self.coords, out, self.den)
 
     def antiderivative(self, name: str) -> "Poly":
+        """Antiderivative in ``name`` with zero constant, over the denominator
+        scaled by the lcm of the new exponents."""
         i = self.coords.index(name)
-        out: Dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            out[e[:i] + (e[i] + 1,) + e[i + 1 :]] = c / (e[i] + 1)
-        return Poly._raw(self.coords, out)
+        m = lcm(*{e[i] + 1 for e in self.num})
+        out = {e[:i] + (e[i] + 1,) + e[i + 1 :]: n * (m // (e[i] + 1)) for e, n in self.num.items()}
+        return Poly._raw(self.coords, out, self.den * m)
 
     def integrate(self, name: str, lo, hi) -> "Poly":
         """Exact definite integral over ``name`` in (lo, hi).
@@ -188,25 +232,50 @@ class Poly:
         The result lives over the same coordinate tuple with the integrated
         coordinate appearing with exponent zero everywhere.
         """
-        anti = self.antiderivative(name)
-        return anti.subs({name: fr(hi)}) - anti.subs({name: fr(lo)})
+        i = self.coords.index(name)
+        lo, hi = fr(lo), fr(hi)
+        a, b, c, d = hi.numerator, hi.denominator, lo.numerator, lo.denominator
+        top = max((e[i] for e in self.num), default=0) + 1
+        m = lcm(*range(1, top + 1))
+        bt, dt = b**top, d**top
+        # z^k integrates to (hi^j - lo^j) / j with j = k + 1; over the common
+        # denominator m (b d)^top that is the integer weights[k]
+        weights = []
+        for j in range(1, top + 1):
+            span = a**j * b ** (top - j) * dt - c**j * d ** (top - j) * bt
+            weights.append(span * (m // j))
+        out: Dict[Exponents, int] = {}
+        get = out.get
+        for e, n in self.num.items():
+            key = e[:i] + (0,) + e[i + 1 :]
+            out[key] = get(key, 0) + n * weights[e[i]]
+        return Poly._raw(self.coords, {e: n for e, n in out.items() if n}, self.den * m * bt * dt)
 
     def subs(self, assignment: Mapping[str, Fraction]) -> "Poly":
-        """Substitute rational values for a subset of the coordinates."""
-        idx = {self.coords.index(k): fr(v) for k, v in assignment.items()}
-        out: Dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            val = c
+        """Substitute rational values for a subset of the coordinates.
+
+        A value ``p/q`` for a coordinate of top degree ``t`` turns ``z^k`` into
+        ``p^k q^(t-k)`` over ``q^t``, so every term stays over one denominator.
+        """
+        den = self.den
+        tables = []
+        for name, v in assignment.items():
+            i = self.coords.index(name)
+            v = fr(v)
+            p, q = v.numerator, v.denominator
+            top = max((e[i] for e in self.num), default=0)
+            tables.append((i, [p**k * q ** (top - k) for k in range(top + 1)]))
+            den *= q**top
+        out: Dict[Exponents, int] = {}
+        get = out.get
+        for e, n in self.num.items():
             ne = list(e)
-            for i, v in idx.items():
-                val *= v ** e[i]
+            for i, powers in tables:
+                n *= powers[e[i]]
                 ne[i] = 0
             key = tuple(ne)
-            if key in out:
-                out[key] += val
-            else:
-                out[key] = val
-        return Poly._raw(self.coords, {e: c for e, c in out.items() if c})
+            out[key] = get(key, 0) + n
+        return Poly._raw(self.coords, {e: n for e, n in out.items() if n}, den)
 
     def eval(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value; every coordinate with a nonzero exponent must
@@ -222,18 +291,21 @@ class Poly:
         coords = tuple(coords)
         if len(set(coords)) != len(coords):
             raise ExactError(f"duplicate coordinate names: {coords}")
-        pos = []
         for c in self.coords:
             if c not in coords:
                 raise ExactError(f"target coordinates {coords} do not contain {c!r}")
-            pos.append(coords.index(c))
-        out: Dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(coords)
-            for p, expo in zip(pos, e):
-                ne[p] = expo
-            out[tuple(ne)] = c  # one-to-one: the positions are distinct
-        return Poly._raw(coords, out)
+        if coords == self.coords:
+            return self
+        # target slot j reads e[src[j]]; a new coordinate reads the padded 0
+        width = len(self.coords)
+        src = [self.coords.index(c) if c in self.coords else width for c in coords]
+        pick = itemgetter(*src)
+        if len(src) == 1:  # one index: itemgetter returns the item, not a tuple
+            out = {(pick(e + (0,)),): n for e, n in self.num.items()}
+        else:
+            # one-to-one: the positions are distinct
+            out = {pick(e + (0,)): n for e, n in self.num.items()}
+        return Poly._raw(coords, out, self.den)
 
     # -- display ---------------------------------------------------------------
     def __str__(self):
@@ -311,24 +383,26 @@ class PolyMatrix:
     __repr__ = __str__
 
 
+def _sum(coords: Tuple[str, ...], polys: Sequence[Poly]) -> Poly:
+    """sum of Polys over ``coords``, merged over the lcm of their denominators
+    and reduced once."""
+    den = lcm(*(p.den for p in polys))
+    out: Dict[Exponents, int] = {}
+    get = out.get
+    for p in polys:
+        scale = den // p.den
+        for e, n in p.num.items():
+            out[e] = get(e, 0) + n * scale
+    return Poly._raw(coords, {e: n for e, n in out.items() if n}, den)
+
+
 def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
     """sum_i u_i v_i over Polys sharing a coordinate tuple; a term with a
     zero factor is skipped."""
-    acc = Poly._raw(u[0].coords, {})
-    for a, b in zip(u, v):
-        if a.terms and b.terms:
-            acc = acc + a * b
-    return acc
+    return _sum(u[0].coords, [a * b for a, b in zip(u, v) if a.num and b.num])
 
 
 def mat_apply(matrix, fields: Sequence[Poly]) -> List[Poly]:
     """A rational matrix times a vector of Polys; zero entries are skipped."""
     coords = fields[0].coords
-    out = []
-    for row in matrix:
-        acc = Poly._raw(coords, {})
-        for c, f in zip(row, fields):
-            if c != 0:
-                acc = acc + f * c
-        out.append(acc)
-    return out
+    return [_sum(coords, [f * c for c, f in zip(row, fields) if c != 0]) for row in matrix]

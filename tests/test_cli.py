@@ -368,6 +368,26 @@ def test_every_compiling_command_rejects_a_non_rational_param(tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error: --param E expects a rational")
 
 
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+@pytest.mark.parametrize(
+    "value, exponent", [("10^65", 65), ("(10^8)^9", 72)], ids=["literal", "nested"]
+)
+def test_every_compiling_command_rejects_an_exponent_over_the_limit(
+    tmp_path, capsys, command, value, exponent
+):
+    # an unbounded exponent (E = 10^100000000) used to stall evaluation
+    from phs_forge.modelfile import MAX_EXPONENT
+
+    assert exponent > MAX_EXPONENT == 64
+    path = tmp_path / "huge.phsm"
+    path.write_text(_model_text("truss", **{"E = 1": f"E = {value}"}))
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    args = [command, "--file", str(path), "--out-dir", str(tmp_path), *extra]
+    assert main(args) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: exponent {exponent} exceeds the limit of 64"), err
+
+
 def test_build_refuses_constrained_file_without_operator(tmp_path, capsys):
     # rayleigh_beam: r = d1(w), w; its F is one point of a family, so it must be stated
     text = _model_text("rayleigh_beam", **{"[F]\nd1, d1^2\n\n": ""})

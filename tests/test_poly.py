@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,12 @@ def assert_canonical(r):
     for e, c in r.terms.items():
         assert len(e) == len(r.coords) and all(type(x) is int and x >= 0 for x in e)
         assert type(c) is F and c != 0
+    # the stored layout: int numerators over one reduced positive denominator
+    assert type(r.den) is int and r.den >= 1
+    assert all(type(n) is int and n != 0 for n in r.num.values())
+    assert gcd(r.den, *r.num.values()) == 1
+    assert r.num or r.den == 1
+    assert r.terms == {e: F(n, r.den) for e, n in r.num.items()}
 
 
 @settings(max_examples=120, deadline=None)
@@ -141,6 +148,17 @@ def test_ring_laws(abc):
     assert a - a == zero and (a + (-a)).terms == {}
     assert 0 * a == zero and a * 0 == zero and a * zero == zero
     assert 1 * a == a and a * Poly.constant(a.coords, 1) == a
+    # equal values built by different routes share one canonical form
+    for x, y in [
+        ((a + b) + c, a + (b + c)),
+        (a * b, b * a),
+        ((a + b) * c, a * c + b * c),
+        ((a + b) - b, a),
+        (a - a, zero),
+        (a * F(1, 3) * 3, a),
+        (Poly(a.coords, a.terms), a),
+    ]:
+        assert x == y and hash(x) == hash(y)
 
 
 @settings(max_examples=120, deadline=None)
@@ -158,6 +176,102 @@ def test_operation_results_are_canonical(data):
     ]
     for r in results:
         assert_canonical(r)
+
+
+# A Fraction-dict reference for the differential test: {exponents: Fraction}
+# with no zero values, built only from the drawn coefficients.
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + c
+    return ref_clean(out)
+
+
+def ref_scale(a, q):
+    return ref_clean({e: q * c for e, c in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_const(arity, q):
+    return ref_clean({(0,) * arity: F(q)})
+
+
+def ref_diff(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def ref_anti(a, i):
+    return {e[:i] + (e[i] + 1,) + e[i + 1 :]: c / (e[i] + 1) for e, c in a.items()}
+
+
+def ref_subs(a, i, v):
+    out = {}
+    for e, c in a.items():
+        key = e[:i] + (0,) + e[i + 1 :]
+        out[key] = out.get(key, F(0)) + c * v ** e[i]
+    return ref_clean(out)
+
+
+POINTS = st.builds(F, st.integers(-7, 7), st.sampled_from([2, 3, 5])).filter(
+    lambda x: x.denominator > 1
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_operations_match_a_fraction_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    coords = COORDS[:arity]
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    ta, tb, tc = (data.draw(st.dictionaries(exps, COEFFS, max_size=5)) for _ in range(3))
+    a, b, c = (Poly(coords, t) for t in (ta, tb, tc))
+    ta, tb, tc = ref_clean(ta), ref_clean(tb), ref_clean(tc)
+    i = data.draw(st.integers(0, arity - 1))
+    name = coords[i]
+    q = data.draw(COEFFS)
+    v, lo, hi = data.draw(POINTS), data.draw(POINTS), data.draw(POINTS)
+    neg_a = ref_scale(ta, F(-1))
+    anti = ref_anti(ta, i)
+    cases = [
+        (a + b, ref_add(ta, tb)),
+        (a - b, ref_add(ta, ref_scale(tb, F(-1)))),
+        (a * b, ref_mul(ta, tb)),
+        ((a + b) * c - a * c, ref_mul(tb, tc)),
+        (-a, neg_a),
+        (a - a, {}),
+        (q * a, ref_scale(ta, q)),
+        (a * q, ref_scale(ta, q)),
+        (3 * a, ref_scale(ta, F(3))),
+        (0 * a, {}),
+        (a + 2, ref_add(ta, ref_const(arity, 2))),
+        (1 - a, ref_add(neg_a, ref_const(arity, 1))),
+        (a**2, ref_mul(ta, ta)),
+        (a.diff(name), ref_diff(ta, i)),
+        (a.antiderivative(name), anti),
+        (a.integrate(name, lo, hi), ref_add(ref_subs(anti, i, hi), ref_scale(ref_subs(anti, i, lo), -1))),
+        (a.subs({name: v}), ref_subs(ta, i, v)),
+        (a.subs({name: q}), ref_subs(ta, i, q)),
+        (a.subs({name: 0}), ref_subs(ta, i, F(0))),
+        (a.extend(COORDS + ("x",)), {e + (0,) * (4 - arity): c for e, c in ta.items()}),
+    ]
+    for got, want in cases:
+        assert got.terms == want
+        assert_canonical(got)
+    assert a.eval(dict(zip(coords, [v] * arity))) == sum(c * v ** sum(e) for e, c in ta.items())
 
 
 def test_fundamental_theorem_randomized():
