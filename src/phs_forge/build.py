@@ -180,7 +180,8 @@ class BoundaryPortMap:
 
     u = u_matrix applied to the strain-side co-energy stack, y = the
     momentum-side stack itself; the stacks are plain co-energy vectors for
-    first-order operators and jets (field plus derivatives) otherwise.
+    first-order operators and jets (field plus derivatives) otherwise.  For
+    the normal +-e_a, u_matrix is +-Q_a of the system's boundary form.
     """
 
     normal: tuple
@@ -205,18 +206,12 @@ def boundary_port_map(sys: PHSystem, normal) -> BoundaryPortMap:
     nonzero = [i for i, x in enumerate(normal) if x != 0]
     if len(nonzero) != 1 or abs(normal[nonzero[0]]) != 1:
         raise BuildError("normal must be an axis-aligned unit vector")
+    a = nonzero[0]
     e_eps = [f"e_eps{j + 1}" for j in range(sys.m)]
     e_p = [f"e_p{i + 1}" for i in range(sys.n)]
-    if sys.op.order <= 1:
-        return BoundaryPortMap(
-            normal=normal,
-            u_matrix=sys.boundary.p_partial(normal),
-            u_arg_labels=e_eps,
-            y_labels=e_p,
-        )
     return BoundaryPortMap(
         normal=normal,
-        u_matrix=sys.boundary.q_partial(normal),
+        u_matrix=exact.mat_scale(sys.boundary.q_axes[a], normal[a]),
         u_arg_labels=_jet_labels(e_eps, sys.op.order, sys.model.ell),
         y_labels=_jet_labels(e_p, sys.op.order, sys.model.ell),
     )
@@ -322,7 +317,8 @@ def export_system(sys: PHSystem) -> dict:
         "adjoint": _op_json(sys.op_adjoint),
         "boundary": {
             "p_partial": {
-                f"n{k + 1}": _matrix_json(mat_) for k, mat_ in enumerate(sys.boundary.p_axes)
+                f"n{k}": _matrix_json(exact.transpose(sys.op.coeff(k, 1)))
+                for k in range(1, model.ell + 1)
             },
             "q_partial": {
                 f"n{k + 1}": _matrix_json(mat_) for k, mat_ in enumerate(sys.boundary.q_axes)

@@ -23,14 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import ExactError, fr, mat_add, mat_scale, transpose, zeros
+from .exact import ExactError, fr, mat_scale, transpose, zeros
 from .poly import Poly, dot, mat_apply
 
 Matrix = List[List[Fraction]]
-
-
-def _is_zero_matrix(a) -> bool:
-    return all(x == 0 for r in a for x in r)
 
 
 class DiffOpMatrix:
@@ -61,7 +57,7 @@ class DiffOpMatrix:
             mat_ = [[fr(x) for x in row] for row in mat_]
             if len(mat_) != m or any(len(r) != n for r in mat_):
                 raise ExactError(f"Pk({k},{i}) must be m x n")
-            if not _is_zero_matrix(mat_):
+            if any(x != 0 for row in mat_ for x in row):
                 clean[(k, i)] = mat_
         self.pk = clean
         self.order = max((i for (_, i) in clean), default=0)
@@ -167,11 +163,12 @@ def jet_layout(n_fields: int, order: int, ell: int) -> int:
 
 
 class BoundaryForm:
-    """The boundary quadratic form of an operator, stored contracted-by-
-    normal-later: one exact matrix per axis, so Q(n) = sum_k n_k * Q_k.
+    """The boundary quadratic form of an operator: one exact matrix Q_k per
+    axis.  On a box the faces with outward normal +-e_k carry +-Q_k, so the
+    boundary term is the flux of jet(w)^T Q_k jet(v) summed over the axes.
 
-    The assembled matrix has block layout (rows index the jet of the input
-    side w, columns the jet of the output side v):
+    Each Q_k has block layout (rows index the jet of the input side w,
+    columns the jet of the output side v):
 
         [ P      -W_2     W_3    ...  (-1)^(N-1) W_N ]
         [ V_2    -L_3     L_4    ...                 ]
@@ -179,18 +176,17 @@ class BoundaryForm:
         [ ...                                        ]
         [ V_N     0       ...                   0    ]
 
-    where P = sum_k Pk(k,1)^T n_k, W_i gathers Pk(k,i)^T n_k as a block row,
-    V_i as a block column, and L_i places them on an axis-diagonal.  Entries
-    whose order index exceeds N are zero.
+    where P = Pk(k,1)^T, W_i places Pk(k,i)^T in the axis-k slot of a block
+    row, V_i in that of a block column, and L_i on the axis-k diagonal.
+    Entries whose order index exceeds N are zero.
     """
 
-    __slots__ = ("op", "rows", "cols", "q_axes", "p_axes")
+    __slots__ = ("op", "rows", "cols", "q_axes")
 
     def __init__(self, op: DiffOpMatrix):
         self.op = op
         self.rows = jet_layout(op.n, op.order, op.ell)
         self.cols = jet_layout(op.m, op.order, op.ell)
-        self.p_axes = [transpose(op.coeff(k, 1)) for k in range(1, op.ell + 1)]
         self.q_axes = [self._assemble_axis(k) for k in range(1, op.ell + 1)]
 
     def _assemble_axis(self, k: int) -> Matrix:
@@ -226,22 +222,6 @@ class BoundaryForm:
                 paste(jet_layout(n, r, ell) + (k - 1) * n, jet_layout(m, c, ell) + (k - 1) * m, block)
         return big
 
-    def p_partial(self, normal: Sequence[Fraction]) -> Matrix:
-        """P(n) = sum_k Pk(k,1)^T n_k, the first-order boundary matrix."""
-        out = zeros(self.op.n, self.op.m)
-        for nk, mat_ in zip(normal, self.p_axes):
-            if nk:
-                out = mat_add(out, mat_scale(mat_, fr(nk)))
-        return out
-
-    def q_partial(self, normal: Sequence[Fraction]) -> Matrix:
-        """The full boundary form contracted with a concrete unit normal."""
-        out = zeros(self.rows, self.cols)
-        for nk, mat_ in zip(normal, self.q_axes):
-            if nk:
-                out = mat_add(out, mat_scale(mat_, fr(nk)))
-        return out
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -275,17 +255,6 @@ class DomainSpec:
     def ell(self) -> int:
         return len(self.axes)
 
-    def faces(self):
-        """Yield (axis_index, fixed_value, normal_vector) per boundary face."""
-        out = []
-        for a in range(self.ell):
-            lo, hi = self.bounds[a]
-            n_lo = tuple(Fraction(-1 if i == a else 0) for i in range(self.ell))
-            n_hi = tuple(Fraction(1 if i == a else 0) for i in range(self.ell))
-            out.append((a, lo, n_lo))
-            out.append((a, hi, n_hi))
-        return out
-
     def integrate(self, p: Poly) -> Fraction:
         """Exact integral of a polynomial over the whole domain."""
         acc = p
@@ -293,15 +262,17 @@ class DomainSpec:
             acc = acc.integrate(name, lo, hi)
         return acc.constant_value()
 
-    def integrate_face(self, p: Poly, face) -> Fraction:
-        """Exact integral over one face (evaluation at a point for ell = 1)."""
-        a, value, _ = face
-        acc = p.subs({self.axes[a]: value})
-        for i, name in enumerate(self.axes):
-            if i == a:
-                continue
-            lo, hi = self.bounds[i]
-            acc = acc.integrate(name, lo, hi)
+    def flux(self, p: Poly, axis: int) -> Fraction:
+        """Exact integral of ``p n_axis`` over the boundary, ``axis`` indexing
+        ``axes`` from 0.  The faces with normal +-e_axis differ only in sign,
+        so this is ``p|hi - p|lo`` along the axis integrated over the other
+        axes (a difference of endpoint values for ell = 1)."""
+        name = self.axes[axis]
+        lo, hi = self.bounds[axis]
+        acc = p.subs({name: hi}) - p.subs({name: lo})
+        for i, (other, (a, b)) in enumerate(zip(self.axes, self.bounds)):
+            if i != axis:
+                acc = acc.integrate(other, a, b)
         return acc.constant_value()
 
 
@@ -319,16 +290,12 @@ def boundary_pairing(
     form: Optional[BoundaryForm] = None,
 ) -> Fraction:
     """Boundary side of the adjoint identity via the assembled Q form
-    (``form`` defaults to the operator's own)."""
+    (``form`` defaults to the operator's own): one flux per axis."""
     if form is None:
         form = BoundaryForm(op)
     jw = jet(w, op.order, op.axes)
     jv = jet(v, op.order, op.axes)
-    total = Fraction(0)
-    for face in dom.faces():
-        q = form.q_partial(face[2])
-        total += dom.integrate_face(_pair(jw, q, jv), face)
-    return total
+    return sum((dom.flux(_pair(jw, q, jv), a) for a, q in enumerate(form.q_axes)), Fraction(0))
 
 
 def boundary_pairing_sum_form(
@@ -337,27 +304,17 @@ def boundary_pairing_sum_form(
     """Boundary side written as the raw alternating triple sum; used to
     cross-check the assembled block layout."""
     total = Fraction(0)
-    for face in dom.faces():
-        _, _, normal = face
-        for k in range(1, op.ell + 1):
-            nk = normal[k - 1]
-            if nk == 0:
-                continue
-            name = op.axes[k - 1]
-            for i in range(1, op.order + 1):
-                pki = op.coeff(k, i)
-                if _is_zero_matrix(pki):
-                    continue
-                for j in range(1, i + 1):
-                    sign = Fraction((-1) ** (j - 1))
-                    dw = list(w)
-                    for _ in range(i - j):
-                        dw = [f.diff(name) for f in dw]
-                    dv = list(v)
-                    for _ in range(j - 1):
-                        dv = [f.diff(name) for f in dv]
-                    pair = _pair(dw, transpose(pki), dv)
-                    total += sign * nk * dom.integrate_face(pair, face)
+    for (k, i), pki in op.pk.items():
+        name = op.axes[k - 1]
+        for j in range(1, i + 1):
+            sign = Fraction((-1) ** (j - 1))
+            dw = list(w)
+            for _ in range(i - j):
+                dw = [f.diff(name) for f in dw]
+            dv = list(v)
+            for _ in range(j - 1):
+                dv = [f.diff(name) for f in dv]
+            total += sign * dom.flux(_pair(dw, transpose(pki), dv), k - 1)
     return total
 
 

@@ -76,6 +76,10 @@ FORMAT_VERSION = 1
 # (10^100000000) would stall exact evaluation
 MAX_EXPONENT = 64
 
+# most digits in one integer literal: below Python's 4,300-digit limit on
+# int/str conversion, with room for an exponent product quoted in an error
+MAX_LITERAL_DIGITS = 4000
+
 
 class ParseError(ModelError):
     pass
@@ -166,6 +170,11 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
             if "." in m.group("num"):
                 raise ParseError(
                     f"decimal literal {m.group('num')!r} is not exact; write a rational like 3/10"
+                )
+            if len(m.group("num")) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal of {len(m.group('num'))} digits exceeds the limit of "
+                    f"{MAX_LITERAL_DIGITS} digits"
                 )
             out.append(("num", m.group("num")))
         elif m.group("name"):

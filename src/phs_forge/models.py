@@ -245,6 +245,7 @@ def derive_operator(dist: Sequence[str], lambda1: PolyMatrix, lambda2: PolyMatri
     refuse = "the kinematics do not determine F; state it"
     if lambda1.rows != 3:
         raise ModelError(f"{refuse}: lambda1 has {lambda1.rows} rows, not 3")
+    lambda1, lambda2 = lambda1.extend(ALL_COORDS), lambda2.extend(ALL_COORDS)
 
     def voigt(c: int, factor: Poly) -> List[Poly]:
         zero = Poly.zero(ALL_COORDS)
@@ -263,7 +264,7 @@ def derive_operator(dist: Sequence[str], lambda1: PolyMatrix, lambda2: PolyMatri
             f"(voigt {[i + 1 for i in rows]}), but lambda2 has {d} rows"
         )
     # each polynomial's coefficients, read once: terms builds a fresh dict
-    lam2 = [[p.extend(ALL_COORDS).terms for p in row] for row in lambda2.entries]
+    lam2 = [[p.terms for p in row] for row in lambda2.entries]
     strain = {i: [col[i].terms for blk in blocks for col in blk] for i in rows}
     monomials = sorted(
         {e for row in lam2 for t in row for e in t} | {e for i in rows for t in strain[i] for e in t}
@@ -379,6 +380,7 @@ def _strain_consistency(model: KinematicModel):
     """
     degree = max(model.order, 1) + 1
     zero = Poly.zero(ALL_COORDS)
+    lambda1, lambda2 = model.lambda1.extend(ALL_COORDS), model.lambda2.extend(ALL_COORDS)
     samples = []
     for j, name in enumerate(model.free_fields):
         for alpha in _exponents_up_to(model.ell, degree):
@@ -388,8 +390,8 @@ def _strain_consistency(model: KinematicModel):
                 free[spec[1]] if spec[0] == "free" else free[spec[1]].diff(model.dist[spec[2] - 1])
                 for spec in model.structure
             ]
-            voigt = full_voigt_strain(model.lambda1.apply(r))
-            samples.append((f"{name} = {mono}", voigt, model.lambda2.apply(model.op.apply(r))))
+            voigt = full_voigt_strain(lambda1.apply(r))
+            samples.append((f"{name} = {mono}", voigt, lambda2.apply(model.op.apply(r))))
     rows = [i for i in range(6) if any(not voigt[i].is_zero for _, voigt, _ in samples)]
     if len(rows) != model.d:
         return False, (

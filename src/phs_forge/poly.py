@@ -359,12 +359,17 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix([list(col) for col in zip(*self.entries)])
 
+    def extend(self, coords: Iterable[str]) -> "PolyMatrix":
+        """Reinterpret every entry over a superset coordinate tuple."""
+        return PolyMatrix([[p.extend(coords) for p in row] for row in self.entries])
+
     def apply(self, vec):
-        """Matrix times a vector of Polys (coordinates may be a superset)."""
+        """Matrix times a vector of Polys over the matrix's coordinates."""
         if len(vec) != self.cols:
             raise ExactError("dimension mismatch in PolyMatrix.apply")
-        coords = vec[0].coords
-        return [dot([p.extend(coords) for p in row], vec) for row in self.entries]
+        if any(p.coords != self.coords for p in vec):
+            raise ExactError(f"PolyMatrix.apply needs a vector over {self.coords}")
+        return [dot(row, vec) for row in self.entries]
 
     def col_is_zero(self, j: int) -> bool:
         return all(self.entries[i][j].is_zero for i in range(self.rows))

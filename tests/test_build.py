@@ -270,6 +270,18 @@ def test_boundary_port_map_second_order_uses_jets():
     assert pm.u_arg_labels == ["e_eps1", "d1 e_eps1"]
     assert len(pm.u_matrix) == 4 and len(pm.u_matrix[0]) == 2
 
+    # second order in 2D: the normal +-e_a gives +-Q_a, jets on both sides
+    sys_ = assemble_phs(builtin_model("kirchhoff_rayleigh"))
+    for a in range(2):
+        q = sys_.boundary.q_axes[a]
+        for sign in (1, -1):
+            normal = tuple(sign if i == a else 0 for i in range(2))
+            pm = boundary_port_map(sys_, normal)
+            assert pm.normal == normal
+            assert pm.u_matrix == [[sign * x for x in row] for row in q]
+            assert len(pm.y_labels) == len(q) == 9 and len(pm.u_arg_labels) == len(q[0]) == 9
+            assert pm.y_labels[3:6] == ["d1 e_p1", "d1 e_p2", "d1 e_p3"]
+
 
 def test_truss_boundary_pairing_sign():
     """Pairing value on constant co-energy fields is e_p e_eps at b minus at a."""

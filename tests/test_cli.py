@@ -388,6 +388,25 @@ def test_every_compiling_command_rejects_an_exponent_over_the_limit(
     assert err.startswith(f"error: exponent {exponent} exceeds the limit of 64"), err
 
 
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+@pytest.mark.parametrize(
+    "value, digits",
+    [("1" + "0" * 5000, 5001), ("2^" + "1" * 4401, 4401)],
+    ids=["value", "exponent"],
+)
+def test_every_compiling_command_rejects_an_integer_literal_over_the_limit(
+    tmp_path, capsys, command, value, digits
+):
+    # past Python's 4,300-digit int/str limit, int() used to escape as exit 1
+    path = tmp_path / "long.phsm"
+    path.write_text(_model_text("truss", **{"E = 1": f"E = {value}"}))
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    args = [command, "--file", str(path), "--out-dir", str(tmp_path), *extra]
+    assert main(args) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: integer literal of {digits} digits exceeds the limit"), err[:200]
+
+
 def test_build_refuses_constrained_file_without_operator(tmp_path, capsys):
     # rayleigh_beam: r = d1(w), w; its F is one point of a family, so it must be stated
     text = _model_text("rayleigh_beam", **{"[F]\nd1, d1^2\n\n": ""})

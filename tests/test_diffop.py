@@ -20,6 +20,7 @@ from phs_forge.diffop import (
     volume_mismatch,
     _pair,
 )
+from phs_forge.exact import mat_scale, transpose
 from phs_forge.models import builtin_model, random_poly
 from phs_forge.poly import Poly
 
@@ -150,19 +151,19 @@ def test_boundary_form_shape_law_all_builtins():
 
 
 def test_corollary_collapse_first_order():
-    form = BoundaryForm(timoshenko_op())
-    normal = (F(1),)
-    assert form.q_partial(normal) == form.p_partial(normal)
-    # P = Pk(1)^T n1: the identity for the Timoshenko coefficients
-    assert form.p_partial(normal) == [[F(1), F(0)], [F(0), F(1)]]
-    assert form.p_partial((F(-1),)) == [[F(-1), F(0)], [F(0), F(-1)]]
+    op = timoshenko_op()
+    form = BoundaryForm(op)
+    # first order: the whole form is its P block, Pk(1)^T, the identity for
+    # the Timoshenko coefficients; the face with normal -e1 carries -Q_1
+    assert form.q_axes == [transpose(op.coeff(1, 1))]
+    assert form.q_axes[0] == [[F(1), F(0)], [F(0), F(1)]]
+    assert mat_scale(form.q_axes[0], F(-1)) == [[F(-1), F(0)], [F(0), F(-1)]]
 
 
 def test_reddy_plate_boundary_matrix_golden():
     model = builtin_model("reddy_plate")
     form = BoundaryForm(model.op)
-    n1 = form.p_partial((F(1), F(0)))
-    n2 = form.p_partial((F(0), F(1)))
+    n1, n2 = form.q_axes  # first order: each Q_k is its P block
 
     def row(mat, i):
         return [int(x) for x in mat[i]]
@@ -184,8 +185,7 @@ def test_reddy_plate_boundary_matrix_golden():
 def test_mindlin_boundary_matrix_golden():
     model = builtin_model("mindlin_plate")
     form = BoundaryForm(model.op)
-    n1 = form.p_partial((F(1), F(0)))
-    n2 = form.p_partial((F(0), F(1)))
+    n1, n2 = form.q_axes  # first order: each Q_k is its P block
     assert [int(x) for x in n1[0]] == [1, 0, 0, 0, 0]
     assert [int(x) for x in n2[0]] == [0, 0, 1, 0, 0]
     assert [int(x) for x in n1[1]] == [0, 0, 1, 0, 0]
@@ -226,15 +226,14 @@ def test_kirchhoff_rayleigh_boundary_pairing_matches_hand_expression():
     p1, p2, p3 = e_p
     e1, e2, e3 = e_eps
     expected = F(0)
-    for face in dom.faces():
-        _, _, normal = face
-        n1, n2 = normal
-        integrand = (
-            n1 * (p1 * e3) + n2 * (p2 * e3)
-            - p3 * (n1 * e1.diff("z1") + n2 * e2.diff("z2"))
-            + n1 * (p3.diff("z1") * e1) + n2 * (p3.diff("z2") * e2)
-        )
-        expected += dom.integrate_face(integrand, face)
+    for a, (n1, n2) in enumerate([(1, 0), (0, 1)]):
+        for sign, value in zip((-1, 1), dom.bounds[a]):
+            integrand = (
+                n1 * (p1 * e3) + n2 * (p2 * e3)
+                - p3 * (n1 * e1.diff("z1") + n2 * e2.diff("z2"))
+                + n1 * (p3.diff("z1") * e1) + n2 * (p3.diff("z2") * e2)
+            )
+            expected += _face_integral(sign * integrand, dom, a, value)
     assert got == expected
 
 
@@ -341,6 +340,40 @@ def test_ibp_oracle_properties_on_random_operators(data):
     assert res == 0
     assert boundary_pairing(op, v, w, dom) == boundary_pairing_sum_form(op, v, w, dom)
     assert ibp_residual(op, v, w, dom, form=BoundaryForm(op), adjoint=op.formal_adjoint()) == res
+
+    # one flux per axis equals the face-by-face sum, for the operator's own
+    # form and for a perturbed one (same function, not only both zero-residual)
+    assert boundary_pairing(op, v, w, dom) == _per_face_pairing(op, v, w, dom, BoundaryForm(op))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    perturbed = BoundaryForm(op)
+    perturbed.q_axes = [
+        [[x + F(rng.randint(-3, 3), rng.randint(1, 3)) for x in row] for row in q]
+        for q in perturbed.q_axes
+    ]
+    assert boundary_pairing(op, v, w, dom, form=perturbed) == _per_face_pairing(
+        op, v, w, dom, perturbed
+    )
+
+
+def _face_integral(p, dom, axis, value):
+    """Integral of p over the face axes[axis] = value: an explicit subs, then
+    one integrate per other axis (a point value for ell = 1)."""
+    acc = p.subs({dom.axes[axis]: value})
+    for i, (name, (lo, hi)) in enumerate(zip(dom.axes, dom.bounds)):
+        if i != axis:
+            acc = acc.integrate(name, lo, hi)
+    return acc.constant_value()
+
+
+def _per_face_pairing(op, v, w, dom, form):
+    """The boundary pairing summed over all 2 ell faces, the face with outward
+    normal +-e_a pairing the jets through +-Q_a."""
+    jw, jv = jet(w, op.order, op.axes), jet(v, op.order, op.axes)
+    total = F(0)
+    for a, q in enumerate(form.q_axes):
+        for sign, value in zip((-1, 1), dom.bounds[a]):
+            total += _face_integral(_pair(jw, mat_scale(q, F(sign)), jv), dom, a, value)
+    return total
 
 
 @settings(max_examples=80, deadline=None)

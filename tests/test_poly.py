@@ -315,6 +315,20 @@ def test_poly_matrix_transpose():
     assert at.transpose() == a
 
 
+def test_poly_matrix_apply_needs_its_own_coordinates():
+    z3 = z(Z3, "z3")
+    a = PolyMatrix([[-z3, Poly.zero(Z3)], [Poly.constant(Z3, 1), z3]])
+    xyz = ("z1", "z2", "z3")
+    v = [Poly.variable(xyz, "z1"), Poly.constant(xyz, 2)]
+    with pytest.raises(ExactError):
+        a.apply(v)  # a superset is no longer extended entry by entry
+    wide = a.extend(xyz)
+    assert wide.coords == xyz
+    z3w = z3.extend(xyz)
+    assert wide.apply(v) == [-z3w * v[0], v[0] + z3w * 2]
+    assert a.apply([z3, z3]) == [-z3 * z3, z3 + z3 * z3]
+
+
 def test_poly_str_round_trips_through_parser():
     from phs_forge.modelfile import eval_poly
 
