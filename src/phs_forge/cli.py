@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .build import assemble_phs, export_system, write_matrix_csv
 from .exact import ExactError
-from .modelfile import parse_model_file, serialize_model
+from .modelfile import check_digits, parse_model_file, serialize_model
 from .models import ModelError, builtin_model, builtin_names, validate_model
 from .simulate import (
     GridSpec,
@@ -54,6 +54,7 @@ def _load_model(args):
             params[key] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ModelError(f"--param {key} expects a rational, got {value!r}") from None
+        check_digits(params[key], f"--param {key}")
     return builtin_model(args.builtin, params or None, validate=False)
 
 

@@ -53,6 +53,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -76,9 +77,12 @@ FORMAT_VERSION = 1
 # (10^100000000) would stall exact evaluation
 MAX_EXPONENT = 64
 
-# most digits in one integer literal: below Python's 4,300-digit limit on
-# int/str conversion, with room for an exponent product quoted in an error
+# most digits in one integer literal, and in the numerator or denominator of
+# an evaluated scalar: below Python's 4,300-digit limit on int/str conversion,
+# with room for an exponent product quoted in an error
 MAX_LITERAL_DIGITS = 4000
+# an integer of at most this many bits has at most MAX_LITERAL_DIGITS digits
+_MAX_BITS = math.floor(MAX_LITERAL_DIGITS * math.log2(10))
 
 
 class ParseError(ModelError):
@@ -295,12 +299,36 @@ class _ExprParser:
         raise ParseError(f"unexpected token in {self.text!r}")
 
 
+def _decimal_digits(n: int) -> int:
+    """Digits of a non-negative integer, counted without str(), which refuses
+    integers past Python's 4,300-digit limit."""
+    digits = max(1, int(n.bit_length() * math.log10(2)))  # exact or one short
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
+def check_digits(value: Fraction, what: str) -> Fraction:
+    """``value``, unless its numerator or denominator has more than
+    MAX_LITERAL_DIGITS digits: such a value could not be written out."""
+    for part, n in (("numerator", abs(value.numerator)), ("denominator", value.denominator)):
+        if n.bit_length() <= _MAX_BITS:
+            continue
+        digits = _decimal_digits(n)
+        if digits > MAX_LITERAL_DIGITS:
+            raise ParseError(
+                f"{what} has a {part} of {digits} digits, over the limit of "
+                f"{MAX_LITERAL_DIGITS} digits"
+            )
+    return value
+
+
 def eval_scalar(text: str, params: Dict[str, Fraction], what: str) -> Fraction:
     env = dict(params)
     val = _ExprParser(text, env, what).parse()
     if not isinstance(val, Fraction):
         raise ParseError(f"expected a rational value in {what}, got {text!r}")
-    return val
+    return check_digits(val, what)
 
 
 def eval_poly(text: str, coords: Tuple[str, ...], params: Dict[str, Fraction], what: str) -> Poly:

@@ -407,6 +407,35 @@ def test_every_compiling_command_rejects_an_integer_literal_over_the_limit(
     assert err.startswith(f"error: integer literal of {digits} digits exceeds the limit"), err[:200]
 
 
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("E = {x} * {x}", "parameter E has a numerator of 6000 digits"),
+        ("E = 1 / ({x} * {x})", "parameter E has a denominator of 6000 digits"),
+        ("--param E=1e5000", "--param E has a numerator of 5001 digits"),
+    ],
+    ids=["numerator", "denominator", "cli-param"],
+)
+def test_every_compiling_command_rejects_a_value_over_the_digit_limit(
+    tmp_path, capsys, command, source, message
+):
+    # every literal is under the limit; the evaluated value used to escape
+    # Python's int/str limit as exit 1 while the JSON was being written
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    out = tmp_path / "out"
+    if source.startswith("--param"):
+        model = ["--builtin", "truss", "--param", source.split(" ", 1)[1]]
+    else:
+        path = tmp_path / "big.phsm"
+        path.write_text(_model_text("truss", **{"E = 1": source.format(x="7" * 3000)}))
+        model = ["--file", str(path)]
+    assert main([command, *model, "--out-dir", str(out), *extra]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}, over the limit of 4000 digits"), err[:200]
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_build_refuses_constrained_file_without_operator(tmp_path, capsys):
     # rayleigh_beam: r = d1(w), w; its F is one point of a family, so it must be stated
     text = _model_text("rayleigh_beam", **{"[F]\nd1, d1^2\n\n": ""})

@@ -16,8 +16,12 @@ from phs_forge.build import assemble_phs
 from phs_forge.modelfile import parse_model
 from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.simulate import (
+    ENERGY_CSV_CHUNK,
+    EnergyLog,
     GridSpec,
+    InputChannel,
     SimulationUnsupported,
+    Trajectory,
     boundary_traction_input,
     difference_consistency_errors,
     discrete_hamiltonian,
@@ -27,6 +31,8 @@ from phs_forge.simulate import (
     random_state,
     simulate,
     step_midpoint,
+    write_energy_csv,
+    write_trajectory_csv,
     _stepper,
 )
 
@@ -296,6 +302,32 @@ def test_midpoint_solve_is_backward_stable(name):
             assert error <= 1e-12, (bc, dt, error)
 
 
+@pytest.mark.parametrize("name", SIMULABLE)
+def test_midpoint_step_satisfies_the_full_midpoint_equation(name):
+    """(I - hA) x+ = (I + hA) x + dt u b, h = dt/2, for the step as taken:
+    pins x+ = 2y - x and the h u scaling of the input in the midpoint solve."""
+    ell = _SYSTEMS[name].model.ell
+    cells = (64,) if ell == 1 else (8, 7)
+    faces = FACES[ell]
+    bc = {face: ("clamped" if k % 2 == 0 else "free") for k, face in enumerate(faces)}
+    dsys = discretize(_SYSTEMS[name], GridSpec(cells), bc)
+    rng = np.random.default_rng(23)
+    a_mat = sparse.diags(1.0 / dsys.W) @ dsys.J @ dsys.C
+    eye = sparse.identity(dsys.num_dofs)
+    b = rng.standard_normal(dsys.num_dofs)
+    channel = InputChannel("probe", "boundary", b, b * dsys.W, lambda t: np.cos(3.0 * t))
+    t = 0.25
+    for dt in (1e-3, 1e-1):
+        h = dt / 2.0
+        for inputs in ([], [channel]):
+            x = rng.standard_normal(dsys.num_dofs)
+            forcing = dt * np.cos(3.0 * (t + h)) * b if inputs else 0.0
+            x_new = step_midpoint(dsys, x, dt, inputs=inputs, t=t)
+            rhs = (eye + h * a_mat) @ x + forcing
+            error = np.linalg.norm((eye - h * a_mat) @ x_new - rhs) / np.linalg.norm(rhs)
+            assert error <= 1e-12, (dt, len(inputs), error)
+
+
 @pytest.mark.parametrize(
     "name, cells, bc, bound",
     [
@@ -427,8 +459,6 @@ def test_trajectory_snapshots_cadence():
 
 
 def test_csv_outputs(tmp_path):
-    from phs_forge.simulate import write_energy_csv, write_trajectory_csv
-
     dsys = _dsys("string", (8,))
     traj, log = simulate(dsys, dt=1e-2, steps=5, state0=random_state(dsys, 1), record_every=5)
     e_path = tmp_path / "energy.csv"
@@ -440,6 +470,51 @@ def test_csv_outputs(tmp_path):
     lines = t_path.read_text().splitlines()
     assert lines[0] == "step,time,label,node,value"
     assert len(lines) == 1 + 2 * dsys.num_dofs  # two snapshots
+
+
+def _reference_energy_csv(log):
+    """One formatted value at a time: the byte-level reference."""
+    out = ["step,time,H,boundary_power,distributed_power,residual\n"]
+    for k in range(len(log.energy)):
+        out.append(
+            f"{k},{log.times[k]:.17g},{log.energy[k]:.17g},"
+            f"{log.boundary_power[k]:.17g},{log.distributed_power[k]:.17g},"
+            f"{log.residual[k]:.17g}\n"
+        )
+    return "".join(out)
+
+
+def _reference_trajectory_csv(dsys, traj):
+    out = ["step,time,label,node,value\n"]
+    for step, t, state in traj.snapshots:
+        for f in dsys.fields:
+            for node, value in enumerate(state[f.offset : f.offset + f.size]):
+                out.append(f"{step},{t:.17g},{f.label},{node},{value:.17g}\n")
+    return "".join(out)
+
+
+def test_csv_writers_match_a_per_value_reference(tmp_path):
+    special = [-0.0, 1e-300, -1.5e300, 3.0, -2.0**60, 5e-324, 0.1]
+    rows = 2 * ENERGY_CSV_CHUNK + 5
+    rng = np.random.default_rng(8)
+    columns = [rng.standard_normal(rows) for _ in range(5)]
+    columns[0] = np.arange(rows) * 1e-3
+    for k, col in enumerate(columns):
+        col[k : k + len(special)] = special
+        col[ENERGY_CSV_CHUNK - 1] = special[k]
+    log = EnergyLog(*columns)
+    write_energy_csv(str(tmp_path / "energy.csv"), log)
+    assert (tmp_path / "energy.csv").read_bytes() == _reference_energy_csv(log).encode()
+
+    dsys = _dsys("timoshenko", (16,), {"left": "clamped", "right": "free"})
+    states = [rng.standard_normal(dsys.num_dofs) for _ in range(3)]
+    for state in states:
+        state[: len(special)] = special
+        state[-len(special) :] = special
+    traj = Trajectory([f.label for f in dsys.fields],
+                      [(0, 0.0, states[0]), (7, np.float64(7e-3), states[1]), (9, 1e-300, states[2])])
+    write_trajectory_csv(str(tmp_path / "traj.csv"), dsys, traj)
+    assert (tmp_path / "traj.csv").read_bytes() == _reference_trajectory_csv(dsys, traj).encode()
 
 
 def _operator_digest_update(h, dsys):
