@@ -18,7 +18,8 @@ from typing import List, Sequence
 
 from . import exact
 from .diffop import BoundaryForm, DiffOpMatrix
-from .exact import check_spd, fr, mat_inverse, scalar_json, to_float
+from .exact import PiRat, check_spd, fr, mat_inverse, scalar_json, to_float
+from .modelfile import check_digits
 from .models import KinematicModel, ModelError, validate_model
 from .poly import Poly, dot, mat_apply
 from .sections import section_moment  # re-exported: step-1 helper lives with sections
@@ -150,18 +151,27 @@ def _negate_entry(s: str) -> str:
     return f"-{s}"
 
 
+def _bounded(matrix, what: str):
+    """``matrix``, unless an entry (a section moment times a parameter)
+    passes the digit limit of model-file values: it could not be written out."""
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            check_digits(x.q if isinstance(x, PiRat) else fr(x), f"{what}[{i}][{j}]")
+    return matrix
+
+
 def assemble_phs(model: KinematicModel, validate: bool = True) -> PHSystem:
     """Run the compilation pipeline and attach the boundary machinery."""
     if validate:
         report = validate_model(model)
         if not report.ok:
             raise BuildError(str(report))
-    mass = mass_matrix(model)
-    stiffness = stiffness_matrix(model)
+    mass = _bounded(mass_matrix(model), "mass matrix M")
+    stiffness = _bounded(stiffness_matrix(model), "stiffness matrix K")
     return PHSystem(
         model=model,
         mass=mass,
-        mass_inv=mat_inverse(mass),
+        mass_inv=_bounded(mat_inverse(mass), "inverse mass matrix M^-1"),
         stiffness=stiffness,
         op=model.op,
         op_adjoint=model.op.formal_adjoint(),

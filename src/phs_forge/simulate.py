@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .build import PHSystem
-from .exact import fr, to_float
+from .exact import PiRat, fr, to_float
 from .poly import Poly
 
 FACES_1D = ("left", "right")
@@ -423,7 +423,8 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
         node, point = np.nonzero(np.all((src >= 0) & (src < np.array(pf.counts)[:, None, None]), axis=0))
         rows = ef.offset + node
         cols = pf.offset + np.ravel_multi_index(tuple(src[:, node, point]), pf.counts)
-        parts.append((rows, cols, np.array([to_float(w) for w in weights])[point]))
+        what = f"difference coefficient of {ef.label} on {pf.label}"
+        parts.append((rows, cols, np.array([_float(w, what) for w in weights])[point]))
         d_exact.extend(zip(rows.tolist(), cols.tolist(), map(weights.__getitem__, point.tolist())))
 
     num_p = eps_fields[0].offset
@@ -434,7 +435,10 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
     # quadrature weights: per-field outer products of the axis weights
     W = np.concatenate(
         [
-            reduce(np.multiply.outer, [np.array([to_float(x) for x in w]) for w in f.weights]).ravel()
+            reduce(
+                np.multiply.outer,
+                [np.array([_float(x, f"quadrature weight of {f.label}") for x in w]) for w in f.weights],
+            ).ravel()
             for f in fields
         ]
     )
@@ -448,7 +452,7 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
                 f"coupled components {f1.label} and {f2.label} have different "
                 "node sets; this model cannot be staggered consistently"
             )
-        data = np.full(f1.size, to_float(value))
+        data = np.full(f1.size, value)
         if scale is not None:
             data *= [
                 _scale_value(scale, [to_float(x) for x in f1.position(gidx, bounds, dx)])
@@ -461,14 +465,14 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
     inv_density = None
     if density_scale is not None:
         inv_density = lambda *pos: 1.0 / _scale_value(density_scale, pos)
-    for family, matrix, scale in (
-        (p_fields, sys.mass_inv, inv_density),
-        (eps_fields, sys.stiffness, stiffness_scale),
+    for family, matrix, scale, symbol in (
+        (p_fields, sys.mass_inv, inv_density, "inverse mass M^-1"),
+        (eps_fields, sys.stiffness, stiffness_scale, "stiffness K"),
     ):
         for i, f1 in enumerate(family):
             for j, f2 in enumerate(family):
                 if matrix[i][j] != 0:
-                    couple(f1, f2, matrix[i][j], scale)
+                    couple(f1, f2, _float(matrix[i][j], f"{symbol}[{i}][{j}]"), scale)
     c_rows, c_cols, c_data = _concat(c_parts)
     C = sparse.coo_matrix((c_data, (c_rows, c_cols)), shape=(num_dofs, num_dofs)).tocsr()
 
@@ -481,6 +485,21 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
 # ---------------------------------------------------------------------------
 # Energy, states, inputs
 # ---------------------------------------------------------------------------
+
+
+def _float(value, what: str) -> float:
+    """``value`` as a float; ValueError when it lies past the float range
+    (it overflows, or a nonzero value rounds to zero)."""
+    try:
+        out = to_float(value)
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out) or (out == 0.0 and value != 0):
+        q = value.q if isinstance(value, PiRat) else fr(value)
+        exponent = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+        exponent += getattr(value, "k", 0) * math.log10(math.pi)
+        raise ValueError(f"{what} is about 1e{exponent:+.0f}, outside the range of a float")
+    return out
 
 
 def _scale_value(scale, pos) -> float:
@@ -570,7 +589,7 @@ def distributed_input(
         raise ValueError("input column out of range")
     vector = np.zeros(dsys.num_dofs)
     for i, f in enumerate(dsys.p_fields):
-        coeff = to_float(bd[i][column])
+        coeff = _float(bd[i][column], f"input map Bd[{i}][{column}]")
         if coeff == 0.0:
             continue
         vector[f.offset : f.offset + f.size] = coeff
@@ -583,25 +602,72 @@ def distributed_input(
 # ---------------------------------------------------------------------------
 
 
+def pencil(dsys: DiscreteSystem):
+    """(M_v, K_v, S): the momentum-velocity form of the discrete system.
+
+    With velocities v = C_p p, the closed dynamics are
+    M_v v' = -K_v u and u' = v for a displacement u with eps = D u:
+    M_v = W_p C_p^-1 is block-diagonal per node and SPD, and
+    K_v = S^T C_eps W_eps^-1 S (formed as S^T C_eps D) is symmetric positive
+    semidefinite, with S = diag(W_eps) D the weighted flux block of J.
+    """
+    num_p = dsys.num_p
+    C = dsys.C
+    if C[:num_p, num_p:].nnz or C[num_p:, :num_p].nnz:
+        raise ValueError(
+            "the co-energy map couples momenta and strains; the pencil needs it block-diagonal"
+        )
+    c_p = C[:num_p, :num_p]
+    # couple() joins only components with the same node set, so C_p is one
+    # small block per node for each group of momentum fields that M^-1
+    # couples: invert the blocks (density scaling included)
+    mass_inv = dsys.system.mass_inv
+    group = list(range(len(dsys.p_fields)))
+    for i, j in itertools.combinations(range(len(group)), 2):
+        if mass_inv[i][j] != 0:
+            group = [group[i] if g == group[j] else g for g in group]
+    parts = []
+    for g in sorted(set(group)):
+        members = [f for f, h in zip(dsys.p_fields, group) if h == g]
+        k = len(members)
+        dofs = np.arange(members[0].size)[:, None] + [f.offset for f in members]  # (nodes, k)
+        blocks = np.empty((len(dofs), k, k))
+        for i, j in itertools.product(range(k), repeat=2):
+            blocks[:, i, j] = np.asarray(c_p[dofs[:, i], dofs[:, j]]).ravel()
+        inverse = np.linalg.inv(blocks)
+        parts.append((np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, k).ravel(), inverse.ravel()))
+    rows, cols, data = _concat(parts)
+    w_p, w_eps = dsys.W[:num_p], dsys.W[num_p:]
+    S = (sparse.diags(w_eps) @ dsys.D).tocsr()
+    M_v = sparse.coo_matrix((w_p[rows] * data, (rows, cols)), shape=(num_p, num_p)).tocsr()
+    K_v = (S.T @ (C[num_p:, num_p:] @ dsys.D)).tocsr()
+    return M_v, K_v, S
+
+
+# the velocity-Schur step beats the full solve from about this many unknowns
+SCHUR_MIN_DOFS = 4096
+
+
 class _MidpointStepper:
     """Implicit midpoint, (I - hA) x+ = (I + hA) x + dt sum u b with h = dt/2,
     solved as (I - hA) y = x + h sum u b for the midpoint state y, then
-    x+ = 2y - x: one solve and no forward product per step."""
+    x+ = 2y - x: one midpoint solve and no forward product per step.  The
+    subclasses hold the factorization (``lu``) and make the solve
+    (``_midpoint``)."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
-        a_mat = (sparse.diags(1.0 / dsys.W) @ dsys.J @ dsys.C).tocsr()
-        eye = sparse.identity(dsys.num_dofs, format="csr")
         self.dt = dt
-        # I + hA: no step uses it; its nnz is the base of the benchmark's fill ratio
-        self.forward = (eye + (dt / 2.0) * a_mat).tocsr()
-        # the pattern is (nearly) symmetric and A is similar to a skew matrix:
-        # order A + A^T, prefer diagonal pivots (backward error is tested)
-        self.lu = splu(
-            (eye - (dt / 2.0) * a_mat).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.01,
-            options={"SymmetricMode": True},
-        )
+        self._operator = (dsys.W, dsys.J, dsys.C)
+
+    def _a_matrix(self):
+        W, J, C = self._operator
+        return (sparse.diags(1.0 / W) @ J @ C).tocsr()
+
+    @property
+    def forward(self):
+        """I + hA, built when read: no step uses it."""
+        a_mat = self._a_matrix()
+        return (sparse.identity(a_mat.shape[0], format="csr") + (self.dt / 2.0) * a_mat).tocsr()
 
     def step(self, state: np.ndarray, t: float, inputs: Sequence[InputChannel]):
         h = self.dt / 2.0
@@ -615,17 +681,64 @@ class _MidpointStepper:
             u_values.append(u_val)
             if u_val != 0.0:
                 rhs = rhs + (h * u_val) * ch.vector
-        new_state = self.lu.solve(rhs)
+        new_state = self._midpoint(rhs)
         new_state *= 2.0
         new_state -= state
         return new_state, u_values
 
 
+class _FullMidpoint(_MidpointStepper):
+    """Factors the whole step matrix I - hA."""
+
+    def __init__(self, dsys: DiscreteSystem, dt: float):
+        super().__init__(dsys, dt)
+        eye = sparse.identity(dsys.num_dofs, format="csr")
+        # the pattern is (nearly) symmetric and A is similar to a skew matrix:
+        # order A + A^T, prefer diagonal pivots (backward error is tested)
+        self.lu = splu(
+            (eye - (dt / 2.0) * self._a_matrix()).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.01,
+            options={"SymmetricMode": True},
+        )
+
+    def _midpoint(self, rhs):
+        return self.lu.solve(rhs)
+
+
+class _SchurMidpoint(_MidpointStepper):
+    """Eliminates the strains and factors the SPD velocity matrix
+    M_v + h^2 K_v of the pencil.  For r = (r_p, r_eps) it solves
+    (M_v + h^2 K_v) v = W_p r_p - h S^T C_eps r_eps, then sets the midpoint
+    y = (C_p^-1 v, r_eps + h D v)."""
+
+    def __init__(self, dsys: DiscreteSystem, dt: float):
+        super().__init__(dsys, dt)
+        h = dt / 2.0
+        num_p = self.num_p = dsys.num_p
+        M_v, K_v, S = pencil(dsys)
+        w_p = dsys.W[:num_p]
+        # reduce: r -> right-hand side of the velocity solve; lift: v -> y - (0, r_eps)
+        self.reduce = sparse.hstack([sparse.diags(w_p), -h * (S.T @ dsys.C[num_p:, num_p:])], format="csr")
+        self.lift = sparse.vstack([sparse.diags(1.0 / w_p) @ M_v, h * dsys.D], format="csr")
+        self.lu = splu(
+            (M_v + h * h * K_v).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+
+    def _midpoint(self, rhs):
+        y = self.lift @ self.lu.solve(self.reduce @ rhs)
+        y[self.num_p :] += rhs[self.num_p :]
+        return y
+
+
 def _stepper(dsys: DiscreteSystem, dt: float) -> _MidpointStepper:
     stepper = dsys._steppers.get(dt)
     if stepper is None:
-        stepper = _MidpointStepper(dsys, dt)
-        dsys._steppers[dt] = stepper
+        kind = _SchurMidpoint if dsys.num_dofs >= SCHUR_MIN_DOFS else _FullMidpoint
+        stepper = dsys._steppers[dt] = kind(dsys, dt)
     return stepper
 
 

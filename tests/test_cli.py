@@ -436,6 +436,53 @@ def test_every_compiling_command_rejects_a_value_over_the_digit_limit(
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+def test_every_compiling_command_rejects_a_derived_value_over_the_digit_limit(
+    tmp_path, capsys, command
+):
+    # each value has 3,001 digits; the mass rho A has 6,001 and used to escape
+    # Python's int/str limit as exit 1 while the system was being written
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    out = tmp_path / "out"
+    params = ["--param", "rho=1e3000", "--param", "A=1e3000"]
+    assert main([command, "--builtin", "truss", *params, "--out-dir", str(out), *extra]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    expected = "error: mass matrix M[0][0] has a numerator of 6001 digits, over the limit of 4000 digits"
+    assert err.startswith(expected), err[:200]
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("E=1e400", "stiffness K[0][0] is about 1e+400"),
+        ("E=1e-400", "stiffness K[0][0] is about 1e-400"),
+        ("rho=1e-400", "inverse mass M^-1[0][0] is about 1e+400"),
+    ],
+    ids=["overflow", "underflow", "inverse-overflow"],
+)
+def test_simulate_rejects_a_material_value_past_float_range(tmp_path, capsys, param, message):
+    # the exact value compiles; its float used to raise OverflowError (or turn to 0)
+    args = ["simulate", "--builtin", "truss", "--param", param, "--cells", "8", "--dt", "1/100",
+            "--steps", "2", "--out-dir", str(tmp_path)]
+    assert main(args) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}, outside the range of a float"), err[:200]
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_rejects_an_input_map_entry_past_float_range(tmp_path, capsys):
+    path = tmp_path / "truss.phsm"
+    path.write_text(_model_text("truss", **{"[Bd]\n1\n": "[Bd]\n1" + "0" * 400 + "\n"}))
+    out = tmp_path / "out"
+    args = ["simulate", "--file", str(path), "--cells", "8", "--dt", "1/100", "--steps", "2",
+            "--input", "distributed:0:const:1", "--out-dir", str(out)]
+    assert main(args) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error: input map Bd[0][0] is about 1e+400, outside the range of a float"), err[:200]
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_build_refuses_constrained_file_without_operator(tmp_path, capsys):
     # rayleigh_beam: r = d1(w), w; its F is one point of a family, so it must be stated
     text = _model_text("rayleigh_beam", **{"[F]\nd1, d1^2\n\n": ""})

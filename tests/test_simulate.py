@@ -33,6 +33,10 @@ from phs_forge.simulate import (
     step_midpoint,
     write_energy_csv,
     write_trajectory_csv,
+    SCHUR_MIN_DOFS,
+    pencil,
+    _FullMidpoint,
+    _SchurMidpoint,
     _stepper,
 )
 
@@ -302,10 +306,9 @@ def test_midpoint_solve_is_backward_stable(name):
             assert error <= 1e-12, (bc, dt, error)
 
 
-@pytest.mark.parametrize("name", SIMULABLE)
-def test_midpoint_step_satisfies_the_full_midpoint_equation(name):
-    """(I - hA) x+ = (I + hA) x + dt u b, h = dt/2, for the step as taken:
-    pins x+ = 2y - x and the h u scaling of the input in the midpoint solve."""
+def _check_full_midpoint_equation(name, stepper_kind=None):
+    """(I - hA) x+ = (I + hA) x + dt u b, h = dt/2, for the step as taken,
+    with ``stepper_kind`` installed in place of the one _stepper picks."""
     ell = _SYSTEMS[name].model.ell
     cells = (64,) if ell == 1 else (8, 7)
     faces = FACES[ell]
@@ -318,6 +321,8 @@ def test_midpoint_step_satisfies_the_full_midpoint_equation(name):
     channel = InputChannel("probe", "boundary", b, b * dsys.W, lambda t: np.cos(3.0 * t))
     t = 0.25
     for dt in (1e-3, 1e-1):
+        if stepper_kind is not None:
+            dsys._steppers[dt] = stepper_kind(dsys, dt)
         h = dt / 2.0
         for inputs in ([], [channel]):
             x = rng.standard_normal(dsys.num_dofs)
@@ -326,6 +331,125 @@ def test_midpoint_step_satisfies_the_full_midpoint_equation(name):
             rhs = (eye + h * a_mat) @ x + forcing
             error = np.linalg.norm((eye - h * a_mat) @ x_new - rhs) / np.linalg.norm(rhs)
             assert error <= 1e-12, (dt, len(inputs), error)
+
+
+@pytest.mark.parametrize("name", SIMULABLE)
+def test_midpoint_step_satisfies_the_full_midpoint_equation(name):
+    """Pins x+ = 2y - x and the h u scaling of the input in the midpoint solve."""
+    _check_full_midpoint_equation(name)
+
+
+@pytest.mark.parametrize("name", SIMULABLE)
+def test_schur_step_satisfies_the_full_midpoint_equation(name):
+    """The velocity-Schur step solves the same equation as the full one."""
+    _check_full_midpoint_equation(name, _SchurMidpoint)
+
+
+@pytest.mark.parametrize("name", SIMULABLE)
+def test_schur_solve_is_backward_stable(name):
+    """The SPD velocity solve takes diagonal pivots only; it must stay at
+    roundoff far past the accuracy limits of the step, where the relaxed
+    pivots of the full factorization lose accuracy."""
+    ell = _SYSTEMS[name].model.ell
+    cells = (64,) if ell == 1 else (8, 7)
+    faces = FACES[ell]
+    rng = np.random.default_rng(29)
+    for bc in (
+        {},
+        {face: "clamped" for face in faces},
+        {face: ("clamped" if k % 2 == 0 else "free") for k, face in enumerate(faces)},
+    ):
+        dsys = discretize(_SYSTEMS[name], GridSpec(cells), bc)
+        M_v, K_v, _ = pencil(dsys)
+        for dt in (1e-3, 1e-1, 1.0, 10.0):
+            matrix = M_v + (dt / 2.0) ** 2 * K_v
+            r = rng.standard_normal(dsys.num_p)
+            v = _SchurMidpoint(dsys, dt).lu.solve(r)
+            scale = sparse.linalg.norm(matrix, 1) * np.linalg.norm(v, 1) + np.linalg.norm(r, 1)
+            error = np.linalg.norm(matrix @ v - r, 1) / scale
+            assert error <= 1e-15, (bc, dt, error)
+
+
+@pytest.mark.parametrize("name", SIMULABLE)
+def test_pencil_is_the_momentum_velocity_form(name):
+    """M_v = W_p C_p^-1 (per-node block inverse, density scaling included) is
+    symmetric positive definite; K_v = S^T C_eps D is symmetric and
+    v^T K_v v is twice the strain energy of eps = D v."""
+    ell = _SYSTEMS[name].model.ell
+    cells = (16,) if ell == 1 else (6, 5)
+    density = (lambda x: 1.0 + 0.5 * x) if ell == 1 else (lambda x, y: 1.0 + 0.5 * x * y)
+    dsys = discretize(_SYSTEMS[name], GridSpec(cells), {}, density_scale=density)
+    M_v, K_v, S = pencil(dsys)
+    num_p = dsys.num_p
+    w_p, w_eps = dsys.W[:num_p], dsys.W[num_p:]
+    c_p, c_eps = dsys.C[:num_p, :num_p], dsys.C[num_p:, num_p:]
+    rng = np.random.default_rng(31)
+    p = rng.standard_normal(num_p)
+    assert np.allclose(M_v @ (c_p @ p), w_p * p, rtol=1e-14, atol=1e-14 * np.abs(w_p * p).max())
+    for matrix in (M_v, K_v):
+        asym = abs(matrix - matrix.T).max()
+        assert asym <= 1e-14 * abs(matrix).max(), asym
+    assert np.linalg.eigvalsh(M_v.toarray()).min() > 0
+    assert abs(S - sparse.diags(w_eps) @ dsys.D).max() == 0
+    v = rng.standard_normal(num_p)
+    eps = dsys.D @ v
+    assert v @ (K_v @ v) == pytest.approx(eps @ (w_eps * (c_eps @ eps)), rel=1e-12)
+
+
+def test_pencil_refuses_a_coupled_co_energy_map():
+    dsys = _dsys("timoshenko", (8,))
+    coupling = sparse.coo_matrix(([1.0], ([0], [dsys.num_p])), shape=dsys.C.shape)
+    dsys.C = (dsys.C + coupling).tocsr()
+    with pytest.raises(ValueError, match="couples momenta and strains"):
+        pencil(dsys)
+
+
+def test_schur_runs_conserve_energy():
+    """The closed runs of test_conservation_closed_systems_quick and the
+    density- and stiffness-scaled string, on the velocity-Schur path."""
+    string = assemble_phs(builtin_model("string"))
+    cases = [
+        _dsys("string", (64,), {"left": "clamped", "right": "clamped"}),
+        _dsys("timoshenko", (32,), {"left": "clamped", "right": "free"}),
+        _dsys("rayleigh_beam", (32,), {"left": "clamped", "right": "clamped"}),
+        _dsys("elasticity2d", (8, 8)),
+        _dsys("reddy_plate", (6, 6)),
+        discretize(
+            string,
+            GridSpec((48,)),
+            {"left": "clamped", "right": "clamped"},
+            density_scale=lambda x: 1.0 + 0.5 * x,
+            stiffness_scale=lambda x: 2.0 - x,
+        ),
+    ]
+    for dsys in cases:
+        dsys._steppers[1e-3] = _SchurMidpoint(dsys, 1e-3)
+        _, log = simulate(dsys, dt=1e-3, steps=2000, state0=random_state(dsys, seed=11))
+        assert log.relative_drift <= 1e-11, (dsys.system.model.name, log.relative_drift)
+
+
+def test_stepper_picks_the_factorization_by_size():
+    small, large = _dsys("elasticity2d", (8, 8)), _dsys("elasticity2d", (32, 32))
+    assert small.num_dofs < SCHUR_MIN_DOFS <= large.num_dofs
+    assert type(_stepper(small, 1e-3)) is _FullMidpoint
+    assert type(_stepper(large, 1e-3)) is _SchurMidpoint
+    assert _stepper(large, 1e-3) is large._steppers[1e-3]
+
+
+@pytest.mark.parametrize("kind", [_FullMidpoint, _SchurMidpoint], ids=["full", "schur"])
+def test_both_factorizations_expose_fill_and_forward(kind):
+    """The benchmark reads lu.L, lu.U and forward.nnz of the cached stepper;
+    forward is I + hA, built when read."""
+    dsys = _dsys("mindlin_plate", (6, 6))
+    dt = 1e-3
+    dsys._steppers[dt] = kind(dsys, dt)
+    step_midpoint(dsys, dsys.zero_state(), dt)
+    stepper = dsys._steppers[dt]
+    assert stepper.lu.L.nnz > 0 and stepper.lu.U.nnz > 0
+    a_mat = sparse.diags(1.0 / dsys.W) @ dsys.J @ dsys.C
+    expected = sparse.identity(dsys.num_dofs) + (dt / 2.0) * a_mat
+    assert stepper.forward.nnz == expected.nnz
+    assert abs(stepper.forward - expected).max() == 0
 
 
 @pytest.mark.parametrize(
