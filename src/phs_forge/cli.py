@@ -55,13 +55,13 @@ def _load_model(args):
         except (ValueError, ZeroDivisionError):
             raise ModelError(f"--param {key} expects a rational, got {value!r}") from None
         check_digits(params[key], f"--param {key}")
-    return builtin_model(args.builtin, params or None, validate=False)
+    return builtin_model(args.builtin, params or None)
 
 
 def cmd_list_models(args) -> int:
     print(f"{'name':<20} {'ell':>3} {'N':>2} {'n':>2} {'m':>2} {'d':>2}  simulator")
     for name in builtin_names():
-        model = builtin_model(name, validate=False)
+        model = builtin_model(name)
         if model.ell == 3 or (model.ell == 2 and model.order >= 2):
             sim = "symbolic only"
         else:

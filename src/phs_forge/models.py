@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diffop import DiffOpMatrix, DomainSpec
 from .exact import check_spd, fr, row_reduce
@@ -53,12 +53,23 @@ def shear_pair(G) -> list:
     return [[G, Fraction(0)], [Fraction(0), G]]
 
 
+def _require_poisson(nu: Fraction, high: Fraction, what: str):
+    """Refuse a Poisson ratio outside (-1, high), where ``what`` divides by
+    zero or stops being positive definite."""
+    if not -1 < nu < high:
+        raise ModelError(f"parameter nu must lie in (-1, {high}) for {what}, got {nu}")
+
+
 def string_tension(T, A) -> list:
-    return [[fr(T) / fr(A)]]
+    A = fr(A)
+    if A <= 0:
+        raise ModelError(f"parameter A must be positive, got {A}")
+    return [[fr(T) / A]]
 
 
 def plane_stress(E, nu) -> list:
     E, nu = fr(E), fr(nu)
+    _require_poisson(nu, 1, "plane_stress")
     f = E / (1 - nu**2)
     return [
         [f, f * nu, Fraction(0)],
@@ -69,6 +80,7 @@ def plane_stress(E, nu) -> list:
 
 def iso3d(E, nu) -> list:
     E, nu = fr(E), fr(nu)
+    _require_poisson(nu, Fraction(1, 2), "iso3d")
     mu = E / (2 * (1 + nu))
     lam = nu * E / ((1 + nu) * (1 - 2 * nu))
     c = [[Fraction(0)] * 6 for _ in range(6)]
@@ -284,13 +296,10 @@ def derive_operator(dist: Sequence[str], lambda1: PolyMatrix, lambda2: PolyMatri
     return DiffOpMatrix(m, n, dist, p0=[row[:n] for row in x], pk=pk)
 
 
-def validate_model(model: KinematicModel, relax: Sequence[str] = ()) -> ValidationReport:
+def validate_model(model: KinematicModel) -> ValidationReport:
     checks: List[ValidationCheck] = []
-    relax = set(relax)
 
     def add(check_id: str, ok: bool, detail: str):
-        if check_id in relax:
-            return
         checks.append(ValidationCheck(check_id, ok, detail))
 
     # coordinate partition
@@ -416,29 +425,6 @@ def _strain_consistency(model: KinematicModel):
 # ---------------------------------------------------------------------------
 
 
-def _merge_params(defaults: Dict[str, str], params: Optional[Dict]) -> Dict[str, Fraction]:
-    out = {k: fr(v) for k, v in defaults.items()}
-    for k, v in (params or {}).items():
-        if k not in defaults:
-            raise ModelError(f"unknown parameter {k!r}; expected one of {sorted(defaults)}")
-        out[k] = fr(v)
-    return out
-
-
-def _require_positive(p: Dict[str, Fraction], *names: str):
-    for name in names:
-        if p[name] <= 0:
-            raise ModelError(f"parameter {name} must be positive, got {p[name]}")
-
-
-def _shear_modulus(p: Dict[str, Fraction]) -> Fraction:
-    if p.get("G", 0) != 0:
-        return p["G"]
-    if p.get("nu", 0) != 0:
-        return p["E"] / (2 * (1 + p["nu"]))
-    raise ModelError("supply G or nu")
-
-
 def _beam_section(p: Dict[str, Fraction]) -> Section:
     """Circle when R is set, abstract moments when A is set (I optional),
     otherwise the rectangle b x h."""
@@ -452,12 +438,50 @@ def _beam_section(p: Dict[str, Fraction]) -> Section:
     return RectangleSection(p["b"], p["h"])
 
 
-def _interval_domain() -> DomainSpec:
-    return DomainSpec.interval(0, 1)
+# family -> (distributed, complementary coordinates, domain, section of the params)
+_FAMILIES = {
+    "beam": (("z1",), ("z2", "z3"), lambda: DomainSpec.interval(0, 1), _beam_section),
+    "plate": (
+        ("z1", "z2"),
+        ("z3",),
+        lambda: DomainSpec.rectangle(0, 1, 0, 1),
+        lambda p: IntervalSection(p["h"]),
+    ),
+    "solid": (
+        ("z1", "z2", "z3"),
+        (),
+        lambda: DomainSpec.box(((0, 1), (0, 1), (0, 1))),
+        lambda p: PointSection(),
+    ),
+}
 
 
-def _rect_domain() -> DomainSpec:
-    return DomainSpec.rectangle(0, 1, 0, 1)
+@dataclass(frozen=True)
+class _Builtin:
+    """What one builtin states; ``builtin_model`` does the rest.
+
+    ``kinematics(p, z2, z3)`` returns the rows of lambda1 and lambda2 (ints
+    or polynomials in the family's complementary coordinates; z2 and z3 are
+    None outside them).  ``derived`` names the parameters computed when not
+    given: "G" from E and nu (when nu is given or nonzero by default), "alpha"
+    as 4/(3 t^2) for the thickness t.
+    ``op`` is stated only when r holds a slope or the model is reduced.
+    Every model built from an entry shares its ``op`` and ``bd``; nothing
+    changes them in place.
+    """
+
+    family: str
+    defaults: Dict[str, object]
+    positive: Tuple[str, ...]
+    kinematics: Callable
+    cmat: Callable
+    r_names: Tuple[str, ...]
+    derived: Tuple[str, ...] = ()
+    op: Optional[DiffOpMatrix] = None
+    free_fields: Tuple[str, ...] = ()
+    structure: Tuple[RComp, ...] = ()
+    strain_check: bool = True
+    bd: Optional[list] = None
 
 
 _Z = Fraction(0)
@@ -474,439 +498,213 @@ def _poly_rows(coords, rows) -> PolyMatrix:
     return PolyMatrix(out)
 
 
-def _truss(params):
-    p = _merge_params({"E": 1, "rho": 1, "A": 1, "I": 0, "b": 0, "h": 0, "R": 0}, params)
-    _require_positive(p, "E", "rho")
-    comp = ("z2", "z3")
-    lam1 = _poly_rows(comp, [[1], [0], [0]])
-    lam2 = _poly_rows(comp, [[1]])
-    return KinematicModel(
-        "truss",
-        ("z1",),
-        comp,
-        _interval_domain(),
-        _beam_section(p),
-        lam1,
-        lam2,
-        None,
-        scalar_young(p["E"]),
-        p["rho"],
-        bd=[[_ONE]],
-        params=p,
-        r_names=("u1",),
-    )
+def _diag(*entries) -> list:
+    return [[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)]
 
 
-def _string(params):
-    p = _merge_params({"T": 1, "rho": 1, "A": 1, "b": 0, "h": 0, "R": 0, "I": 0}, params)
-    _require_positive(p, "T", "rho")
-    comp = ("z2", "z3")
-    lam1 = _poly_rows(comp, [[0], [0], [1]])
-    lam2 = _poly_rows(comp, [[1]])
+def _reddy_factors(z3: Poly, alpha: Fraction):
+    """Bending factor g, cubic warping and shear factor of third-order kinematics."""
+    return -(z3 - alpha * z3**3), -alpha * z3**3, 1 - 3 * alpha * z3**2
+
+
+def _reddy_beam_kinematics(p, z2, z3):
+    g, cubic, shear = _reddy_factors(z3, p["alpha"])
+    return [[g, 0, cubic], [0, 0, 0], [0, 1, 0]], [[g, 0, cubic], [0, shear, 0]]
+
+
+def _reddy_plate_kinematics(p, z2, z3):
+    g, cubic, shear = _reddy_factors(z3, p["alpha"])
+    lam1 = [[g, 0, 0, cubic, 0], [0, g, 0, 0, cubic], [0, 0, 1, 0, 0]]
+    lam2 = [
+        [g, 0, 0, 0, 0, cubic, 0, 0],
+        [0, g, 0, 0, 0, 0, cubic, 0],
+        [0, 0, g, 0, 0, 0, 0, cubic],
+        [0, 0, 0, shear, 0, 0, 0, 0],
+        [0, 0, 0, 0, shear, 0, 0, 0],
+    ]
+    return lam1, lam2
+
+
+def _string_tension(p):
+    if p["R"] > 0:
+        raise ModelError(
+            "string needs a rational section area: give A, or b and h, instead of R "
+            "(a circle's area carries a factor of pi)"
+        )
     section = _beam_section(p)
-    area = section.integrate(Poly.constant(section.coords, 1))
-    return KinematicModel(
-        "string",
-        ("z1",),
-        comp,
-        _interval_domain(),
-        section,
-        lam1,
-        lam2,
-        None,
-        string_tension(p["T"], area),
-        p["rho"],
-        params=p,
-        r_names=("w",),
-    )
+    return string_tension(p["T"], section.integrate(Poly.constant(section.coords, 1)))
 
 
-def _torsion(params):
-    p = _merge_params({"G": 1, "rho": 1, "R": 1, "b": 0, "h": 0}, params)
-    _require_positive(p, "G", "rho")
-    comp = ("z2", "z3")
-    z2 = Poly.variable(comp, "z2")
-    z3 = Poly.variable(comp, "z3")
-    lam1 = _poly_rows(comp, [[0], [z3], [-z2]])
-    lam2 = PolyMatrix([[z3], [-z2]])
-    if p.get("R", 0) > 0:
-        section: Section = CircleSection(p["R"])
-    else:
-        section = RectangleSection(p["b"], p["h"])
-    return KinematicModel(
-        "torsion",
-        ("z1",),
-        comp,
-        _interval_domain(),
-        section,
-        lam1,
-        lam2,
-        None,
-        shear_pair(p["G"]),
-        p["rho"],
-        params=p,
-        r_names=("theta",),
-    )
+_BEAM = {"E": 1, "rho": 1, "b": 1, "h": 1, "A": 0, "I": 0, "R": 0}
+_PLATE = {"E": 1, "nu": "3/10", "rho": 1, "h": 1}
 
-
-def torsion_two_strain(params=None) -> KinematicModel:
-    """Reference fixture: torsion with the shear strains kept separate
-    (m = 2); aggregates to the reduced builtin through the polar moment."""
-    base = _torsion(params)
-    comp = base.comp
-    z2 = Poly.variable(comp, "z2")
-    z3 = Poly.variable(comp, "z3")
-    lam2 = PolyMatrix([[z3, Poly.zero(comp)], [Poly.zero(comp), -z2]])
-    return replace(base, name="torsion_two_strain", lambda2=lam2, op=None)
-
-
-def _timoshenko(params):
-    p = _merge_params(
-        {"E": 1, "G": 0, "nu": 0, "kappa": "5/6", "rho": 1, "b": 1, "h": 1, "A": 0, "I": 0, "R": 0},
-        params,
-    )
-    p["G"] = p["G"] if (p["G"] != 0 or p["nu"] != 0) else Fraction(1)
-    p["G"] = _shear_modulus(p)
-    _require_positive(p, "E", "G", "kappa", "rho")
-    comp = ("z2", "z3")
-    z3 = Poly.variable(comp, "z3")
-    zero = Poly.zero(comp)
-    one = Poly.constant(comp, 1)
-    lam1 = PolyMatrix([[-z3, zero], [zero, zero], [zero, one]])
-    lam2 = PolyMatrix([[-z3, zero], [zero, one]])
-    cmat = [[p["E"], _Z], [_Z, p["kappa"] * p["G"]]]
-    return KinematicModel(
-        "timoshenko",
-        ("z1",),
-        comp,
-        _interval_domain(),
-        _beam_section(p),
-        lam1,
-        lam2,
-        None,
-        cmat,
-        p["rho"],
-        params=p,
-        r_names=("psi", "w"),
-    )
-
-
-def _rayleigh_beam(params):
-    p = _merge_params({"E": 1, "rho": 1, "b": 1, "h": 1, "A": 0, "I": 0, "R": 0}, params)
-    _require_positive(p, "E", "rho")
-    comp = ("z2", "z3")
-    z3 = Poly.variable(comp, "z3")
-    zero = Poly.zero(comp)
-    one = Poly.constant(comp, 1)
-    lam1 = PolyMatrix([[-z3, zero], [zero, zero], [zero, one]])
-    lam2 = PolyMatrix([[-z3 * Fraction(1, 2)]])
-    op = DiffOpMatrix(1, 2, ("z1",), pk={(1, 1): [[1, 0]], (1, 2): [[0, 1]]})
-    return KinematicModel(
-        "rayleigh_beam",
-        ("z1",),
-        comp,
-        _interval_domain(),
-        _beam_section(p),
-        lam1,
-        lam2,
-        op,
-        scalar_young(p["E"]),
-        p["rho"],
-        params=p,
-        r_names=("theta", "w"),
+BUILTINS = {
+    "truss": _Builtin(
+        "beam",
+        {**_BEAM, "A": 1, "b": 0, "h": 0},
+        ("E", "rho"),
+        lambda p, z2, z3: ([[1], [0], [0]], [[1]]),
+        lambda p: scalar_young(p["E"]),
+        ("u1",),
+        bd=[[_ONE]],
+    ),
+    "string": _Builtin(
+        "beam",
+        {"T": 1, "rho": 1, "A": 1, "b": 0, "h": 0, "R": 0, "I": 0},
+        ("T", "rho"),
+        lambda p, z2, z3: ([[0], [0], [1]], [[1]]),
+        _string_tension,
+        ("w",),
+    ),
+    "torsion": _Builtin(
+        "beam",
+        {"G": 1, "rho": 1, "R": 1, "b": 0, "h": 0},
+        ("G", "rho"),
+        lambda p, z2, z3: ([[0], [z3], [-z2]], [[z3], [-z2]]),
+        lambda p: shear_pair(p["G"]),
+        ("theta",),
+    ),
+    "timoshenko": _Builtin(
+        "beam",
+        {**_BEAM, "G": 1, "nu": 0, "kappa": "5/6"},
+        ("E", "G", "kappa", "rho"),
+        lambda p, z2, z3: ([[-z3, 0], [0, 0], [0, 1]], [[-z3, 0], [0, 1]]),
+        lambda p: [[p["E"], _Z], [_Z, p["kappa"] * p["G"]]],
+        ("psi", "w"),
+        derived=("G",),
+    ),
+    "rayleigh_beam": _Builtin(
+        "beam",
+        _BEAM,
+        ("E", "rho"),
+        lambda p, z2, z3: ([[-z3, 0], [0, 0], [0, 1]], [[-z3 * Fraction(1, 2)]]),
+        lambda p: scalar_young(p["E"]),
+        ("theta", "w"),
+        op=DiffOpMatrix(1, 2, ("z1",), pk={(1, 1): [[1, 0]], (1, 2): [[0, 1]]}),
         free_fields=("w",),
         structure=(("d", 0, 1), ("free", 0)),
-    )
-
-
-def _euler_bernoulli(params):
-    p = _merge_params({"E": 1, "rho": 1, "b": 1, "h": 1, "A": 0, "I": 0, "R": 0}, params)
-    _require_positive(p, "E", "rho")
-    comp = ("z2", "z3")
-    z3 = Poly.variable(comp, "z3")
-    lam1 = _poly_rows(comp, [[0], [0], [1]])
-    lam2 = PolyMatrix([[-z3]])
-    op = DiffOpMatrix(1, 1, ("z1",), pk={(1, 2): [[1]]})
+    ),
     # Reduction of the slope-augmented bending beam: rotary inertia dropped,
     # shear rigidity imposed.  lambda1 keeps only the transverse motion whose
     # kinetic energy survives, so the generic strain check does not apply.
-    return KinematicModel(
-        "euler_bernoulli",
-        ("z1",),
-        comp,
-        _interval_domain(),
-        _beam_section(p),
-        lam1,
-        lam2,
-        op,
-        scalar_young(p["E"]),
-        p["rho"],
-        params=p,
-        r_names=("w",),
+    "euler_bernoulli": _Builtin(
+        "beam",
+        _BEAM,
+        ("E", "rho"),
+        lambda p, z2, z3: ([[0], [0], [1]], [[-z3]]),
+        lambda p: scalar_young(p["E"]),
+        ("w",),
+        op=DiffOpMatrix(1, 1, ("z1",), pk={(1, 2): [[1]]}),
         strain_check=False,
-    )
-
-
-def _reddy_beam(params):
-    p = _merge_params(
-        {"E": 1, "G": 0, "nu": 0, "rho": 1, "b": 1, "h": 1, "R": 0, "alpha": 0}, params
-    )
-    p["G"] = p["G"] if (p["G"] != 0 or p["nu"] != 0) else Fraction(1)
-    p["G"] = _shear_modulus(p)
-    _require_positive(p, "E", "G", "rho")
-    thickness = 2 * p["R"] if p.get("R", 0) > 0 else p["h"]
-    alpha = p["alpha"] if params and "alpha" in params else 4 / (3 * thickness**2)
-    p["alpha"] = alpha
-    comp = ("z2", "z3")
-    z3 = Poly.variable(comp, "z3")
-    zero = Poly.zero(comp)
-    one = Poly.constant(comp, 1)
-    g = -(z3 - alpha * z3**3)
-    cubic = -alpha * z3**3
-    shear = one - 3 * alpha * z3**2
-    lam1 = PolyMatrix([[g, zero, cubic], [zero, zero, zero], [zero, one, zero]])
-    lam2 = PolyMatrix([[g, zero, cubic], [zero, shear, zero]])
-    op = DiffOpMatrix(
-        3,
-        3,
-        ("z1",),
-        p0=[[0, 0, 0], [-1, 0, 0], [0, 0, 0]],
-        pk={(1, 1): [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
-    )
-    cmat = [[p["E"], _Z], [_Z, p["G"]]]
-    return KinematicModel(
-        "reddy_beam",
-        ("z1",),
-        comp,
-        _interval_domain(),
-        _beam_section(p),
-        lam1,
-        lam2,
-        op,
-        cmat,
-        p["rho"],
-        params=p,
-        r_names=("psi", "w", "theta"),
+    ),
+    "reddy_beam": _Builtin(
+        "beam",
+        {"E": 1, "G": 1, "nu": 0, "rho": 1, "b": 1, "h": 1, "R": 0, "alpha": 0},
+        ("E", "G", "rho"),
+        _reddy_beam_kinematics,
+        lambda p: [[p["E"], _Z], [_Z, p["G"]]],
+        ("psi", "w", "theta"),
+        derived=("G", "alpha"),
+        op=DiffOpMatrix(
+            3, 3, ("z1",), p0=[[0, 0, 0], [-1, 0, 0], [0, 0, 0]], pk={(1, 1): _diag(1, 1, 1)}
+        ),
         free_fields=("psi", "w"),
         structure=(("free", 0), ("free", 1), ("d", 1, 1)),
-    )
-
-
-def _elasticity2d(params):
-    p = _merge_params({"E": 1, "nu": "3/10", "rho": 1, "h": 1, "G": 0}, params)
-    _require_positive(p, "E", "rho", "h")
-    comp = ("z3",)
-    lam1 = _poly_rows(comp, [[1, 0], [0, 1], [0, 0]])
-    lam2 = _poly_rows(comp, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    return KinematicModel(
-        "elasticity2d",
-        ("z1", "z2"),
-        comp,
-        _rect_domain(),
-        IntervalSection(p["h"]),
-        lam1,
-        lam2,
-        None,
-        plane_stress(p["E"], p["nu"]),
-        p["rho"],
-        params=p,
-        r_names=("u1", "u2"),
-    )
-
-
-def _elasticity3d(params):
-    p = _merge_params({"E": 1, "nu": "3/10", "rho": 1}, params)
-    _require_positive(p, "E", "rho")
-    comp = ()
-    lam1 = _poly_rows(comp, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    lam2 = _poly_rows(comp, [[int(i == j) for j in range(6)] for i in range(6)])
-    return KinematicModel(
-        "elasticity3d",
-        ("z1", "z2", "z3"),
-        comp,
-        DomainSpec.box(((0, 1), (0, 1), (0, 1))),
-        PointSection(),
-        lam1,
-        lam2,
-        None,
-        iso3d(p["E"], p["nu"]),
-        p["rho"],
-        params=p,
-        r_names=("u1", "u2", "u3"),
-    )
-
-
-def _mindlin_plate(params):
-    p = _merge_params({"E": 1, "nu": "3/10", "G": 0, "rho": 1, "h": 1}, params)
-    _require_positive(p, "E", "rho", "h")
-    G = _shear_modulus(p)
-    p["G"] = G
-    comp = ("z3",)
-    z3 = Poly.variable(comp, "z3")
-    zero = Poly.zero(comp)
-    one = Poly.constant(comp, 1)
-    lam1 = PolyMatrix([[-z3, zero, zero], [zero, -z3, zero], [zero, zero, one]])
-    lam2 = PolyMatrix(
-        [
-            [-z3, zero, zero, zero, zero],
-            [zero, -z3, zero, zero, zero],
-            [zero, zero, -z3, zero, zero],
-            [zero, zero, zero, one, zero],
-            [zero, zero, zero, zero, one],
-        ]
-    )
-    return KinematicModel(
-        "mindlin_plate",
-        ("z1", "z2"),
-        comp,
-        _rect_domain(),
-        IntervalSection(p["h"]),
-        lam1,
-        lam2,
-        None,
-        bending_shear_block(p["E"], p["nu"], G),
-        p["rho"],
-        params=p,
-        r_names=("psi1", "psi2", "w"),
-    )
-
-
-def _reddy_plate(params):
-    p = _merge_params({"E": 1, "nu": "3/10", "G": 0, "rho": 1, "h": 1, "alpha": 0}, params)
-    _require_positive(p, "E", "rho", "h")
-    G = _shear_modulus(p)
-    p["G"] = G
-    alpha = p["alpha"] if params and "alpha" in params else 4 / (3 * p["h"] ** 2)
-    p["alpha"] = alpha
-    comp = ("z3",)
-    z3 = Poly.variable(comp, "z3")
-    zero = Poly.zero(comp)
-    one = Poly.constant(comp, 1)
-    g = -(z3 - alpha * z3**3)
-    cubic = -alpha * z3**3
-    shear = one - 3 * alpha * z3**2
-    lam1 = PolyMatrix(
-        [
-            [g, zero, zero, cubic, zero],
-            [zero, g, zero, zero, cubic],
-            [zero, zero, one, zero, zero],
-        ]
-    )
-    lam2 = PolyMatrix(
-        [
-            [g, zero, zero, zero, zero, cubic, zero, zero],
-            [zero, g, zero, zero, zero, zero, cubic, zero],
-            [zero, zero, g, zero, zero, zero, zero, cubic],
-            [zero, zero, zero, shear, zero, zero, zero, zero],
-            [zero, zero, zero, zero, shear, zero, zero, zero],
-        ]
-    )
-    op = DiffOpMatrix(
-        8,
-        5,
-        ("z1", "z2"),
-        p0=[
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [-1, 0, 0, 0, 0],
-            [0, -1, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-        ],
-        pk={
-            (1, 1): [
-                [1, 0, 0, 0, 0],
+    ),
+    "elasticity2d": _Builtin(
+        "plate",
+        {**_PLATE, "G": 0},
+        ("E", "rho", "h"),
+        lambda p, z2, z3: ([[1, 0], [0, 1], [0, 0]], _diag(1, 1, 1)),
+        lambda p: plane_stress(p["E"], p["nu"]),
+        ("u1", "u2"),
+    ),
+    "elasticity3d": _Builtin(
+        "solid",
+        {"E": 1, "nu": "3/10", "rho": 1},
+        ("E", "rho"),
+        lambda p, z2, z3: (_diag(1, 1, 1), _diag(1, 1, 1, 1, 1, 1)),
+        lambda p: iso3d(p["E"], p["nu"]),
+        ("u1", "u2", "u3"),
+    ),
+    "mindlin_plate": _Builtin(
+        "plate",
+        {**_PLATE, "G": 0},
+        ("E", "rho", "h", "G"),
+        lambda p, z2, z3: (_diag(-z3, -z3, 1), _diag(-z3, -z3, -z3, 1, 1)),
+        lambda p: bending_shear_block(p["E"], p["nu"], p["G"]),
+        ("psi1", "psi2", "w"),
+        derived=("G",),
+    ),
+    "reddy_plate": _Builtin(
+        "plate",
+        {**_PLATE, "G": 0, "alpha": 0},
+        ("E", "rho", "h", "G"),
+        _reddy_plate_kinematics,
+        lambda p: bending_shear_block(p["E"], p["nu"], p["G"]),
+        ("psi1", "psi2", "w", "theta1", "theta2"),
+        derived=("G", "alpha"),
+        op=DiffOpMatrix(
+            8,
+            5,
+            ("z1", "z2"),
+            p0=[
                 [0, 0, 0, 0, 0],
-                [0, 1, 0, 0, 0],
-                [0, 0, 1, 0, 0],
                 [0, 0, 0, 0, 0],
-                [0, 0, 0, 1, 0],
                 [0, 0, 0, 0, 0],
-                [0, 0, 0, 0, 1],
+                [-1, 0, 0, 0, 0],
+                [0, -1, 0, 0, 0],
+                [0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0],
             ],
-            (2, 1): [
-                [0, 0, 0, 0, 0],
-                [0, 1, 0, 0, 0],
-                [1, 0, 0, 0, 0],
-                [0, 0, 0, 0, 0],
-                [0, 0, 1, 0, 0],
-                [0, 0, 0, 0, 0],
-                [0, 0, 0, 0, 1],
-                [0, 0, 0, 1, 0],
-            ],
-        },
-    )
-    return KinematicModel(
-        "reddy_plate",
-        ("z1", "z2"),
-        comp,
-        _rect_domain(),
-        IntervalSection(p["h"]),
-        lam1,
-        lam2,
-        op,
-        bending_shear_block(p["E"], p["nu"], G),
-        p["rho"],
-        params=p,
-        r_names=("psi1", "psi2", "w", "theta1", "theta2"),
+            pk={
+                (1, 1): [
+                    [1, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 1, 0, 0, 0],
+                    [0, 0, 1, 0, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 0, 1, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 1],
+                ],
+                (2, 1): [
+                    [0, 0, 0, 0, 0],
+                    [0, 1, 0, 0, 0],
+                    [1, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 1, 0, 0],
+                    [0, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 1],
+                    [0, 0, 0, 1, 0],
+                ],
+            },
+        ),
         free_fields=("psi1", "psi2", "w"),
         structure=(("free", 0), ("free", 1), ("free", 2), ("d", 2, 1), ("d", 2, 2)),
-    )
-
-
-def _kirchhoff_rayleigh(params):
-    p = _merge_params({"E": 1, "nu": "3/10", "rho": 1, "h": 1}, params)
-    _require_positive(p, "E", "rho", "h")
-    comp = ("z3",)
-    z3 = Poly.variable(comp, "z3")
-    zero = Poly.zero(comp)
-    one = Poly.constant(comp, 1)
-    lam1 = PolyMatrix([[zero, -z3, zero], [-z3, zero, zero], [zero, zero, one]])
-    lam2 = PolyMatrix([[-z3, zero, zero], [zero, -z3, zero], [zero, zero, -z3]])
-    op = DiffOpMatrix(
-        3,
-        3,
-        ("z1", "z2"),
-        pk={
-            (1, 1): [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
-            (2, 1): [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
-            (1, 2): [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-            (2, 2): [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-        },
-    )
-    return KinematicModel(
-        "kirchhoff_rayleigh",
-        ("z1", "z2"),
-        comp,
-        _rect_domain(),
-        IntervalSection(p["h"]),
-        lam1,
-        lam2,
-        op,
-        plane_stress(p["E"], p["nu"]),
-        p["rho"],
-        params=p,
-        r_names=("theta2", "theta1", "w"),
+    ),
+    "kirchhoff_rayleigh": _Builtin(
+        "plate",
+        _PLATE,
+        ("E", "rho", "h"),
+        lambda p, z2, z3: ([[0, -z3, 0], [-z3, 0, 0], [0, 0, 1]], _diag(-z3, -z3, -z3)),
+        lambda p: plane_stress(p["E"], p["nu"]),
+        ("theta2", "theta1", "w"),
+        op=DiffOpMatrix(
+            3,
+            3,
+            ("z1", "z2"),
+            pk={
+                (1, 1): [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
+                (2, 1): [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                (1, 2): [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+                (2, 2): [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+            },
+        ),
         free_fields=("w",),
         structure=(("d", 0, 2), ("d", 0, 1), ("free", 0)),
-    )
-
-
-BUILTINS = {
-    "truss": _truss,
-    "elasticity2d": _elasticity2d,
-    "elasticity3d": _elasticity3d,
-    "mindlin_plate": _mindlin_plate,
-    "string": _string,
-    "torsion": _torsion,
-    "reddy_beam": _reddy_beam,
-    "rayleigh_beam": _rayleigh_beam,
-    "euler_bernoulli": _euler_bernoulli,
-    "kirchhoff_rayleigh": _kirchhoff_rayleigh,
-    "timoshenko": _timoshenko,
-    "reddy_plate": _reddy_plate,
+    ),
 }
 
 
@@ -914,16 +712,61 @@ def builtin_names() -> List[str]:
     return sorted(BUILTINS)
 
 
-def builtin_model(name: str, params: Optional[Dict] = None, validate: bool = True) -> KinematicModel:
+def builtin_model(name: str, params: Optional[Dict] = None) -> KinematicModel:
+    """The builtin ``name`` with ``params`` over its defaults.
+
+    Parameters are checked here; the model itself is validated where it is
+    compiled (``assemble_phs``), not on every build.
+    """
     if name not in BUILTINS:
         raise ModelError(f"unknown builtin model {name!r}; known: {', '.join(builtin_names())}")
-    model = BUILTINS[name](params)
-    if validate:
-        relax = ()
-        if model.params.get("alpha", None) == 0 and name in ("reddy_plate", "reddy_beam"):
-            # diagnostic first-order limit: extra displacement columns vanish
-            relax = ("lambda1-columns", "lambda2-rows-cols", "strain-consistency")
-        report = validate_model(model, relax=relax)
-        if not report.ok:
-            raise ModelError(str(report))
-    return model
+    spec = BUILTINS[name]
+    params = params or {}
+    for k in params:
+        if k not in spec.defaults:
+            raise ModelError(f"unknown parameter {k!r}; expected one of {sorted(spec.defaults)}")
+    p = {k: fr(params.get(k, v)) for k, v in spec.defaults.items()}
+    given_g = "G" in params and p["G"] != 0
+    if "G" in spec.derived and not given_g and ("nu" in params or p["nu"] != 0):
+        if p["nu"] <= -1:
+            raise ModelError(f"parameter nu must be greater than -1 to derive G, got {p['nu']}")
+        p["G"] = p["E"] / (2 * (1 + p["nu"]))
+    if "alpha" in spec.derived and "alpha" not in params:
+        thickness = 2 * p["R"] if p.get("R", 0) > 0 else p["h"]
+        if thickness <= 0:
+            raise ModelError(f"parameter h must be positive, got {p['h']}")
+        p["alpha"] = 4 / (3 * thickness**2)
+    for k in spec.positive:
+        if p[k] <= 0:
+            raise ModelError(f"parameter {k} must be positive, got {p[k]}")
+    dist, comp, domain, section = _FAMILIES[spec.family]
+    z2, z3 = (Poly.variable(comp, c) if c in comp else None for c in ("z2", "z3"))
+    lam1, lam2 = spec.kinematics(p, z2, z3)
+    return KinematicModel(
+        name,
+        dist,
+        comp,
+        domain(),
+        section(p),
+        _poly_rows(comp, lam1),
+        _poly_rows(comp, lam2),
+        spec.op,
+        spec.cmat(p),
+        p["rho"],
+        bd=spec.bd,
+        params=p,
+        r_names=spec.r_names,
+        free_fields=spec.free_fields,
+        structure=spec.structure,
+        strain_check=spec.strain_check,
+    )
+
+
+def torsion_two_strain(params=None) -> KinematicModel:
+    """Reference fixture: torsion with the shear strains kept separate
+    (m = 2); aggregates to the reduced builtin through the polar moment."""
+    base = builtin_model("torsion", params)
+    z2 = Poly.variable(base.comp, "z2")
+    z3 = Poly.variable(base.comp, "z3")
+    lam2 = PolyMatrix([[z3, Poly.zero(base.comp)], [Poly.zero(base.comp), -z2]])
+    return replace(base, name="torsion_two_strain", lambda2=lam2, op=None)

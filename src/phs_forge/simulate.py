@@ -31,7 +31,6 @@ from scipy.sparse.linalg import splu
 
 from .build import PHSystem
 from .exact import PiRat, fr, to_float
-from .poly import Poly
 
 FACES_1D = ("left", "right")
 FACES_2D = ("left", "right", "bottom", "top")
@@ -134,7 +133,6 @@ class DiscreteSystem:
     p_fields: List[FieldLayout]
     eps_fields: List[FieldLayout]
     dx: Tuple[Fraction, ...]
-    d_exact: List[Tuple[int, int, Fraction]]
     D: sparse.csr_matrix
     J: sparse.csr_matrix
     C: sparse.csr_matrix
@@ -186,6 +184,20 @@ def _operator_terms(sys: PHSystem):
             for c in range(op.n):
                 if mat_[r][c] != 0:
                     yield (r, c, k, i, mat_[r][c])
+
+
+def _components(matrix) -> List[List[int]]:
+    """Components of the coupling graph of a square matrix (i and j joined
+    when entry (i, j) is nonzero), each in ascending order, ordered by their
+    first member."""
+    label = list(range(len(matrix)))
+    for i, j in itertools.combinations(range(len(matrix)), 2):
+        if matrix[i][j] != 0:
+            label = [label[i] if g == label[j] else g for g in label]
+    groups: Dict[int, List[int]] = {}
+    for i, g in enumerate(label):
+        groups.setdefault(g, []).append(i)
+    return list(groups.values())
 
 
 def _solve_shifts(sys: PHSystem, ell: int):
@@ -301,25 +313,10 @@ def discretize(
             eps_restrict[r][k - 1] = True
 
     # strain components coupled through K must share node sets exactly
-    group = list(range(sys.m))
-
-    def find(a):
-        while group[a] != a:
-            group[a] = group[group[a]]
-            a = group[a]
-        return a
-
-    for i in range(sys.m):
-        for j in range(i + 1, sys.m):
-            if sys.stiffness[i][j] != 0:
-                group[find(i)] = find(j)
-    for i in range(sys.m):
-        gi = find(i)
-        for a in range(ell):
-            if eps_restrict[i][a]:
-                eps_restrict[gi][a] = True
-    for i in range(sys.m):
-        eps_restrict[i] = eps_restrict[find(i)]
+    for group in _components(sys.stiffness):
+        shared = [any(eps_restrict[i][a] for i in group) for a in range(ell)]
+        for i in group:
+            eps_restrict[i] = shared
 
     fields: List[FieldLayout] = []
 
@@ -348,8 +345,8 @@ def discretize(
         layout(f"eps{j + 1}", f"eps{j + 1}", "eps", j, eps_shifts[j], [(r, r) for r in eps_restrict[j]])
     p_fields, eps_fields = fields[: sys.n], fields[sys.n :]
 
-    d_exact, D, W, C, J = _assemble(sys, p_fields, eps_fields, dx, density_scale, stiffness_scale)
-    return DiscreteSystem(sys, grid, bc, p_fields, eps_fields, dx, d_exact, D, J, C, W)
+    D, W, C, J = _assemble(sys, p_fields, eps_fields, dx, density_scale, stiffness_scale)
+    return DiscreteSystem(sys, grid, bc, p_fields, eps_fields, dx, D, J, C, W)
 
 
 def _stencil(shift_src: int, shift_tgt: int, order: int, dx: Fraction):
@@ -402,13 +399,12 @@ def _concat(parts):
 
 
 def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiffness_scale=None):
-    """(d_exact, D, W, C, J) on the laid-out fields; d_exact is indexed by state."""
+    """(D, W, C, J) on the laid-out fields."""
     bounds = sys.model.domain.bounds
     fields = p_fields + eps_fields
 
-    # exact difference operator entries; each term has one stencil pattern,
-    # applied to every strain node at once (entries node-major, pattern-minor)
-    d_exact: List[Tuple[int, int, Fraction]] = []
+    # difference operator entries; each term has one stencil pattern, applied
+    # to every strain node at once (entries node-major, pattern-minor)
     parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for r, c, k, i, coeff in _operator_terms(sys):
         ef = eps_fields[r]
@@ -425,7 +421,6 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
         cols = pf.offset + np.ravel_multi_index(tuple(src[:, node, point]), pf.counts)
         what = f"difference coefficient of {ef.label} on {pf.label}"
         parts.append((rows, cols, np.array([_float(w, what) for w in weights])[point]))
-        d_exact.extend(zip(rows.tolist(), cols.tolist(), map(weights.__getitem__, point.tolist())))
 
     num_p = eps_fields[0].offset
     num_dofs = fields[-1].offset + fields[-1].size
@@ -479,7 +474,7 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
     # weighted flux block and the exactly skew interconnection matrix
     s_hat = (sparse.diags(W[num_p:]) @ D).tocsr()
     J = sparse.bmat([[None, -s_hat.T], [s_hat, None]], format="csr")
-    return d_exact, D, W, C, J
+    return D, W, C, J
 
 
 # ---------------------------------------------------------------------------
@@ -621,14 +616,9 @@ def pencil(dsys: DiscreteSystem):
     # couple() joins only components with the same node set, so C_p is one
     # small block per node for each group of momentum fields that M^-1
     # couples: invert the blocks (density scaling included)
-    mass_inv = dsys.system.mass_inv
-    group = list(range(len(dsys.p_fields)))
-    for i, j in itertools.combinations(range(len(group)), 2):
-        if mass_inv[i][j] != 0:
-            group = [group[i] if g == group[j] else g for g in group]
     parts = []
-    for g in sorted(set(group)):
-        members = [f for f, h in zip(dsys.p_fields, group) if h == g]
+    for group in _components(dsys.system.mass_inv):
+        members = [dsys.p_fields[i] for i in group]
         k = len(members)
         dofs = np.arange(members[0].size)[:, None] + [f.offset for f in members]  # (nodes, k)
         blocks = np.empty((len(dofs), k, k))
@@ -835,36 +825,6 @@ def simulate(
 
     log = EnergyLog(times, energy, bpow, dpow, resid)
     return Trajectory(labels, snapshots), log
-
-
-# ---------------------------------------------------------------------------
-# Exact stencil consistency (testing hook)
-# ---------------------------------------------------------------------------
-
-
-def difference_consistency_errors(dsys: DiscreteSystem, fields: Sequence[Poly]):
-    """Apply the exact difference entries to samples of polynomial momentum
-    co-energy fields and compare with the symbolically applied operator at the
-    strain nodes.  Returns the list of nonzero (state index, error) pairs;
-    empty for polynomials of degree <= 2 on unclamped grids."""
-    sys = dsys.system
-    model = sys.model
-
-    def values(fam, polys):
-        return {
-            f.dof(gidx): polys[f.index].eval(
-                dict(zip(model.dist, f.position(gidx, model.domain.bounds, dsys.dx)))
-            )
-            for f in fam
-            for gidx in f.nodes()
-        }
-
-    p_vals = values(dsys.p_fields, fields)
-    expected = values(dsys.eps_fields, sys.op.apply(list(fields)))
-    got: Dict[int, Fraction] = {row: Fraction(0) for row in expected}
-    for row, col, w in dsys.d_exact:
-        got[row] += w * p_vals[col]
-    return [(row, got[row] - expected[row]) for row in expected if got[row] != expected[row]]
 
 
 # ---------------------------------------------------------------------------

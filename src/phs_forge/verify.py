@@ -407,7 +407,7 @@ def run_all(seed: int = 0, model_names: Optional[Sequence[str]] = None, trials: 
     results: List[CheckResult] = []
     results += check_lemma1(models, trials=trials, seed=seed)
     for model in models:
-        sys = assemble_phs(model, validate=False)
+        sys = assemble_phs(model)
         results.append(check_energy_structure(sys, seed=seed))
     reduction_models = {"torsion", "reddy_plate", "rayleigh_beam", "mindlin_plate", "euler_bernoulli"}
     if model_names is None or reduction_models & set(names):

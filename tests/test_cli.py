@@ -85,6 +85,16 @@ def test_build_with_params(tmp_path):
     assert doc["model"]["params"]["E"] == [200000000000, 1]
 
 
+@pytest.mark.parametrize("name", ["timoshenko", "reddy_beam", "mindlin_plate", "reddy_plate"])
+def test_build_derives_g_from_a_given_zero_poisson_ratio(tmp_path, name):
+    # G = E / (2 (1 + nu)); with nu = 0 the plates used to say "supply G or
+    # nu" and the beams kept their G = 1 whatever E was
+    out = tmp_path / "g.json"
+    code = main(["build", "--builtin", name, "--param", "E=3", "--param", "nu=0", "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["model"]["params"]["G"] == [3, 2]
+
+
 def test_build_rejects_zero_displacement_column(tmp_path, capsys):
     path = tmp_path / "broken.phs"
     path.write_text(BROKEN_MODEL)
@@ -450,6 +460,52 @@ def test_every_compiling_command_rejects_a_derived_value_over_the_digit_limit(
     expected = "error: mass matrix M[0][0] has a numerator of 6001 digits, over the limit of 4000 digits"
     assert err.startswith(expected), err[:200]
     assert not out.exists() or not list(out.iterdir())
+
+
+def _plane_stress_preset_file(tmp_path):
+    text = _model_text("elasticity2d", **{"nu = 3/10": "nu = 1"})
+    start = text.index("[C]\n") + len("[C]\n")
+    path = tmp_path / "plane.phsm"
+    path.write_text(text[:start] + "preset = plane_stress\n" + text[text.index("\n\n", start) + 1 :])
+    return ["--file", str(path)]
+
+
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (["timoshenko", "nu=-1"], "parameter nu must be greater than -1 to derive G, got -1"),
+        (["mindlin_plate", "nu=-1"], "parameter nu must be greater than -1 to derive G, got -1"),
+        (["reddy_beam", "h=0"], "parameter h must be positive, got 0"),
+        (["elasticity2d", "nu=1"], "parameter nu must lie in (-1, 1) for plane_stress, got 1"),
+        (["elasticity3d", "nu=1/2"], "parameter nu must lie in (-1, 1/2) for iso3d, got 1/2"),
+        (None, "parameter nu must lie in (-1, 1) for plane_stress, got 1"),
+    ],
+    ids=["timoshenko-G", "mindlin-G", "reddy-alpha", "plane-stress", "iso3d", "preset-file"],
+)
+def test_every_compiling_command_refuses_a_singular_material_constant(
+    tmp_path, capsys, command, model, message
+):
+    # each divided by zero in a preset or a derived G or alpha, and ended in a
+    # ZeroDivisionError traceback (exit 1)
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    out = tmp_path / "out"
+    source = _plane_stress_preset_file(tmp_path) if model is None else ["--builtin", model[0], "--param", model[1]]
+    assert main([command, *source, "--out-dir", str(out), *extra]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err[:200]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+def test_string_refuses_a_circular_section(tmp_path, capsys, command):
+    # the string tension divides by the section area, which for a circle is
+    # pi-tagged; R used to end in a TypeError traceback (exit 1)
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    args = [command, "--builtin", "string", "--param", "R=1", "--out-dir", str(tmp_path / "out"), *extra]
+    assert main(args) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error: string needs a rational section area: give A, or b and h"), err[:200]
 
 
 @pytest.mark.parametrize(

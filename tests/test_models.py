@@ -1,12 +1,15 @@
 """Builtin catalogue, validation behaviour, and the model file format."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phs_forge.build import assemble_phs, export_system
 from phs_forge.diffop import DiffOpMatrix
 from phs_forge.exact import PiRat
 from phs_forge.modelfile import ParseError, parse_model, serialize_model
@@ -463,3 +466,45 @@ def test_round_trip_with_scaled_parameters(name, scales):
     }
     model = builtin_model(name, params)
     assert parse_model(serialize_model(model)) == model
+
+
+# Section and derived-parameter variants; each applies to the builtins whose
+# parameters include all of its keys.  Zeroed keys select the section: R
+# (circle) wins over A (moments, I optional), which wins over b x h.
+PARAM_GRID = [
+    ("defaults", {}),
+    ("R", {"R": F(1, 5)}),
+    ("A+I", {"A": F(1, 10), "I": F(1, 1000), "R": 0}),
+    ("bxh", {"A": 0, "R": 0, "b": F(1, 10), "h": F(1, 5)}),
+    ("bxh-no-A", {"R": 0, "b": F(1, 10), "h": F(1, 5)}),
+    ("G", {"G": F(3, 8)}),
+    ("nu", {"nu": F(1, 4)}),
+    ("G+nu", {"G": F(3, 8), "nu": F(1, 4)}),
+    ("alpha", {"alpha": F(1, 2)}),
+    ("h", {"h": F(1, 10)}),
+]
+# string refuses a circular section: its tension needs a rational area
+GRID_EXCLUDED = {("string", "R")}
+# SHA-256 over the model text and export JSON of every builtin under PARAM_GRID
+PARAM_GRID_DIGEST = "66528c1ba84784e7132f92484cf5b72306c908f19914a65b1988487bdc375640"
+
+
+def _grid_models():
+    for name in ALL:
+        keys = set(builtin_model(name).params)
+        for label, params in PARAM_GRID:
+            if set(params) <= keys and (name, label) not in GRID_EXCLUDED:
+                yield name, label, builtin_model(name, params)
+
+
+def test_parameter_grid_digest_and_round_trip():
+    h = hashlib.sha256()
+    count = 0
+    for name, label, model in _grid_models():
+        text = serialize_model(model)
+        assert parse_model(text) == model, (name, label)
+        doc = json.dumps(export_system(assemble_phs(model)), sort_keys=True, separators=(",", ":"))
+        h.update(f"{name} {label}\n{text}{doc}\n".encode())
+        count += 1
+    assert count == 66
+    assert h.hexdigest() == PARAM_GRID_DIGEST
