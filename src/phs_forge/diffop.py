@@ -62,6 +62,35 @@ class DiffOpMatrix:
         self.pk = clean
         self.order = max((i for (_, i) in clean), default=0)
 
+    @classmethod
+    def from_symbols(cls, rows: Sequence[Sequence[Poly]], axes: Sequence[str]) -> "DiffOpMatrix":
+        """The operator whose entry (r, c) is ``rows[r][c]``, a polynomial in
+        the derivative symbols (symbol k stands for d/d axes[k-1]).
+
+        A constant goes to P0 and ``c d_k^i`` to Pk(k, i); a monomial in two
+        symbols is a mixed partial, which the operator class cannot hold.
+        """
+        m, n = len(rows), len(rows[0]) if rows else 0
+        if not n or any(len(row) != n for row in rows):
+            raise ExactError("operator matrix must be non-empty and not ragged")
+        p0 = zeros(m, n)
+        pk: Dict[Tuple[int, int], Matrix] = {}
+        for r, row in enumerate(rows):
+            for c, entry in enumerate(row):
+                for exps, coeff in entry.terms.items():
+                    powers = [(k, i) for k, i in enumerate(exps, 1) if i]
+                    if not powers:
+                        p0[r][c] = coeff
+                    elif len(powers) == 1:
+                        pk.setdefault(powers[0], zeros(m, n))[r][c] = coeff
+                    else:
+                        mono = Poly(entry.coords, {exps: 1})
+                        raise ExactError(
+                            f"mixed-derivative term {mono} in entry [{r}][{c}]: the operator "
+                            "class admits pure d_k^i terms only"
+                        )
+        return cls(m, n, axes, p0, dict(sorted(pk.items())))
+
     # -- coefficient access --------------------------------------------------
     def coeff(self, k: int, i: int) -> Matrix:
         return self.pk.get((k, i), zeros(self.m, self.n))

@@ -2,13 +2,15 @@
 
 The format is line-oriented with bracketed sections; all numeric literals are
 rational (`3/10`, never `0.3`).  Matrix rows list comma-separated entries.
-Polynomial entries may use the complementary coordinates; operator entries use
-the derivative tokens d1, d2, d3 with constant coefficients; products of
-derivative tokens along different axes (mixed partials) are rejected because
-the supported operator class admits pure powers of a single axis derivative
-only.  The [F] section may be left out when [structure] has no dN(...)
-entry: the operator is then derived from lambda1 and lambda2
-(``models.derive_operator``), and the serializer still writes it.
+The [lambda1] and [lambda2] entries are polynomials in the complementary
+coordinates; the [F] entries are polynomials in the derivative symbols
+d1..dl, one per distributed coordinate, expanded before a monomial in two
+symbols (a mixed partial) is rejected: the supported operator class admits
+pure powers of a single axis derivative only (``DiffOpMatrix.from_symbols``).
+Every coefficient is held to the digit limit.  The [F] section may be left
+out when [structure] has no dN(...) entry: the operator is then derived from
+lambda1 and lambda2 (``models.derive_operator``), and the serializer still
+writes it.
 
 Example::
 
@@ -59,7 +61,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .diffop import DiffOpMatrix, DomainSpec
-from .exact import fr
+from .exact import ExactError
 from .models import CONSTITUTIVE_PRESETS, KinematicModel, ModelError
 from .poly import Poly, PolyMatrix
 from .sections import (
@@ -99,67 +101,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-class OpEntry:
-    """One operator-matrix entry: c0 + sum c_{k,i} d_k^i."""
-
-    __slots__ = ("c0", "terms")
-
-    def __init__(self, c0=Fraction(0), terms=None):
-        self.c0 = fr(c0)
-        self.terms = {k: fr(v) for k, v in (terms or {}).items() if v != 0}
-
-    @staticmethod
-    def token(axis: int) -> "OpEntry":
-        return OpEntry(0, {(axis, 1): Fraction(1)})
-
-    def __add__(self, other):
-        if isinstance(other, Fraction):
-            other = OpEntry(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return OpEntry(self.c0 + other.c0, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OpEntry(-self.c0, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Fraction):
-            return OpEntry(self.c0 * other, {k: v * other for k, v in self.terms.items()})
-        if not self.terms:
-            return other * self.c0
-        if not other.terms:
-            return self * other.c0
-        axes = {k for (k, _) in self.terms} | {k for (k, _) in other.terms}
-        if len(axes) > 1 or self.c0 != 0 or other.c0 != 0:
-            raise ParseError(
-                "mixed-derivative term: products may only combine powers of the "
-                "same axis derivative (the operator class admits pure d_k^i terms only)"
-            )
-        terms = {}
-        for (k1, i1), v1 in self.terms.items():
-            for (_, i2), v2 in other.terms.items():
-                key = (k1, i1 + i2)
-                terms[key] = terms.get(key, Fraction(0)) + v1 * v2
-        return OpEntry(0, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = OpEntry(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     out = []
     pos = 0
@@ -192,8 +133,9 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
 class _ExprParser:
     """Recursive-descent evaluation of +,-,*,/,^ expressions.
 
-    The environment maps names to Fraction, Poly or OpEntry values; evaluation
-    happens during parsing, so type errors surface with the offending name.
+    The environment maps names to Fraction or Poly values (the coordinates,
+    or the derivative symbols of [F]); evaluation happens during parsing, so
+    type errors surface with the offending name.
     """
 
     def __init__(self, text: str, env: Dict[str, object], what: str):
@@ -332,27 +274,28 @@ def eval_scalar(text: str, params: Dict[str, Fraction], what: str) -> Fraction:
 
 
 def eval_poly(text: str, coords: Tuple[str, ...], params: Dict[str, Fraction], what: str) -> Poly:
-    env: Dict[str, object] = dict(params)
-    for c in coords:
-        env[c] = Poly.variable(coords, c)
-    val = _ExprParser(text, env, what).parse()
-    if isinstance(val, Fraction):
-        return Poly.constant(coords, val)
-    if isinstance(val, Poly):
-        return val
-    raise ParseError(f"expected a polynomial in {what}, got {text!r}")
+    return _poly_rows([text], coords, params, what)[0][0]
 
 
-def eval_op_entry(text: str, ell: int, params: Dict[str, Fraction], what: str) -> OpEntry:
+def _poly_rows(lines, coords: Tuple[str, ...], params: Dict[str, Fraction], what: str):
+    """The rows of a matrix section whose entries are polynomials over
+    ``coords``; every coefficient is held to the digit limit, naming its entry
+    (``F[0][1]``)."""
     env: Dict[str, object] = dict(params)
-    for k in range(1, ell + 1):
-        env[f"d{k}"] = OpEntry.token(k)
-    val = _ExprParser(text, env, what).parse()
-    if isinstance(val, Fraction):
-        return OpEntry(val)
-    if isinstance(val, OpEntry):
-        return val
-    raise ParseError(f"expected an operator entry in {what}, got {text!r}")
+    env.update((c, Poly.variable(coords, c)) for c in coords)
+    rows = []
+    for r, line in enumerate(lines):
+        row = []
+        for c, text in enumerate(_split_entries(line)):
+            name = f"{what}[{r}][{c}]"
+            val = _ExprParser(text, env, name).parse()
+            if isinstance(val, Fraction):
+                val = Poly.constant(coords, val)
+            for coeff in val.terms.values():
+                check_digits(coeff, name)
+            row.append(val)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +373,8 @@ def parse_model(text: str) -> KinematicModel:
     domain = _parse_domain(_kv_lines(sections["domain"], "domain"), dist, params)
     section = _parse_section(sections["section"], params)
 
-    lam1 = _parse_poly_matrix(sections["lambda1"], comp, params, "lambda1")
-    lam2 = _parse_poly_matrix(sections["lambda2"], comp, params, "lambda2")
+    lam1 = PolyMatrix(_poly_rows(sections["lambda1"], comp, params, "lambda1"))
+    lam2 = PolyMatrix(_poly_rows(sections["lambda2"], comp, params, "lambda2"))
     op = _parse_operator(sections["F"], dist, params) if "F" in sections else None
 
     cmat = _parse_cmat(sections["C"], params)
@@ -518,30 +461,13 @@ def _parse_section(lines: List[str], params):
     raise ParseError("section must declare interval, rectangle, circle, moments or none")
 
 
-def _parse_poly_matrix(lines, comp, params, what) -> PolyMatrix:
-    rows = []
-    for line in lines:
-        rows.append([eval_poly(e, comp, params, what) for e in _split_entries(line)])
-    return PolyMatrix(rows)
-
-
 def _parse_operator(lines, dist, params) -> DiffOpMatrix:
-    ell = len(dist)
-    grid = []
-    for line in lines:
-        grid.append([eval_op_entry(e, ell, params, "F") for e in _split_entries(line)])
-    m = len(grid)
-    n = len(grid[0])
-    if any(len(r) != n for r in grid):
-        raise ParseError("ragged operator matrix")
-    p0 = [[grid[r][c].c0 for c in range(n)] for r in range(m)]
-    pk: Dict[Tuple[int, int], list] = {}
-    for r in range(m):
-        for c in range(n):
-            for (k, i), v in grid[r][c].terms.items():
-                mat_ = pk.setdefault((k, i), [[Fraction(0)] * n for _ in range(m)])
-                mat_[r][c] = v
-    return DiffOpMatrix(m, n, tuple(dist), p0=p0, pk=pk)
+    symbols = tuple(f"d{k}" for k in range(1, len(dist) + 1))
+    rows = _poly_rows(lines, symbols, params, "F")
+    try:
+        return DiffOpMatrix.from_symbols(rows, dist)
+    except ExactError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _parse_cmat(lines, params):

@@ -426,15 +426,23 @@ def _strain_consistency(model: KinematicModel):
 
 
 def _beam_section(p: Dict[str, Fraction]) -> Section:
-    """Circle when R is set, abstract moments when A is set (I optional),
-    otherwise the rectangle b x h."""
-    if p.get("R", 0) > 0:
+    """Circle when R is given, abstract moments when A is given (I optional),
+    otherwise the rectangle b x h; a 0 means not given."""
+    for k in ("R", "A", "I"):
+        if p.get(k, 0) < 0:
+            raise ModelError(f"parameter {k} must be positive, got {p[k]}")
+    if p.get("R", 0):
         return CircleSection(p["R"])
-    if p.get("A", 0) > 0:
+    if p.get("A", 0):
         moments = {0: p["A"]}
-        if p.get("I", 0) > 0:
+        if p.get("I", 0):
             moments[2] = p["I"]
         return MomentSection(moments)
+    if p["b"] <= 0 or p["h"] <= 0:
+        raise ModelError(
+            "parameters b and h must be positive when neither A nor R is given, "
+            f"got b = {p['b']}, h = {p['h']}"
+        )
     return RectangleSection(p["b"], p["h"])
 
 
@@ -465,7 +473,8 @@ class _Builtin:
     None outside them).  ``derived`` names the parameters computed when not
     given: "G" from E and nu (when nu is given or nonzero by default), "alpha"
     as 4/(3 t^2) for the thickness t.
-    ``op`` is stated only when r holds a slope or the model is reduced.
+    ``op`` is stated only when r holds a slope or the model is reduced, as
+    rows in the derivative symbols (``_operator``).
     Every model built from an entry shares its ``op`` and ``bd``; nothing
     changes them in place.
     """
@@ -496,6 +505,14 @@ def _poly_rows(coords, rows) -> PolyMatrix:
             row.append(e if isinstance(e, Poly) else Poly.constant(coords, e))
         out.append(row)
     return PolyMatrix(out)
+
+
+def _operator(ell: int, rows: Callable) -> DiffOpMatrix:
+    """F over the first ``ell`` axes from ``rows(d1, .., d_ell)``, its rows in
+    the derivative symbols."""
+    symbols = tuple(f"d{k}" for k in range(1, ell + 1))
+    d = [Poly.variable(symbols, s) for s in symbols]
+    return DiffOpMatrix.from_symbols(_poly_rows(symbols, rows(*d)).entries, ALL_COORDS[:ell])
 
 
 def _diag(*entries) -> list:
@@ -580,7 +597,7 @@ BUILTINS = {
         lambda p, z2, z3: ([[-z3, 0], [0, 0], [0, 1]], [[-z3 * Fraction(1, 2)]]),
         lambda p: scalar_young(p["E"]),
         ("theta", "w"),
-        op=DiffOpMatrix(1, 2, ("z1",), pk={(1, 1): [[1, 0]], (1, 2): [[0, 1]]}),
+        op=_operator(1, lambda d1: [[d1, d1**2]]),
         free_fields=("w",),
         structure=(("d", 0, 1), ("free", 0)),
     ),
@@ -594,7 +611,7 @@ BUILTINS = {
         lambda p, z2, z3: ([[0], [0], [1]], [[-z3]]),
         lambda p: scalar_young(p["E"]),
         ("w",),
-        op=DiffOpMatrix(1, 1, ("z1",), pk={(1, 2): [[1]]}),
+        op=_operator(1, lambda d1: [[d1**2]]),
         strain_check=False,
     ),
     "reddy_beam": _Builtin(
@@ -605,9 +622,7 @@ BUILTINS = {
         lambda p: [[p["E"], _Z], [_Z, p["G"]]],
         ("psi", "w", "theta"),
         derived=("G", "alpha"),
-        op=DiffOpMatrix(
-            3, 3, ("z1",), p0=[[0, 0, 0], [-1, 0, 0], [0, 0, 0]], pk={(1, 1): _diag(1, 1, 1)}
-        ),
+        op=_operator(1, lambda d1: [[d1, 0, 0], [-1, d1, 0], [0, 0, d1]]),
         free_fields=("psi", "w"),
         structure=(("free", 0), ("free", 1), ("d", 1, 1)),
     ),
@@ -644,42 +659,18 @@ BUILTINS = {
         lambda p: bending_shear_block(p["E"], p["nu"], p["G"]),
         ("psi1", "psi2", "w", "theta1", "theta2"),
         derived=("G", "alpha"),
-        op=DiffOpMatrix(
-            8,
-            5,
-            ("z1", "z2"),
-            p0=[
-                [0, 0, 0, 0, 0],
-                [0, 0, 0, 0, 0],
-                [0, 0, 0, 0, 0],
-                [-1, 0, 0, 0, 0],
-                [0, -1, 0, 0, 0],
-                [0, 0, 0, 0, 0],
-                [0, 0, 0, 0, 0],
-                [0, 0, 0, 0, 0],
-            ],
-            pk={
-                (1, 1): [
-                    [1, 0, 0, 0, 0],
-                    [0, 0, 0, 0, 0],
-                    [0, 1, 0, 0, 0],
-                    [0, 0, 1, 0, 0],
-                    [0, 0, 0, 0, 0],
-                    [0, 0, 0, 1, 0],
-                    [0, 0, 0, 0, 0],
-                    [0, 0, 0, 0, 1],
-                ],
-                (2, 1): [
-                    [0, 0, 0, 0, 0],
-                    [0, 1, 0, 0, 0],
-                    [1, 0, 0, 0, 0],
-                    [0, 0, 0, 0, 0],
-                    [0, 0, 1, 0, 0],
-                    [0, 0, 0, 0, 0],
-                    [0, 0, 0, 0, 1],
-                    [0, 0, 0, 1, 0],
-                ],
-            },
+        op=_operator(
+            2,
+            lambda d1, d2: [
+                [d1, 0, 0, 0, 0],
+                [0, d2, 0, 0, 0],
+                [d2, d1, 0, 0, 0],
+                [-1, 0, d1, 0, 0],
+                [0, -1, d2, 0, 0],
+                [0, 0, 0, d1, 0],
+                [0, 0, 0, 0, d2],
+                [0, 0, 0, d2, d1],
+            ]
         ),
         free_fields=("psi1", "psi2", "w"),
         structure=(("free", 0), ("free", 1), ("free", 2), ("d", 2, 1), ("d", 2, 2)),
@@ -691,17 +682,7 @@ BUILTINS = {
         lambda p, z2, z3: ([[0, -z3, 0], [-z3, 0, 0], [0, 0, 1]], _diag(-z3, -z3, -z3)),
         lambda p: plane_stress(p["E"], p["nu"]),
         ("theta2", "theta1", "w"),
-        op=DiffOpMatrix(
-            3,
-            3,
-            ("z1", "z2"),
-            pk={
-                (1, 1): [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
-                (2, 1): [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
-                (1, 2): [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-                (2, 2): [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-            },
-        ),
+        op=_operator(2, lambda d1, d2: [[0, 0, d1**2], [0, 0, d2**2], [d1, d2, 0]]),
         free_fields=("w",),
         structure=(("d", 0, 2), ("d", 0, 1), ("free", 0)),
     ),

@@ -462,6 +462,53 @@ def test_every_compiling_command_rejects_a_derived_value_over_the_digit_limit(
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+@pytest.mark.parametrize(
+    "section, old, new",
+    [("lambda2", "[lambda2]\n-z3, 0", "[lambda2]\n-B*B*z3, 0"), ("F", "[F]\nd1, 0", "[F]\nB*B*d1, 0")],
+    ids=["lambda2", "F"],
+)
+def test_every_compiling_command_rejects_a_polynomial_coefficient_over_the_digit_limit(
+    tmp_path, capsys, command, section, old, new
+):
+    # B has 3,001 digits and B*B 6,001; the coefficient used to escape
+    # Python's int/str limit as exit 1 while the model was being printed
+    big = "[params]\nB = 1" + "0" * 3000 + "\n"
+    path = tmp_path / "big.phsm"
+    path.write_text(_model_text("timoshenko", **{"[params]\n": big, old: new}))
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    out = tmp_path / "out"
+    assert main([command, "--file", str(path), "--out-dir", str(out), *extra]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    expected = f"error: {section}[0][0] has a numerator of 6001 digits, over the limit of 4000 digits"
+    assert err.startswith(expected), err[:200]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("truss", ["A=-1"], "parameter A must be positive, got -1"),
+        ("torsion", ["R=-1"], "parameter R must be positive, got -1"),
+        ("timoshenko", ["A=1", "I=-1"], "parameter I must be positive, got -1"),
+        ("truss", ["A=0"], "parameters b and h must be positive when neither A nor R is given, got b = 0, h = 0"),
+    ],
+    ids=["truss-A", "torsion-R", "timoshenko-I", "truss-no-section"],
+)
+def test_every_compiling_command_names_a_bad_section_parameter(tmp_path, capsys, command, name, params, message):
+    # a negative A or R used to fall through to the b x h rectangle, and a
+    # negative I to a section without its second moment, with messages that
+    # named no parameter
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    out = tmp_path / "out"
+    args = [command, "--builtin", name, *(a for p in params for a in ("--param", p)), "--out-dir", str(out), *extra]
+    assert main(args) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err[:200]
+    assert not out.exists()
+
+
 def _plane_stress_preset_file(tmp_path):
     text = _model_text("elasticity2d", **{"nu = 3/10": "nu = 1"})
     start = text.index("[C]\n") + len("[C]\n")

@@ -6,13 +6,13 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phs_forge.build import assemble_phs, export_system
 from phs_forge.diffop import DiffOpMatrix
 from phs_forge.exact import PiRat
-from phs_forge.modelfile import ParseError, parse_model, serialize_model
+from phs_forge.modelfile import ParseError, _parse_operator, parse_model, serialize_model
 from phs_forge.models import (
     ModelError,
     builtin_model,
@@ -148,6 +148,58 @@ def test_parse_rejects_mixed_derivatives():
     text = serialize_model(model).replace("d1, 0\n0, d2", "d1*d2, 0\n0, d2")
     with pytest.raises(ParseError, match="mixed"):
         parse_model(text)
+
+
+@pytest.mark.parametrize(
+    "entry, expected",
+    [
+        ("(1 + d1)*d1 - d1^2", "d1"),
+        ("(d1 + d2)*(d1 - d2)", "d1^2 - d2^2"),
+        ("(d1 + 1)*(d2 + 1)", None),
+    ],
+    ids=["constant-times-d1", "difference-of-squares", "shifted-product"],
+)
+def test_parse_expands_operator_entries_before_the_mixed_check(entry, expected):
+    # an entry is a polynomial in d1..dl: products cancel before a monomial
+    # in two symbols is refused
+    lines = [f"{entry}, 0", "0, d2"]
+    if expected is None:
+        with pytest.raises(ParseError, match="mixed"):
+            _parse_operator(lines, ("z1", "z2"), {})
+    else:
+        assert _parse_operator(lines, ("z1", "z2"), {}).entry_str(0, 0) == expected
+
+
+@pytest.mark.parametrize("lines", [[], ["d1, 0", "1"]], ids=["empty", "ragged"])
+def test_parse_rejects_an_empty_or_ragged_operator(lines):
+    # an empty [F] section used to end in an IndexError traceback (exit 1)
+    with pytest.raises(ParseError, match="non-empty and not ragged"):
+        _parse_operator(lines, ("z1",), {})
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _operators(draw):
+    ell = draw(st.integers(1, 3))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def matrix():
+        return draw(st.lists(st.lists(_COEFF, min_size=n, max_size=n), min_size=m, max_size=m))
+
+    keys = [(k, i) for k in range(1, ell + 1) for i in range(1, 4)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
+    return DiffOpMatrix(m, n, ("z1", "z2", "z3")[:ell], p0=matrix(), pk={key: matrix() for key in chosen})
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=_operators())
+@example(op=DiffOpMatrix(1, 1, ("z1", "z2"), p0=[[F(-1, 2)]], pk={(2, 3): [[F(-3, 4)]], (1, 1): [[1]]}))
+def test_operator_text_round_trip(op):
+    # the [F] rows the serializer writes parse back to the same operator
+    lines = [", ".join(op.entry_str(r, c) for c in range(op.n)) for r in range(op.m)]
+    assert _parse_operator(lines, op.axes, {}) == op
 
 
 def test_parse_rejects_unknown_coordinate():
