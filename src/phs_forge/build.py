@@ -269,8 +269,8 @@ def hamiltonian_value(sys: PHSystem, p: Sequence[Poly], eps: Sequence[Poly]) -> 
     """Exact H = 1/2 integral(p^T M^-1 p + eps^T K eps) for polynomial states."""
     for matrix in (sys.mass_inv, sys.stiffness):
         _require_rational(matrix, "symbolic Hamiltonian needs rational matrix entries")
-    total = dot(p, mat_apply(sys.mass_inv, p)) + dot(eps, mat_apply(sys.stiffness, eps))
-    return sys.model.domain.integrate(total) / 2
+    dom = sys.model.domain
+    return (dom.pairing(p, sys.mass_inv, p) + dom.pairing(eps, sys.stiffness, eps)) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,27 @@ boundary form or integrates the volume mismatch.  Its ``form=`` and
 ``adjoint=`` keywords default to the operator's own ``BoundaryForm`` and
 ``formal_adjoint()``; the verify suite's energy check passes the stored ones of
 a compiled system, and its mutation suite passes corrupted ones.
+
+Every integral of a product of fields, the volume terms as well as the
+boundary fluxes, is one call of ``DomainSpec.pairing``: ``u^T M v`` over the
+box or through the two faces of one axis.  The kernel never builds the
+product polynomial.  It restricts each factor to a face first, maps its terms
+to integers at flat indices, and sums ``n_a n_b mu[k_a + k_b]`` against a
+cached table of box moments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, product
+from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import ExactError, fr, mat_scale, transpose, zeros
-from .poly import Poly, dot, mat_apply
+from .poly import Poly, mat_apply
 
 Matrix = List[List[Fraction]]
 
@@ -254,7 +265,9 @@ class BoundaryForm:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """An axis-aligned interval / rectangle / box with rational bounds."""
+    """An axis-aligned interval / rectangle / box with rational bounds, over
+    distinct axis names; every bound is stored as a ``Fraction`` (a float is
+    refused)."""
 
     axes: Tuple[str, ...]
     bounds: Tuple[Tuple[Fraction, Fraction], ...]
@@ -264,51 +277,171 @@ class DomainSpec:
             raise ExactError("one bound pair per axis required")
         if not 1 <= len(self.axes) <= 3:
             raise ExactError("supported spatial dimensions: 1, 2, 3")
-        for lo, hi in self.bounds:
+        if len(set(self.axes)) != len(self.axes):
+            raise ExactError(f"duplicate axis names: {tuple(self.axes)}")
+        bounds = tuple((fr(lo), fr(hi)) for lo, hi in self.bounds)
+        for lo, hi in bounds:
             if not lo < hi:
                 raise ExactError(f"empty axis range ({lo}, {hi})")
+        object.__setattr__(self, "axes", tuple(self.axes))
+        object.__setattr__(self, "bounds", bounds)
 
     @staticmethod
     def interval(lo, hi, axis: str = "z1") -> "DomainSpec":
-        return DomainSpec((axis,), ((fr(lo), fr(hi)),))
+        return DomainSpec((axis,), ((lo, hi),))
 
     @staticmethod
     def rectangle(x0, x1, y0, y1, axes=("z1", "z2")) -> "DomainSpec":
-        return DomainSpec(tuple(axes), ((fr(x0), fr(x1)), (fr(y0), fr(y1))))
+        return DomainSpec(axes, ((x0, x1), (y0, y1)))
 
     @staticmethod
     def box(bounds, axes=("z1", "z2", "z3")) -> "DomainSpec":
-        return DomainSpec(tuple(axes), tuple((fr(a), fr(b)) for a, b in bounds))
+        return DomainSpec(axes, bounds)
 
     @property
     def ell(self) -> int:
         return len(self.axes)
 
-    def integrate(self, p: Poly) -> Fraction:
-        """Exact integral of a polynomial over the whole domain."""
-        acc = p
-        for name, (lo, hi) in zip(self.axes, self.bounds):
-            acc = acc.integrate(name, lo, hi)
-        return acc.constant_value()
+    def pairing(
+        self,
+        u: Sequence[Poly],
+        mat_: Optional[Matrix],
+        v: Sequence[Poly],
+        axis: Optional[int] = None,
+    ) -> Fraction:
+        """Exact ``integral_Omega u^T M v`` (``mat_`` None is the identity), or
+        with ``axis`` (indexing ``axes`` from 0) its flux through the two
+        faces of that axis: ``u^T M v`` on the upper face minus on the lower
+        face, integrated over the other axes.  The faces with normal +-e_axis
+        differ only in sign, so this is the boundary integral of
+        ``u^T M v n_axis``.
 
-    def flux(self, p: Poly, axis: int) -> Fraction:
-        """Exact integral of ``p n_axis`` over the boundary, ``axis`` indexing
-        ``axes`` from 0.  The faces with normal +-e_axis differ only in sign,
-        so this is ``p|hi - p|lo`` along the axis integrated over the other
-        axes (a difference of endpoint values for ell = 1)."""
-        name = self.axes[axis]
+        No product polynomial is formed.  Every term ``n z^e`` of a factor
+        becomes an integer at the flat index ``sum_k e_k base^k``, with
+        ``base`` one more than the two factors' top exponents added; on a
+        face the value ``p/q`` of its axis is folded in first, as
+        ``n p^k q^(t-k)`` over ``q^t``.  The integral of a product of two
+        terms is then ``n_a n_b mu[k_a + k_b]``, with ``mu`` the cached table
+        of box moments.  ``M`` is applied to ``v`` row by row, so each nonzero
+        row costs one double sum.  The factors must be over ``axes``.
+        """
+        if mat_ is None:
+            if len(u) != len(v):
+                raise ExactError(f"identity pairing of {len(u)} with {len(v)} factors")
+            rows = [((i, 1),) for i in range(len(u))]
+            lm = 1
+        else:
+            if len(mat_) != len(u) or any(len(row) != len(v) for row in mat_):
+                raise ExactError(f"pairing matrix is not {len(u)} x {len(v)}")
+            # lcm over a set: a short argument tuple for any matrix size, which
+            # keeps the interpreter's tuple free lists (and peak RSS) small
+            lm = lcm(*{x.denominator for row in mat_ for x in row})
+            rows = [
+                [(j, x.numerator * (lm // x.denominator)) for j, x in enumerate(row) if x]
+                for row in mat_
+            ]
+        for p in chain(u, v):
+            if p.coords != self.axes:
+                raise ExactError(f"factor over {p.coords} paired on a domain over {self.axes}")
+        du = max((max(map(max, p.num)) for p in u if p.num), default=0)
+        dv = max((max(map(max, p.num)) for p in v if p.num), default=0)
+        top = du + dv
+        skip = -1 if axis is None else axis
+        mu, den, index = _moments(self.bounds, skip, top)
+        if axis is None:
+            us, lu = _flatten(u, index)
+            vs, lv = _flatten(v, index)
+            return Fraction(_contract(us, rows, vs, mu), den * lu * lv * lm)
         lo, hi = self.bounds[axis]
-        acc = p.subs({name: hi}) - p.subs({name: lo})
-        for i, (other, (a, b)) in enumerate(zip(self.axes, self.bounds)):
-            if i != axis:
-                acc = acc.integrate(other, a, b)
-        return acc.constant_value()
+        us, lu = _flatten(u, index, axis, (_powers(hi, du), _powers(lo, du)))
+        vs, lv = _flatten(v, index, axis, (_powers(hi, dv), _powers(lo, dv)))
+        s_hi, s_lo = (_contract(a, rows, b, mu) for a, b in zip(us, vs))
+        q_hi, q_lo = hi.denominator**top, lo.denominator**top
+        return Fraction(s_hi * q_lo - s_lo * q_hi, den * lu * lv * lm * q_hi * q_lo)
 
 
-def _pair(u: Sequence[Poly], mat_: Matrix, v: Sequence[Poly]) -> Poly:
-    """u^T M v, factored by rows as sum_i u_i (sum_j M_ij v_j): one
-    polynomial product per nonzero row instead of one per nonzero entry."""
-    return dot(u, mat_apply(mat_, v))
+@lru_cache(maxsize=256)
+def _moments(bounds, skip: int, top: int):
+    """``(mu, den, index)`` for the box ``bounds`` without axis ``skip``.
+
+    ``index`` maps every exponent tuple with entries up to ``top`` to its flat
+    index ``sum_k e_k (top + 1)^k``, axis ``skip`` left out of the sum.
+    Exponents add without carries, so the index of a product is the sum of
+    the indices.  ``mu[k] / den`` is the integral over the box of the
+    monomial at index ``k``.
+    """
+    n = top + 1
+    m = lcm(*range(1, n + 1))
+    mu, den, places = [1], 1, []
+    for k, (lo, hi) in enumerate(bounds):
+        if k == skip:
+            places.append(0)
+            continue
+        places.append(len(mu))  # this axis is the next digit
+        a, b, c, d = hi.numerator, hi.denominator, lo.numerator, lo.denominator
+        bn, dn = b**n, d**n
+        # z^(j-1) integrates to (hi^j - lo^j) / j: over m (b d)^n an integer
+        w = [(a**j * b ** (n - j) * dn - c**j * d ** (n - j) * bn) * (m // j)
+             for j in range(1, n + 1)]
+        axis_den = m * bn * dn
+        g = gcd(axis_den, *w)
+        mu = [x * (y // g) for y in w for x in mu]
+        den *= axis_den // g
+    index = {e: sum(map(mul, e, places)) for e in product(range(n), repeat=len(bounds))}
+    return tuple(mu), den, index
+
+
+def _powers(value: Fraction, t: int) -> List[int]:
+    """``p^k q^(t-k)`` for k = 0..t: the numerators of ``value^k`` over ``q^t``."""
+    p, q = value.numerator, value.denominator
+    return [p**k * q ** (t - k) for k in range(t + 1)]
+
+
+def _flatten(polys: Sequence[Poly], index, axis: int = -1, faces=None):
+    """Each polynomial as ``{flat index: numerator}`` over one common
+    denominator, which is returned too.  Without ``faces`` the result is one
+    list; with ``faces``, the power tables (``_powers``) of the upper and the
+    lower face value, it is one list per face, the exponent of ``axis`` folded
+    into the numerator."""
+    common = lcm(*{p.den for p in polys})
+    if faces is None:
+        return [{index[e]: n * (common // p.den) for e, n in p.num.items()} for p in polys], common
+    upper, lower = faces
+    ups, lows = [], []
+    for p in polys:
+        s = common // p.den
+        up: Dict[int, int] = {}
+        low: Dict[int, int] = {}
+        for e, n in p.num.items():
+            k, j, n = index[e], e[axis], n * s
+            if upper[j]:
+                up[k] = up.get(k, 0) + n * upper[j]
+            if lower[j]:
+                low[k] = low.get(k, 0) + n * lower[j]
+        ups.append(up)
+        lows.append(low)
+    return (ups, lows), common
+
+
+def _contract(us, rows, vs, mu) -> int:
+    """``sum_i sum_a u_i[a] sum_b (M v)_i[b] mu[a + b]`` over flat factors, with
+    ``rows[i]`` the nonzero ``(j, M_ij)`` of row i."""
+    total = 0
+    for ui, row in zip(us, rows):
+        if not ui or not row:
+            continue
+        if len(row) == 1:
+            j, scale = row[0]
+            w = vs[j]
+        else:
+            scale, w = 1, {}
+            get = w.get
+            for j, c in row:
+                for k, n in vs[j].items():
+                    w[k] = get(k, 0) + c * n
+        terms = list(w.items())
+        total += scale * sum(n * sum([m * mu[k + kb] for kb, m in terms]) for k, n in ui.items())
+    return total
 
 
 def boundary_pairing(
@@ -324,7 +457,7 @@ def boundary_pairing(
         form = BoundaryForm(op)
     jw = jet(w, op.order, op.axes)
     jv = jet(v, op.order, op.axes)
-    return sum((dom.flux(_pair(jw, q, jv), a) for a, q in enumerate(form.q_axes)), Fraction(0))
+    return sum((dom.pairing(jw, q, jv, axis=a) for a, q in enumerate(form.q_axes)), Fraction(0))
 
 
 def boundary_pairing_sum_form(
@@ -343,7 +476,7 @@ def boundary_pairing_sum_form(
             dv = list(v)
             for _ in range(j - 1):
                 dv = [f.diff(name) for f in dv]
-            total += sign * dom.flux(_pair(dw, transpose(pki), dv), k - 1)
+            total += sign * dom.pairing(dw, transpose(pki), dv, axis=k - 1)
     return total
 
 
@@ -360,7 +493,22 @@ def volume_mismatch(
         raise ExactError("field dimensions do not match the operator")
     if adjoint is None:
         adjoint = op.formal_adjoint()
-    return dom.integrate(dot(v, op.apply(w)) - dot(w, adjoint.apply(v)))
+    return _applied_pairing(dom, v, op, w) - _applied_pairing(dom, w, adjoint, v)
+
+
+def _applied_pairing(
+    dom: DomainSpec, u: Sequence[Poly], op: DiffOpMatrix, w: Sequence[Poly]
+) -> Fraction:
+    """integral_Omega u^T (F w), with F applied inside the kernel: the block
+    row [P0 | Pk(k, i) ...] paired with the stacked [w; d_k^i w; ...]."""
+    fields = list(w)
+    for k, i in op.pk:
+        d = w
+        for _ in range(i):
+            d = [f.diff(op.axes[k - 1]) for f in d]
+        fields += d
+    blocks = [op.p0, *op.pk.values()]
+    return dom.pairing(u, [[x for b in blocks for x in b[r]] for r in range(op.m)], fields)
 
 
 def ibp_residual(

@@ -417,23 +417,21 @@ def _split_entries(line: str) -> List[str]:
     return entries
 
 
-def _parse_domain(kv: Dict[str, str], dist, params) -> DomainSpec:
-    def nums(text, count):
-        vals = [eval_scalar(v, params, "domain") for v in _split_entries(text)]
-        if len(vals) != count:
-            raise ParseError(f"domain needs {count} bounds, got {len(vals)}")
-        return vals
+_DOMAIN_AXES = {"interval": 1, "rectangle": 2, "box": 3}
 
-    if "interval" in kv:
-        a, b = nums(kv["interval"], 2)
-        return DomainSpec((dist[0],), ((a, b),))
-    if "rectangle" in kv:
-        a, b, c, d = nums(kv["rectangle"], 4)
-        return DomainSpec(tuple(dist), ((a, b), (c, d)))
-    if "box" in kv:
-        v = nums(kv["box"], 6)
-        return DomainSpec(tuple(dist), ((v[0], v[1]), (v[2], v[3]), (v[4], v[5])))
-    raise ParseError("domain must declare interval, rectangle or box")
+
+def _parse_domain(kv: Dict[str, str], dist, params) -> DomainSpec:
+    kind = next((k for k in _DOMAIN_AXES if k in kv), None)
+    if kind is None:
+        raise ParseError("domain must declare interval, rectangle or box")
+    ell = _DOMAIN_AXES[kind]
+    if ell != len(dist):
+        axes = "axis" if ell == 1 else "axes"
+        raise ParseError(f"{kind} has {ell} {axes} but distributed is {' '.join(dist)}")
+    vals = [eval_scalar(v, params, "domain") for v in _split_entries(kv[kind])]
+    if len(vals) != 2 * ell:
+        raise ParseError(f"domain needs {2 * ell} bounds, got {len(vals)}")
+    return DomainSpec(tuple(dist), tuple(zip(vals[::2], vals[1::2])))
 
 
 def _parse_section(lines: List[str], params):

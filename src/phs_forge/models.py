@@ -148,6 +148,11 @@ class KinematicModel:
     strain_check: bool = True
 
     def __post_init__(self):
+        if self.domain.axes != tuple(self.dist):
+            raise ModelError(
+                f"domain axes {' '.join(self.domain.axes)} are not the distributed "
+                f"coordinates {' '.join(self.dist)}"
+            )
         if self.op is None:
             self.op = derive_operator(self.dist, self.lambda1, self.lambda2)
         if not self.r_names:

@@ -370,6 +370,28 @@ def test_every_compiling_command_rejects_an_empty_interval(tmp_path, capsys, com
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("build", ["--out", "{tmp}/x.json"]),
+        ("export", ["--out-dir", "{tmp}/out"]),
+        ("simulate", ["--cells", "8,8", "--dt", "1/100", "--steps", "2", "--energy", "{tmp}/e.csv"]),
+    ],
+)
+def test_every_compiling_command_rejects_a_domain_of_the_wrong_dimension(
+    tmp_path, capsys, command, extra
+):
+    # an interval for a plate used to be written as a one-axis domain by build
+    # and export, and to end simulate in an IndexError
+    path = tmp_path / "flat.phsm"
+    path.write_text(_model_text("mindlin_plate", **{"rectangle = 0, 1, 0, 1": "interval = 0, 1"}))
+    extra = [e.format(tmp=tmp_path) for e in extra]
+    assert main([command, "--file", str(path), *extra]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error: interval has 1 axis but distributed is z1 z2"), err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("command", ["build", "export", "simulate"])
 def test_every_compiling_command_rejects_a_non_rational_param(tmp_path, capsys, command):
     extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []

@@ -18,11 +18,10 @@ from phs_forge.diffop import (
     jet,
     jet_layout,
     volume_mismatch,
-    _pair,
 )
-from phs_forge.exact import mat_scale, transpose
+from phs_forge.exact import ExactError, mat_scale, transpose
 from phs_forge.models import builtin_model, random_poly
-from phs_forge.poly import Poly
+from phs_forge.poly import Poly, dot, mat_apply
 
 X1 = ("z1",)
 X12 = ("z1", "z2")
@@ -283,6 +282,26 @@ def test_domain_requires_nonempty_ranges():
         DomainSpec.interval(1, 1)
 
 
+def test_domain_refuses_duplicate_axes():
+    # a repeated axis used to be integrated twice: z1^2 over it gave 2/3
+    with pytest.raises(ExactError, match="duplicate axis names"):
+        DomainSpec(("z1", "z1"), ((0, 1), (0, 2)))
+
+
+def test_domain_refuses_float_bounds_at_construction():
+    with pytest.raises(ExactError, match="floats are not exact"):
+        DomainSpec(("z1",), ((0, 0.5),))
+    with pytest.raises(ExactError, match="floats are not exact"):
+        DomainSpec.rectangle(0, 1, 0.0, 1)
+
+
+def test_domain_stores_every_bound_as_a_fraction():
+    dom = DomainSpec(("z1", "z2"), [(0, 1), ("-1/2", F(3, 4))])
+    assert dom.bounds == ((F(0), F(1)), (F(-1, 2), F(3, 4)))
+    assert all(type(x) is F for pair in dom.bounds for x in pair)
+    assert dom.axes == ("z1", "z2")
+
+
 def test_operator_order_is_tight():
     op = DiffOpMatrix(1, 1, X1, pk={(1, 1): [[1]], (1, 2): [[0]]})
     assert op.order == 1
@@ -365,6 +384,12 @@ def _face_integral(p, dom, axis, value):
     return acc.constant_value()
 
 
+def _pair(u, mat_, v):
+    """u^T M v as one product polynomial, factored by rows as
+    sum_i u_i (sum_j M_ij v_j): the reference the pairing kernel replaced."""
+    return dot(u, mat_apply(mat_, v))
+
+
 def _per_face_pairing(op, v, w, dom, form):
     """The boundary pairing summed over all 2 ell faces, the face with outward
     normal +-e_a pairing the jets through +-Q_a."""
@@ -374,6 +399,108 @@ def _per_face_pairing(op, v, w, dom, form):
         for sign, value in zip((-1, 1), dom.bounds[a]):
             total += _face_integral(_pair(jw, mat_scale(q, F(sign)), jv), dom, a, value)
     return total
+
+
+def _reference_pairing(dom, u, mat_, v, axis):
+    """The product polynomial first, then Poly.subs and Poly.integrate."""
+    prod = dot(u, v) if mat_ is None else _pair(u, mat_, v)
+    if axis is not None:
+        lo, hi = dom.bounds[axis]
+        return _face_integral(prod, dom, axis, hi) - _face_integral(prod, dom, axis, lo)
+    for name, (lo, hi) in zip(dom.axes, dom.bounds):
+        prod = prod.integrate(name, lo, hi)
+    return prod.constant_value()
+
+
+@st.composite
+def pairing_cases(draw):
+    """Fields over ell = 1..3 axes (zero polynomials included), a matrix with
+    fractional entries and possibly zero rows or columns (or None), rational
+    bounds with lo negative, zero or positive, and the volume or a face form."""
+    axes = ("z1", "z2", "z3")[: draw(st.integers(1, 3))]
+    lo = st.sampled_from([F(-3, 2), F(-1, 3), F(0), F(2, 5)])
+    length = st.sampled_from([F(1, 2), F(1), F(7, 3)])
+    bounds = []
+    for _ in axes:
+        a = draw(lo)
+        bounds.append((a, a + draw(length)))
+    dom = DomainSpec(axes, tuple(bounds))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        mat_ = None
+        cols = rows
+    else:
+        entry = st.sampled_from([F(0), F(1), F(-1), F(2, 3), F(-5, 2), F(7, 4)])
+        mat_ = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        zero_row = draw(st.sampled_from([None, *range(rows)]))
+        zero_col = draw(st.sampled_from([None, *range(cols)]))
+        for i in range(rows):
+            for j in range(cols):
+                if i == zero_row or j == zero_col:
+                    mat_[i][j] = F(0)
+    u = draw(fields(axes, rows, 3))
+    v = draw(fields(axes, cols, 3))
+    axis = draw(st.sampled_from([None, *range(len(axes))]))
+    return dom, u, mat_, v, axis
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pairing_cases())
+def test_pairing_kernel_equals_product_then_integrate(case):
+    dom, u, mat_, v, axis = case
+    assert dom.pairing(u, mat_, v, axis=axis) == _reference_pairing(dom, u, mat_, v, axis)
+
+
+def test_pairing_kernel_on_zero_fields_is_zero():
+    dom = DomainSpec.rectangle(F(-1, 2), 1, 0, F(2, 3))
+    zero, z1 = Poly.zero(X12), Poly.variable(X12, "z1")
+    for axis in (None, 0, 1):
+        assert dom.pairing([zero, z1], [[F(1), F(2)], [F(3), F(4)]], [z1, zero], axis=axis) == (
+            _reference_pairing(dom, [zero, z1], [[F(1), F(2)], [F(3), F(4)]], [z1, zero], axis)
+        )
+        assert dom.pairing([zero], None, [z1], axis=axis) == 0
+
+
+def test_pairing_moment_tables_do_not_leak_between_domains():
+    # the moment table is cached per bounds: alternate two domains over the
+    # same axes and degree, and each must keep its own integrals
+    rng = random.Random(11)
+    u = [random_poly(rng, X12, 3) for _ in range(2)]
+    v = [random_poly(rng, X12, 3) for _ in range(2)]
+    mat_ = [[F(1), F(-2, 3)], [F(0), F(5)]]
+    doms = [DomainSpec.rectangle(0, 1, 0, 1), DomainSpec.rectangle(F(-1, 2), 2, F(1, 3), F(3, 2))]
+    for _ in range(2):
+        for dom in doms:
+            for axis in (None, 0, 1):
+                assert dom.pairing(u, mat_, v, axis=axis) == _reference_pairing(dom, u, mat_, v, axis)
+    assert doms[0].pairing(u, mat_, v) != doms[1].pairing(u, mat_, v)
+
+
+@pytest.mark.parametrize(
+    "dom, coords",
+    [
+        (DomainSpec.interval(0, 1), ("z2",)),
+        (DomainSpec.interval(0, 1), ("z1", "z2")),
+        (DomainSpec.rectangle(0, 1, 0, 1), ("z2", "z1")),
+    ],
+    ids=["other-axis", "more-axes", "swapped-order"],
+)
+def test_pairing_refuses_factors_over_other_coordinates(dom, coords):
+    own = Poly.variable(dom.axes, "z1")
+    alien = Poly.variable(coords, coords[0])
+    for u, v in (([own], [alien]), ([alien], [own])):
+        for axis in (None, 0):
+            with pytest.raises(ExactError, match="paired on a domain over"):
+                dom.pairing(u, None, v, axis=axis)
+
+
+def test_pairing_refuses_a_matrix_of_the_wrong_shape():
+    dom = DomainSpec.interval(0, 1)
+    one = Poly.constant(X1, 1)
+    with pytest.raises(ExactError, match="not 1 x 2"):
+        dom.pairing([one], [[F(1)]], [one, one])
+    with pytest.raises(ExactError, match="identity pairing"):
+        dom.pairing([one], None, [one, one])
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phs_forge.build import assemble_phs, export_system
-from phs_forge.diffop import DiffOpMatrix
+from phs_forge.diffop import DiffOpMatrix, DomainSpec
 from phs_forge.exact import PiRat
 from phs_forge.modelfile import ParseError, _parse_operator, parse_model, serialize_model
 from phs_forge.models import (
@@ -78,6 +78,18 @@ def test_reddy_plate_dimensions_and_alpha():
     m = builtin_model("reddy_plate", {"h": F(1, 2)})
     assert (m.n, m.m, m.d) == (5, 8, 5)
     assert m.params["alpha"] == 4 / (3 * F(1, 2) ** 2)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [DomainSpec.interval(0, 1), DomainSpec.rectangle(0, 1, 0, 1, axes=("z2", "z1"))],
+    ids=["interval", "swapped-axes"],
+)
+def test_model_refuses_a_domain_over_other_axes_than_distributed(domain):
+    # the pairing kernel integrates fields over dist on the domain's axes
+    plate = builtin_model("mindlin_plate")
+    with pytest.raises(ModelError, match="are not the distributed coordinates z1 z2"):
+        dataclasses.replace(plate, domain=domain)
 
 
 def test_zero_lambda1_column_fails_validation():

@@ -32,6 +32,14 @@ def test_lemma1_needs_at_least_one_trial(trials):
         run_all(seed=1, model_names=["truss"], trials=trials)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_energy_structure_needs_at_least_one_trial(trials):
+    # with no trial the check used to pass without pairing a single field
+    sys_ = assemble_phs(builtin_model("truss"))
+    with pytest.raises(ValueError, match="at least one energy trial"):
+        check_energy_structure(sys_, trials=trials)
+
+
 def test_lemma1_trivial_zero_fields():
     from phs_forge.diffop import ibp_residual
     from phs_forge.poly import Poly
