@@ -32,6 +32,7 @@ from .models import (
     builtin_model,
     builtin_names,
     derive_operator,
+    strain_symbol,
     validate_model,
 )
 from .poly import Poly, PolyMatrix

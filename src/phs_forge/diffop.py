@@ -40,6 +40,11 @@ from .poly import Poly, mat_apply
 Matrix = List[List[Fraction]]
 
 
+def derivative_symbols(ell: int) -> Tuple[str, ...]:
+    """The derivative symbols ``d1..d_ell``: ``d_k`` stands for d/dx_k."""
+    return tuple(f"d{k}" for k in range(1, ell + 1))
+
+
 class DiffOpMatrix:
     """The operator family {P0, Pk(k, i)} with output dim m, input dim n.
 
@@ -102,20 +107,21 @@ class DiffOpMatrix:
                         )
         return cls(m, n, axes, p0, dict(sorted(pk.items())))
 
+    def symbols(self) -> List[List[Poly]]:
+        """The rows ``from_symbols`` reads back to this operator: entry (r, c)
+        is ``P0[r][c] + sum Pk(k, i)[r][c] d_k^i``, a polynomial in
+        ``derivative_symbols(ell)``."""
+        unit, coords = (0,) * self.ell, derivative_symbols(self.ell)
+        blocks = [(unit, self.p0)]
+        blocks += [(unit[: k - 1] + (i,) + unit[k:], p) for (k, i), p in self.pk.items()]
+        return [
+            [Poly(coords, {e: p[r][c] for e, p in blocks}) for c in range(self.n)]
+            for r in range(self.m)
+        ]
+
     # -- coefficient access --------------------------------------------------
     def coeff(self, k: int, i: int) -> Matrix:
         return self.pk.get((k, i), zeros(self.m, self.n))
-
-    def entry_is_zero(self, r: int, c: int) -> bool:
-        if self.p0[r][c] != 0:
-            return False
-        return all(mat_[r][c] == 0 for mat_ in self.pk.values())
-
-    def row_is_zero(self, r: int) -> bool:
-        return all(self.entry_is_zero(r, c) for c in range(self.n))
-
-    def col_is_zero(self, c: int) -> bool:
-        return all(self.entry_is_zero(r, c) for r in range(self.m))
 
     def entry_str(self, r: int, c: int) -> str:
         """Render one entry, e.g. '-1', 'd1', 'd1 + 2*d2^2'."""

@@ -60,7 +60,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .diffop import DiffOpMatrix, DomainSpec
+from .diffop import DiffOpMatrix, DomainSpec, derivative_symbols
 from .exact import ExactError
 from .models import CONSTITUTIVE_PRESETS, KinematicModel, ModelError
 from .poly import Poly, PolyMatrix
@@ -460,8 +460,7 @@ def _parse_section(lines: List[str], params):
 
 
 def _parse_operator(lines, dist, params) -> DiffOpMatrix:
-    symbols = tuple(f"d{k}" for k in range(1, len(dist) + 1))
-    rows = _poly_rows(lines, symbols, params, "F")
+    rows = _poly_rows(lines, derivative_symbols(len(dist)), params, "F")
     try:
         return DiffOpMatrix.from_symbols(rows, dist)
     except ExactError as exc:

@@ -37,19 +37,19 @@ class Poly:
             raise ExactError(f"duplicate coordinate names: {coords}")
         clean: Dict[Exponents, Fraction] = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != len(coords):
                 raise ExactError(f"exponent arity {len(exps)} != coordinate count {len(coords)}")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ExactError("negative exponent")
             c = fr(c)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
+            if c and exps in clean:
+                c += clean.pop(exps)
+            if c:
+                clean[exps] = c
         # over the lcm of reduced denominators the numerators share no factor
         # with it, so this is already canonical
-        den = lcm(*(c.denominator for c in clean.values()))
+        den = lcm(*{c.denominator for c in clean.values()})
         self.coords = coords
         self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self.den = den

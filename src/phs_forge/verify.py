@@ -90,11 +90,12 @@ def check_lemma1(models: Sequence[KinematicModel], trials: int = 20, seed: int =
     for model in models:
         # string seeding is deterministic across processes (unlike hash())
         rng = random.Random(f"{seed}:{model.name}")
+        adjoint, form = model.op.formal_adjoint(), BoundaryForm(model.op)
         for t in range(trials):
             started = time.perf_counter()
             v, w = _random_fields(rng, model.op, model.order + 2)
-            lhs = volume_mismatch(model.op, v, w, model.domain)
-            res = lhs - boundary_pairing(model.op, v, w, model.domain)
+            lhs = volume_mismatch(model.op, v, w, model.domain, adjoint=adjoint)
+            res = lhs - boundary_pairing(model.op, v, w, model.domain, form=form)
             sum_form = lhs - boundary_pairing_sum_form(model.op, v, w, model.domain)
             ok = res == 0 and sum_form == 0
             witness = None if ok else f"residual {res} (sum form {sum_form})"

@@ -14,13 +14,14 @@ from phs_forge.diffop import (
     DomainSpec,
     boundary_pairing,
     boundary_pairing_sum_form,
+    derivative_symbols,
     ibp_residual,
     jet,
     jet_layout,
     volume_mismatch,
 )
 from phs_forge.exact import ExactError, mat_scale, transpose
-from phs_forge.models import builtin_model, random_poly
+from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.poly import Poly, dot, mat_apply
 
 X1 = ("z1",)
@@ -79,6 +80,22 @@ def test_adjoint_involution_on_all_builtins():
     ):
         op = builtin_model(name).op
         assert op.formal_adjoint().formal_adjoint() == op, name
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_symbols_read_back_to_the_operator(name):
+    op = builtin_model(name).op
+    for f in (op, op.formal_adjoint()):
+        rows = f.symbols()
+        assert [p.coords for row in rows for p in row] == [derivative_symbols(f.ell)] * (f.m * f.n)
+        assert DiffOpMatrix.from_symbols(rows, f.axes) == f
+
+
+def test_symbols_of_a_hand_operator():
+    d1, d2 = (Poly.variable(("d1", "d2"), s) for s in ("d1", "d2"))
+    pk = {(1, 1): [[1, 0], [0, 0]], (2, 2): [[0, 3], [0, 0]]}
+    op = DiffOpMatrix(2, 2, X12, p0=[[0, -1], [0, 0]], pk=pk)
+    assert op.symbols() == [[d1, -1 + 3 * d2**2], [0 * d1, 0 * d1]]
 
 
 def test_apply_timoshenko_hand_example():

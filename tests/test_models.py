@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,12 +20,15 @@ from phs_forge.models import (
     builtin_model,
     builtin_names,
     derive_operator,
+    random_poly,
+    strain_symbol,
     torsion_two_strain,
     validate_model,
 )
 from phs_forge.poly import Poly, PolyMatrix
 
 ALL = builtin_names()
+Z123 = ("z1", "z2", "z3")
 # builtins whose r is free, so that F is derived from lambda1 and lambda2
 DERIVED = ["elasticity2d", "elasticity3d", "mindlin_plate", "string", "timoshenko", "torsion", "truss"]
 
@@ -430,6 +435,103 @@ def test_strain_proof_kills_every_coefficient_mutation(name):
             if not _strain_check_fails(dataclasses.replace(model, lambda2=PolyMatrix(flipped))):
                 survivors.append(f"lambda2[{i}][{j}] negated")
     assert survivors == []
+
+
+def _full_voigt_strain(u):
+    """All six engineering strain components of a 3-vector displacement."""
+    u1, u2, u3 = u
+    return [
+        u1.diff("z1"),
+        u2.diff("z2"),
+        u3.diff("z3"),
+        u1.diff("z2") + u2.diff("z1"),
+        u1.diff("z3") + u3.diff("z1"),
+        u2.diff("z3") + u3.diff("z2"),
+    ]
+
+
+def _monomial_field_proof(model) -> bool:
+    """Reference for the strain proof: voigt(lambda1 r) = lambda2 F r on every
+    monomial field e_j z^alpha of each free field, |alpha| <= max(N, 1) + 1.
+    Both sides are operators of at most that order in the free fields, with
+    coefficients constant in the distributed coordinates, so this decides the
+    identity too, from fields instead of symbols."""
+    degree = max(model.order, 1) + 1
+    zero = Poly.zero(Z123)
+    lambda1, lambda2 = model.lambda1.extend(Z123), model.lambda2.extend(Z123)
+    samples = []
+    for j in range(len(model.free_fields)):
+        for alpha in itertools.product(range(degree + 1), repeat=model.ell):
+            if sum(alpha) > degree:
+                continue
+            mono = Poly(model.dist, {alpha: 1}).extend(Z123)
+            free = [mono if i == j else zero for i in range(len(model.free_fields))]
+            r = [
+                free[s[1]] if s[0] == "free" else free[s[1]].diff(model.dist[s[2] - 1])
+                for s in model.structure
+            ]
+            samples.append((_full_voigt_strain(lambda1.apply(r)), lambda2.apply(model.op.apply(r))))
+    rows = [i for i in range(6) if any(not voigt[i].is_zero for voigt, _ in samples)]
+    return len(rows) == model.d and all(
+        voigt[i] == rhs[j] for voigt, rhs in samples for j, i in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize("name", [n for n in ALL if builtin_model(n).strain_check])
+def test_symbol_proof_agrees_with_monomial_field_reference(name):
+    model = builtin_model(name)
+    variants = [("builtin", model)]
+    variants += [(label, dataclasses.replace(model, op=op)) for label, op in _op_mutants(model.op)]
+    entries = model.lambda2.entries
+    for i, row in enumerate(entries):
+        for j, p in enumerate(row):
+            if not p.is_zero:
+                flipped = [list(rw) for rw in entries]
+                flipped[i][j] = -p
+                lam2 = PolyMatrix(flipped)
+                variants.append((f"lambda2[{i}][{j}] negated", dataclasses.replace(model, lambda2=lam2)))
+    verdicts = {label: (not _strain_check_fails(v), _monomial_field_proof(v)) for label, v in variants}
+    assert verdicts["builtin"] == (True, True)
+    assert len(verdicts) > 1
+    assert {label: v for label, v in verdicts.items() if v[0] != v[1]} == {}
+
+
+def test_strain_failure_names_the_field_and_both_symbols():
+    model = builtin_model("rayleigh_beam")
+    model.lambda2 = PolyMatrix([[Poly.variable(model.comp, "z3") * F(1, 2)]])
+    detail = [c for c in validate_model(model).failures() if c.check_id == "strain-consistency"][0].detail
+    assert detail == (
+        "free field w: strain component 1 (voigt 1) mismatch: "
+        "kinematics give -z3*d1^2, factorization gives z3*d1^2"
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["beam", "plate", "solid"]))
+def test_strain_symbol_applies_as_the_voigt_strain(seed, family):
+    # lambda1 over all three coordinates, the distributed ones too: the
+    # symbol keeps its coefficients on the left, so the product rule is exact
+    dist = {"beam": Z123[:1], "plate": Z123[:2], "solid": Z123}[family]
+    rng = random.Random(seed)
+    lambda1 = PolyMatrix([[random_poly(rng, Z123, 2) for _ in range(2)] for _ in range(3)])
+    r = [random_poly(rng, dist, 3).extend(Z123) for _ in range(2)]
+    symbol = strain_symbol(dist, lambda1)
+    assert symbol.coords == Z123 + tuple(f"d{k}" for k in range(1, len(dist) + 1))
+
+    def apply(entry, field):
+        """The operator of one symbol entry on a field: each term
+        differentiates first and multiplies by its coefficient after."""
+        out = Poly.zero(Z123)
+        for e, c in entry.terms.items():
+            derivative = field
+            for name, k in zip(dist, e[3:]):
+                for _ in range(k):
+                    derivative = derivative.diff(name)
+            out += Poly(Z123, {e[:3]: c}) * derivative
+        return out
+
+    got = [sum((apply(p, f) for p, f in zip(row, r)), Poly.zero(Z123)) for row in symbol.entries]
+    assert got == _full_voigt_strain(lambda1.apply(r))
 
 
 @pytest.mark.parametrize("name", DERIVED)
