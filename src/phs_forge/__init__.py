@@ -21,6 +21,7 @@ from .diffop import (
     DiffOpMatrix,
     DomainSpec,
     ibp_residual,
+    ibp_symbol_residual,
     jet,
 )
 from .exact import ExactError, PiRat

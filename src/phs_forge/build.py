@@ -240,16 +240,6 @@ class LagrangianFormSystem:
     system: PHSystem
     j0: list
 
-    def e_r(self, r: Sequence[Poly]) -> List[Poly]:
-        k = self.system.stiffness
-        _require_rational(k, "symbolic force expansion needs rational stiffness entries")
-        return self.system.op_adjoint.apply(mat_apply(k, self.system.op.apply(r)))
-
-
-def _require_rational(matrix, message: str) -> None:
-    if any(x != 0 and not isinstance(x, Fraction) for row in matrix for x in row):
-        raise BuildError(message)
-
 
 def lagrangian_form(sys: PHSystem) -> LagrangianFormSystem:
     n = sys.n
@@ -268,7 +258,8 @@ def lagrangian_form(sys: PHSystem) -> LagrangianFormSystem:
 def hamiltonian_value(sys: PHSystem, p: Sequence[Poly], eps: Sequence[Poly]) -> Fraction:
     """Exact H = 1/2 integral(p^T M^-1 p + eps^T K eps) for polynomial states."""
     for matrix in (sys.mass_inv, sys.stiffness):
-        _require_rational(matrix, "symbolic Hamiltonian needs rational matrix entries")
+        if any(x != 0 and not isinstance(x, Fraction) for row in matrix for x in row):
+            raise BuildError("symbolic Hamiltonian needs rational matrix entries")
     dom = sys.model.domain
     return (dom.pairing(p, sys.mass_inv, p) + dom.pairing(eps, sys.stiffness, eps)) / 2
 

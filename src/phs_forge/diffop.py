@@ -8,13 +8,21 @@ with all coefficient matrices constant and rational.  Only pure powers of a
 single axis derivative are representable; mixed partials are excluded by
 construction.  The formal adjoint flips the sign of odd-order terms, and the
 difference  integral(v^T F w - w^T F* v)  collapses to a boundary quadratic
-form between jets of w and v.  ``ibp_residual`` evaluates that identity with
-exact arithmetic and must return rational zero for every valid operator: it is
-the master oracle for this module, and the only place that pairs jets with a
-boundary form or integrates the volume mismatch.  Its ``form=`` and
-``adjoint=`` keywords default to the operator's own ``BoundaryForm`` and
-``formal_adjoint()``; the verify suite's energy check passes the stored ones of
-a compiled system, and its mutation suite passes corrupted ones.
+form between jets of w and v.  ``BoundaryForm`` builds that form from one
+formula, the exact quotient of  F(eta)^T - F*(zeta)  by  eta_k + zeta_k  (eta
+for derivatives of w, zeta for those of v).
+
+The identity is checked two ways.  ``ibp_symbol_residual`` proves it: for
+this operator class it holds if and only if a finite matrix of polynomials in
+(eta, zeta) is zero.  ``ibp_residual`` evaluates it with exact arithmetic on
+given fields and must return rational zero for every valid operator: it is
+the only place that pairs jets with a boundary form or integrates the volume
+mismatch.  Both take ``form=`` and ``adjoint=`` keywords that default to the
+operator's own ``BoundaryForm`` and ``formal_adjoint()``.  The verify suite's
+energy check passes both the stored ones of a compiled system, and its
+mutation suite passes corrupted ones to ``ibp_residual``.  (The calculus of
+two-variable polynomial matrices: Willems & Trentelman, "On quadratic
+differential forms", SIAM J. Control Optim. 36(5), 1998.)
 
 Every integral of a product of fields, the volume terms as well as the
 boundary fluxes, is one call of ``DomainSpec.pairing``: ``u^T M v`` over the
@@ -213,60 +221,35 @@ class BoundaryForm:
     axis.  On a box the faces with outward normal +-e_k carry +-Q_k, so the
     boundary term is the flux of jet(w)^T Q_k jet(v) summed over the axes.
 
-    Each Q_k has block layout (rows index the jet of the input side w,
-    columns the jet of the output side v):
+    Rows index the jet of the input side w, columns the jet of the output
+    side v.  In symbols (eta for derivatives of w, zeta for those of v), a
+    term Pk(k, i) contributes Pk(k, i)^T (eta_k^i - (-zeta_k)^i) to
+    F(eta)^T - F*(zeta), and
 
-        [ P      -W_2     W_3    ...  (-1)^(N-1) W_N ]
-        [ V_2    -L_3     L_4    ...                 ]
-        [ V_3    -L_4     ...                        ]
-        [ ...                                        ]
-        [ V_N     0       ...                   0    ]
+        eta^i - (-zeta)^i = (eta + zeta) sum_c eta^(i-1-c) (-zeta)^c,
 
-    where P = Pk(k,1)^T, W_i places Pk(k,i)^T in the axis-k slot of a block
-    row, V_i in that of a block column, and L_i on the axis-k diagonal.
-    Entries whose order index exceeds N are zero.
+    so Q_k is the exact quotient by eta_k + zeta_k: term (k, i) puts
+    (-1)^c Pk(k, i)^T at jet block (i-1-c, c) of the axis-k slot, for
+    c = 0..i-1.  ``ibp_symbol_residual`` checks that quotient.
     """
 
     __slots__ = ("op", "rows", "cols", "q_axes")
 
     def __init__(self, op: DiffOpMatrix):
         self.op = op
-        self.rows = jet_layout(op.n, op.order, op.ell)
-        self.cols = jet_layout(op.m, op.order, op.ell)
-        self.q_axes = [self._assemble_axis(k) for k in range(1, op.ell + 1)]
-
-    def _assemble_axis(self, k: int) -> Matrix:
-        op = self.op
         n, m, ell = op.n, op.m, op.ell
-        order = max(op.order, 1)
-        big = zeros(self.rows, self.cols)
-
-        def paste(r0, c0, block):
-            for i, row in enumerate(block):
-                for j, x in enumerate(row):
-                    big[r0 + i][c0 + j] = x
-
-        def pt(i):
-            return transpose(op.coeff(k, i))  # n x m
-
-        # (0, 0): axis-k share of P
-        paste(0, 0, pt(1))
-        # (0, c): (-1)^c W_{c+1}; only the axis-k slot of the block row
-        for c in range(1, order):
-            block = mat_scale(pt(c + 1), Fraction((-1) ** c))
-            paste(0, jet_layout(m, c, ell) + (k - 1) * m, block)
-        # (r, 0): V_{r+1}; only the axis-k slot of the block column
-        for r in range(1, order):
-            paste(jet_layout(n, r, ell) + (k - 1) * n, 0, pt(r + 1))
-        # (r, c): (-1)^c L_{r+c+1}, diagonal in the axis index
-        for r in range(1, order):
-            for c in range(1, order):
-                i = r + c + 1
-                if i > order:
-                    continue
-                block = mat_scale(pt(i), Fraction((-1) ** c))
-                paste(jet_layout(n, r, ell) + (k - 1) * n, jet_layout(m, c, ell) + (k - 1) * m, block)
-        return big
+        self.rows = jet_layout(n, op.order, ell)
+        self.cols = jet_layout(m, op.order, ell)
+        self.q_axes = [zeros(self.rows, self.cols) for _ in range(ell)]
+        # first index of jet block (j, k) of a size-vector; block 0 has no axis
+        start = lambda size, j, k: jet_layout(size, j, ell) + (k - 1) * size if j else 0
+        for (k, i), mat_ in op.pk.items():
+            q = self.q_axes[k - 1]
+            for c in range(i):
+                r0, c0 = start(n, i - 1 - c, k), start(m, c, k)
+                for b, row in enumerate(mat_):
+                    for a, x in enumerate(row):
+                        q[r0 + a][c0 + b] = (-1) ** c * x
 
 
 @dataclass(frozen=True)
@@ -469,8 +452,9 @@ def boundary_pairing(
 def boundary_pairing_sum_form(
     op: DiffOpMatrix, v: Sequence[Poly], w: Sequence[Poly], dom: DomainSpec
 ) -> Fraction:
-    """Boundary side written as the raw alternating triple sum; used to
-    cross-check the assembled block layout."""
+    """Boundary side written as the raw alternating triple sum: a reference
+    for the tests and the benchmark's replay, independent of the jet layout
+    of ``BoundaryForm``."""
     total = Fraction(0)
     for (k, i), pki in op.pk.items():
         name = op.axes[k - 1]
@@ -531,3 +515,66 @@ def ibp_residual(
     return volume_mismatch(op, v, w, dom, adjoint=adjoint) - boundary_pairing(
         op, v, w, dom, form=form
     )
+
+
+def ibp_symbol_residual(
+    op: DiffOpMatrix,
+    form: Optional[BoundaryForm] = None,
+    adjoint: Optional[DiffOpMatrix] = None,
+) -> List[List[Poly]]:
+    """Lemma 1 as a polynomial identity: the n x m matrix
+
+        F(eta)^T - F*(zeta) - sum_a (zeta_a + eta_a) Q_a(eta, zeta)
+
+    over ``dw1..dwl`` (eta, the derivatives of w) and ``dv1..dvl`` (zeta,
+    those of v).  ``Q_a(eta, zeta)`` reads the jet layout of ``form``: row
+    block (j, k) is ``eta_k^j`` and column block (j, k) is ``zeta_k^j``.  The
+    coefficients are constant and no partials mix, so the identity behind
+    ``ibp_residual`` holds for all fields if and only if every entry is zero:
+    a zero matrix is a proof, a nonzero entry a witness.  ``form`` and
+    ``adjoint`` default as in ``ibp_residual``.
+    """
+    if form is None:
+        form = BoundaryForm(op)
+    if adjoint is None:
+        adjoint = op.formal_adjoint()
+    n, m, ell = op.n, op.m, op.ell
+    rows = _jet_monomials(n, op.order, ell, 0)
+    cols = _jet_monomials(m, op.order, ell, ell)
+    if (adjoint.m, adjoint.n) != (n, m) or len(form.q_axes) != ell or any(
+        len(q) != len(rows) or any(len(row) != len(cols) for row in q) for q in form.q_axes
+    ):
+        raise ExactError("adjoint or boundary form does not match the operator")
+    acc = [[{} for _ in range(m)] for _ in range(n)]
+
+    def add(p, q, e, x):
+        acc[p][q][e] = acc[p][q].get(e, 0) + x
+
+    pad = (0,) * ell
+    fw, fv = op.symbols(), adjoint.symbols()
+    for p in range(n):
+        for q in range(m):
+            for e, x in fw[q][p].terms.items():
+                add(p, q, e + pad, x)
+            for e, x in fv[p][q].terms.items():
+                add(p, q, pad + e, -x)
+    units = [(pad + pad)[:s] + (1,) + (pad + pad)[s + 1 :] for s in range(2 * ell)]
+    for a, q_a in enumerate(form.q_axes):
+        for (p, er), row in zip(rows, q_a):
+            for (q, ec), x in zip(cols, row):
+                for s in (a, ell + a) if x else ():  # times eta_a + zeta_a
+                    add(p, q, tuple(map(sum, zip(er, ec, units[s]))), -x)
+    coords = tuple(f"d{side}{k}" for side in "wv" for k in range(1, ell + 1))
+    return [[Poly(coords, t) for t in row] for row in acc]
+
+
+def _jet_monomials(size: int, order: int, ell: int, offset: int):
+    """``(component, exponents)`` for each index of ``jet``'s layout of a
+    size-vector, over 2 ell symbols: jet block (j, k) is the monomial
+    ``s^j`` of symbol ``s = offset + k - 1`` (0-based)."""
+    zero = (0,) * (2 * ell)
+    out = [(p, zero) for p in range(size)]
+    for j in range(1, max(order, 1)):
+        for s in range(offset, offset + ell):
+            out += [(p, zero[:s] + (j,) + zero[s + 1 :]) for p in range(size)]
+    return out

@@ -157,10 +157,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, s):
     return [[s * x for x in r] for r in a]
 
@@ -198,16 +194,6 @@ def ldl_pivots(a):
             for k2 in range(j, n):
                 work[i][k2] = work[i][k2] - lij * work[j][k2]
     return [work[i][i] for i in range(n)], None
-
-
-def leading_minors(a):
-    """Exact leading principal minors det(a[:k,:k]): the running products of
-    the LDL^T pivots, up to the first non-positive one."""
-    minors, acc = [], Fraction(1)
-    for d in ldl_pivots(a)[0]:
-        acc = acc * d
-        minors.append(acc)
-    return minors
 
 
 def check_spd(a):

@@ -273,10 +273,6 @@ def eval_scalar(text: str, params: Dict[str, Fraction], what: str) -> Fraction:
     return check_digits(val, what)
 
 
-def eval_poly(text: str, coords: Tuple[str, ...], params: Dict[str, Fraction], what: str) -> Poly:
-    return _poly_rows([text], coords, params, what)[0][0]
-
-
 def _poly_rows(lines, coords: Tuple[str, ...], params: Dict[str, Fraction], what: str):
     """The rows of a matrix section whose entries are polynomials over
     ``coords``; every coefficient is held to the digit limit, naming its entry
@@ -491,11 +487,18 @@ def _parse_structure(lines, n, dist):
     if lines is None:
         return (), (), (), True
     kv = _kv_lines(lines, "structure")
+    unknown = sorted(set(kv) - {"names", "fields", "r", "strain_check"})
+    if unknown:
+        raise ParseError(
+            f"unknown key {unknown[0]!r} in [structure]; known: names, fields, r, strain_check"
+        )
     names = tuple(_split_entries(kv["names"])) if "names" in kv else ()
     if names and len(names) != n:
         raise ParseError(f"structure names line has {len(names)} entries, operator expects {n}")
     fields = tuple(_split_entries(kv["fields"])) if "fields" in kv else ()
-    strain_check = kv.get("strain_check", "true").strip().lower() != "false"
+    strain_check = kv.get("strain_check", "true")
+    if strain_check not in ("true", "false"):
+        raise ParseError(f"strain_check must be true or false, got {strain_check!r}")
     structure: List[tuple] = []
     if fields and "r" not in kv:
         raise ParseError("[structure] with a fields line needs an r line")
@@ -522,7 +525,7 @@ def _parse_structure(lines, n, dist):
         unused = [f for j, f in enumerate(fields) if j not in used]
         if unused:
             raise ParseError(f"free field {unused[0]!r} is used by no r item in structure")
-    return names, fields, tuple(structure), strain_check
+    return names, fields, tuple(structure), strain_check == "true"
 
 
 def parse_model_file(path: str) -> KinematicModel:

@@ -218,14 +218,6 @@ class Poly:
                 out[e[:i] + (k - 1,) + e[i + 1 :]] = n * k
         return Poly._raw(self.coords, out, self.den)
 
-    def antiderivative(self, name: str) -> "Poly":
-        """Antiderivative in ``name`` with zero constant, over the denominator
-        scaled by the lcm of the new exponents."""
-        i = self.coords.index(name)
-        m = lcm(*{e[i] + 1 for e in self.num})
-        out = {e[:i] + (e[i] + 1,) + e[i + 1 :]: n * (m // (e[i] + 1)) for e, n in self.num.items()}
-        return Poly._raw(self.coords, out, self.den * m)
-
     def integrate(self, name: str, lo, hi) -> "Poly":
         """Exact definite integral over ``name`` in (lo, hi).
 

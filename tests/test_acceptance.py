@@ -10,13 +10,15 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
 
 from phs_forge.build import assemble_phs, mass_matrix, stiffness_matrix
 from phs_forge.diffop import DiffOpMatrix, boundary_pairing_sum_form, ibp_residual, volume_mismatch
-from phs_forge.exact import leading_minors, scalar_sign
+from phs_forge.exact import ldl_pivots, scalar_sign
 from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.sections import IntervalSection, section_moment
 from phs_forge.simulate import (
@@ -158,7 +160,7 @@ def test_criterion_5_spd_with_physical_parameters():
         for name, params in phys.items():
             model = builtin_model(name, params)
             for matrix in (mass_matrix(model), stiffness_matrix(model)):
-                minors = leading_minors(matrix)
+                minors = list(accumulate(ldl_pivots(matrix)[0], mul))
                 assert all(scalar_sign(x) > 0 for x in minors), (name, minors)
 
 

@@ -1,0 +1,64 @@
+"""The benchmark's contract with the package.
+
+``benchmark/workloads.py`` imports names from ``phs_forge`` and times the
+four check families of ``verify.run_all`` by wrapping them in verify's module
+globals.  These tests load that file by path, so removing a name it imports,
+or calling a family other than through the module globals, fails here rather
+than only in a benchmark run.  Nothing under ``benchmark/`` is modified.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from phs_forge import verify
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)  # an ImportError names what the package lost
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_workloads_import_from_this_package(workloads):
+    assert workloads.verify_module is verify
+    assert set(workloads.FAMILY_SPANS) == {
+        "check_lemma1",
+        "check_energy_structure",
+        "check_limits_and_reductions",
+        "check_mutations",
+    }
+
+
+def test_run_all_calls_each_family_through_the_module_globals(workloads, monkeypatch):
+    calls = []
+    for name in workloads.FAMILY_SPANS:
+
+        def spy(*args, _name=name, _family=getattr(verify, name), **kwargs):
+            calls.append(_name)
+            return _family(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, spy)
+    results = verify.run_all(seed=1, model_names=["truss", "euler_bernoulli"], trials=1)
+    assert all(r.ok for r in results)
+    assert set(calls) == set(workloads.FAMILY_SPANS)
+
+
+def test_tiny_size_report_matches_its_pins(workloads):
+    """The self-test size's check count and seed report digest."""
+    size, seed = workloads.SIZES["tiny"], workloads.REPORT_SEED
+    results = verify.run_all(seed, model_names=list(size.verify_models), trials=size.trials)
+    assert len(results) == size.expected_checks
+    digest = hashlib.sha256(verify.report_json(results, seed).encode("utf-8")).hexdigest()
+    assert digest == size.report_digest

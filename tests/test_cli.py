@@ -633,3 +633,25 @@ def test_build_refuses_structure_that_does_not_match_r(tmp_path, capsys, old, ne
     assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        ("nmes = psi, w", "unknown key 'nmes' in [structure]"),
+        ("names = psi, w\nstrain_check = flase", "strain_check must be true or false, got 'flase'"),
+        ("names = psi, w\nstrain_check = no", "strain_check must be true or false, got 'no'"),
+        ("names = psi, w\nstrain_check = 0", "strain_check must be true or false, got '0'"),
+        ("names = psi, w\nstrain_check = False", "strain_check must be true or false, got 'False'"),
+        ("names = psi, w\nstrain_check =", "strain_check must be true or false, got ''"),
+    ],
+    ids=["key-typo", "flase", "no", "zero", "capitalized", "empty"],
+)
+def test_build_refuses_unknown_structure_input(tmp_path, capsys, new, message):
+    # these used to parse: the typo dropped names, and any value but false kept the check on
+    path = tmp_path / "timoshenko.phsm"
+    path.write_text(_model_text("timoshenko", **{"names = psi, w": new}))
+    assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+    assert not (tmp_path / "x.json").exists()

@@ -16,6 +16,7 @@ from phs_forge.diffop import (
     boundary_pairing_sum_form,
     derivative_symbols,
     ibp_residual,
+    ibp_symbol_residual,
     jet,
     jet_layout,
     volume_mismatch,
@@ -283,6 +284,38 @@ def test_sum_form_equals_assembled_form():
             )
 
 
+def _is_zero_matrix(rows):
+    return all(p.is_zero for row in rows for p in row)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_ibp_symbol_residual_is_zero_on_every_builtin(name):
+    """Lemma 1 proved as a polynomial identity."""
+    op = builtin_model(name).op
+    rows = ibp_symbol_residual(op)
+    assert (len(rows), len(rows[0])) == (op.n, op.m)
+    assert _is_zero_matrix(rows)
+
+
+def test_ibp_symbol_residual_without_a_boundary_form_is_the_symbol_difference():
+    """With every Q_a zeroed the residual is F(eta)^T - F*(zeta) itself:
+    F = [d1, d1^2] gives [eta + zeta, eta^2 - zeta^2] in dw1 (eta), dv1 (zeta)."""
+    op = rayleigh_op()
+    form = BoundaryForm(op)
+    form.q_axes = [[[F(0)] * form.cols for _ in range(form.rows)]]
+    rows = ibp_symbol_residual(op, form=form)
+    dw, dv = (Poly.variable(("dw1", "dv1"), s) for s in ("dw1", "dv1"))
+    assert rows == [[dw + dv], [dw**2 - dv**2]]
+
+
+def test_ibp_symbol_residual_refuses_a_mismatched_form_or_adjoint():
+    op = rayleigh_op()
+    with pytest.raises(ExactError, match="does not match the operator"):
+        ibp_symbol_residual(op, form=BoundaryForm(timoshenko_op()))
+    with pytest.raises(ExactError, match="does not match the operator"):
+        ibp_symbol_residual(op, adjoint=op)
+
+
 def test_skew_block_volume_terms_are_pure_boundary():
     """For J = [[0, -F*], [F, 0]] the symmetric part of the pairing is all
     boundary: instantiating the residual on both off-diagonal blocks."""
@@ -374,6 +407,7 @@ def test_ibp_oracle_properties_on_random_operators(data):
     dom = data.draw(domains(op.axes))
     res = ibp_residual(op, v, w, dom)
     assert res == 0
+    assert _is_zero_matrix(ibp_symbol_residual(op))
     assert boundary_pairing(op, v, w, dom) == boundary_pairing_sum_form(op, v, w, dom)
     assert ibp_residual(op, v, w, dom, form=BoundaryForm(op), adjoint=op.formal_adjoint()) == res
 

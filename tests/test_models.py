@@ -160,6 +160,13 @@ def test_serialize_parse_round_trip(name):
     assert back == model
 
 
+@pytest.mark.parametrize("value, expected", [("true", True), ("false", False)])
+def test_structure_strain_check_reads_true_and_false(value, expected):
+    text = serialize_model(builtin_model("timoshenko"))
+    text = text.replace("names = psi, w", f"names = psi, w\nstrain_check = {value}")
+    assert parse_model(text).strain_check is expected
+
+
 def test_parse_rejects_mixed_derivatives():
     model = builtin_model("elasticity2d")
     text = serialize_model(model).replace("d1, 0\n0, d2", "d1*d2, 0\n0, d2")

@@ -78,6 +78,50 @@ def test_mutations_attack_the_shipped_oracle(monkeypatch):
     assert len(corrupted) == 4 * len(results) and all(corrupted)
 
 
+def test_symbol_proof_kills_every_planted_mutation():
+    """The kill matrix: each of check_mutations' corrupted forms and adjoints
+    leaves a nonzero entry in the symbol identity."""
+    from phs_forge import verify
+    from phs_forge.diffop import ibp_symbol_residual
+
+    mutations = verify._mutations()
+    assert sorted(f"mutation:{m[0]}" for m in mutations) == sorted(
+        r.check_id for r in check_mutations(seed=3)
+    )
+    assert len(mutations) == 7
+    for mutation_id, model, form, adjoint in mutations:
+        rows = ibp_symbol_residual(model.op, form=form, adjoint=adjoint)
+        assert any(not p.is_zero for row in rows for p in row), mutation_id
+
+
+def test_lemma1_witness_names_the_failing_symbol_entry(monkeypatch):
+    from phs_forge import verify
+
+    shipped = verify.BoundaryForm
+
+    def corrupted(op):  # the p-block sign flip of the mutation suite
+        form = shipped(op)
+        verify._scale_block(form, range(op.n), range(op.m), -1)
+        return form
+
+    monkeypatch.setattr(verify, "BoundaryForm", corrupted)
+    results = check_lemma1([builtin_model("timoshenko")], trials=2, seed=1)
+    assert [r.ok for r in results] == [False, False]
+    for r in results:
+        assert r.witness.startswith("residual ")
+        assert r.witness.endswith("; symbol residual [0][0] = 2*dv1 + 2*dw1")
+
+
+def test_energy_structure_convicts_a_corrupted_stored_boundary_form():
+    from phs_forge import verify
+
+    sys_ = assemble_phs(builtin_model("rayleigh_beam"))
+    sys_.boundary = verify._mutated_form(sys_.op, verify._drop_alternating_sign)
+    res = check_energy_structure(sys_, seed=5)
+    assert not res.ok
+    assert res.witness == "symbol residual [1][0] = -2*dv1^2 - 2*dw1*dv1"
+
+
 def test_energy_structure_passes_for_builtins():
     for name in ("timoshenko", "reddy_plate", "torsion", "rayleigh_beam"):
         sys_ = assemble_phs(builtin_model(name))
@@ -91,6 +135,14 @@ def test_energy_structure_convicts_asymmetric_stiffness():
     res = check_energy_structure(sys_, seed=5)
     assert not res.ok
     assert "symmetric" in res.witness
+
+
+def test_energy_structure_convicts_asymmetric_inverse_mass():
+    sys_ = assemble_phs(builtin_model("timoshenko"))
+    sys_.mass_inv = [[F(12), F(1)], [F(0), F(1)]]
+    res = check_energy_structure(sys_, seed=5)
+    assert not res.ok
+    assert res.witness == "inverse mass matrix is not symmetric"
 
 
 def test_energy_structure_convicts_wrong_adjoint():
