@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from . import exact
-from .diffop import BoundaryForm, DiffOpMatrix
+from .diffop import BoundaryForm, DiffOpMatrix, jet_blocks
 from .exact import PiRat, check_spd, fr, mat_inverse, scalar_json, to_float
 from .modelfile import check_digits
 from .models import KinematicModel, ModelError, validate_model
@@ -114,17 +114,10 @@ class PHSystem:
         return [f"p{i + 1}" for i in range(self.n)] + [f"eps{j + 1}" for j in range(self.m)]
 
     def j_block_strings(self) -> List[List[str]]:
-        """The (n+m) x (n+m) interconnection block as entry strings."""
-        n, m = self.n, self.m
-        out = [["0"] * (n + m) for _ in range(n + m)]
-        for r in range(n):
-            for c in range(m):
-                s = self.op_adjoint.entry_str(r, c)
-                out[r][n + c] = _negate_entry(s)
-        for r in range(m):
-            for c in range(n):
-                out[n + r][c] = self.op.entry_str(r, c)
-        return out
+        """The (n+m) x (n+m) interconnection block as entry strings: -F* is
+        rendered from the negated adjoint's symbols."""
+        top = [["0"] * self.n + [str(-p) for p in row] for row in self.op_adjoint.symbols()]
+        return top + [[str(p) for p in row] + ["0"] * self.m for row in self.op.symbols()]
 
     def summary(self) -> str:
         model = self.model
@@ -139,16 +132,6 @@ class PHSystem:
         lines.append("interconnection block J = [[0, -F*], [F, 0]]:")
         lines += ["  [" + ", ".join(r) + "]" for r in self.j_block_strings()]
         return "\n".join(lines)
-
-
-def _negate_entry(s: str) -> str:
-    if s == "0":
-        return s
-    if s.startswith("-") and "+" not in s and " - " not in s:
-        return s[1:]
-    if ("+" in s) or (" - " in s):
-        return f"-({s})"
-    return f"-{s}"
 
 
 def _bounded(matrix, what: str):
@@ -200,15 +183,6 @@ class BoundaryPortMap:
     y_labels: List[str]
 
 
-def _jet_labels(base: Sequence[str], order: int, ell: int) -> List[str]:
-    out = list(base)
-    for j in range(1, max(order, 1)):
-        for k in range(1, ell + 1):
-            token = f"d{k}" if j == 1 else f"d{k}^{j}"
-            out.extend(f"{token} {b}" for b in base)
-    return out
-
-
 def boundary_port_map(sys: PHSystem, normal) -> BoundaryPortMap:
     normal = tuple(fr(x) for x in normal)
     if len(normal) != sys.model.ell:
@@ -217,13 +191,16 @@ def boundary_port_map(sys: PHSystem, normal) -> BoundaryPortMap:
     if len(nonzero) != 1 or abs(normal[nonzero[0]]) != 1:
         raise BuildError("normal must be an axis-aligned unit vector")
     a = nonzero[0]
-    e_eps = [f"e_eps{j + 1}" for j in range(sys.m)]
-    e_p = [f"e_p{i + 1}" for i in range(sys.n)]
+    # jet block (j, k) of a co-energy e is labelled "dk^j e"
+    prefixes = [
+        "" if not j else f"d{k} " if j == 1 else f"d{k}^{j} "
+        for j, k in jet_blocks(sys.op.order, sys.model.ell)
+    ]
     return BoundaryPortMap(
         normal=normal,
         u_matrix=exact.mat_scale(sys.boundary.q_axes[a], normal[a]),
-        u_arg_labels=_jet_labels(e_eps, sys.op.order, sys.model.ell),
-        y_labels=_jet_labels(e_p, sys.op.order, sys.model.ell),
+        u_arg_labels=[f"{d}e_eps{j + 1}" for d in prefixes for j in range(sys.m)],
+        y_labels=[f"{d}e_p{i + 1}" for d in prefixes for i in range(sys.n)],
     )
 
 

@@ -26,6 +26,7 @@ from .simulate import (
     distributed_input,
     random_state,
     simulate,
+    simulation_refusal,
     write_energy_csv,
     write_trajectory_csv,
 )
@@ -62,10 +63,7 @@ def cmd_list_models(args) -> int:
     print(f"{'name':<20} {'ell':>3} {'N':>2} {'n':>2} {'m':>2} {'d':>2}  simulator")
     for name in builtin_names():
         model = builtin_model(name)
-        if model.ell == 3 or (model.ell == 2 and model.order >= 2):
-            sim = "symbolic only"
-        else:
-            sim = "yes"
+        sim = "yes" if simulation_refusal(model) is None else "symbolic only"
         print(
             f"{name:<20} {model.ell:>3} {model.order:>2} {model.n:>2} "
             f"{model.m:>2} {model.d:>2}  {sim}"

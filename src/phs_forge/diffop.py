@@ -10,7 +10,12 @@ construction.  The formal adjoint flips the sign of odd-order terms, and the
 difference  integral(v^T F w - w^T F* v)  collapses to a boundary quadratic
 form between jets of w and v.  ``BoundaryForm`` builds that form from one
 formula, the exact quotient of  F(eta)^T - F*(zeta)  by  eta_k + zeta_k  (eta
-for derivatives of w, zeta for those of v).
+for derivatives of w, zeta for those of v).  A jet stacks a field with its
+axis derivatives in the block order of ``jet_blocks``; ``jet``, the rows and
+columns of ``BoundaryForm``, the monomials ``ibp_symbol_residual`` reads and
+the port labels of ``build.boundary_port_map`` all take it from there.
+Entries render as polynomials in ``d1..dl`` (``symbols``), through
+``Poly.__str__``.
 
 The identity is checked two ways.  ``ibp_symbol_residual`` proves it: for
 this operator class it holds if and only if a finite matrix of polynomials in
@@ -29,7 +34,7 @@ boundary fluxes, is one call of ``DomainSpec.pairing``: ``u^T M v`` over the
 box or through the two faces of one axis.  The kernel never builds the
 product polynomial.  It restricts each factor to a face first, maps its terms
 to integers at flat indices, and sums ``n_a n_b mu[k_a + k_b]`` against a
-cached table of box moments.
+cached table of box moments, built from ``poly.moment_weights``.
 """
 
 from __future__ import annotations
@@ -43,9 +48,10 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import ExactError, fr, mat_scale, transpose, zeros
-from .poly import Poly, mat_apply
+from .poly import Poly, mat_apply, moment_weights, power_table
 
 Matrix = List[List[Fraction]]
+Block = Tuple[int, int]
 
 
 def derivative_symbols(ell: int) -> Tuple[str, ...]:
@@ -123,33 +129,13 @@ class DiffOpMatrix:
         blocks = [(unit, self.p0)]
         blocks += [(unit[: k - 1] + (i,) + unit[k:], p) for (k, i), p in self.pk.items()]
         return [
-            [Poly(coords, {e: p[r][c] for e, p in blocks}) for c in range(self.n)]
+            [Poly(coords, {e: p[r][c] for e, p in blocks if p[r][c]}) for c in range(self.n)]
             for r in range(self.m)
         ]
 
     # -- coefficient access --------------------------------------------------
     def coeff(self, k: int, i: int) -> Matrix:
         return self.pk.get((k, i), zeros(self.m, self.n))
-
-    def entry_str(self, r: int, c: int) -> str:
-        """Render one entry, e.g. '-1', 'd1', 'd1 + 2*d2^2'."""
-        parts = []
-        if self.p0[r][c] != 0:
-            parts.append(str(self.p0[r][c]))
-        for (k, i) in sorted(self.pk):
-            coeff = self.pk[(k, i)][r][c]
-            if coeff == 0:
-                continue
-            d = f"d{k}" if i == 1 else f"d{k}^{i}"
-            if coeff == 1:
-                parts.append(d)
-            elif coeff == -1:
-                parts.append(f"-{d}")
-            else:
-                parts.append(f"{coeff}*{d}")
-        if not parts:
-            return "0"
-        return " + ".join(parts).replace("+ -", "- ")
 
     def __eq__(self, other):
         if not isinstance(other, DiffOpMatrix):
@@ -163,10 +149,7 @@ class DiffOpMatrix:
         )
 
     def __str__(self):
-        return "\n".join(
-            "[" + ", ".join(self.entry_str(r, c) for c in range(self.n)) + "]"
-            for r in range(self.m)
-        )
+        return "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self.symbols())
 
     __repr__ = __str__
 
@@ -185,35 +168,37 @@ class DiffOpMatrix:
             raise ExactError(f"operator expects {self.n} fields, got {len(w)}")
         out = mat_apply(self.p0, w)
         for (k, i), mat_ in self.pk.items():
-            name = self.axes[k - 1]
-            d = list(w)
-            for _ in range(i):
-                d = [f.diff(name) for f in d]
-            out = [a + b for a, b in zip(out, mat_apply(mat_, d))]
+            out = [a + b for a, b in zip(out, mat_apply(mat_, _diff(w, self.axes[k - 1], i)))]
         return out
 
 
-def jet(fields: Sequence[Poly], order: int, axes: Sequence[str]) -> List[Poly]:
-    """Stack a vector field with its axis derivatives up to ``order - 1``.
+def _diff(fields: Sequence[Poly], name: str, times: int) -> List[Poly]:
+    """Every field differentiated ``times`` times along the axis ``name``."""
+    for _ in range(times):
+        fields = [f.diff(name) for f in fields]
+    return list(fields)
 
-    Layout: [w; d1 w .. dl w; d1^2 w .. dl^2 w; ...], each block holding all
-    components of w.  Block (j, k) is w differentiated j times along axis k;
-    mixed derivatives never occur in the pairing and are not stacked.
-    """
-    out = list(fields)
-    for j in range(1, max(order, 1)):
-        for name in axes:
-            block = list(fields)
-            for _ in range(j):
-                block = [f.diff(name) for f in block]
-            out.extend(block)
-    return out
+
+@lru_cache(maxsize=64)
+def jet_blocks(order: int, ell: int) -> Tuple[Block, ...]:
+    """The block order of a jet, the one place it is stated: block (0, 0) is
+    the field itself, block (j, k) the field differentiated j times along
+    axis k, for j = 1..order-1 and k = 1..ell.  Each block holds all
+    components; mixed derivatives never occur in the pairing and have no
+    block."""
+    return ((0, 0),) + tuple((j, k) for j in range(1, max(order, 1)) for k in range(1, ell + 1))
+
+
+def jet(fields: Sequence[Poly], order: int, axes: Sequence[str]) -> List[Poly]:
+    """Stack a vector field with its axis derivatives in ``jet_blocks``
+    order: [w; d1 w .. dl w; d1^2 w .. dl^2 w; ...]."""
+    # block (0, 0) is differentiated zero times, along any axis
+    return [f for j, k in jet_blocks(order, len(axes)) for f in _diff(fields, axes[k - 1], j)]
 
 
 def jet_layout(n_fields: int, order: int, ell: int) -> int:
-    """Length of the jet vector for an n_fields-vector; for order >= 1 this is
-    also where the jet block of that order starts."""
-    return n_fields * (1 + (max(order, 1) - 1) * ell)
+    """Length of the jet vector of an n_fields-vector."""
+    return n_fields * len(jet_blocks(order, ell))
 
 
 class BoundaryForm:
@@ -229,27 +214,34 @@ class BoundaryForm:
         eta^i - (-zeta)^i = (eta + zeta) sum_c eta^(i-1-c) (-zeta)^c,
 
     so Q_k is the exact quotient by eta_k + zeta_k: term (k, i) puts
-    (-1)^c Pk(k, i)^T at jet block (i-1-c, c) of the axis-k slot, for
-    c = 0..i-1.  ``ibp_symbol_residual`` checks that quotient.
+    (-1)^c Pk(k, i)^T at row block (i-1-c, k) and column block (c, k) of
+    Q_k, for c = 0..i-1 (block (0, k) is block (0, 0)).
+    ``ibp_symbol_residual`` checks that quotient.
     """
 
     __slots__ = ("op", "rows", "cols", "q_axes")
 
     def __init__(self, op: DiffOpMatrix):
         self.op = op
-        n, m, ell = op.n, op.m, op.ell
-        self.rows = jet_layout(n, op.order, ell)
-        self.cols = jet_layout(m, op.order, ell)
-        self.q_axes = [zeros(self.rows, self.cols) for _ in range(ell)]
-        # first index of jet block (j, k) of a size-vector; block 0 has no axis
-        start = lambda size, j, k: jet_layout(size, j, ell) + (k - 1) * size if j else 0
+        self.rows = jet_layout(op.n, op.order, op.ell)
+        self.cols = jet_layout(op.m, op.order, op.ell)
+        self.q_axes = [zeros(self.rows, self.cols) for _ in range(op.ell)]
         for (k, i), mat_ in op.pk.items():
             q = self.q_axes[k - 1]
             for c in range(i):
-                r0, c0 = start(n, i - 1 - c, k), start(m, c, k)
+                rows, cols = self.block((i - 1 - c, k), (c, k))
                 for b, row in enumerate(mat_):
                     for a, x in enumerate(row):
-                        q[r0 + a][c0 + b] = (-1) ** c * x
+                        q[rows[a]][cols[b]] = (-1) ** c * x
+
+    def block(self, row: Block, col: Block) -> Tuple[range, range]:
+        """The indices of row block ``row`` (of the jet of w) and column block
+        ``col`` (of the jet of v) in every Q_a; blocks are ``jet_blocks``
+        entries, and (0, k) names (0, 0)."""
+        index = jet_blocks(self.op.order, self.op.ell).index
+        r, c = (index(b if b[0] else (0, 0)) for b in (row, col))
+        n, m = self.op.n, self.op.m
+        return range(r * n, r * n + n), range(c * m, c * m + m)
 
 
 @dataclass(frozen=True)
@@ -342,8 +334,8 @@ class DomainSpec:
             vs, lv = _flatten(v, index)
             return Fraction(_contract(us, rows, vs, mu), den * lu * lv * lm)
         lo, hi = self.bounds[axis]
-        us, lu = _flatten(u, index, axis, (_powers(hi, du), _powers(lo, du)))
-        vs, lv = _flatten(v, index, axis, (_powers(hi, dv), _powers(lo, dv)))
+        us, lu = _flatten(u, index, axis, (power_table(hi, du), power_table(lo, du)))
+        vs, lv = _flatten(v, index, axis, (power_table(hi, dv), power_table(lo, dv)))
         s_hi, s_lo = (_contract(a, rows, b, mu) for a, b in zip(us, vs))
         q_hi, q_lo = hi.denominator**top, lo.denominator**top
         return Fraction(s_hi * q_lo - s_lo * q_hi, den * lu * lv * lm * q_hi * q_lo)
@@ -360,19 +352,13 @@ def _moments(bounds, skip: int, top: int):
     monomial at index ``k``.
     """
     n = top + 1
-    m = lcm(*range(1, n + 1))
     mu, den, places = [1], 1, []
     for k, (lo, hi) in enumerate(bounds):
         if k == skip:
             places.append(0)
             continue
         places.append(len(mu))  # this axis is the next digit
-        a, b, c, d = hi.numerator, hi.denominator, lo.numerator, lo.denominator
-        bn, dn = b**n, d**n
-        # z^(j-1) integrates to (hi^j - lo^j) / j: over m (b d)^n an integer
-        w = [(a**j * b ** (n - j) * dn - c**j * d ** (n - j) * bn) * (m // j)
-             for j in range(1, n + 1)]
-        axis_den = m * bn * dn
+        w, axis_den = moment_weights(lo, hi, n)
         g = gcd(axis_den, *w)
         mu = [x * (y // g) for y in w for x in mu]
         den *= axis_den // g
@@ -380,18 +366,12 @@ def _moments(bounds, skip: int, top: int):
     return tuple(mu), den, index
 
 
-def _powers(value: Fraction, t: int) -> List[int]:
-    """``p^k q^(t-k)`` for k = 0..t: the numerators of ``value^k`` over ``q^t``."""
-    p, q = value.numerator, value.denominator
-    return [p**k * q ** (t - k) for k in range(t + 1)]
-
-
 def _flatten(polys: Sequence[Poly], index, axis: int = -1, faces=None):
     """Each polynomial as ``{flat index: numerator}`` over one common
     denominator, which is returned too.  Without ``faces`` the result is one
-    list; with ``faces``, the power tables (``_powers``) of the upper and the
-    lower face value, it is one list per face, the exponent of ``axis`` folded
-    into the numerator."""
+    list; with ``faces``, the power tables (``power_table``) of the upper and
+    the lower face value, it is one list per face, the exponent of ``axis``
+    folded into the numerator."""
     common = lcm(*{p.den for p in polys})
     if faces is None:
         return [{index[e]: n * (common // p.den) for e, n in p.num.items()} for p in polys], common
@@ -460,12 +440,7 @@ def boundary_pairing_sum_form(
         name = op.axes[k - 1]
         for j in range(1, i + 1):
             sign = Fraction((-1) ** (j - 1))
-            dw = list(w)
-            for _ in range(i - j):
-                dw = [f.diff(name) for f in dw]
-            dv = list(v)
-            for _ in range(j - 1):
-                dv = [f.diff(name) for f in dv]
+            dw, dv = _diff(w, name, i - j), _diff(v, name, j - 1)
             total += sign * dom.pairing(dw, transpose(pki), dv, axis=k - 1)
     return total
 
@@ -491,12 +466,7 @@ def _applied_pairing(
 ) -> Fraction:
     """integral_Omega u^T (F w), with F applied inside the kernel: the block
     row [P0 | Pk(k, i) ...] paired with the stacked [w; d_k^i w; ...]."""
-    fields = list(w)
-    for k, i in op.pk:
-        d = w
-        for _ in range(i):
-            d = [f.diff(op.axes[k - 1]) for f in d]
-        fields += d
+    fields = list(w) + [f for k, i in op.pk for f in _diff(w, op.axes[k - 1], i)]
     blocks = [op.p0, *op.pk.values()]
     return dom.pairing(u, [[x for b in blocks for x in b[r]] for r in range(op.m)], fields)
 
@@ -527,20 +497,25 @@ def ibp_symbol_residual(
         F(eta)^T - F*(zeta) - sum_a (zeta_a + eta_a) Q_a(eta, zeta)
 
     over ``dw1..dwl`` (eta, the derivatives of w) and ``dv1..dvl`` (zeta,
-    those of v).  ``Q_a(eta, zeta)`` reads the jet layout of ``form``: row
-    block (j, k) is ``eta_k^j`` and column block (j, k) is ``zeta_k^j``.  The
-    coefficients are constant and no partials mix, so the identity behind
-    ``ibp_residual`` holds for all fields if and only if every entry is zero:
-    a zero matrix is a proof, a nonzero entry a witness.  ``form`` and
-    ``adjoint`` default as in ``ibp_residual``.
+    those of v).  ``Q_a(eta, zeta)`` reads ``form`` in ``jet_blocks``
+    order: row block (j, k) is ``eta_k^j`` and column block (j, k) is
+    ``zeta_k^j``.  The coefficients are constant and no partials mix, so the
+    identity behind ``ibp_residual`` holds for all fields if and only if
+    every entry is zero: a zero matrix is a proof, a nonzero entry a witness.
+    ``form`` and ``adjoint`` default as in ``ibp_residual``.
     """
     if form is None:
         form = BoundaryForm(op)
     if adjoint is None:
         adjoint = op.formal_adjoint()
     n, m, ell = op.n, op.m, op.ell
-    rows = _jet_monomials(n, op.order, ell, 0)
-    cols = _jet_monomials(m, op.order, ell, ell)
+    zero = (0,) * (2 * ell)
+    # (component, exponents) at each jet index; side 0 is eta, side ell zeta
+    rows, cols = (
+        [(p, zero[: s + k - 1] + (j,) + zero[s + k :] if j else zero)
+         for j, k in jet_blocks(op.order, ell) for p in range(size)]
+        for size, s in ((n, 0), (m, ell))
+    )
     if (adjoint.m, adjoint.n) != (n, m) or len(form.q_axes) != ell or any(
         len(q) != len(rows) or any(len(row) != len(cols) for row in q) for q in form.q_axes
     ):
@@ -550,7 +525,7 @@ def ibp_symbol_residual(
     def add(p, q, e, x):
         acc[p][q][e] = acc[p][q].get(e, 0) + x
 
-    pad = (0,) * ell
+    pad = zero[:ell]
     fw, fv = op.symbols(), adjoint.symbols()
     for p in range(n):
         for q in range(m):
@@ -558,7 +533,7 @@ def ibp_symbol_residual(
                 add(p, q, e + pad, x)
             for e, x in fv[p][q].terms.items():
                 add(p, q, pad + e, -x)
-    units = [(pad + pad)[:s] + (1,) + (pad + pad)[s + 1 :] for s in range(2 * ell)]
+    units = [zero[:s] + (1,) + zero[s + 1 :] for s in range(2 * ell)]
     for a, q_a in enumerate(form.q_axes):
         for (p, er), row in zip(rows, q_a):
             for (q, ec), x in zip(cols, row):
@@ -567,14 +542,3 @@ def ibp_symbol_residual(
     coords = tuple(f"d{side}{k}" for side in "wv" for k in range(1, ell + 1))
     return [[Poly(coords, t) for t in row] for row in acc]
 
-
-def _jet_monomials(size: int, order: int, ell: int, offset: int):
-    """``(component, exponents)`` for each index of ``jet``'s layout of a
-    size-vector, over 2 ell symbols: jet block (j, k) is the monomial
-    ``s^j`` of symbol ``s = offset + k - 1`` (0-based)."""
-    zero = (0,) * (2 * ell)
-    out = [(p, zero) for p in range(size)]
-    for j in range(1, max(order, 1)):
-        for s in range(offset, offset + ell):
-            out += [(p, zero[:s] + (j,) + zero[s + 1 :]) for p in range(size)]
-    return out

@@ -299,39 +299,54 @@ def _poly_rows(lines, coords: Tuple[str, ...], params: Dict[str, Fraction], what
 # ---------------------------------------------------------------------------
 
 
+_SECTIONS = ("coords", "domain", "section", "params", "lambda1", "lambda2", "F", "C", "Bd", "structure")
+
+
 def _split_sections(text: str):
-    header: Dict[str, str] = {}
+    """The header lines and the lines of each section; an unknown or
+    repeated section is refused."""
+    header: List[str] = []
     sections: Dict[str, List[str]] = {}
-    current: Optional[str] = None
+    current = header
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = re.fullmatch(r"\[([a-zA-Z0-9_]+)\]", line)
         if m:
-            current = m.group(1)
-            if current in sections:
-                raise ParseError(f"duplicate section [{current}]")
-            sections[current] = []
-            continue
-        if current is None:
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value' before sections, got {line!r}")
-            k, v = line.split("=", 1)
-            header[k.strip()] = v.strip()
+            name = m.group(1)
+            if name not in _SECTIONS:
+                raise ParseError(f"unknown section [{name}]; known: {', '.join(_SECTIONS)}")
+            if name in sections:
+                raise ParseError(f"duplicate section [{name}]")
+            current = sections[name] = []
         else:
-            sections[current].append(line)
-    return header, sections
+            current.append(line)
+    return _kv_lines(header, "header", ("version", "name")), sections
 
 
-def _kv_lines(lines: List[str], section: str) -> Dict[str, str]:
+def _kv_lines(lines: List[str], section: str, known: Tuple[str, ...]) -> Dict[str, str]:
+    """``key = value`` lines as a dict; a key outside ``known``, or given
+    twice, is refused."""
     out = {}
     for line in lines:
         if "=" not in line:
             raise ParseError(f"expected 'key = value' in [{section}], got {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k not in known:
+            raise ParseError(f"unknown key {k!r} in [{section}]; known: {', '.join(known)}")
+        if k in out:
+            raise ParseError(f"duplicate key {k!r} in [{section}]")
+        out[k] = v
     return out
+
+
+def _one_kind(kv: Dict[str, str], section: str) -> Optional[str]:
+    """The one key of ``kv`` (None when it is empty): a [domain] or [section]
+    declares a single kind."""
+    if len(kv) > 1:
+        raise ParseError(f"[{section}] declares {' and '.join(kv)}; declare one")
+    return next(iter(kv), None)
 
 
 def parse_model(text: str) -> KinematicModel:
@@ -345,7 +360,7 @@ def parse_model(text: str) -> KinematicModel:
         if required not in sections:
             raise ParseError(f"missing required section [{required}]")
 
-    coords_kv = _kv_lines(sections["coords"], "coords")
+    coords_kv = _kv_lines(sections["coords"], "coords", ("distributed", "complementary"))
     dist = tuple(coords_kv.get("distributed", "").split())
     comp = tuple(coords_kv.get("complementary", "").split())
     if not dist:
@@ -362,11 +377,13 @@ def parse_model(text: str) -> KinematicModel:
         if "=" not in line:
             raise ParseError(f"expected 'name = value' in [params], got {line!r}")
         k, v = (s.strip() for s in line.split("=", 1))
+        if k in params:
+            raise ParseError(f"duplicate parameter {k!r} in [params]")
         params[k] = eval_scalar(v, params, f"parameter {k}")
     if "rho" not in params:
         raise ParseError("density parameter 'rho' is required in [params]")
 
-    domain = _parse_domain(_kv_lines(sections["domain"], "domain"), dist, params)
+    domain = _parse_domain(_kv_lines(sections["domain"], "domain", tuple(_DOMAIN_AXES)), dist, params)
     section = _parse_section(sections["section"], params)
 
     lam1 = PolyMatrix(_poly_rows(sections["lambda1"], comp, params, "lambda1"))
@@ -417,7 +434,7 @@ _DOMAIN_AXES = {"interval": 1, "rectangle": 2, "box": 3}
 
 
 def _parse_domain(kv: Dict[str, str], dist, params) -> DomainSpec:
-    kind = next((k for k in _DOMAIN_AXES if k in kv), None)
+    kind = _one_kind(kv, "domain")
     if kind is None:
         raise ParseError("domain must declare interval, rectangle or box")
     ell = _DOMAIN_AXES[kind]
@@ -431,18 +448,18 @@ def _parse_domain(kv: Dict[str, str], dist, params) -> DomainSpec:
 
 
 def _parse_section(lines: List[str], params):
-    kv = _kv_lines([l for l in lines if "=" in l], "section")
-    bare = [l for l in lines if "=" not in l]
-    if bare == ["none"] and not kv:
+    if lines == ["none"]:
         return PointSection()
-    if "interval" in kv:
+    kv = _kv_lines(lines, "section", ("interval", "rectangle", "circle", "moments"))
+    kind = _one_kind(kv, "section")
+    if kind == "interval":
         return IntervalSection(eval_scalar(kv["interval"], params, "section"))
-    if "rectangle" in kv:
+    if kind == "rectangle":
         b, h = (eval_scalar(v, params, "section") for v in _split_entries(kv["rectangle"]))
         return RectangleSection(b, h)
-    if "circle" in kv:
+    if kind == "circle":
         return CircleSection(eval_scalar(kv["circle"], params, "section"))
-    if "moments" in kv:
+    if kind == "moments":
         moments = {}
         for item in _split_entries(kv["moments"]):
             if ":" not in item:
@@ -466,6 +483,8 @@ def _parse_operator(lines, dist, params) -> DiffOpMatrix:
 def _parse_cmat(lines, params):
     kv_lines = [l for l in lines if l.replace(" ", "").startswith("preset=")]
     if kv_lines:
+        if len(lines) > 1:
+            raise ParseError("a preset line stands alone in [C]")
         preset = kv_lines[0].split("=", 1)[1].strip()
         if preset not in CONSTITUTIVE_PRESETS:
             raise ParseError(
@@ -486,12 +505,7 @@ def _parse_cmat(lines, params):
 def _parse_structure(lines, n, dist):
     if lines is None:
         return (), (), (), True
-    kv = _kv_lines(lines, "structure")
-    unknown = sorted(set(kv) - {"names", "fields", "r", "strain_check"})
-    if unknown:
-        raise ParseError(
-            f"unknown key {unknown[0]!r} in [structure]; known: names, fields, r, strain_check"
-        )
+    kv = _kv_lines(lines, "structure", ("names", "fields", "r", "strain_check"))
     names = tuple(_split_entries(kv["names"])) if "names" in kv else ()
     if names and len(names) != n:
         raise ParseError(f"structure names line has {len(names)} entries, operator expects {n}")
@@ -561,14 +575,13 @@ def serialize_model(model: KinematicModel) -> str:
         out.append(f"rho = {model.rho}")
     out.append("")
     out.append("[lambda1]")
-    out.extend(_poly_rows_text(model.lambda1))
+    out.extend(_poly_rows_text(model.lambda1.entries))
     out.append("")
     out.append("[lambda2]")
-    out.extend(_poly_rows_text(model.lambda2))
+    out.extend(_poly_rows_text(model.lambda2.entries))
     out.append("")
     out.append("[F]")
-    for r in range(model.m):
-        out.append(", ".join(model.op.entry_str(r, c) for c in range(model.n)))
+    out.extend(_poly_rows_text(model.op.symbols()))
     out.append("")
     out.append("[C]")
     for row in model.cmat:
@@ -596,5 +609,5 @@ def serialize_model(model: KinematicModel) -> str:
     return "\n".join(out)
 
 
-def _poly_rows_text(pm: PolyMatrix) -> List[str]:
-    return [", ".join(str(p) for p in row) for row in pm.entries]
+def _poly_rows_text(rows) -> List[str]:
+    return [", ".join(map(str, row)) for row in rows]

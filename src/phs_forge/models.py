@@ -158,6 +158,8 @@ class KinematicModel:
             self.op = derive_operator(self.dist, self.lambda1, self.lambda2)
         if not self.r_names:
             self.r_names = tuple(f"r{i + 1}" for i in range(self.n))
+        elif len(self.r_names) != self.n:
+            raise ModelError(f"{len(self.r_names)} r_names for an operator on {self.n} fields")
         if not self.structure:
             self.free_fields = self.r_names
             self.structure = tuple(("free", i) for i in range(self.n))

@@ -7,7 +7,12 @@ integer numerators over one positive common denominator (the layout of FLINT's
 result is reduced once, by one gcd.  All arithmetic is exact; there is
 deliberately no factorization or symbolic-function machinery --
 differentiation, definite integration and evaluation are the only calculus
-these polynomials need to support.
+these polynomials need to support.  ``moment_weights`` (the integrals of
+``z^k`` over an interval) and ``power_table`` (the powers of a rational over
+one denominator) are the integer tables that integration, substitution and
+``diffop``'s pairing kernel share.  ``str`` writes the terms
+colexicographically: the constant, then the powers of the first coordinate,
+then those of the next; it is the one text form of operator entries too.
 """
 
 from __future__ import annotations
@@ -225,39 +230,30 @@ class Poly:
         coordinate appearing with exponent zero everywhere.
         """
         i = self.coords.index(name)
-        lo, hi = fr(lo), fr(hi)
-        a, b, c, d = hi.numerator, hi.denominator, lo.numerator, lo.denominator
-        top = max((e[i] for e in self.num), default=0) + 1
-        m = lcm(*range(1, top + 1))
-        bt, dt = b**top, d**top
-        # z^k integrates to (hi^j - lo^j) / j with j = k + 1; over the common
-        # denominator m (b d)^top that is the integer weights[k]
-        weights = []
-        for j in range(1, top + 1):
-            span = a**j * b ** (top - j) * dt - c**j * d ** (top - j) * bt
-            weights.append(span * (m // j))
+        top = max((e[i] for e in self.num), default=0)
+        weights, den = moment_weights(fr(lo), fr(hi), top + 1)
         out: Dict[Exponents, int] = {}
         get = out.get
         for e, n in self.num.items():
             key = e[:i] + (0,) + e[i + 1 :]
             out[key] = get(key, 0) + n * weights[e[i]]
-        return Poly._raw(self.coords, {e: n for e, n in out.items() if n}, self.den * m * bt * dt)
+        return Poly._raw(self.coords, {e: n for e, n in out.items() if n}, self.den * den)
 
     def subs(self, assignment: Mapping[str, Fraction]) -> "Poly":
         """Substitute rational values for a subset of the coordinates.
 
         A value ``p/q`` for a coordinate of top degree ``t`` turns ``z^k`` into
-        ``p^k q^(t-k)`` over ``q^t``, so every term stays over one denominator.
+        ``p^k q^(t-k)`` over ``q^t`` (``power_table``), so every term stays
+        over one denominator.
         """
         den = self.den
         tables = []
         for name, v in assignment.items():
             i = self.coords.index(name)
             v = fr(v)
-            p, q = v.numerator, v.denominator
             top = max((e[i] for e in self.num), default=0)
-            tables.append((i, [p**k * q ** (top - k) for k in range(top + 1)]))
-            den *= q**top
+            tables.append((i, power_table(v, top)))
+            den *= v.denominator**top
         out: Dict[Exponents, int] = {}
         get = out.get
         for e, n in self.num.items():
@@ -304,7 +300,7 @@ class Poly:
         if self.is_zero:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items()):
+        for e, c in sorted(self.terms.items(), key=_colex):
             factors = []
             for name, expo in zip(self.coords, e):
                 if expo == 1:
@@ -324,6 +320,35 @@ class Poly:
         return text.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _colex(term) -> Exponents:
+    """Sort key of a term: its exponents read from the last coordinate, so
+    the constant comes first, then the powers of the first coordinate, then
+    those of the next."""
+    return term[0][::-1]
+
+
+def moment_weights(lo: Fraction, hi: Fraction, n: int) -> Tuple[List[int], int]:
+    """``(w, den)`` with ``w[k] / den`` the integral of ``z^k`` over (lo, hi),
+    for k = 0..n-1, all over one integer denominator.
+
+    With ``hi = a/b``, ``lo = c/d`` and ``m = lcm(1..n)``, ``z^(j-1)``
+    integrates to ``(hi^j - lo^j) / j``, which over ``den = m (b d)^n`` is
+    the integer ``(a^j b^(n-j) d^n - c^j d^(n-j) b^n) (m / j)``.
+    """
+    a, b, c, d = hi.numerator, hi.denominator, lo.numerator, lo.denominator
+    m = lcm(*range(1, n + 1))
+    bn, dn = b**n, d**n
+    w = [(a**j * b ** (n - j) * dn - c**j * d ** (n - j) * bn) * (m // j) for j in range(1, n + 1)]
+    return w, m * bn * dn
+
+
+def power_table(value: Fraction, t: int) -> List[int]:
+    """``p^k q^(t-k)`` for k = 0..t, with ``value = p/q``: the numerators of
+    ``value^k`` over the one denominator ``q^t``."""
+    p, q = value.numerator, value.denominator
+    return [p**k * q ** (t - k) for k in range(t + 1)]
 
 
 class PolyMatrix:

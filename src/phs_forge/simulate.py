@@ -31,6 +31,7 @@ from scipy.sparse.linalg import splu
 
 from .build import PHSystem
 from .exact import PiRat, fr, to_float
+from .models import KinematicModel
 
 FACES_1D = ("left", "right")
 FACES_2D = ("left", "right", "bottom", "top")
@@ -224,9 +225,7 @@ def _solve_shifts(sys: PHSystem, ell: int):
             if sys.stiffness[i][j] != 0:
                 edges.append((n + i, n + j, zero))
 
-    def label(node: int) -> str:
-        return f"p{node + 1}" if node < n else f"eps{node - n + 1}"
-
+    labels = sys.state_labels
     adj: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
     for a, b, parity in edges:
         adj.setdefault(a, []).append((b, parity))
@@ -247,7 +246,7 @@ def _solve_shifts(sys: PHSystem, ell: int):
                     stack.append(b)
                 elif assign[b] != want:
                     warnings.warn(
-                        f"no consistent staggering: the parities of {label(a)} and {label(b)} "
+                        f"no consistent staggering: the parities of {labels[a]} and {labels[b]} "
                         "conflict; falling back to a fully collocated grid, which carries "
                         "odd-even (checkerboard) modes",
                         RuntimeWarning,
@@ -260,6 +259,21 @@ def _solve_shifts(sys: PHSystem, ell: int):
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
+
+
+def simulation_refusal(model: KinematicModel) -> Optional[str]:
+    """Why the discrete stage refuses ``model``, or None when it simulates
+    it: 1D models up to second order and 2D first-order models."""
+    if model.ell == 3:
+        return "3D elasticity is symbolic-stage only; no 3D grids"
+    if model.ell == 2 and model.order >= 2:
+        return (
+            f"{model.name}: second-order operators on 2D domains (e.g. the "
+            "fourth-order plate) are supported in the symbolic stage only"
+        )
+    if model.order > 2:
+        return "operators of order greater than two are not discretized"
+    return None
 
 
 def discretize(
@@ -278,15 +292,9 @@ def discretize(
     """
     model = sys.model
     ell = model.ell
-    if ell == 3:
-        raise SimulationUnsupported("3D elasticity is symbolic-stage only; no 3D grids")
-    if ell == 2 and sys.op.order >= 2:
-        raise SimulationUnsupported(
-            f"{model.name}: second-order operators on 2D domains (e.g. the "
-            "fourth-order plate) are supported in the symbolic stage only"
-        )
-    if sys.op.order > 2:
-        raise SimulationUnsupported("operators of order greater than two are not discretized")
+    refusal = simulation_refusal(model)
+    if refusal is not None:
+        raise SimulationUnsupported(refusal)
     if len(grid.cells) != ell:
         raise ValueError(f"grid must have {ell} axis cell counts")
 
@@ -338,11 +346,12 @@ def discretize(
 
     # momenta drop the node at a clamped face
     clamped = [(bc[faces[2 * a]] == "clamped", bc[faces[2 * a + 1]] == "clamped") for a in range(ell)]
+    labels = sys.state_labels
     for i in range(sys.n):
-        name = model.r_names[i] if i < len(model.r_names) else f"r{i + 1}"
-        layout(f"p{i + 1}", name, "p", i, p_shifts[i], clamped)
+        layout(labels[i], model.r_names[i], "p", i, p_shifts[i], clamped)
     for j in range(sys.m):
-        layout(f"eps{j + 1}", f"eps{j + 1}", "eps", j, eps_shifts[j], [(r, r) for r in eps_restrict[j]])
+        label = labels[sys.n + j]
+        layout(label, label, "eps", j, eps_shifts[j], [(r, r) for r in eps_restrict[j]])
     p_fields, eps_fields = fields[: sys.n], fields[sys.n :]
 
     D, W, C, J = _assemble(sys, p_fields, eps_fields, dx, density_scale, stiffness_scale)

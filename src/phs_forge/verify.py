@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from .build import assemble_phs, mass_matrix, stiffness_matrix
-from .diffop import BoundaryForm, DiffOpMatrix, ibp_residual, ibp_symbol_residual, jet_layout
-from .exact import is_symmetric, transpose
+from .diffop import BoundaryForm, DiffOpMatrix, ibp_residual, ibp_symbol_residual, jet_blocks
+from .exact import is_symmetric, mat_scale, transpose
 from .models import (
     KinematicModel,
     builtin_model,
@@ -178,12 +178,24 @@ def _mutated_form(op: DiffOpMatrix, mutate: Callable[[BoundaryForm], None]) -> B
     return form
 
 
-def _scale_block(form: BoundaryForm, rows, cols, factor: int):
-    """Scale a block of every Q_a in place: negate it, or zero it."""
+def _scale_block(form: BoundaryForm, row, col, factor: int):
+    """Scale jet block (``row``, ``col``) of every Q_a in place: negate it,
+    or zero it."""
+    rows, cols = form.block(row, col)
     for q in form.q_axes:
         for i in rows:
             for j in cols:
                 q[i][j] *= factor
+
+
+def _set_block(q, rows: range, cols: range, values):
+    """Overwrite the block ``rows`` x ``cols`` of one Q_a with ``values``."""
+    for i, row in zip(rows, values):
+        for j, x in zip(cols, row):
+            q[i][j] = x
+
+
+_FIELD = (0, 0)  # the jet block of the underived field
 
 
 def _mutations():
@@ -192,12 +204,10 @@ def _mutations():
     timoshenko = builtin_model("timoshenko")
     rayleigh = builtin_model("rayleigh_beam")
     kirchhoff = builtin_model("kirchhoff_rayleigh")
-    n, m = timoshenko.n, timoshenko.m
-    rn, rm = rayleigh.n, rayleigh.m
     forms = [
-        ("p-block-sign-flip", timoshenko, lambda f: _scale_block(f, range(n), range(m), -1)),
-        ("w2-block-sign-flip", rayleigh, lambda f: _scale_block(f, range(rn), range(rm, rm + rm), -1)),
-        ("v2-block-zeroed", rayleigh, lambda f: _scale_block(f, range(rn, rn + rn), range(rm), 0)),
+        ("p-block-sign-flip", timoshenko, lambda f: _scale_block(f, _FIELD, _FIELD, -1)),
+        ("w2-block-sign-flip", rayleigh, lambda f: _scale_block(f, _FIELD, (1, 1), -1)),
+        ("v2-block-zeroed", rayleigh, lambda f: _scale_block(f, (1, 1), _FIELD, 0)),
         ("w2-order-index-shift", rayleigh, _shift_w2_to_first_order),
         ("p-block-transposed", kirchhoff, _transpose_p_block),
         ("alternating-sign-dropped", rayleigh, _drop_alternating_sign),
@@ -225,24 +235,22 @@ def check_mutations(seed: int = 0) -> List[CheckResult]:
 
 
 def _shift_w2_to_first_order(form: BoundaryForm):
-    """Fill the W_2 slot from the first-order coefficients instead of the
-    second-order ones (a plausible indexing slip)."""
-    op = form.op
-    n, m = op.n, op.m
+    """Fill the W_2 slot, block (field, (1, k)) of Q_k, from the first-order
+    coefficients instead of the second-order ones (a plausible indexing
+    slip)."""
     for k, q in enumerate(form.q_axes, start=1):
-        wrong = transpose(op.coeff(k, 1))
-        for i in range(n):
-            for j in range(m):
-                q[i][m + (k - 1) * m + j] = -wrong[i][j]
+        wrong = mat_scale(transpose(form.op.coeff(k, 1)), -1)
+        _set_block(q, *form.block(_FIELD, (1, k)), wrong)
 
 
 def _drop_alternating_sign(form: BoundaryForm):
-    """Negate the odd column blocks, undoing the (-1)^c of the jet layout."""
-    op = form.op
-    block = op.m * op.ell
-    for c in range(1, max(op.order, 1), 2):
-        start = jet_layout(op.m, c, op.ell)
-        _scale_block(form, range(form.rows), range(start, start + block), -1)
+    """Negate the column blocks (j, k) of odd j, undoing the (-1)^c of the
+    quotient."""
+    blocks = jet_blocks(form.op.order, form.op.ell)
+    for row in blocks:
+        for col in blocks:
+            if col[0] % 2:
+                _scale_block(form, row, col, -1)
 
 
 def _adjoint_without_parity(op: DiffOpMatrix) -> DiffOpMatrix:
@@ -258,14 +266,11 @@ def _adjoint_without_parity(op: DiffOpMatrix) -> DiffOpMatrix:
 
 def _transpose_p_block(form: BoundaryForm):
     op = form.op
-    n, m = op.n, op.m
-    if n != m:
+    if op.n != op.m:
         raise ValueError("transposition mutation needs a square coefficient block")
     for k, q in enumerate(form.q_axes, start=1):
-        wrong = op.coeff(k, 1)  # not transposed: the planted bug
-        for i in range(n):
-            for j in range(m):
-                q[i][j] = wrong[i][j]
+        # not transposed: the planted bug
+        _set_block(q, *form.block(_FIELD, _FIELD), op.coeff(k, 1))
 
 
 # ---------------------------------------------------------------------------

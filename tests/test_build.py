@@ -3,6 +3,8 @@ structures, boundary ports and the constant-skew alternative form."""
 
 import hashlib
 import json
+import random
+import re
 from fractions import Fraction as F
 from itertools import accumulate
 from operator import mul
@@ -20,10 +22,10 @@ from phs_forge.build import (
     stiffness_matrix,
     write_matrix_csv,
 )
-from phs_forge.diffop import boundary_pairing
+from phs_forge.diffop import BoundaryForm, boundary_pairing, ibp_symbol_residual, jet
 from phs_forge.exact import ExactError, PiRat, ldl_pivots
 from phs_forge.modelfile import serialize_model
-from phs_forge.models import builtin_model, builtin_names
+from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.poly import Poly, PolyMatrix, mat_apply
 from phs_forge.sections import (
     CircleSection,
@@ -193,7 +195,7 @@ def test_euler_bernoulli_interconnection_golden():
 def test_reddy_plate_operator_rows_golden():
     sys_ = assemble_phs(builtin_model("reddy_plate"))
     op = sys_.op
-    rows = [[op.entry_str(r, c) for c in range(op.n)] for r in range(op.m)]
+    rows = [[str(op.symbols()[r][c]) for c in range(op.n)] for r in range(op.m)]
     assert rows == [
         ["d1", "0", "0", "0", "0"],
         ["0", "d2", "0", "0", "0"],
@@ -274,6 +276,36 @@ def test_boundary_port_map_rejects_bad_normal():
     sys_ = assemble_phs(builtin_model("mindlin_plate"))
     with pytest.raises(BuildError):
         boundary_port_map(sys_, (1, 1))
+
+
+def test_jet_port_labels_and_symbol_rows_share_one_layout():
+    """Position i of jet(w), y_labels[i] and row i of the monomials that
+    ibp_symbol_residual reads name the same derivative."""
+    sys_ = assemble_phs(builtin_model("kirchhoff_rayleigh"))  # second order, 2D
+    op = sys_.op
+    rng = random.Random(3)
+    w = [random_poly(rng, op.axes, 4) for _ in range(op.n)]
+    stacked = jet(w, op.order, op.axes)
+    labels = boundary_port_map(sys_, (1, 0)).y_labels
+    assert len(stacked) == len(labels) == sys_.boundary.rows == 3 * op.n
+    symbols = ("dw1", "dw2", "dv1", "dv2")
+    flux = -(Poly.variable(symbols, "dw1") + Poly.variable(symbols, "dv1"))
+    for i, label in enumerate(labels):
+        k, j, p = re.fullmatch(r"(?:d(\d)(?:\^(\d))? )?e_p(\d)", label).groups()
+        k, j, p = int(k or 0), int(j or (1 if k else 0)), int(p) - 1
+        derivative = w[p]
+        for _ in range(j):
+            derivative = derivative.diff(op.axes[k - 1])
+        assert stacked[i] == derivative, label
+        # a unit added at Q_1[i][0] (column: the field, component 0) moves
+        # symbol entry [p][0] by -(eta_1 + zeta_1) times the row's monomial
+        form = BoundaryForm(op)
+        form.q_axes = [[row[:] for row in q] for q in form.q_axes]
+        form.q_axes[0][i][0] += 1
+        eta = Poly(symbols, {tuple(j if s == k - 1 else 0 for s in range(4)): 1})
+        residual = ibp_symbol_residual(op, form=form)
+        moved = {(r, c): e for r, row in enumerate(residual) for c, e in enumerate(row) if not e.is_zero}
+        assert moved == {(p, 0): flux * eta}, label
 
 
 def test_boundary_port_map_second_order_uses_jets():

@@ -50,6 +50,25 @@ def test_list_models(capsys):
     assert "symbolic only" in out  # kirchhoff_rayleigh and elasticity3d
 
 
+def test_list_models_says_yes_exactly_when_discretize_succeeds(capsys):
+    from phs_forge.build import assemble_phs
+    from phs_forge.models import builtin_model, builtin_names
+    from phs_forge.simulate import GridSpec, SimulationUnsupported, discretize
+
+    assert main(["list-models"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    said = {row.split()[0]: row.endswith("  yes") for row in rows}
+    assert sorted(said) == builtin_names()
+    for name, yes in said.items():
+        model = builtin_model(name)
+        try:  # a 2D grid for the 3D model: the model's refusal comes first
+            discretize(assemble_phs(model), GridSpec((4,) * min(model.ell, 2)))
+            simulated = True
+        except SimulationUnsupported:
+            simulated = False
+        assert yes == simulated, name
+
+
 def test_build_timoshenko_writes_golden_json(tmp_path, capsys):
     out = tmp_path / "tbt.json"
     code = main(["build", "--builtin", "timoshenko", "--out", str(out)])
@@ -633,6 +652,15 @@ def test_build_refuses_structure_that_does_not_match_r(tmp_path, capsys, old, ne
     assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err, err
+
+
+def test_build_refuses_an_unknown_section(tmp_path, capsys):
+    # an unknown section used to be skipped without a word
+    path = tmp_path / "timoshenko.phsm"
+    path.write_text(_model_text("timoshenko", **{"[params]": "[bogus]\nx = 1\n\n[params]"}))
+    assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
+    assert capsys.readouterr().err.startswith("error: unknown section [bogus]")
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -42,9 +42,9 @@ def test_formal_adjoint_timoshenko():
     # [[-d1, -1], [0, -d1]]
     assert adj.p0 == [[F(0), F(-1)], [F(0), F(0)]]
     assert adj.pk == {(1, 1): [[F(-1), F(0)], [F(0), F(-1)]]}
-    assert adj.entry_str(0, 0) == "-d1"
-    assert adj.entry_str(0, 1) == "-1"
-    assert adj.entry_str(1, 1) == "-d1"
+    assert str(adj.symbols()[0][0]) == "-d1"
+    assert str(adj.symbols()[0][1]) == "-1"
+    assert str(adj.symbols()[1][1]) == "-d1"
 
 
 def test_formal_adjoint_constant_operator_is_transpose():
@@ -60,8 +60,8 @@ def test_formal_adjoint_rayleigh():
     # [-d1; d1^2]
     assert adj.pk[(1, 1)] == [[F(-1)], [F(0)]]
     assert adj.pk[(1, 2)] == [[F(0)], [F(1)]]
-    assert adj.entry_str(0, 0) == "-d1"
-    assert adj.entry_str(1, 0) == "d1^2"
+    assert str(adj.symbols()[0][0]) == "-d1"
+    assert str(adj.symbols()[1][0]) == "d1^2"
 
 
 def test_adjoint_involution_on_all_builtins():

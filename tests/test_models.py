@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -191,7 +192,7 @@ def test_parse_expands_operator_entries_before_the_mixed_check(entry, expected):
         with pytest.raises(ParseError, match="mixed"):
             _parse_operator(lines, ("z1", "z2"), {})
     else:
-        assert _parse_operator(lines, ("z1", "z2"), {}).entry_str(0, 0) == expected
+        assert str(_parse_operator(lines, ("z1", "z2"), {}).symbols()[0][0]) == expected
 
 
 @pytest.mark.parametrize("lines", [[], ["d1, 0", "1"]], ids=["empty", "ragged"])
@@ -220,10 +221,58 @@ def _operators(draw):
 @settings(max_examples=60, deadline=None)
 @given(op=_operators())
 @example(op=DiffOpMatrix(1, 1, ("z1", "z2"), p0=[[F(-1, 2)]], pk={(2, 3): [[F(-3, 4)]], (1, 1): [[1]]}))
+@example(op=DiffOpMatrix(1, 1, ("z1", "z2"), pk={(1, 2): [[1]], (2, 2): [[-1]]}))
+@example(op=DiffOpMatrix(1, 1, ("z1",), p0=[[F(1, 2)]], pk={(1, 1): [[F(-1, 2)]]}).formal_adjoint())
 def test_operator_text_round_trip(op):
     # the [F] rows the serializer writes parse back to the same operator
-    lines = [", ".join(op.entry_str(r, c) for c in range(op.n)) for r in range(op.m)]
+    lines = [", ".join(map(str, row)) for row in op.symbols()]
     assert _parse_operator(lines, op.axes, {}) == op
+
+
+def test_operator_text_of_two_axis_and_multi_term_entries():
+    # one renderer: constant first, then the powers of d1, then those of d2
+    assert str(_parse_operator(["d1^2 - d2^2"], ("z1", "z2"), {})) == "[d1^2 - d2^2]"
+    assert str(_parse_operator(["2 - d2 + d1"], ("z1", "z2"), {})) == "[2 + d1 - d2]"
+    # -F* of a multi-term entry is the negated adjoint symbol, term by term
+    sys_ = assemble_phs(_tiny(op="-(d1 - 1)/2"), validate=False)
+    assert str(sys_.op_adjoint) == "[1/2 + 1/2*d1]"
+    assert sys_.j_block_strings() == [["0", "-1/2 - 1/2*d1"], ["1/2 - 1/2*d1", "0"]]
+
+
+_DROPPED_INPUT = [
+    ("version = 1", "version = 1\nversoin = 2", "unknown key 'versoin' in [header]"),
+    ("complementary = z2 z3", "complementary = z2 z3\ndistributd = z9",
+     "unknown key 'distributd' in [coords]"),
+    ("interval = 0, 1", "interval = 0, 1\nrectangle = 0, 1, 0, 1",
+     "[domain] declares interval and rectangle; declare one"),
+    ("interval = 0, 1", "interval = 0, 1\nintervall = 0, 1", "unknown key 'intervall' in [domain]"),
+    ("[params]", "[bogus]\nx = 1\n\n[params]", "unknown section [bogus]"),
+    ("rectangle = 1, 1", "rectangle = 1, 1\ncircle = 1", "[section] declares rectangle and circle"),
+    ("rectangle = 1, 1", "rectangle = 1, 1\nradius = 1", "unknown key 'radius' in [section]"),
+    ("rectangle = 1, 1", "rectangle = 1, 1\nnone", "expected 'key = value' in [section]"),
+    ("name = timoshenko", "name = timoshenko\nname = beam", "duplicate key 'name' in [header]"),
+    ("kappa = 5/6", "kappa = 5/6\nkappa = 1", "duplicate parameter 'kappa'"),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    _DROPPED_INPUT,
+    ids=["header-key", "coords-key", "two-domains", "domain-key", "section-name",
+         "two-sections", "section-key", "none-and-kind", "duplicate-key", "duplicate-param"],
+)
+def test_parse_refuses_input_it_would_drop(old, new, message):
+    # each of these edits used to parse, the extra line silently ignored
+    text = serialize_model(builtin_model("timoshenko"))
+    assert old in text
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_model(text.replace(old, new, 1))
+
+
+def test_model_refuses_r_names_of_the_wrong_length():
+    model = builtin_model("timoshenko")
+    with pytest.raises(ModelError, match="3 r_names for an operator on 2 fields"):
+        dataclasses.replace(model, r_names=("psi", "w", "extra"))
 
 
 def test_parse_rejects_unknown_coordinate():

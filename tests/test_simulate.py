@@ -29,6 +29,7 @@ from phs_forge.simulate import (
     fourier_state,
     random_state,
     simulate,
+    simulation_refusal,
     step_midpoint,
     write_energy_csv,
     write_trajectory_csv,
@@ -103,10 +104,7 @@ def difference_consistency_errors(dsys, fields):
 
 
 _SYSTEMS = {name: assemble_phs(builtin_model(name)) for name in builtin_names()}
-SIMULABLE = sorted(
-    name for name, s in _SYSTEMS.items()
-    if s.model.ell == 1 or (s.model.ell == 2 and s.op.order == 1)
-)
+SIMULABLE = sorted(name for name, s in _SYSTEMS.items() if simulation_refusal(s.model) is None)
 FACES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
 
 
