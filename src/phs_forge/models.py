@@ -350,23 +350,28 @@ def validate_model(model: KinematicModel) -> ValidationReport:
     rows_cols("lambda2", model.lambda2)
     rows_cols("operator", operator)
 
-    # shapes
+    # shapes; Bd, when given, has one row per component of r and at least
+    # one input column
     shape_ok = (
         model.lambda1.rows == 3
         and model.lambda1.cols == model.n
         and model.lambda2.rows == model.d
         and model.lambda2.cols == model.m
     )
-    add(
-        "shapes",
-        shape_ok,
-        "lambda1 is 3 x n and lambda2 is d x m"
-        if shape_ok
-        else (
+    bad = []
+    if not shape_ok:
+        bad.append(
             f"lambda1 {model.lambda1.rows}x{model.lambda1.cols} (want 3x{model.n}), "
             f"lambda2 {model.lambda2.rows}x{model.lambda2.cols} (want {model.d}x{model.m})"
-        ),
-    )
+        )
+    if model.bd is not None:
+        widths = sorted({len(row) for row in model.bd})
+        if len(model.bd) != model.n or len(widths) != 1 or widths[0] < 1:
+            bad.append(
+                f"Bd has {len(model.bd)} rows of length {', '.join(map(str, widths)) or 'none'} "
+                f"(want {model.n} rows of one length >= 1)"
+            )
+    add("shapes", not bad, ", ".join(bad) or "lambda1 is 3 x n and lambda2 is d x m")
 
     # constitutive matrix
     ok, detail = check_spd(model.cmat)

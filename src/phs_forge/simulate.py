@@ -13,6 +13,10 @@ midpoint, which conserves the quadratic energy up to linear-solver roundoff.
 Supported: one-dimensional models up to second order and two-dimensional
 first-order models on rectangles.  Second-order plates and 3D elasticity stay
 in the symbolic stage.
+
+Importing this module loads numpy but not scipy: the functions that build or
+factor sparse matrices import it when first called, so the exact stage
+(``import phs_forge``, build, verify, export) never pays for it.
 """
 
 from __future__ import annotations
@@ -23,15 +27,16 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .build import PHSystem
 from .exact import PiRat, fr, to_float
 from .models import KinematicModel
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 FACES_1D = ("left", "right")
 FACES_2D = ("left", "right", "bottom", "top")
@@ -409,6 +414,8 @@ def _concat(parts):
 
 def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiffness_scale=None):
     """(D, W, C, J) on the laid-out fields."""
+    from scipy import sparse
+
     bounds = sys.model.domain.bounds
     fields = p_fields + eps_fields
 
@@ -615,6 +622,8 @@ def pencil(dsys: DiscreteSystem):
     K_v = S^T C_eps W_eps^-1 S (formed as S^T C_eps D) is symmetric positive
     semidefinite, with S = diag(W_eps) D the weighted flux block of J.
     """
+    from scipy import sparse
+
     num_p = dsys.num_p
     C = dsys.C
     if C[:num_p, num_p:].nnz or C[num_p:, :num_p].nnz:
@@ -659,14 +668,33 @@ class _MidpointStepper:
         self._operator = (dsys.W, dsys.J, dsys.C)
 
     def _a_matrix(self):
+        from scipy import sparse
+
         W, J, C = self._operator
         return (sparse.diags(1.0 / W) @ J @ C).tocsr()
 
     @property
     def forward(self):
         """I + hA, built when read: no step uses it."""
+        from scipy import sparse
+
         a_mat = self._a_matrix()
         return (sparse.identity(a_mat.shape[0], format="csr") + (self.dt / 2.0) * a_mat).tocsr()
+
+    @staticmethod
+    def _factor(matrix, diag_pivot_thresh: float):
+        """SuperLU factorization of a CSC step matrix (the caller converts,
+        so no other copy of it is alive during the factorization).  Both
+        step matrices have a (nearly) symmetric pattern, so it orders A + A^T
+        and prefers diagonal pivots; only the pivot threshold differs."""
+        from scipy.sparse.linalg import splu
+
+        return splu(
+            matrix,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=diag_pivot_thresh,
+            options={"SymmetricMode": True},
+        )
 
     def step(self, state: np.ndarray, t: float, inputs: Sequence[InputChannel]):
         h = self.dt / 2.0
@@ -690,16 +718,13 @@ class _FullMidpoint(_MidpointStepper):
     """Factors the whole step matrix I - hA."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
+        from scipy import sparse
+
         super().__init__(dsys, dt)
         eye = sparse.identity(dsys.num_dofs, format="csr")
-        # the pattern is (nearly) symmetric and A is similar to a skew matrix:
-        # order A + A^T, prefer diagonal pivots (backward error is tested)
-        self.lu = splu(
-            (eye - (dt / 2.0) * self._a_matrix()).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.01,
-            options={"SymmetricMode": True},
-        )
+        # A is similar to a skew matrix: relaxed diagonal pivots keep the
+        # fill low (backward error is tested)
+        self.lu = self._factor((eye - (dt / 2.0) * self._a_matrix()).tocsc(), diag_pivot_thresh=0.01)
 
     def _midpoint(self, rhs):
         return self.lu.solve(rhs)
@@ -712,6 +737,8 @@ class _SchurMidpoint(_MidpointStepper):
     y = (C_p^-1 v, r_eps + h D v)."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
+        from scipy import sparse
+
         super().__init__(dsys, dt)
         h = dt / 2.0
         num_p = self.num_p = dsys.num_p
@@ -720,12 +747,7 @@ class _SchurMidpoint(_MidpointStepper):
         # reduce: r -> right-hand side of the velocity solve; lift: v -> y - (0, r_eps)
         self.reduce = sparse.hstack([sparse.diags(w_p), -h * (S.T @ dsys.C[num_p:, num_p:])], format="csr")
         self.lift = sparse.vstack([sparse.diags(1.0 / w_p) @ M_v, h * dsys.D], format="csr")
-        self.lu = splu(
-            (M_v + h * h * K_v).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        self.lu = self._factor((M_v + h * h * K_v).tocsc(), diag_pivot_thresh=0.0)
 
     def _midpoint(self, rhs):
         y = self.lift @ self.lu.solve(self.reduce @ rhs)

@@ -683,3 +683,30 @@ def test_build_refuses_unknown_structure_input(tmp_path, capsys, new, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err, err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("truss", "[Bd]\n1\n", "[Bd]\n1, 2\n3\n"),
+        ("timoshenko", "[structure]", "[Bd]\n1, 2\n3\n\n[structure]"),
+    ],
+    ids=["truss-ragged", "timoshenko-ragged"],
+)
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("build", ["--out", "{tmp}/x.json"]),
+        ("simulate", ["--cells", "8", "--dt", "1/100", "--steps", "2",
+                      "--input", "distributed:1:const:1", "--out-dir", "{tmp}/out"]),
+    ],
+)
+def test_compiling_commands_refuse_a_ragged_input_map(tmp_path, capsys, name, old, new, command, extra):
+    # simulate used to end the timoshenko case in an IndexError in distributed_input
+    path = tmp_path / f"{name}.phsm"
+    path.write_text(_model_text(name, **{old: new}))
+    extra = [e.format(tmp=tmp_path) for e in extra]
+    assert main([command, "--file", str(path), *extra]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert "[FAIL] shapes: Bd has 2 rows of length 1, 2" in err, err
+    assert list(tmp_path.iterdir()) == [path]

@@ -108,6 +108,26 @@ def test_zero_lambda1_column_fails_validation():
     assert "lambda1-columns" in bad
 
 
+@pytest.mark.parametrize(
+    "bd, detail",
+    [
+        (None, "lambda1 is 3 x n and lambda2 is d x m"),
+        ([[F(1), F(0)], [F(0), F(1)]], "lambda1 is 3 x n and lambda2 is d x m"),
+        ([[F(1), F(2)], [F(3)]], "Bd has 2 rows of length 1, 2 (want 2 rows of one length >= 1)"),
+        ([[F(1)]], "Bd has 1 rows of length 1 (want 2 rows of one length >= 1)"),
+        ([[], []], "Bd has 2 rows of length 0 (want 2 rows of one length >= 1)"),
+        ([], "Bd has 0 rows of length none (want 2 rows of one length >= 1)"),
+    ],
+    ids=["none", "square", "ragged", "short", "no-columns", "empty"],
+)
+def test_shapes_check_reads_the_input_map(bd, detail):
+    # a ragged Bd used to pass and end in an IndexError in distributed_input
+    model = builtin_model("timoshenko")
+    model.bd = bd
+    (shapes,) = [c for c in validate_model(model).checks if c.check_id == "shapes"]
+    assert (shapes.ok, shapes.detail) == (detail.startswith("lambda1"), detail)
+
+
 def test_indefinite_constitutive_matrix_fails_with_witness():
     model = builtin_model("timoshenko")
     model.cmat = [[F(1), F(2)], [F(2), F(1)]]  # det = -3

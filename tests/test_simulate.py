@@ -2,14 +2,20 @@
 conservation and the per-step power balance."""
 
 import hashlib
+import json
+import math
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy import sparse
 
 from phs_forge.build import assemble_phs
@@ -458,6 +464,39 @@ def test_pencil_refuses_a_coupled_co_energy_map():
         pencil(dsys)
 
 
+# (beta L) of the first clamped-clamped mode: pi for the wave equation, the
+# first root of cos(bL) cosh(bL) = 1 for the Euler-Bernoulli beam
+_CLAMPED_ROOT = {1: math.pi, 2: 4.730040744862704}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "string",
+        "truss",
+        pytest.param(
+            "euler_bernoulli",
+            marks=pytest.mark.xfail(strict=True, reason="pinned, ROADMAP item 3"),
+        ),
+    ],
+)
+def test_first_clamped_mode_converges_at_order_two(name):
+    """omega_1 of the pencil against the closed form (beta L)^order sqrt(K/M)
+    on the unit interval: pi for string and truss, 6.459 for a truly clamped
+    Euler-Bernoulli beam.  The error must fall by about 4 per halving."""
+    sys_ = _SYSTEMS[name]
+    exact = _CLAMPED_ROOT[sys_.model.order] ** sys_.model.order * math.sqrt(
+        sys_.stiffness[0][0] / sys_.mass[0][0]
+    )
+    errors = []
+    for cells in (32, 64, 128):
+        M_v, K_v, _ = pencil(discretize(sys_, GridSpec((cells,)), {"left": "clamped", "right": "clamped"}))
+        omega_sq = scipy.linalg.eigh(K_v.toarray(), M_v.toarray(), eigvals_only=True)
+        errors.append(abs(math.sqrt(omega_sq[0]) - exact))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.5 <= r <= 4.5 for r in ratios), (errors, ratios)
+
+
 def test_schur_runs_conserve_energy():
     """The closed runs of test_conservation_closed_systems_quick and the
     density- and stiffness-scaled string, on the velocity-Schur path."""
@@ -758,3 +797,35 @@ def test_layout_properties_on_random_grids(grid, seed):
         assert difference_consistency_errors(dsys, fields) == []
     else:
         _checked_difference_entries(dsys)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running ``code``
+    with this checkout's ``phs_forge`` first on its path."""
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
+        "import json; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True, text=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_exact_stage_does_not_load_scipy():
+    # the simulator's module-level scipy import used to cost every command ~0.45 s
+    loaded = _scipy_modules_after(
+        "import phs_forge, phs_forge.cli\n"
+        "assert phs_forge.__file__.startswith(sys.path[0])\n"
+        "phs_forge.assemble_phs(phs_forge.builtin_model('timoshenko'))"
+    )
+    assert loaded == []
+
+
+def test_discretize_loads_scipy_sparse():
+    loaded = _scipy_modules_after(
+        "from phs_forge import GridSpec, assemble_phs, builtin_model, discretize\n"
+        "discretize(assemble_phs(builtin_model('string')), GridSpec((8,)))"
+    )
+    assert "scipy.sparse" in loaded
