@@ -13,7 +13,6 @@ from .build import (
     hamiltonian_value,
     lagrangian_form,
     mass_matrix,
-    section_moment,
     stiffness_matrix,
 )
 from .diffop import (
@@ -43,6 +42,7 @@ from .sections import (
     MomentSection,
     PointSection,
     RectangleSection,
+    section_moment,
 )
 from .simulate import (
     DiscreteSystem,

@@ -22,13 +22,11 @@ from .exact import PiRat, check_spd, fr, mat_inverse, scalar_json, to_float
 from .modelfile import check_digits
 from .models import KinematicModel, ModelError, validate_model
 from .poly import Poly, dot, mat_apply
-from .sections import section_moment  # re-exported: step-1 helper lives with sections
 
 __all__ = [
     "BuildError",
     "PHSystem",
     "LagrangianFormSystem",
-    "section_moment",
     "mass_matrix",
     "stiffness_matrix",
     "assemble_phs",
@@ -36,6 +34,7 @@ __all__ = [
     "lagrangian_form",
     "hamiltonian_value",
     "export_system",
+    "float_matrix",
     "write_matrix_csv",
 ]
 
@@ -287,7 +286,7 @@ def export_system(sys: PHSystem) -> dict:
             "axes": list(model.domain.axes),
             "bounds": [[scalar_json(lo), scalar_json(hi)] for lo, hi in model.domain.bounds],
         },
-        "section": model.section.descriptor() if model.section.kind != "none" else "none",
+        "section": model.section.descriptor(),
         "mass": _matrix_json(sys.mass),
         "mass_inverse": _matrix_json(sys.mass_inv),
         "stiffness": _matrix_json(sys.stiffness),
@@ -308,9 +307,15 @@ def export_system(sys: PHSystem) -> dict:
     }
 
 
+def float_matrix(matrix, what: str) -> List[List[float]]:
+    """``matrix`` as floats; ValueError naming the entry (``what[i][j]``)
+    when one lies past the float range."""
+    return [[to_float(x, f"{what}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+
+
 def write_matrix_csv(path: str, matrix) -> None:
-    """Float rendering with fixed formatting so artifacts are byte-stable."""
+    """Float rendering with fixed formatting so artifacts are byte-stable; an
+    entry past the float range is refused before the file is opened."""
+    rows = float_matrix(matrix, "matrix")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([format(to_float(x), ".17g") for x in row])
+        csv.writer(fh).writerows([format(x, ".17g") for x in row] for row in rows)

@@ -14,7 +14,7 @@ import os
 import sys as _sys
 from fractions import Fraction
 
-from .build import assemble_phs, export_system, write_matrix_csv
+from .build import assemble_phs, export_system, float_matrix, write_matrix_csv
 from .exact import ExactError
 from .modelfile import check_digits, parse_model_file, serialize_model
 from .models import ModelError, builtin_model, builtin_names, validate_model
@@ -240,11 +240,19 @@ def cmd_export(args) -> int:
     sys_ = _compile(args)
     if sys_ is None:
         return EXIT_INVALID_MODEL
+    try:  # every float first, so a refusal writes no file
+        tables = [
+            ("mass", float_matrix(sys_.mass, "mass M")),
+            ("stiffness", float_matrix(sys_.stiffness, "stiffness K")),
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_INVALID_MODEL
     name = sys_.model.name
     _write_system_json(_out_path(args, f"{name}.phs.json"), sys_)
-    for kind, matrix in (("mass", sys_.mass), ("stiffness", sys_.stiffness)):
+    for kind, rows in tables:
         path = _out_path(args, f"{name}.{kind}.csv")
-        write_matrix_csv(path, matrix)
+        write_matrix_csv(path, rows)
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -128,8 +128,19 @@ def is_zero(x) -> bool:
     return scalar_sign(x) == 0
 
 
-def to_float(x) -> float:
-    return float(x)
+def to_float(value, what: str) -> float:
+    """``value`` as a float; ValueError naming ``what`` when it lies past the
+    float range (it overflows, or a nonzero value rounds to zero)."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out) or (out == 0.0 and value != 0):
+        q = value.q if isinstance(value, PiRat) else fr(value)
+        exponent = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+        exponent += getattr(value, "k", 0) * math.log10(math.pi)
+        raise ValueError(f"{what} is about 1e{exponent:+.0f}, outside the range of a float")
+    return out
 
 
 def scalar_json(x):

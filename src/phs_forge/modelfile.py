@@ -7,7 +7,9 @@ coordinates; the [F] entries are polynomials in the derivative symbols
 d1..dl, one per distributed coordinate, expanded before a monomial in two
 symbols (a mixed partial) is rejected: the supported operator class admits
 pure powers of a single axis derivative only (``DiffOpMatrix.from_symbols``).
-Every coefficient is held to the digit limit.  The [F] section may be left
+Every coefficient is held to the digit limit, every expression to the
+nesting limit.  [section] is ``none`` or ``kind = values``, the values in
+the order of the shape's fields (``sections``).  The [F] section may be left
 out when [structure] has no dN(...) entry: the operator is then derived from
 lambda1 and lambda2 (``models.derive_operator``), and the serializer still
 writes it.
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -70,6 +73,7 @@ from .sections import (
     MomentSection,
     PointSection,
     RectangleSection,
+    Section,
 )
 
 FORMAT_VERSION = 1
@@ -78,6 +82,10 @@ FORMAT_VERSION = 1
 # ((x^8)^8 is x^64); the builtin texts use at most 3, and an unbounded one
 # (10^100000000) would stall exact evaluation
 MAX_EXPONENT = 64
+
+# deepest nesting of parentheses and prefix signs, far below Python's
+# recursion limit (each level is a few parser frames); the builtins nest 3 deep
+MAX_NESTING = 64
 
 # most digits in one integer literal, and in the numerator or denominator of
 # an evaluated scalar: below Python's 4,300-digit limit on int/str conversion,
@@ -145,6 +153,7 @@ class _ExprParser:
         self.what = what
         self.text = text
         self.chain = 1  # product of the nested exponents in the last atom
+        self.depth = 0  # parentheses and signs open around the current atom
 
     def peek(self):
         return self.tokens[self.pos]
@@ -188,13 +197,20 @@ class _ExprParser:
                 val = val * (1 / rhs)
         return val
 
+    def nested(self, parse):
+        """``parse()`` one level deeper: inside a parenthesis or a sign."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses and signs nest deeper than {MAX_NESTING} in {self.what}")
+        val = parse()
+        self.depth -= 1
+        return val
+
     def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return -self.unary()
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
+        if self.peek() in (("op", "-"), ("op", "+")):
+            _, sign = self.take()
+            val = self.nested(self.unary)
+            return -val if sign == "-" else val
         return self.power()
 
     def power(self):
@@ -227,7 +243,7 @@ class _ExprParser:
         if kind == "num":
             return Fraction(int(val))
         if kind == "op" and val == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect_op(")")
             return inner
         if kind == "name":
@@ -447,29 +463,33 @@ def _parse_domain(kv: Dict[str, str], dist, params) -> DomainSpec:
     return DomainSpec(tuple(dist), tuple(zip(vals[::2], vals[1::2])))
 
 
-def _parse_section(lines: List[str], params):
+# [section] kind -> shape; a shape's fields are its values, in order
+_SHAPES = {shape.kind: shape for shape in (IntervalSection, RectangleSection, CircleSection, MomentSection)}
+
+
+def _parse_section(lines: List[str], params) -> Section:
     if lines == ["none"]:
         return PointSection()
-    kv = _kv_lines(lines, "section", ("interval", "rectangle", "circle", "moments"))
+    kv = _kv_lines(lines, "section", tuple(_SHAPES))
     kind = _one_kind(kv, "section")
-    if kind == "interval":
-        return IntervalSection(eval_scalar(kv["interval"], params, "section"))
-    if kind == "rectangle":
-        b, h = (eval_scalar(v, params, "section") for v in _split_entries(kv["rectangle"]))
-        return RectangleSection(b, h)
-    if kind == "circle":
-        return CircleSection(eval_scalar(kv["circle"], params, "section"))
+    if kind is None:
+        raise ParseError("section must declare interval, rectangle, circle, moments or none")
+    entries = _split_entries(kv[kind])
     if kind == "moments":
         moments = {}
-        for item in _split_entries(kv["moments"]):
-            if ":" not in item:
+        for item in entries:
+            m = re.fullmatch(r"I(\d+)\s*:\s*(.+)", item)
+            if not m:
                 raise ParseError(f"moment entries look like 'I0: value', got {item!r}")
-            key, val = (s.strip() for s in item.split(":", 1))
-            if not re.fullmatch(r"I\d+", key):
-                raise ParseError(f"bad moment name {key!r}")
-            moments[int(key[1:])] = eval_scalar(val, params, "section")
+            order = int(m.group(1))
+            if order in moments:
+                raise ParseError(f"moment order {order} is given twice")
+            moments[order] = eval_scalar(m.group(2), params, "section")
         return MomentSection(moments)
-    raise ParseError("section must declare interval, rectangle, circle, moments or none")
+    names = [f.name for f in fields(_SHAPES[kind])]
+    if len(entries) != len(names):
+        raise ParseError(f"[section] {kind} takes the values {', '.join(names)}; got {len(entries)}")
+    return _SHAPES[kind](*(eval_scalar(v, params, "section") for v in entries))
 
 
 def _parse_operator(lines, dist, params) -> DiffOpMatrix:
@@ -567,7 +587,7 @@ def serialize_model(model: KinematicModel) -> str:
     out.append(f"{kind} = {bounds}")
     out.append("")
     out.append("[section]")
-    out.append(model.section.descriptor() if model.section.kind != "none" else "none")
+    out.append(model.section.descriptor())
     out.append("")
     out.append("[params]")
     out.extend(f"{k} = {model.params[k]}" for k in sorted(model.params))

@@ -320,16 +320,17 @@ def validate_model(model: KinematicModel) -> ValidationReport:
     def add(check_id: str, ok: bool, detail: str):
         checks.append(ValidationCheck(check_id, ok, detail))
 
-    # coordinate partition
+    # coordinate partition; the section spans complementary coordinates only
     overlap = set(model.dist) & set(model.comp)
     known = set(model.dist) | set(model.comp) <= set(ALL_COORDS)
-    add(
-        "coordinate-partition",
-        not overlap and known,
-        "distributed and complementary sets are disjoint subsets of (z1, z2, z3)"
-        if not overlap and known
-        else f"bad coordinate split: dist={model.dist} comp={model.comp}",
-    )
+    outside = [c for c in model.section.spans if c not in model.comp]
+    if outside:
+        detail = f"the {model.section.kind} section spans {' '.join(outside)}, outside comp={model.comp}"
+    elif overlap or not known:
+        detail = f"bad coordinate split: dist={model.dist} comp={model.comp}"
+    else:
+        detail = "distributed and complementary sets are disjoint subsets of (z1, z2, z3)"
+    add("coordinate-partition", not (overlap or outside) and known, detail)
 
     # lambda1 columns
     bad_cols = [j + 1 for j in range(model.lambda1.cols) if model.lambda1.col_is_zero(j)]
@@ -558,8 +559,7 @@ def _string_tension(p):
             "string needs a rational section area: give A, or b and h, instead of R "
             "(a circle's area carries a factor of pi)"
         )
-    section = _beam_section(p)
-    return string_tension(p["T"], section.integrate(Poly.constant(section.coords, 1)))
+    return string_tension(p["T"], _beam_section(p).monomial(0, 0))
 
 
 _BEAM = {"E": 1, "rho": 1, "b": 1, "h": 1, "A": 0, "I": 0, "R": 0}

@@ -1,198 +1,160 @@
-"""Cross-section descriptions and exact integration over them.
+"""Cross sections: the complementary domain of a model, over which the energy
+matrices integrate (``M = rho * int lambda1^T lambda1``, ``K = int lambda2^T C
+lambda2``).  It is a thickness interval in z3 (plates), a rectangle or disk
+in (z2, z3) (beams and bars), nothing (3D elasticity), or an abstract
+symmetric section known only through its z3-moments (A, I, ...).
 
-The complementary domain of a model is one of: a thickness interval in z3
-(plates), a rectangle or circular disk in (z2, z3) (beams and bars), nothing
-at all (full 3D elasticity), or an abstract section known only through its
-z3-moments (A, I, ...).  Each kind integrates polynomials in the complementary
-coordinates exactly; disks produce pi-tagged rationals.
+Each shape is a frozen dataclass whose fields are its model-file values; it
+states ``spans``, the coordinates it extends over, and one rule,
+``monomial(a, b)``: the exact integral of z2^a z3^b over it (disks give
+pi-tagged rationals).  Integration, moments, equality and the ``[section]``
+text follow from that, once, in the base class.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict
+from math import prod
+from typing import ClassVar, Dict, Tuple
 
 from .exact import ExactError, PiRat, fr
 from .poly import Poly
 
 
 def _double_factorial(n: int) -> int:
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 0:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 0, -2))
 
 
-def disk_monomial_moment(a: int, b: int, radius: Fraction):
-    """Exact integral of z2^a z3^b over the disk of the given radius."""
-    if a % 2 or b % 2:
-        return Fraction(0)
-    s = a + b
-    q = (
-        2
-        * Fraction(_double_factorial(a - 1) * _double_factorial(b - 1))
-        / Fraction((s + 2) * _double_factorial(s))
-    )
-    return PiRat(q * radius ** (s + 2), 1)
+def _centered(length: Fraction, k: int) -> Fraction:
+    """Integral of z^k over (-length/2, length/2)."""
+    return Fraction(0) if k % 2 else 2 * (length / 2) ** (k + 1) / (k + 1)
 
 
+@dataclass(frozen=True)
 class Section:
-    kind = "abstract"
-    coords: tuple
+    """A cross section; its fields are positive rationals."""
 
-    def integrate(self, p: Poly):
+    kind: ClassVar[str]
+    spans: ClassVar[Tuple[str, ...]]
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = fr(getattr(self, f.name))
+            if value <= 0:
+                raise ExactError(f"{self.kind} {f.name} must be positive, got {value}")
+            object.__setattr__(self, f.name, value)
+
+    def monomial(self, a: int, b: int):
+        """Exact integral of z2^a z3^b; a power is nonzero only in a spanned coordinate."""
         raise NotImplementedError
 
-    def moment(self, i: int):
-        """Integral of z3^i over the section."""
-        z3 = Poly.variable(self.coords, "z3") if "z3" in self.coords else None
-        if z3 is None:
-            raise ExactError(f"{self.kind} section has no z3 coordinate")
-        return self.integrate(z3**i)
+    def integrate(self, p: Poly):
+        """Exact integral of ``p``, term by term through ``monomial``."""
+        total = Fraction(0)
+        for exps, coeff in p.terms.items():
+            power = dict(zip(p.coords, exps))
+            for c, k in power.items():
+                if k and c not in self.spans:
+                    term = Poly(p.coords, {exps: coeff})
+                    raise ExactError(f"section {self.kind} does not span {c}, so it cannot integrate {term}")
+            total += coeff * self.monomial(power.get("z2", 0), power.get("z3", 0))
+        return total
 
     def descriptor(self) -> str:
-        raise NotImplementedError
+        """The ``[section]`` line of a model file."""
+        return f"{self.kind} = " + ", ".join(str(getattr(self, f.name)) for f in fields(self))
 
 
+@dataclass(frozen=True)
 class PointSection(Section):
-    """No complementary domain: integration is the identity on constants."""
+    """No complementary domain (full 3D elasticity): only constants integrate."""
 
     kind = "none"
-    coords = ()
+    spans = ()
 
-    def integrate(self, p: Poly):
-        return p.constant_value()
-
-    def moment(self, i: int):
-        raise ExactError("a 3D model has no cross-section moments")
+    def monomial(self, a: int, b: int):
+        return Fraction(1)
 
     def descriptor(self) -> str:
         return "none"
 
-    def __eq__(self, other):
-        return isinstance(other, PointSection)
 
-
+@dataclass(frozen=True)
 class IntervalSection(Section):
     """Thickness interval z3 in (-h/2, h/2); the plate case."""
 
+    h: Fraction
     kind = "interval"
-    coords = ("z3",)
+    spans = ("z3",)
 
-    def __init__(self, h):
-        self.h = fr(h)
-        if self.h <= 0:
-            raise ExactError("thickness must be positive")
-
-    def integrate(self, p: Poly):
-        return p.integrate("z3", -self.h / 2, self.h / 2).constant_value()
-
-    def descriptor(self) -> str:
-        return f"interval = {self.h}"
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalSection) and self.h == other.h
+    def monomial(self, a: int, b: int):
+        return _centered(self.h, b)
 
 
+@dataclass(frozen=True)
 class RectangleSection(Section):
     """Rectangle z2 in (-b/2, b/2), z3 in (-h/2, h/2)."""
 
+    b: Fraction
+    h: Fraction
     kind = "rectangle"
-    coords = ("z2", "z3")
+    spans = ("z2", "z3")
 
-    def __init__(self, b, h):
-        self.b = fr(b)
-        self.h = fr(h)
-        if self.b <= 0 or self.h <= 0:
-            raise ExactError("section sides must be positive")
-
-    def integrate(self, p: Poly):
-        out = p.integrate("z2", -self.b / 2, self.b / 2)
-        return out.integrate("z3", -self.h / 2, self.h / 2).constant_value()
-
-    def descriptor(self) -> str:
-        return f"rectangle = {self.b}, {self.h}"
-
-    def __eq__(self, other):
-        return isinstance(other, RectangleSection) and (self.b, self.h) == (other.b, other.h)
+    def monomial(self, a: int, b: int):
+        return _centered(self.b, a) * _centered(self.h, b)
 
 
+@dataclass(frozen=True)
 class CircleSection(Section):
-    """Disk of radius R in the (z2, z3) plane; moments carry a pi tag."""
+    """Disk of radius R in the (z2, z3) plane; its moments carry a pi tag."""
 
+    radius: Fraction
     kind = "circle"
-    coords = ("z2", "z3")
+    spans = ("z2", "z3")
 
-    def __init__(self, radius):
-        self.radius = fr(radius)
-        if self.radius <= 0:
-            raise ExactError("radius must be positive")
-
-    def integrate(self, p: Poly):
-        total = Fraction(0)
-        i2 = p.coords.index("z2")
-        i3 = p.coords.index("z3")
-        for exps, c in p.terms.items():
-            total = total + c * disk_monomial_moment(exps[i2], exps[i3], self.radius)
-        return total
-
-    def descriptor(self) -> str:
-        return f"circle = {self.radius}"
-
-    def __eq__(self, other):
-        return isinstance(other, CircleSection) and self.radius == other.radius
+    def monomial(self, a: int, b: int):
+        if a % 2 or b % 2:
+            return Fraction(0)
+        s = a + b
+        q = Fraction(2 * _double_factorial(a - 1) * _double_factorial(b - 1), (s + 2) * _double_factorial(s))
+        return PiRat(q * self.radius ** (s + 2), 1)
 
 
+@dataclass(frozen=True)
 class MomentSection(Section):
     """A symmetric section known only through selected z3-moments.
 
     ``moments[i]`` is the integral of z3^i over the section (so moments[0] is
     the area and moments[2] the second moment).  Odd moments vanish by the
-    symmetry assumption.  Polynomials that involve z2 need real geometry and
-    are refused.
+    symmetry assumption.  It spans z3 only: a term in z2 needs real geometry.
     """
 
+    moments: Dict[int, Fraction]
     kind = "moments"
-    coords = ("z2", "z3")
+    spans = ("z3",)
 
-    def __init__(self, moments: Dict[int, Fraction]):
-        self.moments = {int(i): fr(v) for i, v in moments.items()}
-        if any(i < 0 for i in self.moments):
-            raise ExactError("moment indices must be non-negative")
-        if any(i % 2 for i in self.moments):
-            raise ExactError("only even moments are meaningful for a symmetric section")
+    def __post_init__(self):
+        moments = {int(i): fr(v) for i, v in self.moments.items()}
+        if any(i < 0 or i % 2 for i in moments):
+            raise ExactError(f"moment orders must be even and non-negative, got {sorted(moments)}")
+        object.__setattr__(self, "moments", moments)
 
-    def integrate(self, p: Poly):
-        total = Fraction(0)
-        i2 = p.coords.index("z2") if "z2" in p.coords else None
-        i3 = p.coords.index("z3") if "z3" in p.coords else None
-        for exps, c in p.terms.items():
-            if i2 is not None and exps[i2] != 0:
-                raise ExactError(
-                    "abstract moment section cannot integrate z2 terms; "
-                    "use a rectangle or circle section"
-                )
-            e3 = exps[i3] if i3 is not None else 0
-            if e3 % 2:
-                continue
-            if e3 not in self.moments:
-                raise ExactError(f"moment of order {e3} not supplied for abstract section")
-            total += c * self.moments[e3]
-        return total
+    def monomial(self, a: int, b: int):
+        if b % 2:
+            return Fraction(0)
+        if b not in self.moments:
+            raise ExactError(f"moment of order {b} not supplied for abstract section")
+        return self.moments[b]
 
     def descriptor(self) -> str:
-        inner = ", ".join(f"I{i}: {v}" for i, v in sorted(self.moments.items()))
-        return f"moments = {inner}"
-
-    def __eq__(self, other):
-        return isinstance(other, MomentSection) and self.moments == other.moments
+        return "moments = " + ", ".join(f"I{i}: {v}" for i, v in sorted(self.moments.items()))
 
 
 def section_moment(section: Section, i: int):
     """Exact i-th z3-moment of a section; 0 for odd i on symmetric shapes."""
     if i < 0:
         raise ExactError("moment order must be non-negative")
-    return section.moment(i)
+    if not section.spans:
+        raise ExactError("a 3D model has no cross-section moments")
+    return section.monomial(0, i)

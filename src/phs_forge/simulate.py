@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .build import PHSystem
-from .exact import PiRat, fr, to_float
+from .exact import to_float
 from .models import KinematicModel
 
 if TYPE_CHECKING:
@@ -436,7 +436,7 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
         rows = ef.offset + node
         cols = pf.offset + np.ravel_multi_index(tuple(src[:, node, point]), pf.counts)
         what = f"difference coefficient of {ef.label} on {pf.label}"
-        parts.append((rows, cols, np.array([_float(w, what) for w in weights])[point]))
+        parts.append((rows, cols, np.array([to_float(w, what) for w in weights])[point]))
 
     num_p = eps_fields[0].offset
     num_dofs = fields[-1].offset + fields[-1].size
@@ -448,7 +448,7 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
         [
             reduce(
                 np.multiply.outer,
-                [np.array([_float(x, f"quadrature weight of {f.label}") for x in w]) for w in f.weights],
+                [np.array([to_float(x, f"quadrature weight of {f.label}") for x in w]) for w in f.weights],
             ).ravel()
             for f in fields
         ]
@@ -466,7 +466,7 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
         data = np.full(f1.size, value)
         if scale is not None:
             data *= [
-                _scale_value(scale, [to_float(x) for x in f1.position(gidx, bounds, dx)])
+                _scale_value(scale, [to_float(x, "node position") for x in f1.position(gidx, bounds, dx)])
                 for gidx in f1.nodes()
             ]
         nodes = np.arange(f1.size)
@@ -483,7 +483,7 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
         for i, f1 in enumerate(family):
             for j, f2 in enumerate(family):
                 if matrix[i][j] != 0:
-                    couple(f1, f2, _float(matrix[i][j], f"{symbol}[{i}][{j}]"), scale)
+                    couple(f1, f2, to_float(matrix[i][j], f"{symbol}[{i}][{j}]"), scale)
     c_rows, c_cols, c_data = _concat(c_parts)
     C = sparse.coo_matrix((c_data, (c_rows, c_cols)), shape=(num_dofs, num_dofs)).tocsr()
 
@@ -496,21 +496,6 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
 # ---------------------------------------------------------------------------
 # Energy, states, inputs
 # ---------------------------------------------------------------------------
-
-
-def _float(value, what: str) -> float:
-    """``value`` as a float; ValueError when it lies past the float range
-    (it overflows, or a nonzero value rounds to zero)."""
-    try:
-        out = to_float(value)
-    except OverflowError:
-        out = math.inf
-    if math.isinf(out) or (out == 0.0 and value != 0):
-        q = value.q if isinstance(value, PiRat) else fr(value)
-        exponent = math.log10(abs(q.numerator)) - math.log10(q.denominator)
-        exponent += getattr(value, "k", 0) * math.log10(math.pi)
-        raise ValueError(f"{what} is about 1e{exponent:+.0f}, outside the range of a float")
-    return out
 
 
 def _scale_value(scale, pos) -> float:
@@ -541,11 +526,12 @@ def fourier_state(dsys: DiscreteSystem, component: str = "p1", mode: int = 1) ->
         raise ValueError("fourier_state supports 1D grids")
     bounds = dsys.system.model.domain.bounds
     lo, hi = bounds[0]
-    length = to_float(hi - lo)
+    length = to_float(hi - lo, "domain length")
+    start = to_float(lo, "domain bound")
     state = dsys.zero_state()
     for gidx in f.nodes():
         (x,) = f.position(gidx, bounds, dsys.dx)
-        state[f.dof(gidx)] = np.sin(mode * np.pi * (to_float(x) - to_float(lo)) / length)
+        state[f.dof(gidx)] = np.sin(mode * np.pi * (to_float(x, "node position") - start) / length)
     return state
 
 
@@ -583,7 +569,7 @@ def boundary_traction_input(
         tangential = 1.0
         for a in range(len(dsys.dx)):
             if a != axis:
-                tangential *= to_float(f.weights[a][gidx[a] - f.starts[a]])
+                tangential *= to_float(f.weights[a][gidx[a] - f.starts[a]], f"quadrature weight of {f.label}")
         vector[dof] = tangential / dsys.W[dof]
         wvector[dof] = tangential
     return InputChannel(f"traction:{face}:{component}", "boundary", vector, wvector, u)
@@ -600,7 +586,7 @@ def distributed_input(
         raise ValueError("input column out of range")
     vector = np.zeros(dsys.num_dofs)
     for i, f in enumerate(dsys.p_fields):
-        coeff = _float(bd[i][column], f"input map Bd[{i}][{column}]")
+        coeff = to_float(bd[i][column], f"input map Bd[{i}][{column}]")
         if coeff == 0.0:
             continue
         vector[f.offset : f.offset + f.size] = coeff

@@ -412,6 +412,13 @@ def test_export_and_model_text_digest_of_all_builtins(tmp_path):
     assert h.hexdigest() == ARTIFACT_DIGEST
 
 
+def test_write_matrix_csv_refuses_a_value_past_float_range_before_opening(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=re.escape("matrix[1][0] is about 1e-400, outside the range of a float")):
+        write_matrix_csv(str(path), [[F(1), F(2)], [F(1, 10**400), F(3)]])
+    assert not path.exists()
+
+
 def test_export_structure_and_rational_pairs():
     sys_ = assemble_phs(builtin_model("timoshenko"))
     doc = export_system(sys_)

@@ -615,6 +615,21 @@ def test_simulate_rejects_a_material_value_past_float_range(tmp_path, capsys, pa
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "param, message",
+    [("E=1e400", "stiffness K[0][0] is about 1e+400"), ("E=1e-400", "stiffness K[0][0] is about 1e-400")],
+    ids=["overflow", "underflow"],
+)
+def test_export_rejects_a_matrix_entry_past_float_range(tmp_path, capsys, param, message):
+    # the overflow used to write the JSON and the mass CSV, then end in an
+    # OverflowError traceback; the underflow wrote 0 for K without a word
+    out = tmp_path / "out"
+    assert main(["export", "--builtin", "truss", "--param", param, "--out-dir", str(out)]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}, outside the range of a float"), err[:200]
+    assert not out.exists()
+
+
 def test_simulate_rejects_an_input_map_entry_past_float_range(tmp_path, capsys):
     path = tmp_path / "truss.phsm"
     path.write_text(_model_text("truss", **{"[Bd]\n1\n": "[Bd]\n1" + "0" * 400 + "\n"}))
@@ -661,6 +676,45 @@ def test_build_refuses_an_unknown_section(tmp_path, capsys):
     assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
     assert capsys.readouterr().err.startswith("error: unknown section [bogus]")
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("timoshenko", "rectangle = 1, 1", "rectangle = 1, 2, 3", "error: [section] rectangle takes the values b, h; got 3"),
+        ("mindlin_plate", "interval = 1", "rectangle = 1, 1",
+         "[FAIL] coordinate-partition: the rectangle section spans z2, outside comp=('z3',)"),
+        ("mindlin_plate", "interval = 1", "circle = 1",
+         "[FAIL] coordinate-partition: the circle section spans z2, outside comp=('z3',)"),
+        ("timoshenko", "rectangle = 1, 1", "none",
+         "error: section none does not span z3, so it cannot integrate z3^2"),
+    ],
+    ids=["three-rectangle-values", "plate-rectangle", "plate-circle", "beam-none"],
+)
+def test_build_refuses_a_section_that_does_not_fit(tmp_path, capsys, name, old, new, message):
+    # the first three used to exit 1 on a ValueError from unpacking or from
+    # tuple.index; the last exited 2 with a message that named no section
+    path = tmp_path / f"{name}.phsm"
+    path.write_text(_model_text(name, **{f"[section]\n{old}\n": f"[section]\n{new}\n"}))
+    assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+@pytest.mark.parametrize(
+    "value", ["(" * 200 + "1" + ")" * 200, "-" * 1000 + "1"], ids=["parentheses", "signs"]
+)
+def test_every_compiling_command_rejects_nesting_over_the_limit(tmp_path, capsys, command, value):
+    # the recursive-descent parser used to end in a RecursionError (exit 1)
+    path = tmp_path / "deep.phsm"
+    path.write_text(_model_text("truss", **{"E = 1": f"E = {value}"}))
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    args = [command, "--file", str(path), "--out-dir", str(tmp_path / "out"), *extra]
+    assert main(args) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error: parentheses and signs nest deeper than 64 in parameter E"), err[:200]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize(

@@ -367,6 +367,18 @@ def test_parse_division_errors(section, text, match):
         _tiny(**{section: text})
 
 
+def test_parse_nests_parentheses_and_signs_up_to_the_limit():
+    from phs_forge.modelfile import MAX_NESTING
+
+    assert MAX_NESTING == 64
+    assert _tiny(param="x = " + "(" * 64 + "1" + ")" * 64).params["x"] == 1
+    assert _tiny(param="x = " + "-" * 64 + "2").params["x"] == 2
+    assert _tiny(param="x = " + "-(" * 32 + "3" + ")" * 32).params["x"] == 3
+    for deeper in ("(" * 65 + "1" + ")" * 65, "-" * 65 + "1", "-(" * 32 + "-1" + ")" * 32):
+        with pytest.raises(ParseError, match="nest deeper than 64 in parameter x"):
+            _tiny(param=f"x = {deeper}")
+
+
 def test_parse_operator_and_polynomial_arithmetic():
     op = _tiny(op="1 - d1").op
     assert op.p0 == [[F(1)]] and op.pk == {(1, 1): [[F(-1)]]}
