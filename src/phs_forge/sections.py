@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import prod
-from typing import ClassVar, Dict, Tuple
+from typing import ClassVar, Tuple
 
 from .exact import ExactError, PiRat, fr
 from .poly import Poly
@@ -125,30 +125,33 @@ class CircleSection(Section):
 class MomentSection(Section):
     """A symmetric section known only through selected z3-moments.
 
-    ``moments[i]`` is the integral of z3^i over the section (so moments[0] is
-    the area and moments[2] the second moment).  Odd moments vanish by the
-    symmetry assumption.  It spans z3 only: a term in z2 needs real geometry.
+    ``moments`` maps an order i to the integral of z3^i over the section (so
+    moment 0 is the area and moment 2 the second moment); it is stored as
+    (order, value) pairs in increasing order, so sections compare and hash by
+    value.  Odd moments vanish by the symmetry assumption.  It spans z3 only:
+    a term in z2 needs real geometry.
     """
 
-    moments: Dict[int, Fraction]
+    moments: Tuple[Tuple[int, Fraction], ...]
     kind = "moments"
     spans = ("z3",)
 
     def __post_init__(self):
-        moments = {int(i): fr(v) for i, v in self.moments.items()}
+        moments = {int(i): fr(v) for i, v in dict(self.moments).items()}
         if any(i < 0 or i % 2 for i in moments):
             raise ExactError(f"moment orders must be even and non-negative, got {sorted(moments)}")
-        object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "moments", tuple(sorted(moments.items())))
 
     def monomial(self, a: int, b: int):
         if b % 2:
             return Fraction(0)
-        if b not in self.moments:
-            raise ExactError(f"moment of order {b} not supplied for abstract section")
-        return self.moments[b]
+        for order, value in self.moments:
+            if order == b:
+                return value
+        raise ExactError(f"moment of order {b} not supplied for abstract section")
 
     def descriptor(self) -> str:
-        return "moments = " + ", ".join(f"I{i}: {v}" for i, v in sorted(self.moments.items()))
+        return "moments = " + ", ".join(f"I{i}: {v}" for i, v in self.moments)
 
 
 def section_moment(section: Section, i: int):

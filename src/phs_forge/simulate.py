@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -506,10 +507,33 @@ def _scale_value(scale, pos) -> float:
 
 
 def discrete_hamiltonian(dsys: DiscreteSystem, state: np.ndarray) -> float:
-    """H = 1/2 state^T W C state (quadrature-weighted quadratic energy)."""
+    """H = 1/2 state^T W C state (quadrature-weighted quadratic energy): the
+    one-row case of the energy ``simulate`` logs, so the two agree bit for bit."""
     if state.shape != (dsys.num_dofs,):
         raise ValueError(f"state must have {dsys.num_dofs} entries")
-    return 0.5 * float(state @ (dsys.W * (dsys.C @ state)))
+    return float(_energies(dsys, state[None, :], None)[0])
+
+
+def _energies(dsys: DiscreteSystem, states: np.ndarray, work: Optional[np.ndarray], out=None) -> np.ndarray:
+    """H of each row of ``states``: the co-energies e of all rows from one
+    sparse product, then one pairwise sum of x * (W * e) per row, which gives
+    a row the same bits whatever rows share its block.  Several rows pass
+    twice through ``work``, a C-ordered buffer of their shape: as the columns
+    of the product (so it copies nothing) and as the rows to sum.  One row
+    needs no transpose and sums its own co-energy.  Every step runs in
+    place, so numpy allocates no buffer."""
+    if len(states) == 1:
+        products = (dsys.C @ states[0])[None, :]
+    else:
+        products = work
+        columns = products.reshape(states.shape[::-1])
+        np.copyto(columns, states.T)
+        np.copyto(products, (dsys.C @ columns).T)
+    products *= dsys.W
+    products *= states
+    energies = np.add.reduce(products, axis=-1, out=out)
+    energies *= 0.5
+    return energies
 
 
 def random_state(dsys: DiscreteSystem, seed: int = 0, amplitude: float = 1.0) -> np.ndarray:
@@ -647,7 +671,7 @@ class _MidpointStepper:
     solved as (I - hA) y = x + h sum u b for the midpoint state y, then
     x+ = 2y - x: one midpoint solve and no forward product per step.  The
     subclasses hold the factorization (``lu``) and make the solve
-    (``_midpoint``)."""
+    (``_midpoint``); ``march`` is the one stepping loop."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
         self.dt = dt
@@ -682,22 +706,18 @@ class _MidpointStepper:
             options={"SymmetricMode": True},
         )
 
-    def step(self, state: np.ndarray, t: float, inputs: Sequence[InputChannel]):
+    def march(self, states: np.ndarray, inputs: Sequence[InputChannel], u_rows) -> None:
+        """Fill ``states[1:]`` with midpoint steps from ``states[0]``, step j
+        driven by the input values ``u_rows[j]`` (one per channel)."""
         h = self.dt / 2.0
-        t_mid = t + h
-        rhs = state
-        u_values = []
-        for ch in inputs:
-            u_val = float(ch.u(t_mid))
-            if not math.isfinite(u_val):
-                raise ValueError(f"input {ch.name} is not finite at t = {t_mid!r}: {u_val!r}")
-            u_values.append(u_val)
-            if u_val != 0.0:
-                rhs = rhs + (h * u_val) * ch.vector
-        new_state = self._midpoint(rhs)
-        new_state *= 2.0
-        new_state -= state
-        return new_state, u_values
+        for state, new_state, u_row in zip(states, states[1:], u_rows):
+            rhs = state
+            for ch, u_val in zip(inputs, u_row):
+                if u_val != 0.0:
+                    rhs = rhs + (h * u_val) * ch.vector
+            y = self._midpoint(rhs)
+            y *= 2.0
+            np.subtract(y, state, out=new_state)
 
 
 class _FullMidpoint(_MidpointStepper):
@@ -755,6 +775,37 @@ def _checked_dt(dt) -> float:
     return float(dt)
 
 
+def _checked_count(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _input_values(inputs: Sequence[InputChannel], t_mids) -> List[List[float]]:
+    """u(t) of every channel at each midpoint time, one row per step."""
+    rows = []
+    for t_mid in t_mids:
+        row = []
+        for ch in inputs:
+            u_val = float(ch.u(t_mid))
+            if not math.isfinite(u_val):
+                raise ValueError(f"input {ch.name} is not finite at t = {t_mid!r}: {u_val!r}")
+            row.append(u_val)
+        rows.append(row)
+    return rows
+
+
+# simulate does its bookkeeping once per block of this many bytes of states
+# (at least one state, at most MAX_BLOCK_ROWS); the state size sets the rows
+BLOCK_BYTES = 64 * 1024
+MAX_BLOCK_ROWS = 64
+
+
+def _block_rows(num_dofs: int) -> int:
+    return max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // (8 * num_dofs)))
+
+
 def step_midpoint(
     dsys: DiscreteSystem,
     state: np.ndarray,
@@ -763,8 +814,11 @@ def step_midpoint(
     t: float = 0.0,
 ) -> np.ndarray:
     """One implicit-midpoint step (the factorization is cached per dt)."""
-    new_state, _ = _stepper(dsys, _checked_dt(dt)).step(np.asarray(state, dtype=float), t, inputs)
-    return new_state
+    dt = _checked_dt(dt)
+    states = np.empty((2, dsys.num_dofs))
+    states[0] = state
+    _stepper(dsys, dt).march(states, inputs, _input_values(inputs, [t + dt / 2.0]))
+    return states[1]
 
 
 def simulate(
@@ -777,10 +831,20 @@ def simulate(
 ):
     """March ``steps`` midpoint steps, logging energy and port power.
 
-    The residual column reports |dH - dt * (midpoint power)| per step, the
-    discrete counterpart of the continuous power balance.
+    A step makes only its solve, writing the new state into the next row of
+    a block of states.  The rest is done once per block: the inputs u(t) of
+    its steps (before it is stepped), the energies H of its states from one
+    sparse product and one pairwise sum per row (the kernel of
+    ``discrete_hamiltonian``), the finiteness check of those energies, the
+    midpoint port powers u * g . (x_k + x_k+1) / 2 with g = C^T wvector, and
+    the snapshots.  A block holds 64 KB of states (``_block_rows``), so its
+    size follows the state size.  The residual column reports
+    |dH - dt * (midpoint power)| per step, the discrete counterpart of the
+    continuous power balance.
     """
     dt = _checked_dt(dt)
+    steps = _checked_count("steps", steps)
+    record_every = _checked_count("record_every", record_every)
     if steps < 1:
         raise ValueError("need at least one step")
     if record_every < 0:
@@ -790,56 +854,61 @@ def simulate(
         raise ValueError(f"initial state must have {dsys.num_dofs} entries")
     if not np.all(np.isfinite(state)):
         raise ValueError("initial state has non-finite entries")
-    C, W = dsys.C, dsys.W
-    e = C @ state  # co-energy of the current state, one product per step
+
+    # overflow shows as non-finite energy, which is checked
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = 0.5 * float(state @ (W * e))
+        h0 = discrete_hamiltonian(dsys, state)
     if not math.isfinite(h0):
         raise ValueError(f"initial state has non-finite energy: {h0!r}")
 
     stepper = _stepper(dsys, dt)
-    times = np.zeros(steps + 1)
-    energy = np.zeros(steps + 1)
-    bpow = np.zeros(steps + 1)
-    dpow = np.zeros(steps + 1)
-    resid = np.zeros(steps + 1)
+    rows = _block_rows(dsys.num_dofs)
+    buffer = np.empty((rows + 1, dsys.num_dofs))
+    buffer[0] = state
+    work = np.empty((rows, dsys.num_dofs))
+    h = dt / 2.0
+    times = np.arange(steps + 1) * dt
+    energy = np.empty(steps + 1)
     energy[0] = h0
+    power = np.zeros((steps + 1, len(inputs)))  # midpoint power per channel
+    g = np.array([dsys.C.T @ ch.wvector for ch in inputs]).reshape(len(inputs), dsys.num_dofs)
 
     labels = [f.label for f in dsys.fields]
-    snapshots = [(0, 0.0, state.copy())]
+    snapshots = [(0, 0.0, state)]
 
-    # entered once, not per step (~2 us each); overflow shows as non-finite energy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            t = k * dt
-            new_state, u_values = stepper.step(state, t, inputs)
-            e_new = C @ new_state
-            p_boundary = 0.0
-            p_distributed = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # entered once, not per block
+        for block, k0 in enumerate(range(0, steps, rows)):
+            k1 = min(k0 + rows, steps)
+            # a block starts on the row where the last one ended: every
+            # other block runs backwards through the buffer, so none copies
+            states = (buffer if block % 2 == 0 else buffer[::-1])[: k1 - k0 + 1]
+            u_rows = _input_values(inputs, [k * dt + h for k in range(k0, k1)])
+            stepper.march(states, inputs, u_rows)
+            block_work = work[: k1 - k0]
             if inputs:
-                e_mid = 0.5 * (e + e_new)  # C is linear: the co-energy at the midpoint
-                for ch, u_val in zip(inputs, u_values):
-                    p = float(e_mid @ ch.wvector) * u_val
-                    if ch.kind == "boundary":
-                        p_boundary += p
-                    else:
-                        p_distributed += p
-            state, e = new_state, e_new
-            h_new = 0.5 * float(state @ (W * e))
-            if not math.isfinite(h_new):
-                raise ValueError(
-                    f"energy is not finite after step {k + 1} (t = {(k + 1) * dt!r}): {h_new!r}"
-                )
-            times[k + 1] = (k + 1) * dt
-            energy[k + 1] = h_new
-            bpow[k + 1] = p_boundary
-            dpow[k + 1] = p_distributed
-            resid[k + 1] = abs(h_new - energy[k] - dt * (p_boundary + p_distributed))
-            if record_every and (k + 1) % record_every == 0:
-                snapshots.append((k + 1, times[k + 1], state.copy()))
-    if not snapshots or snapshots[-1][0] != steps:
-        snapshots.append((steps, times[-1], state.copy()))
+                np.copyto(block_work, states[:-1])
+                block_work += states[1:]
+                power[k0 + 1 : k1 + 1] = 0.5 * (block_work @ g.T) * u_rows
+            block_energy = _energies(dsys, states[1:], block_work, out=energy[k0 + 1 : k1 + 1])
+            for k, h_new in enumerate(block_energy.tolist(), start=k0 + 1):
+                if not math.isfinite(h_new):
+                    raise ValueError(f"energy is not finite after step {k} (t = {k * dt!r}): {h_new!r}")
+            if record_every:
+                first = (k0 // record_every + 1) * record_every
+                for k in range(first, k1 + 1, record_every):
+                    snapshots.append((k, times[k], states[k - k0].copy()))
+    if snapshots[-1][0] != steps:
+        snapshots.append((steps, times[-1], states[-1].copy()))
 
+    bpow = np.zeros(steps + 1)
+    dpow = np.zeros(steps + 1)
+    for ch, column in zip(inputs, power.T):
+        if ch.kind == "boundary":
+            bpow += column
+        else:
+            dpow += column
+    resid = np.zeros(steps + 1)
+    resid[1:] = np.abs(energy[1:] - energy[:-1] - dt * (bpow[1:] + dpow[1:]))
     log = EnergyLog(times, energy, bpow, dpow, resid)
     return Trajectory(labels, snapshots), log
 

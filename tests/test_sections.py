@@ -104,6 +104,19 @@ def test_sections_compare_by_kind_and_values():
         IntervalSection(1).h = F(2)
 
 
+def test_equal_sections_hash_equal():
+    pairs = [
+        (MomentSection({0: 1, 2: F(1, 12)}), MomentSection({2: F(1, 12), 0: F(1)})),
+        (IntervalSection(1), IntervalSection(F(1))),
+        (RectangleSection(1, 2), RectangleSection(F(1), 2)),
+        (PointSection(), PointSection()),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+    assert MomentSection(MomentSection({0: 1, 2: 3}).moments) == MomentSection({2: 3, 0: 1})
+
+
 @pytest.mark.parametrize(
     "name, section, line",
     [

@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -43,6 +44,7 @@ from phs_forge.simulate import (
     pencil,
     _FullMidpoint,
     _SchurMidpoint,
+    _block_rows,
     _operator_terms,
     _stencil,
     _stepper,
@@ -564,6 +566,131 @@ def test_logged_energy_is_the_discrete_hamiltonian():
     traj, log = simulate(dsys, dt=1e-3, steps=40, state0=state, record_every=20)
     for step, _, snapshot in traj.snapshots:
         assert log.energy[step] == discrete_hamiltonian(dsys, snapshot)
+
+
+_BLOCK_CASES = {
+    None: ("timoshenko", {"left": "clamped", "right": "free"}),
+    "traction": ("timoshenko", {"left": "clamped", "right": "free"}),
+    "distributed": ("truss", {"left": "clamped", "right": "clamped"}),
+}
+
+
+@pytest.fixture(scope="module")
+def block_systems():
+    """511-DOF systems, whose runs go in blocks of 16 steps."""
+    return {name: _dsys(name, (256 if name == "truss" else 128,), bc) for name, bc in _BLOCK_CASES.values()}
+
+
+def test_block_rows_follow_the_state_size():
+    assert [_block_rows(n) for n in (1, 31, 127, 128, 254, 511, 8192, 8193, 13_281, 32_768)] == [
+        64, 64, 64, 64, 32, 16, 1, 1, 1, 1,
+    ]
+
+
+@pytest.mark.parametrize("record_every", [0, 1, 7])
+@pytest.mark.parametrize("steps", [1, 37, 130])
+@pytest.mark.parametrize("port", [None, "traction", "distributed"])
+def test_snapshots_are_the_states_of_repeated_steps(block_systems, port, steps, record_every):
+    """Block edges (every 16 steps), record points and the last step fall
+    out of step with each other; the states must not notice.  The logged
+    power is checked against the per-step formula of the co-energy at the
+    midpoint, to roundoff."""
+    name, _ = _BLOCK_CASES[port]
+    dsys = block_systems[name]
+    assert _block_rows(dsys.num_dofs) == 16
+    dt = 1e-3
+    inputs = []
+    if port == "traction":
+        inputs = [boundary_traction_input(dsys, "right", "psi", lambda t: 0.4 * math.sin(7 * t))]
+    elif port == "distributed":
+        inputs = [distributed_input(dsys, 0, lambda t: math.cos(2 * t))]
+    state = random_state(dsys, seed=steps, amplitude=0.2)
+    traj, log = simulate(dsys, dt, steps, inputs=inputs, state0=state, record_every=record_every)
+
+    expected_steps = list(range(0, steps + 1, record_every or steps))
+    if expected_steps[-1] != steps:
+        expected_steps.append(steps)
+    assert [k for k, _, _ in traj.snapshots] == expected_steps
+    snapshots = {k: (t, x) for k, t, x in traj.snapshots}
+    power = np.zeros(steps + 1)
+    for k in range(steps + 1):
+        if k in snapshots:
+            t, x = snapshots[k]
+            assert t == k * dt
+            assert np.array_equal(x, state), k
+        if k == steps:
+            break
+        new_state = step_midpoint(dsys, state, dt, inputs=inputs, t=k * dt)
+        e_mid = dsys.C @ (0.5 * (state + new_state))
+        power[k + 1] = sum(float(e_mid @ ch.wvector) * ch.u(k * dt + dt / 2) for ch in inputs)
+        state = new_state
+    logged = log.boundary_power + log.distributed_power
+    assert np.max(np.abs(logged - power)) <= 1e-13 * max(1.0, np.max(np.abs(power)))
+    assert not (port == "traction" and log.distributed_power.any())
+    assert not (port == "distributed" and log.boundary_power.any())
+
+
+@pytest.mark.parametrize(
+    "name, cells, bc, face",
+    [
+        ("truss", (16,), {"left": "clamped", "right": "clamped"}, None),
+        ("timoshenko", (128,), {"left": "clamped", "right": "free"}, "right"),
+    ],
+    ids=["64-row-blocks", "16-row-blocks"],
+)
+def test_energy_overflow_in_mid_block_names_its_step(name, cells, bc, face):
+    """The input jumps to 1e300 at step 21: the middle of the first block
+    of 64 steps, or of the second block of 16, which runs backwards through
+    the state buffer."""
+    dsys = _dsys(name, cells, bc)
+    u = lambda t: 1e300 if t > 0.02 else 1.0
+    channel = boundary_traction_input(dsys, face, "psi", u) if face else distributed_input(dsys, 0, u)
+    with pytest.raises(ValueError, match=r"energy is not finite after step 21 \(t = 0\.021\): inf$"):
+        simulate(dsys, dt=1e-3, steps=40, inputs=[channel])
+
+
+@pytest.mark.parametrize("argument", ["steps", "record_every"])
+@pytest.mark.parametrize("value", [2.5, 1e3, 1.5, "3", None])
+def test_step_counts_must_be_integers(argument, value):
+    dsys = _dsys("string", (8,))
+    arguments = {"steps": 3, "record_every": 1, argument: value}
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got {value!r}$"):
+        simulate(dsys, dt=1e-2, **arguments)
+    assert len(simulate(dsys, dt=1e-2, steps=np.int64(3), record_every=np.int32(2))[0].snapshots) == 3
+
+
+def test_midpoint_is_second_order_in_time():
+    """The string's first clamped mode against the exact flow of the
+    semi-discrete system, expm(T W^-1 J C) x0: only the time step errs, and
+    halving it divides the error by four."""
+    dsys = _dsys("string", (32,), {"left": "clamped", "right": "clamped"})
+    state = fourier_state(dsys, "p1", 1)
+    a_mat = (sparse.diags(1.0 / dsys.W) @ dsys.J @ dsys.C).toarray()
+    exact = scipy.linalg.expm(1.0 * a_mat) @ state
+    errors = []
+    for steps in (100, 200, 400):
+        traj, _ = simulate(dsys, dt=1.0 / steps, steps=steps, state0=state)
+        errors.append(np.max(np.abs(traj.snapshots[-1][2] - exact)))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.9 <= r <= 4.1 for r in ratios), (errors, ratios)
+
+
+def test_simulate_memory_stays_within_its_blocks():
+    """A closed 1000-step run on 511 DOFs holds its block of 16 states, one
+    work buffer and one product (about 200 KB) beside what it returns; a
+    block four times larger would pass 256 KB."""
+    dsys = _dsys("timoshenko", (128,), {"left": "clamped", "right": "free"})
+    state = random_state(dsys, seed=5)
+    step_midpoint(dsys, state, 1e-3)  # factor first: SuperLU's memory is not traced
+    tracemalloc.start()
+    try:
+        traj, log = simulate(dsys, dt=1e-3, steps=1000, state0=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = (log.times, log.energy, log.boundary_power, log.distributed_power, log.residual)
+    returned = sum(c.nbytes for c in columns) + sum(x.nbytes for _, _, x in traj.snapshots)
+    assert peak - returned <= 256 * 1024, (peak, returned)
 
 
 def test_power_balance_with_boundary_traction():
