@@ -519,9 +519,8 @@ def _energies(dsys: DiscreteSystem, states: np.ndarray, work: Optional[np.ndarra
     sparse product, then one pairwise sum of x * (W * e) per row, which gives
     a row the same bits whatever rows share its block.  Several rows pass
     twice through ``work``, a C-ordered buffer of their shape: as the columns
-    of the product (so it copies nothing) and as the rows to sum.  One row
-    needs no transpose and sums its own co-energy.  Every step runs in
-    place, so numpy allocates no buffer."""
+    of the product (so the product copies nothing) and as the rows to sum;
+    one row needs neither.  Only the product allocates."""
     if len(states) == 1:
         products = (dsys.C @ states[0])[None, :]
     else:
@@ -900,13 +899,8 @@ def simulate(
     if snapshots[-1][0] != steps:
         snapshots.append((steps, times[-1], states[-1].copy()))
 
-    bpow = np.zeros(steps + 1)
-    dpow = np.zeros(steps + 1)
-    for ch, column in zip(inputs, power.T):
-        if ch.kind == "boundary":
-            bpow += column
-        else:
-            dpow += column
+    bpow = sum((p for ch, p in zip(inputs, power.T) if ch.kind == "boundary"), np.zeros(steps + 1))
+    dpow = sum((p for ch, p in zip(inputs, power.T) if ch.kind != "boundary"), np.zeros(steps + 1))
     resid = np.zeros(steps + 1)
     resid[1:] = np.abs(energy[1:] - energy[:-1] - dt * (bpow[1:] + dpow[1:]))
     log = EnergyLog(times, energy, bpow, dpow, resid)
