@@ -592,9 +592,9 @@ def test_block_rows_follow_the_state_size():
 @pytest.mark.parametrize("port", [None, "traction", "distributed"])
 def test_snapshots_are_the_states_of_repeated_steps(block_systems, port, steps, record_every):
     """Block edges (every 16 steps), record points and the last step fall
-    out of step with each other; the states must not notice.  The logged
-    power is checked against the per-step formula of the co-energy at the
-    midpoint, to roundoff."""
+    out of step with each other; the states and the logged energies must not
+    notice.  The logged power is checked against the per-step formula of the
+    co-energy at the midpoint, to roundoff."""
     name, _ = _BLOCK_CASES[port]
     dsys = block_systems[name]
     assert _block_rows(dsys.num_dofs) == 16
@@ -614,6 +614,7 @@ def test_snapshots_are_the_states_of_repeated_steps(block_systems, port, steps, 
     snapshots = {k: (t, x) for k, t, x in traj.snapshots}
     power = np.zeros(steps + 1)
     for k in range(steps + 1):
+        assert log.energy[k] == discrete_hamiltonian(dsys, state), k
         if k in snapshots:
             t, x = snapshots[k]
             assert t == k * dt
