@@ -5,13 +5,10 @@ exact rational arithmetic, and run energy-conserving desk-scale simulations.
 
 from .build import (
     BuildError,
-    LagrangianFormSystem,
     PHSystem,
     assemble_phs,
     boundary_port_map,
     export_system,
-    hamiltonian_value,
-    lagrangian_form,
     mass_matrix,
     stiffness_matrix,
 )

@@ -13,26 +13,22 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Sequence
+from typing import List
 
 from . import exact
 from .diffop import BoundaryForm, DiffOpMatrix, jet_blocks
 from .exact import PiRat, check_spd, fr, mat_inverse, scalar_json, to_float
 from .modelfile import check_digits
 from .models import KinematicModel, ModelError, validate_model
-from .poly import Poly, dot, mat_apply
+from .poly import dot, mat_apply
 
 __all__ = [
     "BuildError",
     "PHSystem",
-    "LagrangianFormSystem",
     "mass_matrix",
     "stiffness_matrix",
     "assemble_phs",
     "boundary_port_map",
-    "lagrangian_form",
-    "hamiltonian_value",
     "export_system",
     "float_matrix",
     "write_matrix_csv",
@@ -201,43 +197,6 @@ def boundary_port_map(sys: PHSystem, normal) -> BoundaryPortMap:
         u_arg_labels=[f"{d}e_eps{j + 1}" for d in prefixes for j in range(sys.m)],
         y_labels=[f"{d}e_p{i + 1}" for d in prefixes for i in range(sys.n)],
     )
-
-
-# ---------------------------------------------------------------------------
-# Constant-skew (Legendre) alternative form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LagrangianFormSystem:
-    """State (p, r) with constant skew matrix [[0, -1], [1, 0]]; the force
-    side of the gradient is the composition F*(K F r)."""
-
-    system: PHSystem
-    j0: list
-
-
-def lagrangian_form(sys: PHSystem) -> LagrangianFormSystem:
-    n = sys.n
-    j0 = exact.zeros(2 * n, 2 * n)
-    for i in range(n):
-        j0[i][n + i] = Fraction(-1)
-        j0[n + i][i] = Fraction(1)
-    return LagrangianFormSystem(system=sys, j0=j0)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian evaluation
-# ---------------------------------------------------------------------------
-
-
-def hamiltonian_value(sys: PHSystem, p: Sequence[Poly], eps: Sequence[Poly]) -> Fraction:
-    """Exact H = 1/2 integral(p^T M^-1 p + eps^T K eps) for polynomial states."""
-    for matrix in (sys.mass_inv, sys.stiffness):
-        if any(x != 0 and not isinstance(x, Fraction) for row in matrix for x in row):
-            raise BuildError("symbolic Hamiltonian needs rational matrix entries")
-    dom = sys.model.domain
-    return (dom.pairing(p, sys.mass_inv, p) + dom.pairing(eps, sys.stiffness, eps)) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -286,14 +286,14 @@ class DomainSpec:
     def pairing(
         self,
         u: Sequence[Poly],
-        mat_: Optional[Matrix],
+        mat_: Matrix,
         v: Sequence[Poly],
         axis: Optional[int] = None,
     ) -> Fraction:
-        """Exact ``integral_Omega u^T M v`` (``mat_`` None is the identity), or
-        with ``axis`` (indexing ``axes`` from 0) its flux through the two
-        faces of that axis: ``u^T M v`` on the upper face minus on the lower
-        face, integrated over the other axes.  The faces with normal +-e_axis
+        """Exact ``integral_Omega u^T M v``, or with ``axis`` (indexing
+        ``axes`` from 0) its flux through the two faces of that axis:
+        ``u^T M v`` on the upper face minus on the lower face, integrated
+        over the other axes.  The faces with normal +-e_axis
         differ only in sign, so this is the boundary integral of
         ``u^T M v n_axis``.
 
@@ -306,21 +306,15 @@ class DomainSpec:
         of box moments.  ``M`` is applied to ``v`` row by row, so each nonzero
         row costs one double sum.  The factors must be over ``axes``.
         """
-        if mat_ is None:
-            if len(u) != len(v):
-                raise ExactError(f"identity pairing of {len(u)} with {len(v)} factors")
-            rows = [((i, 1),) for i in range(len(u))]
-            lm = 1
-        else:
-            if len(mat_) != len(u) or any(len(row) != len(v) for row in mat_):
-                raise ExactError(f"pairing matrix is not {len(u)} x {len(v)}")
-            # lcm over a set: a short argument tuple for any matrix size, which
-            # keeps the interpreter's tuple free lists (and peak RSS) small
-            lm = lcm(*{x.denominator for row in mat_ for x in row})
-            rows = [
-                [(j, x.numerator * (lm // x.denominator)) for j, x in enumerate(row) if x]
-                for row in mat_
-            ]
+        if len(mat_) != len(u) or any(len(row) != len(v) for row in mat_):
+            raise ExactError(f"pairing matrix is not {len(u)} x {len(v)}")
+        # lcm over a set: a short argument tuple for any matrix size, which
+        # keeps the interpreter's tuple free lists (and peak RSS) small
+        lm = lcm(*{x.denominator for row in mat_ for x in row})
+        rows = [
+            [(j, x.numerator * (lm // x.denominator)) for j, x in enumerate(row) if x]
+            for row in mat_
+        ]
         for p in chain(u, v):
             if p.coords != self.axes:
                 raise ExactError(f"factor over {p.coords} paired on a domain over {self.axes}")

@@ -122,13 +122,6 @@ class Poly:
             raise ExactError(f"polynomial {self} is not constant")
         return Fraction(next(iter(self.num.values())), self.den)
 
-    def degree_in(self, name: str) -> int:
-        i = self.coords.index(name)
-        return max((e[i] for e in self.num), default=0)
-
-    def depends_on(self, name: str) -> bool:
-        return self.degree_in(name) > 0
-
     # -- ring operations ------------------------------------------------------
     def _check(self, other: "Poly"):
         if self.coords != other.coords:
@@ -270,7 +263,7 @@ class Poly:
         be assigned."""
         res = self.subs(assignment)
         if not res.is_constant():
-            missing = [c for c in res.coords if res.depends_on(c)]
+            missing = [c for i, c in enumerate(res.coords) if any(e[i] for e in res.num)]
             raise ExactError(f"missing assignment for {missing}")
         return res.constant_value()
 

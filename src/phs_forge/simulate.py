@@ -781,6 +781,22 @@ def _checked_count(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _checked_state(dsys: DiscreteSystem, state, inputs: Sequence[InputChannel], what: str) -> np.ndarray:
+    """A float copy of ``state``, refused unless it holds ``num_dofs`` finite
+    entries and every input's ``vector`` and ``wvector`` has that shape."""
+    shape = (dsys.num_dofs,)
+    for ch in inputs:
+        for name, got in (("vector", np.shape(ch.vector)), ("wvector", np.shape(ch.wvector))):
+            if got != shape:
+                raise ValueError(f"input {ch.name}: {name} must have shape {shape}, got {got}")
+    state = np.array(state, dtype=float)
+    if state.shape != shape:
+        raise ValueError(f"{what} must have {dsys.num_dofs} entries")
+    if not np.all(np.isfinite(state)):
+        raise ValueError(f"{what} has non-finite entries")
+    return state
+
+
 def _input_values(inputs: Sequence[InputChannel], t_mids) -> List[List[float]]:
     """u(t) of every channel at each midpoint time, one row per step."""
     rows = []
@@ -815,7 +831,7 @@ def step_midpoint(
     """One implicit-midpoint step (the factorization is cached per dt)."""
     dt = _checked_dt(dt)
     states = np.empty((2, dsys.num_dofs))
-    states[0] = state
+    states[0] = _checked_state(dsys, state, inputs, "state")
     _stepper(dsys, dt).march(states, inputs, _input_values(inputs, [t + dt / 2.0]))
     return states[1]
 
@@ -848,11 +864,7 @@ def simulate(
         raise ValueError("need at least one step")
     if record_every < 0:
         raise ValueError("record_every must be >= 0")
-    state = dsys.zero_state() if state0 is None else np.array(state0, dtype=float)
-    if state.shape != (dsys.num_dofs,):
-        raise ValueError(f"initial state must have {dsys.num_dofs} entries")
-    if not np.all(np.isfinite(state)):
-        raise ValueError("initial state has non-finite entries")
+    state = _checked_state(dsys, dsys.zero_state() if state0 is None else state0, inputs, "initial state")
 
     # overflow shows as non-finite energy, which is checked
     with np.errstate(over="ignore", invalid="ignore"):

@@ -282,7 +282,7 @@ def _submatrix(a, rows, cols):
     return [[a[i][j] for j in cols] for i in rows]
 
 
-def check_limits_and_reductions(seed: int = 0) -> List[CheckResult]:
+def check_limits_and_reductions() -> List[CheckResult]:
     out: List[CheckResult] = []
 
     # Reddy plate with the third-order terms switched off is the first-order
@@ -389,7 +389,7 @@ def run_all(seed: int = 0, model_names: Optional[Sequence[str]] = None, trials: 
         results.append(check_energy_structure(sys, seed=seed))
     reduction_models = {"torsion", "reddy_plate", "rayleigh_beam", "mindlin_plate", "euler_bernoulli"}
     if model_names is None or reduction_models & set(names):
-        results += check_limits_and_reductions(seed=seed)
+        results += check_limits_and_reductions()
     results += check_mutations(seed=seed)
     results.sort(key=lambda r: r.check_id)
     return results

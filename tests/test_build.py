@@ -1,5 +1,6 @@
 """Compilation stage: section moments, exact mass/stiffness, golden system
-structures, boundary ports and the constant-skew alternative form."""
+structures, boundary ports and the force side F*(K F r) of the Lagrangian
+form."""
 
 import hashlib
 import json
@@ -16,8 +17,6 @@ from phs_forge.build import (
     assemble_phs,
     boundary_port_map,
     export_system,
-    hamiltonian_value,
-    lagrangian_form,
     mass_matrix,
     stiffness_matrix,
     write_matrix_csv,
@@ -343,19 +342,10 @@ def test_truss_boundary_pairing_sign():
 
 def test_lagrangian_form_truss_wave_stiffness():
     sys_ = assemble_phs(builtin_model("truss"))
-    lf = lagrangian_form(sys_)
     z1 = Poly.variable(("z1",), "z1")
     out = e_r(sys_, [z1**3])
     # F*(K F u) = -EA u'' with EA = 1
     assert out == [-6 * z1]
-    assert lf.j0 == [[F(0), F(-1)], [F(1), F(0)]]
-    two_n = lagrangian_form(assemble_phs(builtin_model("timoshenko"))).j0
-    assert two_n == [
-        [F(0), F(0), F(-1), F(0)],
-        [F(0), F(0), F(0), F(-1)],
-        [F(1), F(0), F(0), F(0)],
-        [F(0), F(1), F(0), F(0)],
-    ]
 
 
 def test_lagrangian_form_timoshenko_expansion():
@@ -373,23 +363,6 @@ def test_lagrangian_zero_displacement_gives_zero_force():
     sys_ = assemble_phs(builtin_model("mindlin_plate"))
     zeros = [Poly.zero(("z1", "z2")) for _ in range(3)]
     assert all(p.is_zero for p in e_r(sys_, zeros))
-
-
-def test_hamiltonian_value_string_constant_momentum():
-    sys_ = assemble_phs(builtin_model("string"))
-    x1 = ("z1",)
-    p = [Poly.constant(x1, 1)]
-    eps = [Poly.zero(x1)]
-    assert hamiltonian_value(sys_, p, eps) == F(1, 2)
-
-
-def test_symbolic_entries_refused_by_polynomial_energy_and_force():
-    # torsion's circular section makes M and K pi-tagged (1/2*pi); the force
-    # expansion F*(K F r) is the test helper e_r, no longer in the package
-    sys_ = assemble_phs(builtin_model("torsion"))
-    x1 = ("z1",)
-    with pytest.raises(BuildError, match="symbolic Hamiltonian needs rational matrix entries"):
-        hamiltonian_value(sys_, [Poly.constant(x1, 1)], [Poly.zero(x1)])
 
 
 # SHA-256 over every builtin's export JSON, float CSVs and model text; a

@@ -454,7 +454,7 @@ def _per_face_pairing(op, v, w, dom, form):
 
 def _reference_pairing(dom, u, mat_, v, axis):
     """The product polynomial first, then Poly.subs and Poly.integrate."""
-    prod = dot(u, v) if mat_ is None else _pair(u, mat_, v)
+    prod = _pair(u, mat_, v)
     if axis is not None:
         lo, hi = dom.bounds[axis]
         return _face_integral(prod, dom, axis, hi) - _face_integral(prod, dom, axis, lo)
@@ -466,8 +466,9 @@ def _reference_pairing(dom, u, mat_, v, axis):
 @st.composite
 def pairing_cases(draw):
     """Fields over ell = 1..3 axes (zero polynomials included), a matrix with
-    fractional entries and possibly zero rows or columns (or None), rational
-    bounds with lo negative, zero or positive, and the volume or a face form."""
+    fractional entries and possibly zero rows or columns (or the identity),
+    rational bounds with lo negative, zero or positive, and the volume or a
+    face form."""
     axes = ("z1", "z2", "z3")[: draw(st.integers(1, 3))]
     lo = st.sampled_from([F(-3, 2), F(-1, 3), F(0), F(2, 5)])
     length = st.sampled_from([F(1, 2), F(1), F(7, 3)])
@@ -478,7 +479,7 @@ def pairing_cases(draw):
     dom = DomainSpec(axes, tuple(bounds))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     if draw(st.booleans()):
-        mat_ = None
+        mat_ = [[F(int(i == j)) for j in range(rows)] for i in range(rows)]
         cols = rows
     else:
         entry = st.sampled_from([F(0), F(1), F(-1), F(2, 3), F(-5, 2), F(7, 4)])
@@ -509,7 +510,7 @@ def test_pairing_kernel_on_zero_fields_is_zero():
         assert dom.pairing([zero, z1], [[F(1), F(2)], [F(3), F(4)]], [z1, zero], axis=axis) == (
             _reference_pairing(dom, [zero, z1], [[F(1), F(2)], [F(3), F(4)]], [z1, zero], axis)
         )
-        assert dom.pairing([zero], None, [z1], axis=axis) == 0
+        assert dom.pairing([zero], [[F(1)]], [z1], axis=axis) == 0
 
 
 def test_pairing_moment_tables_do_not_leak_between_domains():
@@ -542,7 +543,7 @@ def test_pairing_refuses_factors_over_other_coordinates(dom, coords):
     for u, v in (([own], [alien]), ([alien], [own])):
         for axis in (None, 0):
             with pytest.raises(ExactError, match="paired on a domain over"):
-                dom.pairing(u, None, v, axis=axis)
+                dom.pairing(u, [[F(1)]], v, axis=axis)
 
 
 def test_pairing_refuses_a_matrix_of_the_wrong_shape():
@@ -550,8 +551,6 @@ def test_pairing_refuses_a_matrix_of_the_wrong_shape():
     one = Poly.constant(X1, 1)
     with pytest.raises(ExactError, match="not 1 x 2"):
         dom.pairing([one], [[F(1)]], [one, one])
-    with pytest.raises(ExactError, match="identity pairing"):
-        dom.pairing([one], None, [one, one])
 
 
 @settings(max_examples=80, deadline=None)

@@ -72,10 +72,13 @@ def test_eval_examples():
 
 
 def test_eval_missing_assignment_raises():
-    coords = ("z1", "z3")
+    coords = ("z1", "z2", "z3")
     p = z(coords, "z1") * z(coords, "z3")
-    with pytest.raises(ExactError):
+    with pytest.raises(ExactError, match=r"^missing assignment for \['z3'\]$"):
         p.eval({"z1": F(1)})
+    # only the coordinates left with a nonzero exponent are named
+    with pytest.raises(ExactError, match=r"^missing assignment for \['z1', 'z3'\]$"):
+        p.eval({"z2": F(1)})
 
 
 def test_coordinate_set_mismatch_raises():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -301,6 +302,39 @@ def test_initial_state_with_infinite_energy_rejected():
     # no np.errstate here: pytest turns numpy's overflow warning into an error
     with pytest.raises(ValueError, match="initial state has non-finite energy"):
         simulate(dsys, dt=1e-3, steps=3, state0=state)
+
+
+@pytest.mark.parametrize("bad", ["scalar", "short", "row", "nan"])
+def test_step_and_simulate_refuse_the_same_bad_states(bad):
+    dsys = _dsys("string", (8,))
+    n = dsys.num_dofs
+    state, problem = {
+        "scalar": (1.0, f"must have {n} entries"),  # used to broadcast into the buffer row
+        "short": (np.ones(n - 1), f"must have {n} entries"),
+        "row": (np.ones((1, n)), f"must have {n} entries"),
+        "nan": (np.full(n, np.nan), "has non-finite entries"),  # used to step to NaNs
+    }[bad]
+    with pytest.raises(ValueError, match=f"^state {problem}$"):
+        step_midpoint(dsys, state, 1e-3)
+    with pytest.raises(ValueError, match=f"^initial state {problem}$"):
+        simulate(dsys, 1e-3, 3, state0=state)
+
+
+@pytest.mark.parametrize("field", ["vector", "wvector"])
+@pytest.mark.parametrize("kind", ["single", "column"])
+def test_input_vectors_must_have_one_entry_per_dof(field, kind):
+    dsys = _dsys("string", (8,))
+    n = dsys.num_dofs
+    shape = {"single": (1,), "column": (n, 1)}[kind]
+    vectors = {"vector": np.zeros(n), "wvector": np.zeros(n)}
+    vectors[field] = np.ones(shape)
+    # a (1,)-shaped vector used to broadcast: simulate ran and logged a residual
+    channel = InputChannel("x", "boundary", vectors["vector"], vectors["wvector"], lambda t: 1.0)
+    message = rf"^input x: {field} must have shape \({n},\), got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        simulate(dsys, 1e-3, 3, [channel])
+    with pytest.raises(ValueError, match=message):
+        step_midpoint(dsys, dsys.zero_state(), 1e-3, inputs=[channel])
 
 
 def test_hamiltonian_quadrature_constant_momentum_string():

@@ -1,11 +1,14 @@
 """The falsification surface: identity checks, planted bugs, reductions,
 and byte-stable reporting."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+from phs_forge import verify
 from phs_forge.build import assemble_phs
+from phs_forge.diffop import DiffOpMatrix
 from phs_forge.models import builtin_model, builtin_names
 from phs_forge.verify import (
     check_energy_structure,
@@ -185,3 +188,87 @@ def test_report_json_sorted_by_check_id():
     ids = [c["id"] for c in payload["checks"]]
     assert ids == sorted(ids)
     assert payload["failures"] == 0
+
+
+def _entry(i, j, change):
+    """A matrix edit: entry (i, j) becomes ``change`` of its value."""
+
+    def edit(matrix):
+        out = [list(row) for row in matrix]
+        out[i][j] = change(out[i][j])
+        return out
+
+    return edit
+
+
+def _scaled_op(factor):
+    """A model edit: its operator F becomes factor * F."""
+
+    def scale(mat_):
+        return [[factor * x for x in row] for row in mat_]
+
+    def edit(model):
+        op = model.op
+        pk = {key: scale(mat_) for key, mat_ in op.pk.items()}
+        return dataclasses.replace(model, op=DiffOpMatrix(op.m, op.n, op.axes, scale(op.p0), pk))
+
+    return edit
+
+
+def _doubled_cmat_entry(i):
+    def edit(model):
+        cmat = [list(row) for row in model.cmat]
+        cmat[i][i] *= 2
+        return dataclasses.replace(model, cmat=cmat)
+
+    return edit
+
+
+# (check id, verify global, the model names it corrupts, edit, witness): one
+# case per stage of check_limits_and_reductions, each failing it alone
+REDUCTION_FAILURES = [
+    ("reduction:reddy-plate-to-mindlin", "mass_matrix", {"mindlin_plate"},
+     _entry(0, 0, lambda x: x + 1), "leading mass block differs"),
+    ("reduction:reddy-plate-to-mindlin", "mass_matrix", {"reddy_plate"},
+     _entry(3, 4, lambda x: x + 1), "third-order mass rows/columns do not vanish"),
+    ("reduction:reddy-plate-to-mindlin", "stiffness_matrix", {"mindlin_plate"},
+     _entry(4, 4, lambda x: x + 1), "leading stiffness block differs"),
+    ("reduction:reddy-plate-to-mindlin", "stiffness_matrix", {"reddy_plate"},
+     _entry(7, 0, lambda x: x + 1), "third-order stiffness rows/columns do not vanish"),
+    ("reduction:reddy-plate-to-mindlin", "builtin_model", {"mindlin_plate"},
+     _scaled_op(2), "operator sub-block differs"),
+    ("reduction:rayleigh-to-euler-bernoulli", "builtin_model", {"euler_bernoulli"},
+     _scaled_op(2), "column-deleted operator is not the bending operator"),
+    ("reduction:rayleigh-to-euler-bernoulli", "mass_matrix", {"euler_bernoulli"},
+     _entry(0, 0, lambda x: 2 * x), "translational mass entry differs"),
+    ("reduction:rayleigh-to-euler-bernoulli", "stiffness_matrix", {"euler_bernoulli"},
+     _entry(0, 0, lambda x: 2 * x), "strain rescaling failed: 4 * 1/48 != 1/6"),
+    ("reduction:rayleigh-to-euler-bernoulli", "builtin_model", {"rayleigh_beam", "euler_bernoulli"},
+     _scaled_op(-1), "bending operator is not self-adjoint of order two"),
+    ("reduction:torsion-two-strain", "torsion_two_strain", {"torsion_two_strain"},
+     _doubled_cmat_entry(1), "transverse moments differ: 1/2*pi vs 1/4*pi"),
+    ("reduction:torsion-two-strain", "mass_matrix", {"torsion"},
+     _entry(0, 0, lambda x: 2 * x), "polar moment 1*pi is not twice 1/4*pi"),
+    ("reduction:torsion-two-strain", "stiffness_matrix", {"torsion"},
+     _entry(0, 0, lambda x: 2 * x), "aggregated stiffness does not match the reduced model"),
+]
+
+
+@pytest.mark.parametrize(
+    "check_id, name, targets, edit, witness",
+    REDUCTION_FAILURES,
+    ids=[f"{case[0].split(':')[1]}-{k}" for k, case in enumerate(REDUCTION_FAILURES)],
+)
+def test_each_reduction_stage_names_its_failure(monkeypatch, check_id, name, targets, edit, witness):
+    original = getattr(verify, name)
+
+    def corrupted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        model = out if name in ("builtin_model", "torsion_two_strain") else args[0]
+        return edit(out) if model.name in targets else out
+
+    monkeypatch.setattr(verify, name, corrupted)
+    results = {r.check_id: r for r in check_limits_and_reductions()}
+    assert [r.status for r in results.values()].count("fail") == 1
+    assert results[check_id].status == "fail"
+    assert results[check_id].witness == witness
