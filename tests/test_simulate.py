@@ -309,10 +309,10 @@ def test_step_and_simulate_refuse_the_same_bad_states(bad):
     dsys = _dsys("string", (8,))
     n = dsys.num_dofs
     state, problem = {
-        "scalar": (1.0, f"must have {n} entries"),  # used to broadcast into the buffer row
+        "scalar": (1.0, f"must have {n} entries"),  # would broadcast into the buffer row
         "short": (np.ones(n - 1), f"must have {n} entries"),
         "row": (np.ones((1, n)), f"must have {n} entries"),
-        "nan": (np.full(n, np.nan), "has non-finite entries"),  # used to step to NaNs
+        "nan": (np.full(n, np.nan), "has non-finite entries"),  # would step to NaNs
     }[bad]
     with pytest.raises(ValueError, match=f"^state {problem}$"):
         step_midpoint(dsys, state, 1e-3)
@@ -328,7 +328,7 @@ def test_input_vectors_must_have_one_entry_per_dof(field, kind):
     shape = {"single": (1,), "column": (n, 1)}[kind]
     vectors = {"vector": np.zeros(n), "wvector": np.zeros(n)}
     vectors[field] = np.ones(shape)
-    # a (1,)-shaped vector used to broadcast: simulate ran and logged a residual
+    # a (1,)-shaped vector would broadcast, and simulate would log a wrong balance
     channel = InputChannel("x", "boundary", vectors["vector"], vectors["wvector"], lambda t: 1.0)
     message = rf"^input x: {field} must have shape \({n},\), got {re.escape(str(shape))}$"
     with pytest.raises(ValueError, match=message):

@@ -216,6 +216,8 @@ def _scaled_op(factor):
 
 
 def _doubled_cmat_entry(i):
+    """A model edit: the material constant C[i][i] doubles."""
+
     def edit(model):
         cmat = [list(row) for row in model.cmat]
         cmat[i][i] *= 2
