@@ -27,7 +27,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -661,16 +661,17 @@ def pencil(dsys: DiscreteSystem):
     return M_v, K_v, S
 
 
-# the velocity-Schur step beats the full solve from about this many unknowns
-SCHUR_MIN_DOFS = 4096
+# the velocity solve sums a Neumann series while its ratio bound is at most
+# this (16 terms at most); above it, it factors the velocity matrix
+SERIES_MAX_RHO = 0.1
 
 
 class _MidpointStepper:
     """Implicit midpoint, (I - hA) x+ = (I + hA) x + dt sum u b with h = dt/2,
     solved as (I - hA) y = x + h sum u b for the midpoint state y, then
     x+ = 2y - x: one midpoint solve and no forward product per step.  The
-    subclasses hold the factorization (``lu``) and make the solve
-    (``_midpoint``); ``march`` is the one stepping loop."""
+    subclasses make the solve (``_midpoint``); ``march`` is the one stepping
+    loop."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
         self.dt = dt
@@ -705,15 +706,15 @@ class _MidpointStepper:
             options={"SymmetricMode": True},
         )
 
-    def march(self, states: np.ndarray, inputs: Sequence[InputChannel], u_rows) -> None:
-        """Fill ``states[1:]`` with midpoint steps from ``states[0]``, step j
-        driven by the input values ``u_rows[j]`` (one per channel)."""
-        h = self.dt / 2.0
-        for state, new_state, u_row in zip(states, states[1:], u_rows):
+    def march(self, states: np.ndarray, forcing: Optional[np.ndarray] = None) -> None:
+        """Fill ``states[1:]`` with midpoint steps from ``states[0]``.  Step j
+        adds ``forcing[j]`` (h sum u b, formed once per block; overwritten)
+        to its state; no forcing means no inputs."""
+        for j, (state, new_state) in enumerate(zip(states, states[1:])):
             rhs = state
-            for ch, u_val in zip(inputs, u_row):
-                if u_val != 0.0:
-                    rhs = rhs + (h * u_val) * ch.vector
+            if forcing is not None:
+                rhs = forcing[j]
+                rhs += state
             y = self._midpoint(rhs)
             y *= 2.0
             np.subtract(y, state, out=new_state)
@@ -736,10 +737,15 @@ class _FullMidpoint(_MidpointStepper):
 
 
 class _SchurMidpoint(_MidpointStepper):
-    """Eliminates the strains and factors the SPD velocity matrix
-    M_v + h^2 K_v of the pencil.  For r = (r_p, r_eps) it solves
-    (M_v + h^2 K_v) v = W_p r_p - h S^T C_eps r_eps, then sets the midpoint
-    y = (C_p^-1 v, r_eps + h D v)."""
+    """Eliminates the strains: for r = (r_p, r_eps) it solves the SPD velocity
+    system (M_v + h^2 K_v) v = b = W_p r_p - h S^T C_eps r_eps of the pencil,
+    then sets the midpoint y = (y_p, r_eps + h D v) with y_p = C_p^-1 v.
+    In y_p it reads (I + N) y_p = W_p^-1 b, N = h^2 W_p^-1 K_v C_p (similar to
+    h^2 M_v^-1 K_v; no inverted block).  ``rho_bound`` = |N|_inf bounds its
+    spectral radius; up to SERIES_MAX_RHO, ``solve`` sums the first ``terms``
+    terms of the Neumann series (x <- c - N x from x = c = W_p^-1 b, one sparse
+    product each), the fewest with rho_bound^terms <= 2^-53, which bounds the
+    inf-norm error of y_p.  Above it ``terms`` is 0 and ``lu`` solves for v."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
         from scipy import sparse
@@ -748,14 +754,40 @@ class _SchurMidpoint(_MidpointStepper):
         h = dt / 2.0
         num_p = self.num_p = dsys.num_p
         M_v, K_v, S = pencil(dsys)
-        w_p = dsys.W[:num_p]
-        # reduce: r -> right-hand side of the velocity solve; lift: v -> y - (0, r_eps)
+        w_p = self._w_p = dsys.W[:num_p]
+        c_p = dsys.C[:num_p, :num_p]
+        # reduce: r -> b; lift: the solve's output -> y - (0, r_eps)
         self.reduce = sparse.hstack([sparse.diags(w_p), -h * (S.T @ dsys.C[num_p:, num_p:])], format="csr")
-        self.lift = sparse.vstack([sparse.diags(1.0 / w_p) @ M_v, h * dsys.D], format="csr")
-        self.lu = self._factor((M_v + h * h * K_v).tocsc(), diag_pivot_thresh=0.0)
+        self._matrix = M_v + h * h * K_v
+        self._series = (sparse.diags(h * h / w_p) @ (K_v @ c_p)).tocsr()
+        self.rho_bound = float(abs(self._series).sum(axis=1).max())
+        self.terms = 0
+        if self.rho_bound <= SERIES_MAX_RHO:
+            self.terms = next(k for k in itertools.count(1) if self.rho_bound**k <= 2.0**-53)
+            self.lift = sparse.vstack([sparse.identity(num_p), h * (dsys.D @ c_p)], format="csr")
+        else:
+            self.lift = sparse.vstack([sparse.diags(1.0 / w_p) @ M_v, h * dsys.D], format="csr")
+
+    @cached_property
+    def lu(self):
+        """The factorization of M_v + h^2 K_v, made when first read.  On the
+        series path no step reads it: it exists for the benchmark's fill
+        metric (like ``forward``)."""
+        return self._factor(self._matrix.tocsc(), diag_pivot_thresh=0.0)
+
+    def solve(self, b):
+        """y_p with (W_p + h^2 K_v C_p) y_p = b on the series path; v with
+        (M_v + h^2 K_v) v = b when factored."""
+        if not self.terms:
+            return self.lu.solve(b)
+        c = x = b / self._w_p
+        for _ in range(self.terms - 1):
+            x = self._series @ x
+            np.subtract(c, x, out=x)
+        return x
 
     def _midpoint(self, rhs):
-        y = self.lift @ self.lu.solve(self.reduce @ rhs)
+        y = self.lift @ self.solve(self.reduce @ rhs)
         y[self.num_p :] += rhs[self.num_p :]
         return y
 
@@ -763,7 +795,7 @@ class _SchurMidpoint(_MidpointStepper):
 def _stepper(dsys: DiscreteSystem, dt: float) -> _MidpointStepper:
     stepper = dsys._steppers.get(dt)
     if stepper is None:
-        kind = _SchurMidpoint if dsys.num_dofs >= SCHUR_MIN_DOFS else _FullMidpoint
+        kind = _FullMidpoint if len(dsys.grid.cells) == 1 else _SchurMidpoint
         stepper = dsys._steppers[dt] = kind(dsys, dt)
     return stepper
 
@@ -797,7 +829,7 @@ def _checked_state(dsys: DiscreteSystem, state, inputs: Sequence[InputChannel], 
     return state
 
 
-def _input_values(inputs: Sequence[InputChannel], t_mids) -> List[List[float]]:
+def _input_values(inputs: Sequence[InputChannel], t_mids) -> np.ndarray:
     """u(t) of every channel at each midpoint time, one row per step."""
     rows = []
     for t_mid in t_mids:
@@ -808,7 +840,7 @@ def _input_values(inputs: Sequence[InputChannel], t_mids) -> List[List[float]]:
                 raise ValueError(f"input {ch.name} is not finite at t = {t_mid!r}: {u_val!r}")
             row.append(u_val)
         rows.append(row)
-    return rows
+    return np.array(rows).reshape(len(rows), len(inputs))
 
 
 # simulate does its bookkeeping once per block of this many bytes of states
@@ -832,7 +864,9 @@ def step_midpoint(
     dt = _checked_dt(dt)
     states = np.empty((2, dsys.num_dofs))
     states[0] = _checked_state(dsys, state, inputs, "state")
-    _stepper(dsys, dt).march(states, inputs, _input_values(inputs, [t + dt / 2.0]))
+    u_row = _input_values(inputs, [t + dt / 2.0])
+    forcing = (dt / 2.0 * u_row) @ np.array([ch.vector for ch in inputs]) if inputs else None
+    _stepper(dsys, dt).march(states, forcing)
     return states[1]
 
 
@@ -846,10 +880,11 @@ def simulate(
 ):
     """March ``steps`` midpoint steps, logging energy and port power.
 
-    A step makes only its solve, writing the new state into the next row of
-    a block of states.  The rest is done once per block: the inputs u(t) of
-    its steps (before it is stepped), the energies H of its states from one
-    sparse product and one pairwise sum per row (the kernel of
+    A step makes only its solve (and adds its forcing row), writing the new
+    state into the next row of a block of states.  The rest is done once per
+    block: the inputs u(t) of its steps and their forcing h U B, one product
+    into a reused buffer (before it is stepped), the energies H of its states
+    from one sparse product and one pairwise sum per row (the kernel of
     ``discrete_hamiltonian``), the finiteness check of those energies, the
     midpoint port powers u * g . (x_k + x_k+1) / 2 with g = C^T wvector, and
     the snapshots.  A block holds 64 KB of states (``_block_rows``), so its
@@ -883,6 +918,8 @@ def simulate(
     energy[0] = h0
     power = np.zeros((steps + 1, len(inputs)))  # midpoint power per channel
     g = np.array([dsys.C.T @ ch.wvector for ch in inputs]).reshape(len(inputs), dsys.num_dofs)
+    vectors = np.array([ch.vector for ch in inputs]).reshape(len(inputs), dsys.num_dofs)
+    forcing = np.empty((rows, dsys.num_dofs)) if inputs else None
 
     labels = [f.label for f in dsys.fields]
     snapshots = [(0, 0.0, state)]
@@ -894,7 +931,10 @@ def simulate(
             # other block runs backwards through the buffer, so none copies
             states = (buffer if block % 2 == 0 else buffer[::-1])[: k1 - k0 + 1]
             u_rows = _input_values(inputs, [k * dt + h for k in range(k0, k1)])
-            stepper.march(states, inputs, u_rows)
+            block_forcing = None
+            if inputs:
+                block_forcing = np.matmul(h * u_rows, vectors, out=forcing[: k1 - k0])
+            stepper.march(states, block_forcing)
             block_work = work[: k1 - k0]
             if inputs:
                 np.copyto(block_work, states[:-1])

@@ -41,7 +41,7 @@ from phs_forge.simulate import (
     step_midpoint,
     write_energy_csv,
     write_trajectory_csv,
-    SCHUR_MIN_DOFS,
+    SERIES_MAX_RHO,
     pencil,
     _FullMidpoint,
     _SchurMidpoint,
@@ -397,7 +397,7 @@ def test_midpoint_solve_is_backward_stable(name):
         for dt in (1e-3, 1e-1):
             midpoint = sparse.identity(dsys.num_dofs) - (dt / 2.0) * a_mat
             r = rng.standard_normal(dsys.num_dofs)
-            y = _stepper(dsys, dt).lu.solve(r)
+            y = _FullMidpoint(dsys, dt).lu.solve(r)
             error = np.linalg.norm(midpoint @ y - r) / np.linalg.norm(r)
             assert error <= 1e-12, (bc, dt, error)
 
@@ -464,6 +464,67 @@ def test_schur_solve_is_backward_stable(name):
             scale = sparse.linalg.norm(matrix, 1) * np.linalg.norm(v, 1) + np.linalg.norm(r, 1)
             error = np.linalg.norm(matrix @ v - r, 1) / scale
             assert error <= 1e-15, (bc, dt, error)
+
+
+SIMULABLE_2D = [name for name in SIMULABLE if _SYSTEMS[name].model.ell == 2]
+
+
+@pytest.mark.parametrize("cells", [(8, 7), (64, 64)], ids=["8x7", "64x64"])
+@pytest.mark.parametrize("name", SIMULABLE_2D)
+def test_series_solve_is_backward_stable(name, cells):
+    """The Neumann series at dt = 1e-3 leaves the backward error of a direct
+    solve on the velocity system in the momenta, (W_p + h^2 K_v C_p) y_p = b."""
+    faces = FACES[2]
+    rng = np.random.default_rng(37)
+    for bc in (
+        {},
+        {face: "clamped" for face in faces},
+        {face: ("clamped" if k % 2 == 0 else "free") for k, face in enumerate(faces)},
+    ):
+        dsys = discretize(_SYSTEMS[name], GridSpec(cells), bc)
+        _, K_v, _ = pencil(dsys)
+        dt = 1e-3
+        stepper = _SchurMidpoint(dsys, dt)
+        assert stepper.terms > 0, stepper.rho_bound
+        num_p = dsys.num_p
+        matrix = sparse.diags(dsys.W[:num_p]) + (dt / 2.0) ** 2 * (K_v @ dsys.C[:num_p, :num_p])
+        r = rng.standard_normal(num_p)
+        v = stepper.solve(r)
+        scale = sparse.linalg.norm(matrix, 1) * np.linalg.norm(v, 1) + np.linalg.norm(r, 1)
+        error = np.linalg.norm(matrix @ v - r, 1) / scale
+        assert error <= 1e-15, (bc, error)
+        assert "lu" not in vars(stepper)
+
+
+@pytest.mark.parametrize("name", SIMULABLE_2D)
+def test_series_ratio_bound_holds(name):
+    """rho_bound = |h^2 M_v^-1 K_v|_inf bounds h^2 lambda_max(M_v^-1 K_v),
+    and terms is the fewest with rho_bound^terms <= 2^-53."""
+    dsys = _dsys(name, (8, 7), {"left": "clamped", "top": "clamped"})
+    M_v, K_v, _ = pencil(dsys)
+    for dt in (1e-3, 1e-2):
+        stepper = _SchurMidpoint(dsys, dt)
+        rho = (dt / 2.0) ** 2 * scipy.linalg.eigh(K_v.toarray(), M_v.toarray(), eigvals_only=True)[-1]
+        assert 0 < rho <= stepper.rho_bound, (dt, rho, stepper.rho_bound)
+        assert stepper.rho_bound ** stepper.terms <= 2.0**-53 < stepper.rho_bound ** (stepper.terms - 1)
+
+
+@pytest.mark.parametrize(
+    "name, bc, port",
+    [
+        ("mindlin_plate", {}, "psi1"),
+        ("elasticity2d", {"left": "clamped", "right": "free"}, "u1"),
+    ],
+    ids=["mindlin_plate-right-psi1", "elasticity2d-right-u1"],
+)
+def test_power_balance_on_the_series_path(name, bc, port):
+    dsys = _dsys(name, (32, 32), bc)
+    channel = boundary_traction_input(dsys, "right", port, lambda t: 0.5 * np.sin(3 * t))
+    state = random_state(dsys, seed=4, amplitude=0.1)
+    _, log = simulate(dsys, dt=1e-3, steps=300, state0=state, inputs=[channel])
+    assert _stepper(dsys, 1e-3).terms > 0
+    scale = np.maximum(1.0, np.abs(log.energy[1:]))
+    assert np.max(log.residual[1:] / scale) <= 1e-10
 
 
 @pytest.mark.parametrize("name", SIMULABLE)
@@ -557,23 +618,43 @@ def test_schur_runs_conserve_energy():
         assert log.relative_drift <= 1e-11, (dsys.system.model.name, log.relative_drift)
 
 
-def test_stepper_picks_the_factorization_by_size():
-    small, large = _dsys("elasticity2d", (8, 8)), _dsys("elasticity2d", (32, 32))
-    assert small.num_dofs < SCHUR_MIN_DOFS <= large.num_dofs
-    assert type(_stepper(small, 1e-3)) is _FullMidpoint
-    assert type(_stepper(large, 1e-3)) is _SchurMidpoint
-    assert _stepper(large, 1e-3) is large._steppers[1e-3]
+def test_stepper_picks_the_solver_by_dimension():
+    """1D takes the full factorization; 2D the velocity pencil, summed as a
+    series at the simulator's step sizes and factored at large ones."""
+    string = _dsys("string", (256,), {"left": "clamped", "right": "clamped"})
+    assert type(_stepper(string, 1e-3)) is _FullMidpoint
+    sim_2d = [
+        _dsys("mindlin_plate", (64, 64)),
+        _dsys("elasticity2d", (64, 64), {"left": "clamped", "right": "free"}),
+        _dsys("reddy_plate", (32, 32)),
+    ]
+    for dsys in sim_2d:
+        stepper = _stepper(dsys, 1e-3)
+        assert type(stepper) is _SchurMidpoint
+        assert 0 < stepper.rho_bound <= SERIES_MAX_RHO and 1 <= stepper.terms <= 16, stepper.rho_bound
+        assert "lu" not in vars(stepper)  # nothing factored
+    small = _dsys("elasticity2d", (8, 7))
+    stepper = _stepper(small, 0.1)
+    assert type(stepper) is _SchurMidpoint
+    assert stepper.rho_bound > SERIES_MAX_RHO and stepper.terms == 0
+    assert _stepper(small, 0.1) is small._steppers[0.1]
 
 
-@pytest.mark.parametrize("kind", [_FullMidpoint, _SchurMidpoint], ids=["full", "schur"])
-def test_both_factorizations_expose_fill_and_forward(kind):
+@pytest.mark.parametrize(
+    "kind, dt, terms",
+    [(_FullMidpoint, 1e-3, None), (_SchurMidpoint, 1e-3, True), (_SchurMidpoint, 0.1, False)],
+    ids=["full", "schur", "schur-factored"],
+)
+def test_both_factorizations_expose_fill_and_forward(kind, dt, terms):
     """The benchmark reads lu.L, lu.U and forward.nnz of the cached stepper;
-    forward is I + hA, built when read."""
+    forward is I + hA, built when read, and so is lu on the series path."""
     dsys = _dsys("mindlin_plate", (6, 6))
-    dt = 1e-3
     dsys._steppers[dt] = kind(dsys, dt)
     step_midpoint(dsys, dsys.zero_state(), dt)
     stepper = dsys._steppers[dt]
+    if terms is not None:
+        assert bool(stepper.terms) is terms
+        assert ("lu" not in vars(stepper)) is terms
     assert stepper.lu.L.nnz > 0 and stepper.lu.U.nnz > 0
     a_mat = sparse.diags(1.0 / dsys.W) @ dsys.J @ dsys.C
     expected = sparse.identity(dsys.num_dofs) + (dt / 2.0) * a_mat
@@ -590,7 +671,7 @@ def test_both_factorizations_expose_fill_and_forward(kind):
     ids=["rayleigh_beam-128-clamped", "mindlin_plate-16x16-free"],
 )
 def test_midpoint_factorization_fill(name, cells, bc, bound):
-    lu = _stepper(_dsys(name, cells, bc), 1e-3).lu
+    lu = _FullMidpoint(_dsys(name, cells, bc), 1e-3).lu
     assert lu.L.nnz + lu.U.nnz <= bound
 
 
