@@ -670,18 +670,17 @@ class _MidpointStepper:
     """Implicit midpoint, (I - hA) x+ = (I + hA) x + dt sum u b with h = dt/2,
     solved as (I - hA) y = x + h sum u b for the midpoint state y, then
     x+ = 2y - x: one midpoint solve and no forward product per step.  The
-    subclasses make the solve (``_midpoint``); ``march`` is the one stepping
-    loop."""
+    subclasses make the solve (``_midpoint``, which returns 2y); ``march`` is
+    the one stepping loop."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
         self.dt = dt
-        self._operator = (dsys.W, dsys.J, dsys.C)
+        self._dsys = dsys
 
     def _a_matrix(self):
         from scipy import sparse
 
-        W, J, C = self._operator
-        return (sparse.diags(1.0 / W) @ J @ C).tocsr()
+        return (sparse.diags(1.0 / self._dsys.W) @ self._dsys.J @ self._dsys.C).tocsr()
 
     @property
     def forward(self):
@@ -711,17 +710,14 @@ class _MidpointStepper:
         adds ``forcing[j]`` (h sum u b, formed once per block; overwritten)
         to its state; no forcing means no inputs."""
         for j, (state, new_state) in enumerate(zip(states, states[1:])):
-            rhs = state
-            if forcing is not None:
-                rhs = forcing[j]
-                rhs += state
-            y = self._midpoint(rhs)
-            y *= 2.0
-            np.subtract(y, state, out=new_state)
+            rhs = state if forcing is None else np.add(forcing[j], state, out=forcing[j])
+            np.subtract(self._midpoint(rhs), state, out=new_state)
 
 
 class _FullMidpoint(_MidpointStepper):
-    """Factors the whole step matrix I - hA."""
+    """Factors the whole step matrix, halved: the solve of (I - hA) / 2
+    returns 2y.  Halving is exact and keeps the ordering, the pivots and L,
+    and halves U, so 2y has the bits of doubling the solution of I - hA."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
         from scipy import sparse
@@ -730,7 +726,7 @@ class _FullMidpoint(_MidpointStepper):
         eye = sparse.identity(dsys.num_dofs, format="csr")
         # A is similar to a skew matrix: relaxed diagonal pivots keep the
         # fill low (backward error is tested)
-        self.lu = self._factor((eye - (dt / 2.0) * self._a_matrix()).tocsc(), diag_pivot_thresh=0.01)
+        self.lu = self._factor((0.5 * (eye - (dt / 2.0) * self._a_matrix())).tocsc(), diag_pivot_thresh=0.01)
 
     def _midpoint(self, rhs):
         return self.lu.solve(rhs)
@@ -758,22 +754,24 @@ class _SchurMidpoint(_MidpointStepper):
         c_p = dsys.C[:num_p, :num_p]
         # reduce: r -> b; lift: the solve's output -> y - (0, r_eps)
         self.reduce = sparse.hstack([sparse.diags(w_p), -h * (S.T @ dsys.C[num_p:, num_p:])], format="csr")
-        self._matrix = M_v + h * h * K_v
-        self._series = (sparse.diags(h * h / w_p) @ (K_v @ c_p)).tocsr()
-        self.rho_bound = float(abs(self._series).sum(axis=1).max())
+        series = (sparse.diags(h * h / w_p) @ (K_v @ c_p)).tocsr()
+        self.rho_bound = float(abs(series).sum(axis=1).max())
         self.terms = 0
         if self.rho_bound <= SERIES_MAX_RHO:
             self.terms = next(k for k in itertools.count(1) if self.rho_bound**k <= 2.0**-53)
+            self._series = series
             self.lift = sparse.vstack([sparse.identity(num_p), h * (dsys.D @ c_p)], format="csr")
         else:
             self.lift = sparse.vstack([sparse.diags(1.0 / w_p) @ M_v, h * dsys.D], format="csr")
 
     @cached_property
     def lu(self):
-        """The factorization of M_v + h^2 K_v, made when first read.  On the
-        series path no step reads it: it exists for the benchmark's fill
-        metric (like ``forward``)."""
-        return self._factor(self._matrix.tocsc(), diag_pivot_thresh=0.0)
+        """The factorization of M_v + h^2 K_v, formed from the pencil when
+        first read.  On the series path no step reads it: it exists for the
+        benchmark's fill metric (like ``forward``)."""
+        M_v, K_v, _ = pencil(self._dsys)
+        h = self.dt / 2.0
+        return self._factor((M_v + h * h * K_v).tocsc(), diag_pivot_thresh=0.0)
 
     def solve(self, b):
         """y_p with (W_p + h^2 K_v C_p) y_p = b on the series path; v with
@@ -789,6 +787,7 @@ class _SchurMidpoint(_MidpointStepper):
     def _midpoint(self, rhs):
         y = self.lift @ self.solve(self.reduce @ rhs)
         y[self.num_p :] += rhs[self.num_p :]
+        y *= 2.0
         return y
 
 
@@ -883,14 +882,14 @@ def simulate(
     A step makes only its solve (and adds its forcing row), writing the new
     state into the next row of a block of states.  The rest is done once per
     block: the inputs u(t) of its steps and their forcing h U B, one product
-    into a reused buffer (before it is stepped), the energies H of its states
-    from one sparse product and one pairwise sum per row (the kernel of
-    ``discrete_hamiltonian``), the finiteness check of those energies, the
-    midpoint port powers u * g . (x_k + x_k+1) / 2 with g = C^T wvector, and
-    the snapshots.  A block holds 64 KB of states (``_block_rows``), so its
-    size follows the state size.  The residual column reports
-    |dH - dt * (midpoint power)| per step, the discrete counterpart of the
-    continuous power balance.
+    into a reused buffer (before it is stepped; none in a closed run), the
+    energies H of its states from one sparse product and one pairwise sum per
+    row (the kernel of ``discrete_hamiltonian``), one finiteness check of
+    those energies, the midpoint port powers u * g . (x_k + x_k+1) / 2 with
+    g = C^T wvector, and the snapshots.  A block holds 64 KB of states
+    (``_block_rows``), so its size follows the state size.  The residual
+    column reports |dH - dt * (midpoint power)| per step, the discrete
+    counterpart of the continuous power balance.
     """
     dt = _checked_dt(dt)
     steps = _checked_count("steps", steps)
@@ -930,9 +929,9 @@ def simulate(
             # a block starts on the row where the last one ended: every
             # other block runs backwards through the buffer, so none copies
             states = (buffer if block % 2 == 0 else buffer[::-1])[: k1 - k0 + 1]
-            u_rows = _input_values(inputs, [k * dt + h for k in range(k0, k1)])
             block_forcing = None
             if inputs:
+                u_rows = _input_values(inputs, [k * dt + h for k in range(k0, k1)])
                 block_forcing = np.matmul(h * u_rows, vectors, out=forcing[: k1 - k0])
             stepper.march(states, block_forcing)
             block_work = work[: k1 - k0]
@@ -941,9 +940,10 @@ def simulate(
                 block_work += states[1:]
                 power[k0 + 1 : k1 + 1] = 0.5 * (block_work @ g.T) * u_rows
             block_energy = _energies(dsys, states[1:], block_work, out=energy[k0 + 1 : k1 + 1])
-            for k, h_new in enumerate(block_energy.tolist(), start=k0 + 1):
-                if not math.isfinite(h_new):
-                    raise ValueError(f"energy is not finite after step {k} (t = {k * dt!r}): {h_new!r}")
+            if not np.isfinite(block_energy).all():  # name the first bad step
+                for k, h_new in enumerate(block_energy.tolist(), start=k0 + 1):
+                    if not math.isfinite(h_new):
+                        raise ValueError(f"energy is not finite after step {k} (t = {k * dt!r}): {h_new!r}")
             if record_every:
                 first = (k0 // record_every + 1) * record_every
                 for k in range(first, k1 + 1, record_every):
@@ -969,24 +969,26 @@ ENERGY_CSV_CHUNK = 256
 
 
 def write_energy_csv(path: str, log: EnergyLog) -> None:
+    """One ``%`` per chunk of rows, on a template of repeated rows."""
     columns = (log.times, log.energy, log.boundary_power, log.distributed_power, log.residual)
+    row = "%d" + ",%.17g" * len(columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,time,H,boundary_power,distributed_power,residual\n")
         for start in range(0, len(log.energy), ENERGY_CSV_CHUNK):
-            stop = start + ENERGY_CSV_CHUNK
+            stop = min(start + ENERGY_CSV_CHUNK, len(log.energy))
             rows = zip(range(start, stop), *(c[start:stop].tolist() for c in columns))
-            fh.write("".join(
-                [f"{k},{t:.17g},{h:.17g},{b:.17g},{d:.17g},{r:.17g}\n" for k, t, h, b, d, r in rows]
-            ))
+            fh.write((row * (stop - start)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def write_trajectory_csv(path: str, dsys: DiscreteSystem, traj: Trajectory) -> None:
     """Rows keyed by state label and flat node index within the field; one
-    write per snapshot and field."""
+    write per snapshot and field, formatted by one ``%`` on a template per
+    field size, with the ``step,time,label,`` prefix put in afterwards."""
+    templates = {f.size: "\n".join([f"{node},%.17g" for node in range(f.size)]) for f in dsys.fields}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,time,label,node,value\n")
         for step, t, state in traj.snapshots:
             for f in dsys.fields:
                 prefix = f"{step},{t:.17g},{f.label},"
-                seg = state[f.offset : f.offset + f.size].tolist()
-                fh.write("".join([f"{prefix}{node},{value:.17g}\n" for node, value in enumerate(seg)]))
+                lines = templates[f.size] % tuple(state[f.offset : f.offset + f.size].tolist())
+                fh.write(prefix + lines.replace("\n", "\n" + prefix) + "\n")

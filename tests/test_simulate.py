@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from phs_forge.build import assemble_phs
 from phs_forge.modelfile import parse_model
@@ -26,6 +28,7 @@ from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.simulate import (
     ENERGY_CSV_CHUNK,
     EnergyLog,
+    FieldLayout,
     GridSpec,
     InputChannel,
     SimulationUnsupported,
@@ -382,7 +385,9 @@ def test_conservation_closed_systems_quick():
 @pytest.mark.parametrize("name", SIMULABLE)
 def test_midpoint_solve_is_backward_stable(name):
     """The fill-reducing ordering relaxes pivoting towards the diagonal; the
-    factored solve must still leave a roundoff-level residual."""
+    factored solve must still leave a roundoff-level residual.  The factored
+    matrix is (I - hA) / 2, whose solve returns 2y: its residual is that of
+    y on I - hA, exactly."""
     ell = _SYSTEMS[name].model.ell
     cells = (64,) if ell == 1 else (8, 7)
     faces = FACES[ell]
@@ -395,11 +400,41 @@ def test_midpoint_solve_is_backward_stable(name):
         dsys = discretize(_SYSTEMS[name], GridSpec(cells), bc)
         a_mat = sparse.diags(1.0 / dsys.W) @ dsys.J @ dsys.C
         for dt in (1e-3, 1e-1):
-            midpoint = sparse.identity(dsys.num_dofs) - (dt / 2.0) * a_mat
+            midpoint = 0.5 * (sparse.identity(dsys.num_dofs) - (dt / 2.0) * a_mat)
             r = rng.standard_normal(dsys.num_dofs)
             y = _FullMidpoint(dsys, dt).lu.solve(r)
             error = np.linalg.norm(midpoint @ y - r) / np.linalg.norm(r)
             assert error <= 1e-12, (bc, dt, error)
+
+
+SIMULABLE_1D = [name for name in SIMULABLE if _SYSTEMS[name].model.ell == 1]
+
+
+@pytest.mark.parametrize("name", SIMULABLE_1D)
+def test_half_scaled_step_is_exact(name):
+    """The 1D stepper factors (I - hA) / 2, whose solve is 2y.  Its states
+    equal, bit for bit, those of factoring I - hA with the same options and
+    setting x+ = 2y - x, with and without an input."""
+    dsys = _dsys(name, (64,), {"left": "clamped", "right": "free"})
+    dt, steps = 1e-3, 50
+    h = dt / 2.0
+    a_mat = sparse.diags(1.0 / dsys.W) @ dsys.J @ dsys.C
+    lu = splu(
+        (sparse.identity(dsys.num_dofs, format="csr") - h * a_mat.tocsr()).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.01,
+        options={"SymmetricMode": True},
+    )
+    b = np.random.default_rng(41).standard_normal(dsys.num_dofs)
+    channel = InputChannel("probe", "boundary", b, b * dsys.W, lambda t: math.cos(3.0 * t))
+    state0 = random_state(dsys, seed=41)
+    for inputs in ([], [channel]):
+        traj, _ = simulate(dsys, dt, steps, inputs=inputs, state0=state0, record_every=1)
+        x = state0
+        for k, _, state in traj.snapshots[1:]:
+            rhs = h * math.cos(3.0 * ((k - 1) * dt + h)) * b + x if inputs else x
+            x = 2.0 * lu.solve(rhs) - x
+            assert np.array_equal(state, x), (len(inputs), k)
 
 
 def _check_full_midpoint_equation(name, stepper_kind=None):
@@ -660,6 +695,17 @@ def test_both_factorizations_expose_fill_and_forward(kind, dt, terms):
     expected = sparse.identity(dsys.num_dofs) + (dt / 2.0) * a_mat
     assert stepper.forward.nnz == expected.nnz
     assert abs(stepper.forward - expected).max() == 0
+
+
+def test_each_schur_path_keeps_only_its_own_matrix():
+    """The series path keeps N and no velocity matrix, even once its lazy lu
+    is read; the factored path keeps no N."""
+    dsys = _dsys("elasticity2d", (8, 7))
+    series, factored = _SchurMidpoint(dsys, 1e-3), _SchurMidpoint(dsys, 0.1)
+    assert series.terms and not factored.terms
+    assert series.lu.L.nnz > 0 and factored.lu.L.nnz > 0
+    assert {"_series", "lu"} <= set(vars(series)) and "_matrix" not in vars(series)
+    assert "lu" in vars(factored) and not {"_series", "_matrix"} & set(vars(factored))
 
 
 @pytest.mark.parametrize(
@@ -975,6 +1021,56 @@ def test_csv_writers_match_a_per_value_reference(tmp_path):
                       [(0, 0.0, states[0]), (7, np.float64(7e-3), states[1]), (9, 1e-300, states[2])])
     write_trajectory_csv(str(tmp_path / "traj.csv"), dsys, traj)
     assert (tmp_path / "traj.csv").read_bytes() == _reference_trajectory_csv(dsys, traj).encode()
+
+
+@pytest.mark.parametrize(
+    "rows", [1, ENERGY_CSV_CHUNK - 1, ENERGY_CSV_CHUNK, ENERGY_CSV_CHUNK + 1, 2 * ENERGY_CSV_CHUNK + 1]
+)
+def test_energy_csv_chunk_edges_match_the_reference(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    log = EnergyLog(np.arange(rows) * 1e-3, *(rng.standard_normal(rows) for _ in range(4)))
+    write_energy_csv(str(tmp_path / "energy.csv"), log)
+    assert (tmp_path / "energy.csv").read_bytes() == _reference_energy_csv(log).encode()
+
+
+@pytest.mark.parametrize("t", [np.float64(7e-3), 1e-300], ids=["float64", "1e-300"])
+def test_trajectory_csv_one_node_field_matches_the_reference(tmp_path, t):
+    """A one-node field beside a three-node one; a "%" in a label stays out
+    of the formatting."""
+    fields = [
+        FieldLayout("p%d", "a", "p", 0, (1,), (0,), (1,), 0, ([F(1)],)),
+        FieldLayout("eps1", "eps1", "eps", 0, (1,), (0,), (3,), 1, ([F(1)] * 3,)),
+    ]
+    dsys = types.SimpleNamespace(fields=fields)
+    states = np.array([[0.1, -0.0, 5e-324, 2.0**60], [-1.5e300, 3.0, 1e-300, 0.2]])
+    traj = Trajectory([f.label for f in fields], [(0, 0.0, states[0]), (7, t, states[1])])
+    write_trajectory_csv(str(tmp_path / "traj.csv"), dsys, traj)
+    assert (tmp_path / "traj.csv").read_bytes() == _reference_trajectory_csv(dsys, traj).encode()
+
+
+def test_csv_writers_memory_stays_within_a_chunk_or_field(tmp_path):
+    """A 10^4-row energy log and an 11-snapshot 511-DOF trajectory: each
+    writer holds one chunk or one field's text at a time.  The bounds are
+    the per-value writers' measured peaks (117.6 KB and 39.2 KB) plus 10%,
+    rounded up to a KiB; the one-% writers peaked at 110.5 and 33.6 KB."""
+    rng = np.random.default_rng(3)
+    rows = 10_000
+    log = EnergyLog(np.arange(rows) * 1e-3, *(rng.standard_normal(rows) for _ in range(4)))
+    dsys = _dsys("timoshenko", (128,), {"left": "clamped", "right": "free"})
+    assert dsys.num_dofs == 511
+    snapshots = [(100 * k, 0.1 * k, rng.standard_normal(dsys.num_dofs)) for k in range(11)]
+    traj = Trajectory([f.label for f in dsys.fields], snapshots)
+    for write, bound in (
+        (lambda: write_energy_csv(str(tmp_path / "energy.csv"), log), 127 * 1024),
+        (lambda: write_trajectory_csv(str(tmp_path / "traj.csv"), dsys, traj), 43 * 1024),
+    ):
+        tracemalloc.start()
+        try:
+            write()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 def _operator_digest_update(h, dsys):
