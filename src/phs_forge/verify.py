@@ -62,6 +62,18 @@ def _result(check_id, subject, ok, witness, started) -> CheckResult:
     )
 
 
+def _staged(check_id, subject, stages) -> CheckResult:
+    """Run a check's stages in order: ``stages`` yields ``(ok, witness)``
+    pairs and is not resumed after the first failing one, whose witness the
+    result carries.  The clock starts before the first stage, so building a
+    stage's inputs is timed too."""
+    started = time.perf_counter()
+    for ok, witness in stages:
+        if not ok:
+            return _result(check_id, subject, False, witness, started)
+    return _result(check_id, subject, True, None, started)
+
+
 def _random_fields(rng: random.Random, op: DiffOpMatrix, degree: int):
     v = [random_poly(rng, op.axes, degree) for _ in range(op.m)]
     w = [random_poly(rng, op.axes, degree) for _ in range(op.n)]
@@ -125,30 +137,22 @@ def check_energy_structure(sys, trials: int = 5, seed: int = 0) -> CheckResult:
     """
     if trials < 1:
         raise ValueError(f"need at least one energy trial, got {trials}")
-    started = time.perf_counter()
     name = sys.model.name
+    return _staged(f"energy:{name}", name, _energy_stages(sys, trials, seed))
 
-    def fail(witness):
-        return _result(f"energy:{name}", name, False, witness, started)
 
-    rng = random.Random(f"{seed}:energy:{name}")
-    matrices = (("mass", sys.mass), ("inverse mass", sys.mass_inv), ("stiffness", sys.stiffness))
-    for label, matrix in matrices:
-        if not is_symmetric(matrix):
-            return fail(f"{label} matrix is not symmetric")
-    if sys.op_adjoint != sys.op.formal_adjoint():
-        return fail("stored adjoint differs from the formal adjoint")
+def _energy_stages(sys, trials: int, seed: int):
+    """The stages of ``check_energy_structure``, as ``_staged`` reads them."""
+    for label, matrix in (("mass", sys.mass), ("inverse mass", sys.mass_inv), ("stiffness", sys.stiffness)):
+        yield is_symmetric(matrix), f"{label} matrix is not symmetric"
+    yield sys.op_adjoint == sys.op.formal_adjoint(), "stored adjoint differs from the formal adjoint"
     proof = _symbol_witness(sys.op, sys.boundary, sys.op_adjoint)
-    if proof is not None:
-        return fail(proof)
+    yield proof is None, proof
+    rng = random.Random(f"{seed}:energy:{sys.model.name}")
     for t in range(trials):
         e_eps, e_p = _random_fields(rng, sys.op, sys.op.order + 2)
-        res = ibp_residual(
-            sys.op, e_eps, e_p, sys.model.domain, form=sys.boundary, adjoint=sys.op_adjoint
-        )
-        if res != 0:
-            return fail(f"trial {t + 1}: pairing residual {res}")
-    return _result(f"energy:{name}", name, True, None, started)
+        res = ibp_residual(sys.op, e_eps, e_p, sys.model.domain, form=sys.boundary, adjoint=sys.op_adjoint)
+        yield res == 0, f"trial {t + 1}: pairing residual {res}"
 
 
 # ---------------------------------------------------------------------------
@@ -282,96 +286,69 @@ def _submatrix(a, rows, cols):
     return [[a[i][j] for j in cols] for i in rows]
 
 
-def check_limits_and_reductions() -> List[CheckResult]:
-    out: List[CheckResult] = []
-
-    # Reddy plate with the third-order terms switched off is the first-order
-    # shear plate, block by block.
-    started = time.perf_counter()
+def _reddy_plate_to_mindlin():
+    """Reddy plate with the third-order terms switched off is the first-order
+    shear plate, block by block."""
     reddy0 = builtin_model("reddy_plate", {"alpha": 0})
     mindlin = builtin_model("mindlin_plate")
     m_r = mass_matrix(reddy0, require_spd=False)
     k_r = stiffness_matrix(reddy0, require_spd=False)
-    m_m = mass_matrix(mindlin)
-    k_m = stiffness_matrix(mindlin)
-    ok = _submatrix(m_r, range(3), range(3)) == m_m
-    detail = None if ok else "leading mass block differs"
-    if ok:
-        tail = [m_r[i][j] for i in range(5) for j in range(5) if i >= 3 or j >= 3]
-        ok = all(x == 0 for x in tail)
-        detail = None if ok else "third-order mass rows/columns do not vanish"
-    if ok:
-        ok = _submatrix(k_r, range(5), range(5)) == k_m
-        detail = None if ok else "leading stiffness block differs"
-    if ok:
-        tail = [k_r[i][j] for i in range(8) for j in range(8) if i >= 5 or j >= 5]
-        ok = all(x == 0 for x in tail)
-        detail = None if ok else "third-order stiffness rows/columns do not vanish"
-    if ok:
-        sub_p0 = _submatrix(reddy0.op.p0, range(5), range(3))
-        ok = sub_p0 == mindlin.op.p0 and all(
-            _submatrix(reddy0.op.coeff(k, 1), range(5), range(3)) == mindlin.op.coeff(k, 1)
-            for k in (1, 2)
-        )
-        detail = None if ok else "operator sub-block differs"
-    out.append(_result("reduction:reddy-plate-to-mindlin", "reddy_plate", ok, detail, started))
+    m_m, k_m = mass_matrix(mindlin), stiffness_matrix(mindlin)
+    yield _submatrix(m_r, range(3), range(3)) == m_m, "leading mass block differs"
+    yield all(m_r[i][j] == 0 for i in range(5) for j in range(5) if i >= 3 or j >= 3), (
+        "third-order mass rows/columns do not vanish"
+    )
+    yield _submatrix(k_r, range(5), range(5)) == k_m, "leading stiffness block differs"
+    yield all(k_r[i][j] == 0 for i in range(8) for j in range(8) if i >= 5 or j >= 5), (
+        "third-order stiffness rows/columns do not vanish"
+    )
+    yield _submatrix(reddy0.op.p0, range(5), range(3)) == mindlin.op.p0 and all(
+        _submatrix(reddy0.op.coeff(k, 1), range(5), range(3)) == mindlin.op.coeff(k, 1) for k in (1, 2)
+    ), "operator sub-block differs"
 
-    # Dropping the rotary momentum of the slope-carrying beam and rescaling
-    # the strain yields the classical fourth-order bending beam.
-    started = time.perf_counter()
+
+def _rayleigh_to_euler_bernoulli():
+    """Dropping the rotary momentum of the slope-carrying beam and rescaling
+    the strain yields the classical fourth-order bending beam."""
     ray = builtin_model("rayleigh_beam")
     eb = builtin_model("euler_bernoulli")
-    m_ray = mass_matrix(ray)
-    k_ray = stiffness_matrix(ray)
-    m_eb = mass_matrix(eb)
-    k_eb = stiffness_matrix(eb)
-    reduced_op = DiffOpMatrix(
-        1,
-        1,
-        ray.op.axes,
-        p0=_submatrix(ray.op.p0, range(1), [1]),
-        pk={(k, i): _submatrix(mat_, range(1), [1]) for (k, i), mat_ in ray.op.pk.items()},
+    m_ray, k_ray = mass_matrix(ray), stiffness_matrix(ray)
+    m_eb, k_eb = mass_matrix(eb), stiffness_matrix(eb)
+    reduced_op = DiffOpMatrix(1, 1, ray.op.axes, p0=_submatrix(ray.op.p0, [0], [1]),
+                              pk={key: _submatrix(mat_, [0], [1]) for key, mat_ in ray.op.pk.items()})
+    yield reduced_op == eb.op, "column-deleted operator is not the bending operator"
+    yield _submatrix(m_ray, [1], [1]) == m_eb, "translational mass entry differs"
+    yield [[4 * k_ray[0][0]]] == k_eb, f"strain rescaling failed: 4 * {k_ray[0][0]} != {k_eb[0][0]}"
+    adjoint = eb.op.formal_adjoint()
+    yield adjoint.pk == {(1, 2): [[Fraction(1)]]} and adjoint.p0 == [[Fraction(0)]], (
+        "bending operator is not self-adjoint of order two"
     )
-    ok = reduced_op == eb.op
-    detail = None if ok else "column-deleted operator is not the bending operator"
-    if ok:
-        ok = _submatrix(m_ray, [1], [1]) == m_eb
-        detail = None if ok else "translational mass entry differs"
-    if ok:
-        ok = [[4 * k_ray[0][0]]] == k_eb
-        detail = None if ok else (
-            f"strain rescaling failed: 4 * {k_ray[0][0]} != {k_eb[0][0]}"
-        )
-    if ok:
-        ok = eb.op.formal_adjoint().pk == {(1, 2): [[Fraction(1)]]} and eb.op.formal_adjoint().p0 == [
-            [Fraction(0)]
-        ]
-        detail = None if ok else "bending operator is not self-adjoint of order two"
-    out.append(_result("reduction:rayleigh-to-euler-bernoulli", "rayleigh_beam", ok, detail, started))
 
-    # Two shear strains aggregate to the reduced torsion model through the
-    # polar moment identity I_p = I_t2 + I_t3 = 2 I_t.
-    started = time.perf_counter()
+
+def _torsion_two_strain():
+    """Two shear strains aggregate to the reduced torsion model through the
+    polar moment identity I_p = I_t2 + I_t3 = 2 I_t."""
     torsion = builtin_model("torsion")
     two = torsion_two_strain()
     k_red = stiffness_matrix(torsion)
     k_two = stiffness_matrix(two)
     m_tor = mass_matrix(torsion)
     g = torsion.params["G"]
-    rho = torsion.rho
-    i_t3 = k_two[0][0] / g
-    i_t2 = k_two[1][1] / g
-    i_p = m_tor[0][0] / rho
-    ok = i_t2 == i_t3
-    detail = None if ok else f"transverse moments differ: {i_t2} vs {i_t3}"
-    if ok:
-        ok = i_p == i_t2 + i_t3 and i_p == 2 * i_t2
-        detail = None if ok else f"polar moment {i_p} is not twice {i_t2}"
-    if ok:
-        ok = k_red[0][0] == k_two[0][0] + k_two[1][1] and k_two[0][1] == 0
-        detail = None if ok else "aggregated stiffness does not match the reduced model"
-    out.append(_result("reduction:torsion-two-strain", "torsion", ok, detail, started))
-    return out
+    i_t3, i_t2 = k_two[0][0] / g, k_two[1][1] / g
+    i_p = m_tor[0][0] / torsion.rho
+    yield i_t2 == i_t3, f"transverse moments differ: {i_t2} vs {i_t3}"
+    yield i_p == i_t2 + i_t3 and i_p == 2 * i_t2, f"polar moment {i_p} is not twice {i_t2}"
+    yield k_red[0][0] == k_two[0][0] + k_two[1][1] and k_two[0][1] == 0, (
+        "aggregated stiffness does not match the reduced model"
+    )
+
+
+def check_limits_and_reductions() -> List[CheckResult]:
+    return [
+        _staged("reduction:reddy-plate-to-mindlin", "reddy_plate", _reddy_plate_to_mindlin()),
+        _staged("reduction:rayleigh-to-euler-bernoulli", "rayleigh_beam", _rayleigh_to_euler_bernoulli()),
+        _staged("reduction:torsion-two-strain", "torsion", _torsion_two_strain()),
+    ]
 
 
 # ---------------------------------------------------------------------------

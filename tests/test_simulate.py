@@ -182,6 +182,11 @@ def test_unsupported_models_refused():
 def test_grid_requires_three_cells():
     with pytest.raises(ValueError):
         GridSpec((2,))
+    # a cell count must be an integer, as steps must; numpy integers are accepted
+    for cells, shown in [((16.0,), "16.0"), (("16",), "'16'"), ((8, 7.5), "7.5")]:
+        with pytest.raises(ValueError, match=re.escape(f"cells must be an integer, got {shown}")):
+            GridSpec(cells)
+    assert discretize(_SYSTEMS["string"], GridSpec((np.int64(16),)), {}).num_dofs > 0
 
 
 @pytest.mark.parametrize(
@@ -566,7 +571,8 @@ def test_power_balance_on_the_series_path(name, bc, port):
 def test_pencil_is_the_momentum_velocity_form(name):
     """M_v = W_p C_p^-1 (per-node block inverse, density scaling included) is
     symmetric positive definite; K_v = S^T C_eps D is symmetric and
-    v^T K_v v is twice the strain energy of eps = D v."""
+    v^T K_v v is twice the strain energy of eps = D v; S = diag(W_eps) D is
+    J's lower-left block."""
     ell = _SYSTEMS[name].model.ell
     cells = (16,) if ell == 1 else (6, 5)
     density = (lambda x: 1.0 + 0.5 * x) if ell == 1 else (lambda x, y: 1.0 + 0.5 * x * y)
@@ -583,9 +589,27 @@ def test_pencil_is_the_momentum_velocity_form(name):
         assert asym <= 1e-14 * abs(matrix).max(), asym
     assert np.linalg.eigvalsh(M_v.toarray()).min() > 0
     assert abs(S - sparse.diags(w_eps) @ dsys.D).max() == 0
+    block = dsys.J[num_p:, :num_p]  # S is J's block, in the same layout
+    assert all(np.array_equal(getattr(S, a), getattr(block, a)) for a in ("data", "indices", "indptr"))
     v = rng.standard_normal(num_p)
     eps = dsys.D @ v
     assert v @ (K_v @ v) == pytest.approx(eps @ (w_eps * (c_eps @ eps)), rel=1e-12)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1], ids=["series", "factored"])
+def test_a_schur_step_forms_the_pencil_once(monkeypatch, dt):
+    simulate_module = sys.modules["phs_forge.simulate"]  # the package exports the function
+    calls = []
+
+    def spy(dsys):
+        calls.append(dsys)
+        return pencil(dsys)
+
+    monkeypatch.setattr(simulate_module, "pencil", spy)
+    dsys = _dsys("elasticity2d", (8, 7))
+    step_midpoint(dsys, random_state(dsys, seed=2), dt)
+    assert bool(_stepper(dsys, dt).terms) is (dt == 1e-3)
+    assert len(calls) == 1
 
 
 def test_pencil_refuses_a_coupled_co_energy_map():

@@ -137,7 +137,26 @@ def test_energy_structure_convicts_asymmetric_stiffness():
     sys_.stiffness = [[F(1, 12), F(1, 3)], [F(0), F(5, 6)]]
     res = check_energy_structure(sys_, seed=5)
     assert not res.ok
-    assert "symmetric" in res.witness
+    assert res.witness == "stiffness matrix is not symmetric"
+
+
+def test_energy_structure_stops_at_its_first_failing_stage(monkeypatch):
+    """An asymmetric mass matrix fails the first stage; neither the symbol
+    proof nor a sampled trial runs after it."""
+    calls = []
+
+    for name in ("ibp_symbol_residual", "ibp_residual"):
+
+        def spy(*args, _name=name, _oracle=getattr(verify, name), **kwargs):
+            calls.append(_name)
+            return _oracle(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, spy)
+    sys_ = assemble_phs(builtin_model("timoshenko"))
+    sys_.mass = [[F(1), F(1)], [F(0), F(1, 12)]]
+    res = check_energy_structure(sys_, seed=5)
+    assert res.witness == "mass matrix is not symmetric"
+    assert calls == []
 
 
 def test_energy_structure_convicts_asymmetric_inverse_mass():
@@ -153,6 +172,7 @@ def test_energy_structure_convicts_wrong_adjoint():
     sys_.op_adjoint = sys_.op  # wrong: not the adjoint
     res = check_energy_structure(sys_, seed=5)
     assert not res.ok
+    assert res.witness == "stored adjoint differs from the formal adjoint"
 
 
 def test_reductions_all_pass():
