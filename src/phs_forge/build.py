@@ -44,14 +44,22 @@ def _section_gram(model: KinematicModel, left, weight, right):
 
     ``left`` and ``right`` are PolyMatrix factors over the complementary
     coordinates, ``weight`` a rational matrix (or None for the identity).
+    When ``left is right`` and ``weight`` is exactly symmetric the result is
+    a Gram matrix, so each unordered pair is integrated once; an asymmetric
+    weight takes the full product, where ``check_spd`` finds it.
     """
+    integrate = model.section.integrate
+    left_cols = left.transpose().entries
     right_cols = right.transpose().entries
     if weight is not None:
         right_cols = [mat_apply(weight, col) for col in right_cols]
-    return [
-        [model.section.integrate(dot(col, rcol)) for rcol in right_cols]
-        for col in left.transpose().entries
-    ]
+    if left is not right or (weight is not None and not exact.is_symmetric(weight)):
+        return [[integrate(dot(col, rcol)) for rcol in right_cols] for col in left_cols]
+    gram = [[None] * len(left_cols) for _ in left_cols]
+    for i, col in enumerate(left_cols):
+        for j in range(i, len(right_cols)):
+            gram[i][j] = gram[j][i] = integrate(dot(col, right_cols[j]))
+    return gram
 
 
 def mass_matrix(model: KinematicModel, require_spd: bool = True):

@@ -136,6 +136,13 @@ def _parse_bc(text):
     return bc
 
 
+def _parse_cells(text):
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise ValueError(f"--cells expects comma-separated integers, got {text!r}") from None
+
+
 def _parse_inputs(specs, dsys):
     channels = []
     for spec in specs or []:
@@ -145,7 +152,10 @@ def _parse_inputs(specs, dsys):
             profile = _profile(parts[3:])
             channels.append(boundary_traction_input(dsys, face, component, profile))
         elif parts[0] == "distributed" and len(parts) >= 4:
-            column = int(parts[1])
+            try:
+                column = int(parts[1])
+            except ValueError:
+                raise ValueError(f"--input {spec!r}: column {parts[1]!r} is not an integer") from None
             profile = _profile(parts[2:])
             channels.append(distributed_input(dsys, column, profile))
         else:
@@ -199,7 +209,7 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--steps must be >= 1, got {args.steps}")
         if args.record < 0:
             raise ValueError(f"--record must be >= 0, got {args.record}")
-        cells = tuple(int(c) for c in args.cells.split(","))
+        cells = _parse_cells(args.cells)
         dsys = discretize(sys_, GridSpec(cells), _parse_bc(args.bc))
         inputs = _parse_inputs(args.input, dsys)
     except SimulationUnsupported as exc:

@@ -48,7 +48,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import ExactError, fr, mat_scale, transpose, zeros
-from .poly import Poly, mat_apply, moment_weights, power_table
+from .poly import Poly, _over_lcm, mat_apply, moment_weights, power_table
 
 Matrix = List[List[Fraction]]
 Block = Tuple[int, int]
@@ -128,8 +128,10 @@ class DiffOpMatrix:
         unit, coords = (0,) * self.ell, derivative_symbols(self.ell)
         blocks = [(unit, self.p0)]
         blocks += [(unit[: k - 1] + (i,) + unit[k:], p) for (k, i), p in self.pk.items()]
+        # the exponent tuples of the blocks are distinct
         return [
-            [Poly(coords, {e: p[r][c] for e, p in blocks if p[r][c]}) for c in range(self.n)]
+            [Poly._raw(coords, *_over_lcm({e: p[r][c] for e, p in blocks if p[r][c]}))
+             for c in range(self.n)]
             for r in range(self.m)
         ]
 
@@ -514,25 +516,33 @@ def ibp_symbol_residual(
         len(q) != len(rows) or any(len(row) != len(cols) for row in q) for q in form.q_axes
     ):
         raise ExactError("adjoint or boundary form does not match the operator")
+    # integer numerators over one denominator, the lcm of every coefficient's
+    fw, fv = op.symbols(), adjoint.symbols()
+    den = lcm(
+        *{p.den for f in (fw, fv) for row in f for p in row},
+        *{x.denominator for q_a in form.q_axes for row in q_a for x in row},
+    )
     acc = [[{} for _ in range(m)] for _ in range(n)]
 
     def add(p, q, e, x):
         acc[p][q][e] = acc[p][q].get(e, 0) + x
 
     pad = zero[:ell]
-    fw, fv = op.symbols(), adjoint.symbols()
     for p in range(n):
         for q in range(m):
-            for e, x in fw[q][p].terms.items():
-                add(p, q, e + pad, x)
-            for e, x in fv[p][q].terms.items():
-                add(p, q, pad + e, -x)
+            w, v = fw[q][p], fv[p][q]
+            for e, x in w.num.items():
+                add(p, q, e + pad, x * (den // w.den))
+            for e, x in v.num.items():
+                add(p, q, pad + e, -x * (den // v.den))
     units = [zero[:s] + (1,) + zero[s + 1 :] for s in range(2 * ell)]
     for a, q_a in enumerate(form.q_axes):
         for (p, er), row in zip(rows, q_a):
             for (q, ec), x in zip(cols, row):
-                for s in (a, ell + a) if x else ():  # times eta_a + zeta_a
-                    add(p, q, tuple(map(sum, zip(er, ec, units[s]))), -x)
+                if x:
+                    x = x.numerator * (den // x.denominator)
+                    for s in (a, ell + a):  # times eta_a + zeta_a
+                        add(p, q, tuple(map(sum, zip(er, ec, units[s]))), -x)
     coords = tuple(f"d{side}{k}" for side in "wv" for k in range(1, ell + 1))
-    return [[Poly(coords, t) for t in row] for row in acc]
+    return [[Poly._raw(coords, {e: x for e, x in t.items() if x}, den) for t in row] for row in acc]
 

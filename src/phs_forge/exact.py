@@ -185,6 +185,10 @@ def ldl_pivots(a):
     Returns (pivots, witness) where witness is None on success or, when a
     non-positive pivot d_j appears, a vector x with x^T a x = d_j <= 0.
     The leading principal minors are the running products of the pivots.
+
+    Exact elimination keeps every trailing block symmetric, so only its
+    upper triangle is updated, and the multiplier l_ij is read from row j;
+    a zero multiplier changes nothing and is skipped.
     """
     n = len(a)
     work = [row[:] for row in a]
@@ -199,11 +203,15 @@ def ldl_pivots(a):
                 x[i] = -sum((lower[r][i] * x[r] for r in range(i + 1, j + 1)), Fraction(0))
             pivots = [work[i][i] for i in range(j + 1)]
             return pivots, x
+        pivot_row = work[j]
         for i in range(j + 1, n):
-            lij = work[i][j] / d
+            if pivot_row[i] == 0:
+                continue
+            lij = pivot_row[i] / d
             lower[i][j] = lij
-            for k2 in range(j, n):
-                work[i][k2] = work[i][k2] - lij * work[j][k2]
+            row = work[i]
+            for k2 in range(i, n):
+                row[k2] = row[k2] - lij * pivot_row[k2]
     return [work[i][i] for i in range(n)], None
 
 

@@ -119,21 +119,17 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
                 raise ParseError(f"cannot tokenize {text[pos:]!r}")
             break
         pos = m.end()
-        if m.group("num"):
-            if "." in m.group("num"):
+        kind = m.lastgroup  # the one alternative that matched
+        val = m[kind]
+        if kind == "num":
+            if "." in val:
+                raise ParseError(f"decimal literal {val!r} is not exact; write a rational like 3/10")
+            if len(val) > MAX_LITERAL_DIGITS:
                 raise ParseError(
-                    f"decimal literal {m.group('num')!r} is not exact; write a rational like 3/10"
-                )
-            if len(m.group("num")) > MAX_LITERAL_DIGITS:
-                raise ParseError(
-                    f"integer literal of {len(m.group('num'))} digits exceeds the limit of "
+                    f"integer literal of {len(val)} digits exceeds the limit of "
                     f"{MAX_LITERAL_DIGITS} digits"
                 )
-            out.append(("num", m.group("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
+        out.append((kind, val))
     out.append(("end", ""))
     return out
 
@@ -303,8 +299,11 @@ def _poly_rows(lines, coords: Tuple[str, ...], params: Dict[str, Fraction], what
             val = _ExprParser(text, env, name).parse()
             if isinstance(val, Fraction):
                 val = Poly.constant(coords, val)
-            for coeff in val.terms.values():
-                check_digits(coeff, name)
+            # a reduced coefficient divides its numerator over the lcm and
+            # the lcm itself, so only an entry with a long one needs a look
+            if max(map(int.bit_length, (val.den, *val.num.values()))) > _MAX_BITS:
+                for coeff in val.terms.values():
+                    check_digits(coeff, name)
             row.append(val)
         rows.append(row)
     return rows

@@ -37,9 +37,7 @@ class Poly:
     __slots__ = ("coords", "num", "den")
 
     def __init__(self, coords: Iterable[str], terms: Mapping[Exponents, Fraction]):
-        coords = tuple(coords)
-        if len(set(coords)) != len(coords):
-            raise ExactError(f"duplicate coordinate names: {coords}")
+        coords = _distinct(coords)
         clean: Dict[Exponents, Fraction] = {}
         for exps, c in terms.items():
             exps = tuple(map(int, exps))
@@ -52,12 +50,8 @@ class Poly:
                 c += clean.pop(exps)
             if c:
                 clean[exps] = c
-        # over the lcm of reduced denominators the numerators share no factor
-        # with it, so this is already canonical
-        den = lcm(*{c.denominator for c in clean.values()})
         self.coords = coords
-        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        self.den = den
+        self.num, self.den = _over_lcm(clean)
 
     @classmethod
     def _raw(cls, coords: Tuple[str, ...], num: Dict[Exponents, int], den: int = 1) -> "Poly":
@@ -67,9 +61,9 @@ class Poly:
 
         The caller guarantees distinct coordinate names, exponent tuples of
         non-negative ints of the right arity, int values, no zero numerators
-        and ``den >= 1``.  Only ring and calculus results built from canonical
-        operands go through here; everything else uses the validating
-        constructor.
+        and ``den >= 1``.  The named constructors, the ring and calculus
+        results and the compiler's internal polynomials go through here; the
+        validating constructor is for terms from outside.
         """
         if den != 1:
             g = gcd(den, *num.values())
@@ -92,20 +86,22 @@ class Poly:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero(coords) -> "Poly":
-        return Poly(coords, {})
+        return Poly._raw(_distinct(coords), {})
 
     @staticmethod
     def constant(coords, value) -> "Poly":
-        coords = tuple(coords)
-        return Poly(coords, {(0,) * len(coords): fr(value)})
+        value = fr(value)
+        coords = _distinct(coords)
+        if not value:
+            return Poly._raw(coords, {})
+        return Poly._raw(coords, {(0,) * len(coords): value.numerator}, value.denominator)
 
     @staticmethod
     def variable(coords, name: str) -> "Poly":
         coords = tuple(coords)
         if name not in coords:
             raise ExactError(f"unknown coordinate {name!r} (have {coords})")
-        exps = tuple(1 if c == name else 0 for c in coords)
-        return Poly(coords, {exps: Fraction(1)})
+        return Poly._raw(_distinct(coords), {tuple(int(c == name) for c in coords): 1})
 
     # -- queries -------------------------------------------------------------
     @property
@@ -269,9 +265,7 @@ class Poly:
 
     def extend(self, coords: Iterable[str]) -> "Poly":
         """Reinterpret over a superset coordinate tuple."""
-        coords = tuple(coords)
-        if len(set(coords)) != len(coords):
-            raise ExactError(f"duplicate coordinate names: {coords}")
+        coords = _distinct(coords)
         for c in self.coords:
             if c not in coords:
                 raise ExactError(f"target coordinates {coords} do not contain {c!r}")
@@ -313,6 +307,22 @@ class Poly:
         return text.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _distinct(coords: Iterable[str]) -> Tuple[str, ...]:
+    """``coords`` as a tuple, unless a name repeats."""
+    coords = tuple(coords)
+    if len(set(coords)) != len(coords):
+        raise ExactError(f"duplicate coordinate names: {coords}")
+    return coords
+
+
+def _over_lcm(terms: Mapping[Exponents, Fraction]) -> Tuple[Dict[Exponents, int], int]:
+    """``(num, den)``: nonzero Fractions as integer numerators over the lcm of
+    their denominators.  No factor divides ``den`` and every numerator, so the
+    pair is already canonical."""
+    den = lcm(*{c.denominator for c in terms.values()})
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def _colex(term) -> Exponents:

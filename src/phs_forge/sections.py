@@ -50,16 +50,17 @@ class Section:
         raise NotImplementedError
 
     def integrate(self, p: Poly):
-        """Exact integral of ``p``, term by term through ``monomial``."""
+        """Exact integral of ``p``: its integer numerators summed against
+        ``monomial``, divided by its denominator once."""
         total = Fraction(0)
-        for exps, coeff in p.terms.items():
+        for exps, n in p.num.items():
             power = dict(zip(p.coords, exps))
             for c, k in power.items():
                 if k and c not in self.spans:
-                    term = Poly(p.coords, {exps: coeff})
+                    term = Poly(p.coords, {exps: Fraction(n, p.den)})
                     raise ExactError(f"section {self.kind} does not span {c}, so it cannot integrate {term}")
-            total += coeff * self.monomial(power.get("z2", 0), power.get("z3", 0))
-        return total
+            total += n * self.monomial(power.get("z2", 0), power.get("z3", 0))
+        return total / p.den
 
     def descriptor(self) -> str:
         """The ``[section]`` line of a model file."""

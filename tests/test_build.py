@@ -11,6 +11,8 @@ from itertools import accumulate
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phs_forge.build import (
     BuildError,
@@ -22,7 +24,7 @@ from phs_forge.build import (
     write_matrix_csv,
 )
 from phs_forge.diffop import BoundaryForm, boundary_pairing, ibp_symbol_residual, jet
-from phs_forge.exact import ExactError, PiRat, ldl_pivots
+from phs_forge.exact import ExactError, PiRat, ldl_pivots, scalar_sign
 from phs_forge.modelfile import serialize_model
 from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.poly import Poly, PolyMatrix, mat_apply
@@ -176,6 +178,75 @@ def test_mass_failure_surfaces_with_witness():
         mass_matrix(model)
 
 
+def test_asymmetric_stiffness_weight_is_reported_not_mirrored():
+    model = builtin_model("timoshenko")
+    one, zero = Poly.constant(model.comp, 1), Poly.zero(model.comp)
+    model.lambda2 = PolyMatrix([[one, zero], [zero, one]])
+    e, kg = model.cmat[0][0], model.cmat[1][1]
+    model.cmat = [[e, F(1)], [F(0), kg]]  # K = A C, with area A = 1 by default
+    with pytest.raises(BuildError, match=r"stiffness matrix .*asymmetric at \(1,2\): 1 vs 0"):
+        assemble_phs(model, validate=False)
+
+
+def _ldl_full_update(a):
+    """The elimination that updates every trailing entry and every
+    multiplier, zero or not: the reference for ``ldl_pivots``."""
+    n = len(a)
+    work = [row[:] for row in a]
+    lower = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        d = work[j][j]
+        if scalar_sign(d) <= 0:
+            x = [F(0)] * n
+            x[j] = F(1)
+            for i in range(j - 1, -1, -1):
+                x[i] = -sum((lower[r][i] * x[r] for r in range(i + 1, j + 1)), F(0))
+            return [work[i][i] for i in range(j + 1)], x
+        for i in range(j + 1, n):
+            lij = work[i][j] / d
+            lower[i][j] = lij
+            for k in range(j, n):
+                work[i][k] = work[i][k] - lij * work[j][k]
+    return [work[i][i] for i in range(n)], None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices: B B^T + I (definite), B B^T with fewer
+    columns than rows (singular), or any symmetric fill (often indefinite);
+    entries are often 0, and some matrices are scaled by pi."""
+    n = draw(st.integers(1, 5))
+    q = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    kind = draw(st.sampled_from(["definite", "singular", "indefinite"]))
+    if kind == "indefinite":
+        a = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(q)
+    else:
+        k = n if kind == "definite" else n - 1
+        b = [[draw(q) for _ in range(k)] for _ in range(n)]
+        a = [[sum((b[i][t] * b[j][t] for t in range(k)), F(int(kind == "definite" and i == j)))
+              for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        a = [[PiRat(x, 1) for x in row] for row in a]
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices())
+def test_ldl_pivots_match_the_full_update(a):
+    pivots, witness = ldl_pivots(a)
+    ref_pivots, ref_witness = _ldl_full_update(a)
+    assert pivots == ref_pivots and list(map(str, pivots)) == list(map(str, ref_pivots))
+    assert witness == ref_witness
+    if witness is not None:
+        n = len(a)
+        xax = sum((witness[i] * a[i][j] * witness[j] for i in range(n) for j in range(n)), F(0))
+        assert xax == pivots[-1] and scalar_sign(pivots[-1]) <= 0
+        assert list(map(str, witness)) == list(map(str, ref_witness))
+
+
 def test_timoshenko_interconnection_golden():
     sys_ = assemble_phs(builtin_model("timoshenko"))
     assert sys_.j_block_strings() == [
@@ -235,7 +306,6 @@ def test_spd_with_physical_parameters(name, params):
     model = builtin_model(name, params)
     mass = mass_matrix(model)
     stiff = stiffness_matrix(model)
-    from phs_forge.exact import scalar_sign
 
     assert all(scalar_sign(x) > 0 for x in leading_minors(mass))
     assert all(scalar_sign(x) > 0 for x in leading_minors(stiff))

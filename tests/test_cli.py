@@ -330,6 +330,22 @@ def test_simulate_rejects_bad_step_and_record_counts(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_simulate_names_the_flag_of_bad_cells(tmp_path, capsys):
+    for cells in ("16.5", "16,", "abc"):
+        assert _simulate_string(tmp_path, "--dt", "1/100", f"--cells={cells}") == EXIT_INVALID_MODEL
+        err = capsys.readouterr().err
+        assert err == f"error: --cells expects comma-separated integers, got {cells!r}\n", err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_simulate_names_the_flag_of_a_bad_input_column(tmp_path, capsys):
+    spec = "distributed:x:const:1"
+    assert _simulate_string(tmp_path, "--dt", "1/100", "--input", spec) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err == f"error: --input {spec!r}: column 'x' is not an integer\n", err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def _simulate_truss_traction(tmp_path, spec):
     return main(
         ["simulate", "--builtin", "truss", "--cells", "16", "--dt", "1/1000", "--steps", "3",

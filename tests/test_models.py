@@ -316,6 +316,25 @@ def test_parse_rejects_decimal_literals():
         parse_model(text)
 
 
+def test_tokenizer_tokens_and_messages():
+    from phs_forge.modelfile import MAX_LITERAL_DIGITS, _tokenize
+
+    assert _tokenize(" E/(2*(1 + nu)) - z3^2") == [
+        ("name", "E"), ("op", "/"), ("op", "("), ("num", "2"), ("op", "*"), ("op", "("),
+        ("num", "1"), ("op", "+"), ("name", "nu"), ("op", ")"), ("op", ")"), ("op", "-"),
+        ("name", "z3"), ("op", "^"), ("num", "2"), ("end", ""),
+    ]
+    assert _tokenize("  ") == [("end", "")]
+    with pytest.raises(ParseError, match=r"^decimal literal '0\.3' is not exact; write a rational like 3/10$"):
+        _tokenize("1 + 0.3")
+    digits = MAX_LITERAL_DIGITS + 1
+    with pytest.raises(ParseError, match=f"^integer literal of {digits} digits exceeds the limit of "
+                                         f"{MAX_LITERAL_DIGITS} digits$"):
+        _tokenize("1" * digits)
+    with pytest.raises(ParseError, match=r"^cannot tokenize ' \$ 2'$"):
+        _tokenize("x + $ 2")
+
+
 _TINY = """
 version = 1
 name = tiny

@@ -3,13 +3,21 @@
 import random
 from fractions import Fraction as F
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phs_forge.diffop import (
+    BoundaryForm,
+    DiffOpMatrix,
+    derivative_symbols,
+    ibp_symbol_residual,
+    jet_blocks,
+)
 from phs_forge.exact import ExactError
-from phs_forge.models import random_poly
+from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.poly import Poly, PolyMatrix
 
 Z3 = ("z3",)
@@ -345,3 +353,126 @@ def test_poly_str_round_trips_through_parser():
     for _ in range(20):
         p = random_poly(rng, Z23, 3)
         assert _poly_rows([str(p)], Z23, {}, "test") == [[p]]
+
+
+# ---------------------------------------------------------------------------
+# Internal polynomials skip the validating constructor: the named
+# constructors, operator symbols and the symbol residual must still be
+# canonical and equal to what the validating constructor builds
+# ---------------------------------------------------------------------------
+
+
+def test_named_constructors_are_canonical_and_match_the_validating_constructor():
+    for coords in ((), Z3, COORDS):
+        unit = (0,) * len(coords)
+        zero = Poly.zero(coords)
+        assert_canonical(zero)
+        assert zero == Poly(coords, {}) and zero.is_zero
+        for value in (0, 3, -1, F(-2, 6), "3/10", F(7, 4)):
+            c = Poly.constant(coords, value)
+            assert_canonical(c)
+            assert c == Poly(coords, {unit: value})
+        for i, name in enumerate(coords):
+            v = Poly.variable(coords, name)
+            assert_canonical(v)
+            assert v == Poly(coords, {unit[:i] + (1,) + unit[i + 1 :]: 1})
+
+
+def test_named_constructors_refuse_duplicate_and_unknown_coordinates():
+    twice = ("z1", "z2", "z1")
+    with pytest.raises(ExactError, match="duplicate coordinate names"):
+        Poly.zero(twice)
+    with pytest.raises(ExactError, match="duplicate coordinate names"):
+        Poly.constant(twice, 2)
+    with pytest.raises(ExactError, match="duplicate coordinate names"):
+        Poly.variable(twice, "z2")
+    with pytest.raises(ExactError, match="unknown coordinate 'z3'"):
+        Poly.variable(("z1", "z2"), "z3")
+    with pytest.raises(ExactError, match="floats"):
+        Poly.constant(Z3, 0.5)
+
+
+def _random_operator(rng, m, n, ell, order):
+    """A DiffOpMatrix with small rational coefficients, about half of them 0."""
+    def matrix():
+        return [[F(rng.randint(-3, 3), rng.choice((1, 2, 3, 6))) * rng.randint(0, 1)
+                 for _ in range(n)] for _ in range(m)]
+    axes = tuple(f"z{k}" for k in range(1, ell + 1))
+    pk = {(k, i): matrix() for k in range(1, ell + 1) for i in range(1, order + 1)}
+    return DiffOpMatrix(m, n, axes, matrix(), pk)
+
+
+def _operators():
+    ops = [builtin_model(name).op for name in builtin_names()]
+    rng = random.Random(2611)
+    for _ in range(12):
+        ops.append(_random_operator(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2),
+                                    rng.randint(1, 3)))
+    return ops
+
+
+def test_operator_symbols_are_canonical_and_match_the_validating_constructor():
+    for op in _operators():
+        coords = derivative_symbols(op.ell)
+        unit = (0,) * op.ell
+        for r, row in enumerate(op.symbols()):
+            for c, entry in enumerate(row):
+                assert_canonical(entry)
+                terms = {unit: op.p0[r][c]}
+                for (k, i), mat_ in op.pk.items():
+                    terms[unit[: k - 1] + (i,) + unit[k:]] = mat_[r][c]
+                assert entry == Poly(coords, terms)
+
+
+def _symbol_residual_reference(op, form, adjoint):
+    """F(eta)^T - F*(zeta) - sum_a (eta_a + zeta_a) Q_a(eta, zeta), summed
+    from monomials that the validating constructor builds."""
+    ell, n, m = op.ell, op.n, op.m
+    coords = tuple(f"d{side}{k}" for side in "wv" for k in range(1, ell + 1))
+    none = (0,) * ell
+
+    def power(j, k):  # eta_k^j or zeta_k^j as an exponent tuple over one side
+        return none[: k - 1] + (j,) + none[k:] if j else none
+
+    def mono(eta, zeta, c):
+        return Poly(coords, {eta + zeta: c})
+
+    def symbol(d, r, c):  # entry (r, c) of an operator as {side exponents: coefficient}
+        out = {none: d.p0[r][c]}
+        for (k, i), mat_ in d.pk.items():
+            out[power(i, k)] = mat_[r][c]
+        return out
+
+    blocks = jet_blocks(op.order, ell)
+    rows = []
+    for p in range(n):
+        row = []
+        for q in range(m):
+            terms = [mono(e, none, x) for e, x in symbol(op, q, p).items()]
+            terms += [mono(none, e, -x) for e, x in symbol(adjoint, p, q).items()]
+            for a, q_a in enumerate(form.q_axes, start=1):
+                for bi, (j, k) in enumerate(blocks):
+                    for bj, (j2, k2) in enumerate(blocks):
+                        x = q_a[bi * n + p][bj * m + q]
+                        eta, zeta = power(j, k), power(j2, k2)
+                        terms.append(mono(tuple(map(add, eta, power(1, a))), zeta, -x))
+                        terms.append(mono(eta, tuple(map(add, zeta, power(1, a))), -x))
+            row.append(sum(terms, Poly.zero(coords)))
+        rows.append(row)
+    return rows
+
+
+def test_symbol_residual_is_canonical_and_matches_the_validating_constructor():
+    rng = random.Random(2612)
+    for op in _operators():
+        form, adjoint = BoundaryForm(op), op.formal_adjoint()
+        bent = BoundaryForm(op)  # a perturbed form, so the residual is not zero
+        bent.q_axes = [[[x * F(rng.randint(1, 4), 3) for x in row] for row in q] for q in bent.q_axes]
+        other = _random_operator(rng, op.n, op.m, op.ell, op.order)
+        for f, adj in ((form, adjoint), (bent, adjoint), (form, other)):
+            got = ibp_symbol_residual(op, form=f, adjoint=adj)
+            for row, ref_row in zip(got, _symbol_residual_reference(op, f, adj)):
+                for entry, ref in zip(row, ref_row):
+                    assert_canonical(entry)
+                    assert entry == ref
+        assert all(e.is_zero for row in ibp_symbol_residual(op) for e in row)
