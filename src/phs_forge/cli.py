@@ -81,7 +81,7 @@ def _compile(args):
             print(report, file=_sys.stderr)
             return None
         return assemble_phs(model, validate=False)
-    except (ModelError, ExactError) as exc:
+    except (ModelError, ExactError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return None
 
@@ -132,6 +132,8 @@ def _parse_bc(text):
             if "=" not in item:
                 raise ValueError(f"--bc expects face=kind, got {item!r}")
             face, kind = (s.strip() for s in item.split("=", 1))
+            if face in bc:
+                raise ValueError(f"--bc gives face {face!r} twice")
             bc[face] = kind
     return bc
 
@@ -205,10 +207,10 @@ def cmd_simulate(args) -> int:
         return EXIT_INVALID_MODEL
     try:
         dt = _parse_dt(args.dt)
-        if args.steps < 1:
-            raise ValueError(f"--steps must be >= 1, got {args.steps}")
-        if args.record < 0:
-            raise ValueError(f"--record must be >= 0, got {args.record}")
+        for flag, value, least in (("--steps", args.steps, 1), ("--record", args.record, 0),
+                                   ("--seed", args.seed, 0)):
+            if value < least:
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
         cells = _parse_cells(args.cells)
         dsys = discretize(sys_, GridSpec(cells), _parse_bc(args.bc))
         inputs = _parse_inputs(args.input, dsys)
@@ -339,7 +341,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ExactError, ValueError) as exc:  # every phs_forge error but ExactError is a ValueError
+    # every phs_forge error but ExactError is a ValueError; OSError is an unwritable output
+    except (ExactError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
 

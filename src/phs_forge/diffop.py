@@ -29,12 +29,14 @@ mutation suite passes corrupted ones to ``ibp_residual``.  (The calculus of
 two-variable polynomial matrices: Willems & Trentelman, "On quadratic
 differential forms", SIAM J. Control Optim. 36(5), 1998.)
 
-Every integral of a product of fields, the volume terms as well as the
-boundary fluxes, is one call of ``DomainSpec.pairing``: ``u^T M v`` over the
-box or through the two faces of one axis.  The kernel never builds the
-product polynomial.  It restricts each factor to a face first, maps its terms
-to integers at flat indices, and sums ``n_a n_b mu[k_a + k_b]`` against a
-cached table of box moments, built from ``poly.moment_weights``.
+Every integral of the identity, the volume terms as well as the boundary
+fluxes, is one call of ``DomainSpec.pairing``: ``u^T M v`` over the box or
+through the two faces of one axis.  The kernel never builds the product
+polynomial.  It restricts each factor to a face first, maps its terms to
+integers at flat indices, and sums ``n_a n_b mu[k_a + k_b]`` against a
+cached table of box moments, built from ``poly.moment_weights``.  The
+section Gram matrices are not pairings: ``build._section_gram`` integrates
+them through ``Section.integrate``.
 """
 
 from __future__ import annotations

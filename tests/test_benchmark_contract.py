@@ -62,3 +62,11 @@ def test_tiny_size_report_matches_its_pins(workloads):
     assert len(results) == size.expected_checks
     digest = hashlib.sha256(verify.report_json(results, seed).encode("utf-8")).hexdigest()
     assert digest == size.report_digest
+
+
+def test_every_result_carries_a_positive_elapsed_time(workloads):
+    """The traced verify-suite pass sums ``elapsed`` over the
+    ``lemma1:elasticity3d:`` results, so each family must time its checks."""
+    results = verify.run_all(workloads.REPORT_SEED, model_names=["elasticity3d", "truss"], trials=2)
+    assert any(r.check_id.startswith("lemma1:elasticity3d:") for r in results)
+    assert all(type(r.elapsed) is float and r.elapsed > 0 for r in results)

@@ -376,6 +376,51 @@ def test_simulate_stops_when_energy_overflows(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_simulate_refuses_a_negative_seed_before_discretizing(tmp_path, capsys, monkeypatch):
+    from phs_forge import cli
+
+    monkeypatch.setattr(cli, "discretize", None)  # a call would raise TypeError
+    assert _simulate_string(tmp_path, "--dt", "1/100", "--seed", "-1") == EXIT_INVALID_MODEL
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_simulate_refuses_a_face_given_twice(tmp_path, capsys):
+    assert _simulate_string(tmp_path, "--dt", "1/100", "--bc", "left=clamped,left=free") == EXIT_INVALID_MODEL
+    assert capsys.readouterr().err == "error: --bc gives face 'left' twice\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "export", "simulate"])
+def test_every_compiling_command_reports_a_missing_model_file(tmp_path, capsys, command):
+    extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []
+    missing = tmp_path / "missing.phsm"
+    assert main([command, "--file", str(missing), "--out-dir", str(tmp_path / "out"), *extra]) == EXIT_INVALID_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory") and "missing.phsm" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["build", "--builtin", "truss", "--out", "{tmp}/no/x.json"],
+        ["export", "--builtin", "truss", "--out-dir", "{tmp}/file"],
+        ["simulate", "--builtin", "truss", "--cells", "8", "--dt", "1/100", "--steps", "2",
+         "--energy", "{tmp}/no/e.csv"],
+        ["simulate", "--builtin", "truss", "--cells", "8", "--dt", "1/100", "--steps", "2",
+         "--energy", "{tmp}/e.csv", "--out", "{tmp}/no/traj.csv"],
+        ["verify", "--model", "truss", "--trials", "1", "--json", "{tmp}/no/r.json"],
+    ],
+    ids=["build-out", "export-out-dir", "simulate-energy", "simulate-out", "verify-json"],
+)
+def test_an_unwritable_output_ends_in_an_error_line(tmp_path, capsys, args):
+    (tmp_path / "file").write_text("")  # an --out-dir that is a file
+    assert main([a.format(tmp=tmp_path) for a in args]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(tmp_path) in err, err
+
+
 def _model_text(name, **replace):
     from phs_forge.modelfile import serialize_model
     from phs_forge.models import builtin_model
