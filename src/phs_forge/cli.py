@@ -111,6 +111,10 @@ def cmd_verify(args) -> int:
         print(f"error: --trials must be >= 1, got {args.trials}", file=_sys.stderr)
         return EXIT_INVALID_MODEL
     names = None if args.all or not args.model else list(args.model)
+    for name in names or ():
+        if names.count(name) > 1:
+            print(f"error: --model gives {name!r} twice", file=_sys.stderr)
+            return EXIT_INVALID_MODEL
     results = run_all(seed=args.seed, model_names=names, trials=args.trials)
     failures = [r for r in results if not r.ok]
     for r in results:

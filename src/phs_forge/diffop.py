@@ -19,24 +19,30 @@ Entries render as polynomials in ``d1..dl`` (``symbols``), through
 
 The identity is checked two ways.  ``ibp_symbol_residual`` proves it: for
 this operator class it holds if and only if a finite matrix of polynomials in
-(eta, zeta) is zero.  ``ibp_residual`` evaluates it with exact arithmetic on
+(eta, zeta) is zero.  ``IbpOracle`` evaluates it with exact arithmetic on
 given fields and must return rational zero for every valid operator: it is
 the only place that pairs jets with a boundary form or integrates the volume
-mismatch.  Both take ``form=`` and ``adjoint=`` keywords that default to the
-operator's own ``BoundaryForm`` and ``formal_adjoint()``.  The verify suite's
-energy check passes both the stored ones of a compiled system, and its
-mutation suite passes corrupted ones to ``ibp_residual``.  (The calculus of
-two-variable polynomial matrices: Willems & Trentelman, "On quadratic
-differential forms", SIAM J. Control Optim. 36(5), 1998.)
+mismatch, and ``ibp_residual``, ``volume_mismatch`` and ``boundary_pairing``
+are one-call oracles.  Both take ``form=`` and ``adjoint=`` keywords that
+default to the operator's own ``BoundaryForm`` and ``formal_adjoint()``.
+The verify suite's energy check passes both the stored ones of a compiled
+system, and its mutation suite passes corrupted ones to the oracle.  (The
+calculus of two-variable polynomial matrices: Willems & Trentelman, "On
+quadratic differential forms", SIAM J. Control Optim. 36(5), 1998.)
 
 Every integral of the identity, the volume terms as well as the boundary
-fluxes, is one call of ``DomainSpec.pairing``: ``u^T M v`` over the box or
-through the two faces of one axis.  The kernel never builds the product
-polynomial.  It restricts each factor to a face first, maps its terms to
-integers at flat indices, and sums ``n_a n_b mu[k_a + k_b]`` against a
-cached table of box moments, built from ``poly.moment_weights``.  The
-section Gram matrices are not pairings: ``build._section_gram`` integrates
-them through ``Section.integrate``.
+fluxes, is ``u^T M v`` over the box or through the two faces of one axis,
+and ``DomainSpec.pairing`` and ``IbpOracle`` integrate it with the same
+kernel.  It never builds the product polynomial.  ``_encode`` turns ``M``
+into integer rows over a common denominator, ``_flatten`` restricts each
+factor to a face and maps its terms to integers at flat indices, and
+``_contract`` sums ``n_a n_b mu[k_a + k_b]`` against a table of box
+moments, built from ``poly.moment_weights`` and cached per (bounds, skipped
+axis, top degree).  ``pairing`` encodes its matrix on every call; an oracle
+encodes its matrices once, keeps its own tables keyed by (skipped axis, top
+degree), and per field pair only flattens and contracts.  The section Gram
+matrices are not pairings: ``build._section_gram`` integrates them through
+``Section.integrate``.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact import ExactError, fr, mat_scale, transpose, zeros
 from .poly import Poly, _over_lcm, mat_apply, moment_weights, power_table
@@ -307,36 +313,30 @@ class DomainSpec:
         face the value ``p/q`` of its axis is folded in first, as
         ``n p^k q^(t-k)`` over ``q^t``.  The integral of a product of two
         terms is then ``n_a n_b mu[k_a + k_b]``, with ``mu`` the cached table
-        of box moments.  ``M`` is applied to ``v`` row by row, so each nonzero
-        row costs one double sum.  The factors must be over ``axes``.
+        of box moments.  ``M`` is encoded as integer rows (``_encode``) and
+        applied to ``v`` row by row, so each nonzero row costs one double
+        sum.  The factors must be over ``axes``.
         """
         if len(mat_) != len(u) or any(len(row) != len(v) for row in mat_):
             raise ExactError(f"pairing matrix is not {len(u)} x {len(v)}")
-        # lcm over a set: a short argument tuple for any matrix size, which
-        # keeps the interpreter's tuple free lists (and peak RSS) small
-        lm = lcm(*{x.denominator for row in mat_ for x in row})
-        rows = [
-            [(j, x.numerator * (lm // x.denominator)) for j, x in enumerate(row) if x]
-            for row in mat_
-        ]
-        for p in chain(u, v):
-            if p.coords != self.axes:
-                raise ExactError(f"factor over {p.coords} paired on a domain over {self.axes}")
-        du = max((max(map(max, p.num)) for p in u if p.num), default=0)
-        dv = max((max(map(max, p.num)) for p in v if p.num), default=0)
-        top = du + dv
-        skip = -1 if axis is None else axis
-        mu, den, index = _moments(self.bounds, skip, top)
+        lm = _common_denominator(mat_)
+        rows = _encode(mat_, lm)
+        self._own(chain(u, v))
+        du, dv = _degree(u), _degree(v)
+        table = _moments(self.bounds, -1 if axis is None else axis, du + dv)
         if axis is None:
+            mu, den, index = table
             us, lu = _flatten(u, index)
             vs, lv = _flatten(v, index)
             return Fraction(_contract(us, rows, vs, mu), den * lu * lv * lm)
-        lo, hi = self.bounds[axis]
-        us, lu = _flatten(u, index, axis, (power_table(hi, du), power_table(lo, du)))
-        vs, lv = _flatten(v, index, axis, (power_table(hi, dv), power_table(lo, dv)))
-        s_hi, s_lo = (_contract(a, rows, b, mu) for a, b in zip(us, vs))
-        q_hi, q_lo = hi.denominator**top, lo.denominator**top
-        return Fraction(s_hi * q_lo - s_lo * q_hi, den * lu * lv * lm * q_hi * q_lo)
+        num, den = _flux(table, self.bounds[axis], axis, du, dv, u, rows, v)
+        return Fraction(num, den * lm)
+
+    def _own(self, polys: Iterable[Poly]) -> None:
+        """Refuse a factor that is not over ``axes``."""
+        for p in polys:
+            if p.coords != self.axes:
+                raise ExactError(f"factor over {p.coords} paired on a domain over {self.axes}")
 
 
 @lru_cache(maxsize=256)
@@ -362,6 +362,25 @@ def _moments(bounds, skip: int, top: int):
         den *= axis_den // g
     index = {e: sum(map(mul, e, places)) for e in product(range(n), repeat=len(bounds))}
     return tuple(mu), den, index
+
+
+def _common_denominator(*matrices: Matrix) -> int:
+    """The lcm of the denominators of every entry of ``matrices``."""
+    # lcm over a set: a short argument tuple for any matrix size, which
+    # keeps the interpreter's tuple free lists (and peak RSS) small
+    return lcm(*{x.denominator for mat_ in matrices for row in mat_ for x in row})
+
+
+def _encode(mat_: Matrix, lm: int) -> List[List[Tuple[int, int]]]:
+    """``M`` times ``lm``, a common multiple of its denominators, as integer
+    rows: row i lists the nonzero ``(j, lm M_ij)``.  This is the form
+    ``_contract`` reads."""
+    return [[(j, x.numerator * (lm // x.denominator)) for j, x in enumerate(row) if x] for row in mat_]
+
+
+def _degree(polys: Iterable[Poly]) -> int:
+    """The largest single exponent in any term of ``polys`` (0 if none)."""
+    return max((max(map(max, p.num)) for p in polys if p.num), default=0)
 
 
 def _flatten(polys: Sequence[Poly], index, axis: int = -1, faces=None):
@@ -411,6 +430,127 @@ def _contract(us, rows, vs, mu) -> int:
     return total
 
 
+def _flux(table, bound, axis: int, du: int, dv: int, u, rows, v) -> Tuple[int, int]:
+    """The flux of ``u^T M v`` through the faces ``bound = (lo, hi)`` of
+    ``axis``, as ``(numerator, denominator)``.  ``rows`` is ``M`` encoded by
+    ``_encode``, whose factor ``lm`` the denominator leaves out; ``table``
+    is ``_moments`` without ``axis`` up to ``du + dv``; and ``du``, ``dv``
+    bound the exponents of ``u`` and ``v``."""
+    mu, den, index = table
+    lo, hi = bound
+    us, lu = _flatten(u, index, axis, (power_table(hi, du), power_table(lo, du)))
+    vs, lv = _flatten(v, index, axis, (power_table(hi, dv), power_table(lo, dv)))
+    s_hi, s_lo = (_contract(a, rows, b, mu) for a, b in zip(us, vs))
+    q_hi, q_lo = hi.denominator ** (du + dv), lo.denominator ** (du + dv)
+    return s_hi * q_lo - s_lo * q_hi, den * lu * lv * q_hi * q_lo
+
+
+def _block_row(op: DiffOpMatrix) -> Matrix:
+    """F's block row ``[P0 | Pk(k, i) ...]``, which pairs with the stacked
+    ``[w; d_k^i w; ...]`` (``_stacked``) to give ``F w``."""
+    blocks = [op.p0, *op.pk.values()]
+    return [[x for b in blocks for x in b[r]] for r in range(op.m)]
+
+
+def _stacked(op: DiffOpMatrix, w: Sequence[Poly]) -> List[Poly]:
+    """``[w; d_k^i w; ...]`` in the order of ``op.pk``; its first block is ``w``."""
+    return list(w) + [f for k, i in op.pk for f in _diff(w, op.axes[k - 1], i)]
+
+
+def _check_pair(op: DiffOpMatrix, form: BoundaryForm, adjoint: DiffOpMatrix) -> None:
+    """Refuse a boundary form or an adjoint whose shape does not fit ``op``."""
+    rows, cols = jet_layout(op.n, op.order, op.ell), jet_layout(op.m, op.order, op.ell)
+    if (adjoint.m, adjoint.n) != (op.n, op.m) or len(form.q_axes) != op.ell or any(
+        len(q) != rows or any(len(row) != cols for row in q) for q in form.q_axes
+    ):
+        raise ExactError("adjoint or boundary form does not match the operator")
+
+
+class IbpOracle:
+    """The integration-by-parts identity of one operator on one domain,
+    prepared for many field pairs.
+
+    ``residual(v, w)`` is ``integral(v^T F w - w^T F* v)`` minus the
+    boundary pairing of the jets through ``Q_a``; ``form`` and ``adjoint``
+    default to the operator's own ``BoundaryForm`` and ``formal_adjoint()``.
+    The constant matrices are encoded once, here, as integer rows over one
+    common denominator: the volume side as one block matrix
+    ``[[F, 0], [0, -F*]]`` (``F`` and ``F*`` as block rows, ``_block_row``)
+    against ``[w; d w ...; v; d v ...]``, and each ``Q_a``.  A call then
+    finds one top exponent, flattens the two stacks once (their first blocks
+    serve as ``w`` and ``v``) and each jet once per axis, and contracts.
+    Moment tables are kept per oracle, keyed by ``(skipped axis, top)``.
+    """
+
+    __slots__ = ("op", "dom", "adjoint", "_lm", "_volume", "_q", "_tables")
+
+    def __init__(
+        self,
+        op: DiffOpMatrix,
+        dom: DomainSpec,
+        form: Optional[BoundaryForm] = None,
+        adjoint: Optional[DiffOpMatrix] = None,
+    ):
+        if form is None:
+            form = BoundaryForm(op)
+        if adjoint is None:
+            adjoint = op.formal_adjoint()
+        _check_pair(op, form, adjoint)
+        self.op, self.dom, self.adjoint = op, dom, adjoint
+        f, f_star = _block_row(op), _block_row(adjoint)
+        self._lm = lm = _common_denominator(f, f_star, *form.q_axes)
+        shift = len(f[0])  # [v; d v ...] follows [w; d w ...]
+        self._volume = _encode(f, lm) + [
+            [(shift + j, -x) for j, x in row] for row in _encode(f_star, lm)
+        ]
+        self._q = [_encode(q, lm) for q in form.q_axes]
+        self._tables: Dict[Tuple[int, int], tuple] = {}
+
+    def _table(self, skip: int, top: int):
+        table = self._tables.get((skip, top))
+        if table is None:
+            table = self._tables[skip, top] = _moments(self.dom.bounds, skip, top)
+        return table
+
+    def _checked_degree(self, v: Sequence[Poly], w: Sequence[Poly]) -> int:
+        """The one degree bound of a call, after the fields are checked."""
+        if len(v) != self.op.m or len(w) != self.op.n:
+            raise ExactError("field dimensions do not match the operator")
+        self.dom._own(chain(v, w))
+        return _degree(chain(v, w))
+
+    def _volume_part(self, v, w, d: int) -> Fraction:
+        mu, den, index = self._table(-1, 2 * d)
+        a, la = _flatten(_stacked(self.op, w), index)
+        b, lb = _flatten(_stacked(self.adjoint, v), index)
+        us = b[: self.op.m] + a[: self.op.n]
+        return Fraction(_contract(us, self._volume, a + b, mu), den * la * lb * self._lm)
+
+    def _boundary_part(self, v, w, d: int) -> Fraction:
+        op, bounds = self.op, self.dom.bounds
+        jw, jv = jet(w, op.order, op.axes), jet(v, op.order, op.axes)
+        total = Fraction(0)
+        for axis, rows in enumerate(self._q):
+            num, den = _flux(self._table(axis, 2 * d), bounds[axis], axis, d, d, jw, rows, jv)
+            total += Fraction(num, den * self._lm)
+        return total
+
+    def volume(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
+        """integral_Omega (v^T F w - w^T F* v) dx, exactly."""
+        return self._volume_part(v, w, self._checked_degree(v, w))
+
+    def boundary(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
+        """The boundary side: one flux of ``jet(w)^T Q_a jet(v)`` per axis."""
+        return self._boundary_part(v, w, self._checked_degree(v, w))
+
+    def residual(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
+        """``volume(v, w) - boundary(v, w)``: exactly zero for every operator
+        of the supported class and any polynomial fields, as long as the
+        form and the adjoint are (or equal) the operator's own."""
+        d = self._checked_degree(v, w)
+        return self._volume_part(v, w, d) - self._boundary_part(v, w, d)
+
+
 def boundary_pairing(
     op: DiffOpMatrix,
     v: Sequence[Poly],
@@ -420,11 +560,7 @@ def boundary_pairing(
 ) -> Fraction:
     """Boundary side of the adjoint identity via the assembled Q form
     (``form`` defaults to the operator's own): one flux per axis."""
-    if form is None:
-        form = BoundaryForm(op)
-    jw = jet(w, op.order, op.axes)
-    jv = jet(v, op.order, op.axes)
-    return sum((dom.pairing(jw, q, jv, axis=a) for a, q in enumerate(form.q_axes)), Fraction(0))
+    return IbpOracle(op, dom, form=form).boundary(v, w)
 
 
 def boundary_pairing_sum_form(
@@ -452,21 +588,7 @@ def volume_mismatch(
 ) -> Fraction:
     """integral_Omega (v^T F w - w^T F* v) dx, exactly (``adjoint`` stands in
     for F*; it defaults to the formal adjoint)."""
-    if len(v) != op.m or len(w) != op.n:
-        raise ExactError("field dimensions do not match the operator")
-    if adjoint is None:
-        adjoint = op.formal_adjoint()
-    return _applied_pairing(dom, v, op, w) - _applied_pairing(dom, w, adjoint, v)
-
-
-def _applied_pairing(
-    dom: DomainSpec, u: Sequence[Poly], op: DiffOpMatrix, w: Sequence[Poly]
-) -> Fraction:
-    """integral_Omega u^T (F w), with F applied inside the kernel: the block
-    row [P0 | Pk(k, i) ...] paired with the stacked [w; d_k^i w; ...]."""
-    fields = list(w) + [f for k, i in op.pk for f in _diff(w, op.axes[k - 1], i)]
-    blocks = [op.p0, *op.pk.values()]
-    return dom.pairing(u, [[x for b in blocks for x in b[r]] for r in range(op.m)], fields)
+    return IbpOracle(op, dom, adjoint=adjoint).volume(v, w)
 
 
 def ibp_residual(
@@ -477,12 +599,9 @@ def ibp_residual(
     form: Optional[BoundaryForm] = None,
     adjoint: Optional[DiffOpMatrix] = None,
 ) -> Fraction:
-    """Residual of the integration-by-parts identity; exactly zero for every
-    operator of the supported class and any polynomial fields, as long as
-    ``form`` and ``adjoint`` are left at (or equal) the operator's own."""
-    return volume_mismatch(op, v, w, dom, adjoint=adjoint) - boundary_pairing(
-        op, v, w, dom, form=form
-    )
+    """Residual of the integration-by-parts identity (``IbpOracle.residual``
+    on a one-call oracle)."""
+    return IbpOracle(op, dom, form=form, adjoint=adjoint).residual(v, w)
 
 
 def ibp_symbol_residual(
@@ -506,6 +625,7 @@ def ibp_symbol_residual(
         form = BoundaryForm(op)
     if adjoint is None:
         adjoint = op.formal_adjoint()
+    _check_pair(op, form, adjoint)
     n, m, ell = op.n, op.m, op.ell
     zero = (0,) * (2 * ell)
     # (component, exponents) at each jet index; side 0 is eta, side ell zeta
@@ -514,10 +634,6 @@ def ibp_symbol_residual(
          for j, k in jet_blocks(op.order, ell) for p in range(size)]
         for size, s in ((n, 0), (m, ell))
     )
-    if (adjoint.m, adjoint.n) != (n, m) or len(form.q_axes) != ell or any(
-        len(q) != len(rows) or any(len(row) != len(cols) for row in q) for q in form.q_axes
-    ):
-        raise ExactError("adjoint or boundary form does not match the operator")
     # integer numerators over one denominator, the lcm of every coefficient's
     fw, fv = op.symbols(), adjoint.symbols()
     den = lcm(

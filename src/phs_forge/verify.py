@@ -5,15 +5,15 @@ adjoint/boundary identity on random polynomial fields, the energy-rate
 collapse to boundary terms, the first-order limits between models, and a
 mutation suite that plants sign/transposition/index bugs in the boundary
 blocks and requires the residual oracle to expose them.  The identity has
-one sampled oracle, ``diffop.ibp_residual``, and one proof,
+one sampled oracle, ``diffop.IbpOracle``, and one proof,
 ``diffop.ibp_symbol_residual``.  Lemma1 and the energy check run both, the
 proof once per model: lemma1 with the operator's own adjoint and boundary
 form, the energy check with the stored ones of the compiled system (so it
 certifies what ``export`` writes).  Each mutation passes a corrupted
 ``form=`` or ``adjoint=`` to the sampled oracle.  All three families sample
-the oracle through one loop, ``_residuals``.  Reports are deterministic
-for a fixed seed; serialized reports omit wall-clock timing so two runs with
-the same seed are byte-identical.
+the oracle through one loop, ``_residuals``, which builds one oracle per
+seed key.  Reports are deterministic for a fixed seed; serialized reports
+omit wall-clock timing so two runs with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from .build import assemble_phs, mass_matrix, stiffness_matrix
-from .diffop import BoundaryForm, DiffOpMatrix, ibp_residual, ibp_symbol_residual, jet_blocks
+from .diffop import BoundaryForm, DiffOpMatrix, IbpOracle, ibp_symbol_residual, jet_blocks
 from .exact import is_symmetric, mat_scale, transpose
 from .models import (
     KinematicModel,
@@ -76,14 +76,17 @@ def _staged(check_id, subject, stages) -> CheckResult:
 
 
 def _residuals(key: str, op: DiffOpMatrix, domain, trials: int, form=None, adjoint=None):
-    """Yield ``trials`` values of ``ibp_residual``, each on fresh fields drawn
-    from ``random.Random(key)``: ``v`` (``op.m`` fields), then ``w``
-    (``op.n``), of degree ``op.order + 2``."""
+    """Yield ``trials`` residuals of one ``IbpOracle``, built on the first
+    ``next`` with ``form`` and ``adjoint``, each on fresh fields drawn from
+    ``random.Random(key)``: ``v`` (``op.m`` fields), then ``w`` (``op.n``),
+    of degree ``op.order + 2``.  The oracle encodes its matrices once; a
+    trial only flattens the fields and contracts."""
+    oracle = IbpOracle(op, domain, form=form, adjoint=adjoint)
     rng = random.Random(key)  # string seeding is deterministic across processes (unlike hash())
     for _ in range(trials):
         v = [random_poly(rng, op.axes, op.order + 2) for _ in range(op.m)]
         w = [random_poly(rng, op.axes, op.order + 2) for _ in range(op.n)]
-        yield ibp_residual(op, v, w, domain, form=form, adjoint=adjoint)
+        yield oracle.residual(v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +97,9 @@ def _residuals(key: str, op: DiffOpMatrix, domain, trials: int, form=None, adjoi
 def check_lemma1(models: Sequence[KinematicModel], trials: int = 20, seed: int = 0) -> List[CheckResult]:
     """One result per (model, trial): the integration-by-parts residual must
     be exactly the rational zero, and the model's symbol identity
-    (``ibp_symbol_residual``, computed once per model) must be zero."""
+    (``ibp_symbol_residual``, computed once per model) must be zero.  A
+    trial's ``elapsed`` times its draw and its residual; the first trial's
+    also times building the model's ``IbpOracle``."""
     if trials < 1:
         raise ValueError(f"need at least one lemma1 trial, got {trials}")
     out = []
@@ -340,7 +345,14 @@ def check_limits_and_reductions() -> List[CheckResult]:
 
 
 def run_all(seed: int = 0, model_names: Optional[Sequence[str]] = None, trials: int = 20) -> List[CheckResult]:
-    names = sorted(model_names) if model_names else builtin_names()
+    """Every check family over ``model_names`` (None: all builtins); an empty
+    or repeating list is refused, since it would run other checks than named."""
+    names = builtin_names() if model_names is None else sorted(model_names)
+    if not names:
+        raise ValueError("model_names is empty: name at least one model, or pass None for all")
+    repeated = sorted({a for a, b in zip(names, names[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"model_names repeats {', '.join(repeated)}")
     models = [builtin_model(name) for name in names]
     results: List[CheckResult] = []
     results += check_lemma1(models, trials=trials, seed=seed)

@@ -64,6 +64,18 @@ def test_tiny_size_report_matches_its_pins(workloads):
     assert digest == size.report_digest
 
 
+def test_full_size_pins_are_the_acceptance_report_pins(workloads):
+    """The full size's run is ``run_all(7, trials=20)`` over every builtin,
+    the run whose report criterion 8 pins; both pins must name the same
+    report, so neither can drift alone."""
+    from test_acceptance import REPORT_SEED7_SHA256
+
+    size = workloads.SIZES["full"]
+    assert (workloads.REPORT_SEED, size.verify_models, size.trials) == (7, None, 20)
+    assert size.report_digest == REPORT_SEED7_SHA256
+    assert size.expected_checks == 262
+
+
 def test_every_result_carries_a_positive_elapsed_time(workloads):
     """The traced verify-suite pass sums ``elapsed`` over the
     ``lemma1:elasticity3d:`` results, so each family must time its checks."""

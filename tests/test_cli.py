@@ -180,6 +180,17 @@ def test_verify_rejects_fewer_than_one_trial(tmp_path, capsys):
         assert not report.exists()
 
 
+def test_verify_refuses_a_model_given_twice(tmp_path, capsys):
+    # it used to run the model's checks twice, reporting repeated check ids
+    report = tmp_path / "r.json"
+    args = ["verify", "--model", "truss", "--model", "string", "--model", "truss", "--trials", "1"]
+    assert main(args + ["--json", str(report)]) == EXIT_INVALID_MODEL
+    captured = capsys.readouterr()
+    assert captured.err == "error: --model gives 'truss' twice\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
 def test_verify_unknown_model_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--model", "nosuch"])

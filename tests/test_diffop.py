@@ -2,6 +2,7 @@
 integration-by-parts identity that anchors everything else."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from phs_forge.diffop import (
     BoundaryForm,
     DiffOpMatrix,
     DomainSpec,
+    IbpOracle,
     boundary_pairing,
     boundary_pairing_sum_form,
     derivative_symbols,
@@ -366,9 +368,11 @@ SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
 @st.composite
-def operators(draw):
-    ell = draw(st.integers(1, 3))
-    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+def operators(draw, ell=None, m=None, n=None):
+    """A random operator; ``ell``, ``m`` and ``n`` are drawn unless given."""
+    ell = draw(st.integers(1, 3)) if ell is None else ell
+    m = draw(st.integers(1, 2)) if m is None else m
+    n = draw(st.integers(1, 2)) if n is None else n
     order = draw(st.integers(0, 3))
 
     def matrix():
@@ -381,9 +385,9 @@ def operators(draw):
 
 
 @st.composite
-def fields(draw, axes, count, degree):
+def fields(draw, axes, count, degree, coeffs=SMALL):
     exps = st.tuples(*[st.integers(0, degree)] * len(axes)).filter(lambda e: sum(e) <= degree)
-    return [Poly(axes, draw(st.dictionaries(exps, SMALL, max_size=4))) for _ in range(count)]
+    return [Poly(axes, draw(st.dictionaries(exps, coeffs, max_size=4))) for _ in range(count)]
 
 
 @st.composite
@@ -395,6 +399,15 @@ def domains(draw, axes):
         a = draw(lo)
         bounds.append((a, a + draw(length)))
     return DomainSpec(axes, tuple(bounds))
+
+
+def _perturbed_form(form, rng):
+    """``form`` with a random rational added to every entry of every Q_a."""
+    perturbed = BoundaryForm(form.op)
+    perturbed.q_axes = [
+        [[x + F(rng.randint(-3, 3), rng.randint(1, 3)) for x in row] for row in q] for q in form.q_axes
+    ]
+    return perturbed
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,14 +428,96 @@ def test_ibp_oracle_properties_on_random_operators(data):
     # form and for a perturbed one (same function, not only both zero-residual)
     assert boundary_pairing(op, v, w, dom) == _per_face_pairing(op, v, w, dom, BoundaryForm(op))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    perturbed = BoundaryForm(op)
-    perturbed.q_axes = [
-        [[x + F(rng.randint(-3, 3), rng.randint(1, 3)) for x in row] for row in q]
-        for q in perturbed.q_axes
-    ]
+    perturbed = _perturbed_form(BoundaryForm(op), rng)
     assert boundary_pairing(op, v, w, dom, form=perturbed) == _per_face_pairing(
         op, v, w, dom, perturbed
     )
+
+
+# nonzero coefficients over denominators other than 1 (the sampled checks
+# draw integer fields only)
+RATIONAL = st.builds(F, st.integers(-7, 7).filter(bool), st.sampled_from([2, 3, 5, 12]))
+
+
+def _reference_sides(op, v, w, dom, form, adjoint):
+    """(volume, boundary) of the identity, each product-then-integrate:
+    ``F w`` and ``F* v`` applied as polynomials, and one
+    ``_reference_pairing`` flux of ``jet(w)^T Q_a jet(v)`` per axis."""
+    eye = lambda k: [[F(int(i == j)) for j in range(k)] for i in range(k)]
+    volume = _reference_pairing(dom, v, eye(op.m), op.apply(w), None) - _reference_pairing(
+        dom, w, eye(op.n), adjoint.apply(v), None
+    )
+    jw, jv = jet(w, op.order, op.axes), jet(v, op.order, op.axes)
+    boundary = sum((_reference_pairing(dom, jw, q, jv, a) for a, q in enumerate(form.q_axes)), F(0))
+    return volume, boundary
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_one_oracle_reused_over_field_pairs_matches_the_references(data):
+    """One IbpOracle, reused over several field pairs, gives for each pair
+    the product-then-integrate residual and a fresh ibp_residual: with the
+    operator's own form and adjoint (residual zero) and with perturbed
+    ones, rational coefficients, zero fields and v, w of different
+    degrees."""
+    op = data.draw(operators())
+    dom = data.draw(domains(op.axes))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    form, adjoint = BoundaryForm(op), op.formal_adjoint()
+    own_form, own_adjoint = data.draw(st.booleans()), data.draw(st.booleans())
+    if not own_form:
+        form = _perturbed_form(form, rng)
+    if not own_adjoint:
+        adjoint = data.draw(operators(op.ell, op.n, op.m))
+    oracle = IbpOracle(op, dom, form=form, adjoint=adjoint)
+    for _ in range(data.draw(st.integers(2, 4))):
+        v, w = (
+            data.draw(fields(op.axes, count, data.draw(st.integers(0, op.order + 2)), coeffs))
+            for count, coeffs in ((op.m, data.draw(st.sampled_from([SMALL, RATIONAL]))),
+                                  (op.n, data.draw(st.sampled_from([SMALL, RATIONAL]))))
+        )
+        if data.draw(st.booleans()):
+            v = [Poly.zero(op.axes)] * op.m
+        volume, boundary = _reference_sides(op, v, w, dom, form, adjoint)
+        assert oracle.volume(v, w) == volume == volume_mismatch(op, v, w, dom, adjoint=adjoint)
+        assert oracle.boundary(v, w) == boundary == boundary_pairing(op, v, w, dom, form=form)
+        res = oracle.residual(v, w)
+        assert res == volume - boundary == ibp_residual(op, v, w, dom, form=form, adjoint=adjoint)
+        if own_form and own_adjoint:
+            assert res == 0
+
+
+@pytest.mark.parametrize("call", ["ibp_residual", "volume_mismatch", "oracle"])
+def test_oracle_refusals_keep_their_messages(call):
+    op = timoshenko_op()  # 2 x 2 over z1
+    dom = DomainSpec.interval(F(-1, 2), 1)
+    evaluate = {
+        "ibp_residual": lambda v, w: ibp_residual(op, v, w, dom),
+        "volume_mismatch": lambda v, w: volume_mismatch(op, v, w, dom),
+        "oracle": IbpOracle(op, dom).residual,
+    }[call]
+    one, alien = Poly.constant(X1, 1), Poly.variable(X12, "z1")
+    for v, w in (([one], [one, one]), ([one, one], [one, one, one])):
+        with pytest.raises(ExactError, match="^field dimensions do not match the operator$"):
+            evaluate(v, w)
+    message = "factor over ('z1', 'z2') paired on a domain over ('z1',)"
+    for v, w in (([one, alien], [one, one]), ([one, one], [alien, one])):
+        with pytest.raises(ExactError, match=f"^{re.escape(message)}$"):
+            evaluate(v, w)
+    # a field without the axis F differentiates along used to end in
+    # "ValueError: tuple.index(x): x not in tuple"
+    other = Poly.variable(("z2",), "z2")
+    message = "factor over ('z2',) paired on a domain over ('z1',)"
+    with pytest.raises(ExactError, match=f"^{re.escape(message)}$"):
+        evaluate([one, one], [other, one])
+
+
+def test_oracle_refuses_a_mismatched_form_or_adjoint():
+    op, dom = rayleigh_op(), DomainSpec.interval(0, 1)
+    with pytest.raises(ExactError, match="does not match the operator"):
+        IbpOracle(op, dom, form=BoundaryForm(timoshenko_op()))
+    with pytest.raises(ExactError, match="does not match the operator"):
+        IbpOracle(op, dom, adjoint=op)
 
 
 def _face_integral(p, dom, axis, value):

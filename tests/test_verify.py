@@ -64,21 +64,36 @@ def test_mutation_suite_detects_all_planted_bugs():
 
 
 def test_mutations_attack_the_shipped_oracle(monkeypatch):
-    """Every planted bug reaches diffop.ibp_residual as a corrupted form= or
-    adjoint=, never through a private copy of the pairing."""
-    from phs_forge import verify
+    """Every planted bug builds the shipped diffop.IbpOracle, through verify's
+    module global, with exactly one of form= and adjoint= corrupted, and
+    draws its four residuals from it: never a private copy of the pairing."""
+    from phs_forge.diffop import BoundaryForm, IbpOracle
 
-    corrupted = []
-    oracle = verify.ibp_residual
+    built, drawn = [], []
 
-    def spy(op, v, w, dom, form=None, adjoint=None):
-        corrupted.append((form is not None) != (adjoint is not None))
-        return oracle(op, v, w, dom, form=form, adjoint=adjoint)
+    def build(op, dom, form=None, adjoint=None):
+        oracle = IbpOracle(op, dom, form=form, adjoint=adjoint)
+        built.append((oracle, op, form, adjoint))
+        return oracle
 
-    monkeypatch.setattr(verify, "ibp_residual", spy)
+    residual = IbpOracle.residual
+
+    def spy_residual(self, v, w):
+        drawn.append(self)
+        return residual(self, v, w)
+
+    monkeypatch.setattr(verify, "IbpOracle", build)
+    monkeypatch.setattr(IbpOracle, "residual", spy_residual)
     results = check_mutations(seed=3)
-    assert all(r.ok for r in results)
-    assert len(corrupted) == 4 * len(results) and all(corrupted)
+    assert len(results) == 7 and all(r.ok for r in results)
+    assert len(built) == 7
+    for oracle, op, form, adjoint in built:
+        form_corrupted = form is not None and form.q_axes != BoundaryForm(op).q_axes
+        adjoint_corrupted = adjoint is not None and adjoint != op.formal_adjoint()
+        assert form_corrupted != adjoint_corrupted
+        assert (form is None) == adjoint_corrupted and (adjoint is None) == form_corrupted
+        assert sum(o is oracle for o in drawn) == 4
+    assert len(drawn) == 4 * 7
 
 
 def test_symbol_proof_kills_every_planted_mutation():
@@ -142,10 +157,10 @@ def test_energy_structure_convicts_asymmetric_stiffness():
 
 def test_energy_structure_stops_at_its_first_failing_stage(monkeypatch):
     """An asymmetric mass matrix fails the first stage; neither the symbol
-    proof nor a sampled trial runs after it."""
+    proof nor the sampled oracle is built after it."""
     calls = []
 
-    for name in ("ibp_symbol_residual", "ibp_residual"):
+    for name in ("ibp_symbol_residual", "IbpOracle"):
 
         def spy(*args, _name=name, _oracle=getattr(verify, name), **kwargs):
             calls.append(_name)
@@ -198,6 +213,32 @@ def test_run_all_passes_and_serializes_deterministically():
 def test_run_all_different_seed_changes_fields_not_outcome():
     results = run_all(seed=1234, trials=1)
     assert all(r.ok for r in results)
+
+
+def test_run_all_refuses_an_empty_model_list():
+    # [] used to run every builtin, as None does
+    with pytest.raises(ValueError, match="model_names is empty"):
+        run_all(seed=1, model_names=[], trials=1)
+
+
+@pytest.mark.parametrize(
+    "names, repeated",
+    [(["truss", "truss"], "truss"), (["string", "truss", "string", "truss"], "string, truss")],
+)
+def test_run_all_refuses_a_repeated_model(names, repeated):
+    # a repeated name used to run its checks twice under the same check ids
+    with pytest.raises(ValueError, match=f"model_names repeats {repeated}$"):
+        run_all(seed=1, model_names=names, trials=1)
+
+
+def test_run_all_runs_every_builtin_for_none_and_only_the_named_models_otherwise():
+    everything = run_all(seed=1, model_names=None, trials=1)
+    named = run_all(seed=1, model_names=("truss",), trials=1)
+    lemma1 = lambda results: {r.subject for r in results if r.check_id.startswith("lemma1:")}
+    assert lemma1(everything) == set(builtin_names())
+    assert lemma1(named) == {"truss"}
+    for results in (everything, named):
+        assert len({r.check_id for r in results}) == len(results)
 
 
 def test_report_json_sorted_by_check_id():
