@@ -110,7 +110,7 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         print(f"error: --trials must be >= 1, got {args.trials}", file=_sys.stderr)
         return EXIT_INVALID_MODEL
-    names = None if args.all or not args.model else list(args.model)
+    names = args.model  # None under --all, which argparse keeps apart from --model
     for name in names or ():
         if names.count(name) > 1:
             print(f"error: --model gives {name!r} twice", file=_sys.stderr)
@@ -306,8 +306,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="run the exact check suite")
-    p.add_argument("--all", action="store_true", help="check every builtin")
-    p.add_argument(
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--all", action="store_true", help="check every builtin")
+    group.add_argument(
         "--model", action="append", choices=builtin_names(), help="check one model (repeatable)"
     )
     p.add_argument("--seed", type=int, default=0)

@@ -19,30 +19,28 @@ Entries render as polynomials in ``d1..dl`` (``symbols``), through
 
 The identity is checked two ways.  ``ibp_symbol_residual`` proves it: for
 this operator class it holds if and only if a finite matrix of polynomials in
-(eta, zeta) is zero.  ``IbpOracle`` evaluates it with exact arithmetic on
-given fields and must return rational zero for every valid operator: it is
-the only place that pairs jets with a boundary form or integrates the volume
-mismatch, and ``ibp_residual``, ``volume_mismatch`` and ``boundary_pairing``
-are one-call oracles.  Both take ``form=`` and ``adjoint=`` keywords that
-default to the operator's own ``BoundaryForm`` and ``formal_adjoint()``.
-The verify suite's energy check passes both the stored ones of a compiled
-system, and its mutation suite passes corrupted ones to the oracle.  (The
-calculus of two-variable polynomial matrices: Willems & Trentelman, "On
-quadratic differential forms", SIAM J. Control Optim. 36(5), 1998.)
+(eta, zeta) is zero.  ``IbpOracle``, the one pairing, evaluates it with exact
+arithmetic on given fields and must return rational zero for every valid
+operator.  These two alone take ``form=`` and ``adjoint=``, defaulting to the
+operator's own ``BoundaryForm`` and ``formal_adjoint()``: the verify suite's
+energy check passes the stored ones of a compiled system, its mutation suite
+corrupted ones.  ``ibp_residual`` and ``volume_mismatch`` are one-call
+oracles with the operator's own.  (The calculus of two-variable polynomial
+matrices: Willems & Trentelman, "On quadratic differential forms", SIAM J.
+Control Optim. 36(5), 1998.)
 
-Every integral of the identity, the volume terms as well as the boundary
-fluxes, is ``u^T M v`` over the box or through the two faces of one axis,
-and ``DomainSpec.pairing`` and ``IbpOracle`` integrate it with the same
-kernel.  It never builds the product polynomial.  ``_encode`` turns ``M``
-into integer rows over a common denominator, ``_flatten`` restricts each
-factor to a face and maps its terms to integers at flat indices, and
-``_contract`` sums ``n_a n_b mu[k_a + k_b]`` against a table of box
-moments, built from ``poly.moment_weights`` and cached per (bounds, skipped
-axis, top degree).  ``pairing`` encodes its matrix on every call; an oracle
-encodes its matrices once, keeps its own tables keyed by (skipped axis, top
-degree), and per field pair only flattens and contracts.  The section Gram
-matrices are not pairings: ``build._section_gram`` integrates them through
-``Section.integrate``.
+Every integral of the identity, volume term or boundary flux, is ``u^T M v``
+over the box or through the two faces of one axis, integrated by one kernel
+that never builds the product polynomial.  ``_encode`` turns ``M`` into
+integer rows over a common denominator, ``_flatten`` restricts each factor
+to a face and maps its terms to integers at flat indices, ``_contract`` sums
+``n_a n_b mu[k_a + k_b]`` against a table of box moments (``_moments``, from
+``poly.moment_weights``, cached per bounds, skipped axis and top degree),
+and ``_flux`` takes the difference of the two faces.  An oracle encodes its
+matrices once and per field pair only flattens and contracts;
+``boundary_pairing_sum_form``, the reference for the boundary side, calls
+``_flux`` once per term.  The section Gram matrices are not pairings:
+``build._section_gram`` integrates them through ``Section.integrate``.
 """
 
 from __future__ import annotations
@@ -293,45 +291,6 @@ class DomainSpec:
     def ell(self) -> int:
         return len(self.axes)
 
-    def pairing(
-        self,
-        u: Sequence[Poly],
-        mat_: Matrix,
-        v: Sequence[Poly],
-        axis: Optional[int] = None,
-    ) -> Fraction:
-        """Exact ``integral_Omega u^T M v``, or with ``axis`` (indexing
-        ``axes`` from 0) its flux through the two faces of that axis:
-        ``u^T M v`` on the upper face minus on the lower face, integrated
-        over the other axes.  The faces with normal +-e_axis
-        differ only in sign, so this is the boundary integral of
-        ``u^T M v n_axis``.
-
-        No product polynomial is formed.  Every term ``n z^e`` of a factor
-        becomes an integer at the flat index ``sum_k e_k base^k``, with
-        ``base`` one more than the two factors' top exponents added; on a
-        face the value ``p/q`` of its axis is folded in first, as
-        ``n p^k q^(t-k)`` over ``q^t``.  The integral of a product of two
-        terms is then ``n_a n_b mu[k_a + k_b]``, with ``mu`` the cached table
-        of box moments.  ``M`` is encoded as integer rows (``_encode``) and
-        applied to ``v`` row by row, so each nonzero row costs one double
-        sum.  The factors must be over ``axes``.
-        """
-        if len(mat_) != len(u) or any(len(row) != len(v) for row in mat_):
-            raise ExactError(f"pairing matrix is not {len(u)} x {len(v)}")
-        lm = _common_denominator(mat_)
-        rows = _encode(mat_, lm)
-        self._own(chain(u, v))
-        du, dv = _degree(u), _degree(v)
-        table = _moments(self.bounds, -1 if axis is None else axis, du + dv)
-        if axis is None:
-            mu, den, index = table
-            us, lu = _flatten(u, index)
-            vs, lv = _flatten(v, index)
-            return Fraction(_contract(us, rows, vs, mu), den * lu * lv * lm)
-        num, den = _flux(table, self.bounds[axis], axis, du, dv, u, rows, v)
-        return Fraction(num, den * lm)
-
     def _own(self, polys: Iterable[Poly]) -> None:
         """Refuse a factor that is not over ``axes``."""
         for p in polys:
@@ -466,20 +425,34 @@ def _check_pair(op: DiffOpMatrix, form: BoundaryForm, adjoint: DiffOpMatrix) -> 
         raise ExactError("adjoint or boundary form does not match the operator")
 
 
+def _check_axes(op: DiffOpMatrix, dom: DomainSpec) -> None:
+    """Refuse an operator whose axes are not the domain's, in order."""
+    if op.axes != dom.axes:
+        raise ExactError(f"operator over {op.axes} on a domain over {dom.axes}")
+
+
+def _check_fields(op: DiffOpMatrix, dom: DomainSpec, v, w) -> None:
+    """Refuse fields that do not fit ``op`` or are not over ``dom.axes``."""
+    if len(v) != op.m or len(w) != op.n:
+        raise ExactError("field dimensions do not match the operator")
+    dom._own(chain(v, w))
+
+
 class IbpOracle:
     """The integration-by-parts identity of one operator on one domain,
-    prepared for many field pairs.
+    prepared for many field pairs: the one pairing of the module.
 
     ``residual(v, w)`` is ``integral(v^T F w - w^T F* v)`` minus the
     boundary pairing of the jets through ``Q_a``; ``form`` and ``adjoint``
     default to the operator's own ``BoundaryForm`` and ``formal_adjoint()``.
-    The constant matrices are encoded once, here, as integer rows over one
-    common denominator: the volume side as one block matrix
-    ``[[F, 0], [0, -F*]]`` (``F`` and ``F*`` as block rows, ``_block_row``)
-    against ``[w; d w ...; v; d v ...]``, and each ``Q_a``.  A call then
-    finds one top exponent, flattens the two stacks once (their first blocks
-    serve as ``w`` and ``v``) and each jet once per axis, and contracts.
-    Moment tables are kept per oracle, keyed by ``(skipped axis, top)``.
+    The operator must be over the domain's axes, in order.  The constant
+    matrices are encoded once, here, as integer rows over one common
+    denominator: the volume side as one block matrix ``[[F, 0], [0, -F*]]``
+    (``F`` and ``F*`` as block rows, ``_block_row``) against
+    ``[w; d w ...; v; d v ...]``, and each ``Q_a``.  A call then finds one
+    top exponent, flattens the two stacks once (their first blocks serve as
+    ``w`` and ``v``) and each jet once per axis, and contracts.  Moment
+    tables are kept per oracle, keyed by ``(skipped axis, top)``.
     """
 
     __slots__ = ("op", "dom", "adjoint", "_lm", "_volume", "_q", "_tables")
@@ -491,6 +464,7 @@ class IbpOracle:
         form: Optional[BoundaryForm] = None,
         adjoint: Optional[DiffOpMatrix] = None,
     ):
+        _check_axes(op, dom)
         if form is None:
             form = BoundaryForm(op)
         if adjoint is None:
@@ -514,9 +488,7 @@ class IbpOracle:
 
     def _checked_degree(self, v: Sequence[Poly], w: Sequence[Poly]) -> int:
         """The one degree bound of a call, after the fields are checked."""
-        if len(v) != self.op.m or len(w) != self.op.n:
-            raise ExactError("field dimensions do not match the operator")
-        self.dom._own(chain(v, w))
+        _check_fields(self.op, self.dom, v, w)
         return _degree(chain(v, w))
 
     def _volume_part(self, v, w, d: int) -> Fraction:
@@ -551,57 +523,42 @@ class IbpOracle:
         return self._volume_part(v, w, d) - self._boundary_part(v, w, d)
 
 
-def boundary_pairing(
-    op: DiffOpMatrix,
-    v: Sequence[Poly],
-    w: Sequence[Poly],
-    dom: DomainSpec,
-    form: Optional[BoundaryForm] = None,
-) -> Fraction:
-    """Boundary side of the adjoint identity via the assembled Q form
-    (``form`` defaults to the operator's own): one flux per axis."""
-    return IbpOracle(op, dom, form=form).boundary(v, w)
-
-
 def boundary_pairing_sum_form(
     op: DiffOpMatrix, v: Sequence[Poly], w: Sequence[Poly], dom: DomainSpec
 ) -> Fraction:
-    """Boundary side written as the raw alternating triple sum: a reference
-    for the tests and the benchmark's replay, independent of the jet layout
-    of ``BoundaryForm``."""
+    """Boundary side written as the raw alternating triple sum
+
+        sum_(k, i) sum_(j = 1..i) (-1)^(j-1) flux_k (d_k^(i-j) w)^T Pk(k, i)^T d_k^(j-1) v,
+
+    a reference for the tests and the benchmark's replay.  Each term is one
+    ``_flux`` call, independent of ``IbpOracle`` and ``BoundaryForm``."""
+    _check_axes(op, dom)
+    _check_fields(op, dom, v, w)
     total = Fraction(0)
     for (k, i), pki in op.pk.items():
-        name = op.axes[k - 1]
+        lm = _common_denominator(pki)
+        rows, name, axis = _encode(transpose(pki), lm), op.axes[k - 1], k - 1
         for j in range(1, i + 1):
-            sign = Fraction((-1) ** (j - 1))
             dw, dv = _diff(w, name, i - j), _diff(v, name, j - 1)
-            total += sign * dom.pairing(dw, transpose(pki), dv, axis=k - 1)
+            du, dd = _degree(dw), _degree(dv)
+            table = _moments(dom.bounds, axis, du + dd)
+            num, den = _flux(table, dom.bounds[axis], axis, du, dd, dw, rows, dv)
+            total += (-1) ** (j - 1) * Fraction(num, den * lm)
     return total
 
 
 def volume_mismatch(
-    op: DiffOpMatrix,
-    v: Sequence[Poly],
-    w: Sequence[Poly],
-    dom: DomainSpec,
-    adjoint: Optional[DiffOpMatrix] = None,
+    op: DiffOpMatrix, v: Sequence[Poly], w: Sequence[Poly], dom: DomainSpec
 ) -> Fraction:
-    """integral_Omega (v^T F w - w^T F* v) dx, exactly (``adjoint`` stands in
-    for F*; it defaults to the formal adjoint)."""
-    return IbpOracle(op, dom, adjoint=adjoint).volume(v, w)
+    """integral_Omega (v^T F w - w^T F* v) dx: ``IbpOracle(op, dom).volume``."""
+    return IbpOracle(op, dom).volume(v, w)
 
 
 def ibp_residual(
-    op: DiffOpMatrix,
-    v: Sequence[Poly],
-    w: Sequence[Poly],
-    dom: DomainSpec,
-    form: Optional[BoundaryForm] = None,
-    adjoint: Optional[DiffOpMatrix] = None,
+    op: DiffOpMatrix, v: Sequence[Poly], w: Sequence[Poly], dom: DomainSpec
 ) -> Fraction:
-    """Residual of the integration-by-parts identity (``IbpOracle.residual``
-    on a one-call oracle)."""
-    return IbpOracle(op, dom, form=form, adjoint=adjoint).residual(v, w)
+    """The identity's residual: ``IbpOracle(op, dom).residual``."""
+    return IbpOracle(op, dom).residual(v, w)
 
 
 def ibp_symbol_residual(
@@ -619,7 +576,7 @@ def ibp_symbol_residual(
     ``zeta_k^j``.  The coefficients are constant and no partials mix, so the
     identity behind ``ibp_residual`` holds for all fields if and only if
     every entry is zero: a zero matrix is a proof, a nonzero entry a witness.
-    ``form`` and ``adjoint`` default as in ``ibp_residual``.
+    ``form`` and ``adjoint`` default as in ``IbpOracle``.
     """
     if form is None:
         form = BoundaryForm(op)

@@ -216,13 +216,14 @@ def ldl_pivots(a):
 
 
 def check_spd(a):
-    """(ok, detail) by exact symmetry plus LDL^T pivot signs."""
-    if not is_symmetric(a):
-        n = len(a)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if a[i][j] != a[j][i]:
-                    return False, f"asymmetric at ({i + 1},{j + 1}): {a[i][j]} vs {a[j][i]}"
+    """(ok, detail) by shape, exact symmetry, then LDL^T pivot signs."""
+    n, widths = len(a), {len(row) for row in a}
+    if widths - {n}:
+        return False, f"not square: {n} x {'/'.join(map(str, sorted(widths)))}"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                return False, f"asymmetric at ({i + 1},{j + 1}): {a[i][j]} vs {a[j][i]}"
     pivots, witness = ldl_pivots(a)
     if witness is not None:
         k = len(pivots)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate
 from operator import mul
@@ -23,10 +24,10 @@ from phs_forge.build import (
     stiffness_matrix,
     write_matrix_csv,
 )
-from phs_forge.diffop import BoundaryForm, boundary_pairing, ibp_symbol_residual, jet
-from phs_forge.exact import ExactError, PiRat, ldl_pivots, scalar_sign
+from phs_forge.diffop import BoundaryForm, IbpOracle, ibp_symbol_residual, jet
+from phs_forge.exact import ExactError, PiRat, check_spd, ldl_pivots, scalar_sign
 from phs_forge.modelfile import serialize_model
-from phs_forge.models import builtin_model, builtin_names, random_poly
+from phs_forge.models import builtin_model, builtin_names, random_poly, validate_model
 from phs_forge.poly import Poly, PolyMatrix, mat_apply
 from phs_forge.sections import (
     CircleSection,
@@ -321,7 +322,6 @@ def test_mass_and_stiffness_exactly_symmetric(name):
 
 
 def test_constitutive_presets_spd_over_physical_ranges():
-    from phs_forge.exact import check_spd
     from phs_forge.models import bending_shear_block, iso3d, plane_stress, shear_pair
 
     for nu in (F(-1, 2), F(0), F(3, 10), F(45, 100)):
@@ -329,6 +329,31 @@ def test_constitutive_presets_spd_over_physical_ranges():
         assert check_spd(iso3d(F(3), nu))[0], nu
         assert check_spd(bending_shear_block(F(3), nu, F(2)))[0], nu
     assert check_spd(shear_pair(F(7)))[0]
+
+
+@pytest.mark.parametrize(
+    "matrix, detail",
+    [
+        ([[F(1), F(2)]], "not square: 1 x 2"),
+        ([[F(1)], [F(2)]], "not square: 2 x 1"),
+        ([[F(1), F(0)], [F(0)]], "not square: 2 x 1/2"),
+    ],
+    ids=["wide", "tall", "ragged"],
+)
+def test_check_spd_refuses_a_matrix_that_is_not_square(matrix, detail):
+    # [[1, 2]] used to pass as symmetric positive definite, [[1], [2]] to
+    # end in IndexError
+    assert check_spd(matrix) == (False, detail)
+
+
+def test_a_constitutive_matrix_that_is_not_square_is_refused():
+    # the truss with C = [[1, 5]] used to validate, then compile with
+    # K = [[1]], its second column dropped
+    model = replace(builtin_model("truss"), cmat=[[F(1), F(5)]])
+    (spd,) = [c for c in validate_model(model).checks if c.check_id == "constitutive-spd"]
+    assert (spd.ok, spd.detail) == (False, "not square: 1 x 2")
+    with pytest.raises(BuildError, match=r"\[FAIL\] constitutive-spd: not square: 1 x 2"):
+        assemble_phs(model)
 
 
 def test_boundary_port_map_timoshenko_endpoints():
@@ -403,11 +428,11 @@ def test_truss_boundary_pairing_sign():
     x1 = ("z1",)
     e_p = [Poly.constant(x1, F(2))]
     e_eps = [Poly.constant(x1, F(5))]
-    dom = sys_.model.domain
-    assert boundary_pairing(sys_.op, e_eps, e_p, dom, form=sys_.boundary) == F(0)  # b, a cancel
+    oracle = IbpOracle(sys_.op, sys_.model.domain, form=sys_.boundary)
+    assert oracle.boundary(e_eps, e_p) == F(0)  # b, a cancel
     z1 = Poly.variable(x1, "z1")
     e_p = [z1]
-    assert boundary_pairing(sys_.op, e_eps, e_p, dom, form=sys_.boundary) == F(5)  # 1*5 - 0*5
+    assert oracle.boundary(e_eps, e_p) == F(5)  # 1*5 - 0*5
 
 
 def test_lagrangian_form_truss_wave_stiffness():

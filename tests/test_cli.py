@@ -191,6 +191,18 @@ def test_verify_refuses_a_model_given_twice(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_verify_refuses_all_together_with_model(tmp_path, capsys):
+    # --model used to be ignored under --all, which ran every builtin
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--model", "truss", "--trials", "1", "--json", str(report)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --model: not allowed with argument --all" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+
+
 def test_verify_unknown_model_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--model", "nosuch"])

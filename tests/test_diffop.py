@@ -14,7 +14,6 @@ from phs_forge.diffop import (
     DiffOpMatrix,
     DomainSpec,
     IbpOracle,
-    boundary_pairing,
     boundary_pairing_sum_form,
     derivative_symbols,
     ibp_residual,
@@ -220,7 +219,7 @@ def test_rayleigh_boundary_pairing_matches_hand_expression():
     rng = random.Random(17)
     e_p = [random_poly(rng, X1, 3) for _ in range(2)]
     e_eps = [random_poly(rng, X1, 3)]
-    got = boundary_pairing(op, e_eps, e_p, dom)
+    got = IbpOracle(op, dom).boundary(e_eps, e_p)
 
     z1p1, z1p2 = e_p
     e = e_eps[0]
@@ -240,7 +239,7 @@ def test_kirchhoff_rayleigh_boundary_pairing_matches_hand_expression():
     rng = random.Random(71)
     e_p = [random_poly(rng, X12, 3) for _ in range(3)]
     e_eps = [random_poly(rng, X12, 3) for _ in range(3)]
-    got = boundary_pairing(op, e_eps, e_p, dom)
+    got = IbpOracle(op, dom).boundary(e_eps, e_p)
 
     p1, p2, p3 = e_p
     e1, e2, e3 = e_eps
@@ -281,7 +280,7 @@ def test_sum_form_equals_assembled_form():
         for _ in range(5):
             v = [random_poly(rng, model.dist, model.order + 2) for _ in range(model.m)]
             w = [random_poly(rng, model.dist, model.order + 2) for _ in range(model.n)]
-            assert boundary_pairing(model.op, v, w, model.domain) == boundary_pairing_sum_form(
+            assert IbpOracle(model.op, model.domain).boundary(v, w) == boundary_pairing_sum_form(
                 model.op, v, w, model.domain
             )
 
@@ -326,7 +325,7 @@ def test_skew_block_volume_terms_are_pure_boundary():
     e1p = [random_poly(rng, X1, 3) for _ in range(2)]
     e1e = [random_poly(rng, X1, 3) for _ in range(2)]
     lhs = volume_mismatch(model.op, e1e, e1p, model.domain)
-    assert lhs == boundary_pairing(model.op, e1e, e1p, model.domain)
+    assert lhs == IbpOracle(model.op, model.domain).boundary(e1e, e1p)
 
 
 def test_domain_requires_nonempty_ranges():
@@ -421,15 +420,16 @@ def test_ibp_oracle_properties_on_random_operators(data):
     res = ibp_residual(op, v, w, dom)
     assert res == 0
     assert _is_zero_matrix(ibp_symbol_residual(op))
-    assert boundary_pairing(op, v, w, dom) == boundary_pairing_sum_form(op, v, w, dom)
-    assert ibp_residual(op, v, w, dom, form=BoundaryForm(op), adjoint=op.formal_adjoint()) == res
+    own = IbpOracle(op, dom)
+    assert own.boundary(v, w) == boundary_pairing_sum_form(op, v, w, dom)
+    assert IbpOracle(op, dom, form=BoundaryForm(op), adjoint=op.formal_adjoint()).residual(v, w) == res
 
     # one flux per axis equals the face-by-face sum, for the operator's own
     # form and for a perturbed one (same function, not only both zero-residual)
-    assert boundary_pairing(op, v, w, dom) == _per_face_pairing(op, v, w, dom, BoundaryForm(op))
+    assert own.boundary(v, w) == _per_face_pairing(op, v, w, dom, BoundaryForm(op))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     perturbed = _perturbed_form(BoundaryForm(op), rng)
-    assert boundary_pairing(op, v, w, dom, form=perturbed) == _per_face_pairing(
+    assert IbpOracle(op, dom, form=perturbed).boundary(v, w) == _per_face_pairing(
         op, v, w, dom, perturbed
     )
 
@@ -456,7 +456,7 @@ def _reference_sides(op, v, w, dom, form, adjoint):
 @given(data=st.data())
 def test_one_oracle_reused_over_field_pairs_matches_the_references(data):
     """One IbpOracle, reused over several field pairs, gives for each pair
-    the product-then-integrate residual and a fresh ibp_residual: with the
+    the product-then-integrate residual and a fresh oracle's: with the
     operator's own form and adjoint (residual zero) and with perturbed
     ones, rational coefficients, zero fields and v, w of different
     degrees."""
@@ -479,15 +479,17 @@ def test_one_oracle_reused_over_field_pairs_matches_the_references(data):
         if data.draw(st.booleans()):
             v = [Poly.zero(op.axes)] * op.m
         volume, boundary = _reference_sides(op, v, w, dom, form, adjoint)
-        assert oracle.volume(v, w) == volume == volume_mismatch(op, v, w, dom, adjoint=adjoint)
-        assert oracle.boundary(v, w) == boundary == boundary_pairing(op, v, w, dom, form=form)
+        assert oracle.volume(v, w) == volume == IbpOracle(op, dom, adjoint=adjoint).volume(v, w)
+        assert oracle.boundary(v, w) == boundary == IbpOracle(op, dom, form=form).boundary(v, w)
         res = oracle.residual(v, w)
-        assert res == volume - boundary == ibp_residual(op, v, w, dom, form=form, adjoint=adjoint)
+        assert res == volume - boundary == IbpOracle(op, dom, form, adjoint).residual(v, w)
+        if own_adjoint:
+            assert volume == volume_mismatch(op, v, w, dom)
         if own_form and own_adjoint:
-            assert res == 0
+            assert res == 0 == ibp_residual(op, v, w, dom)
 
 
-@pytest.mark.parametrize("call", ["ibp_residual", "volume_mismatch", "oracle"])
+@pytest.mark.parametrize("call", ["ibp_residual", "volume_mismatch", "oracle", "sum_form"])
 def test_oracle_refusals_keep_their_messages(call):
     op = timoshenko_op()  # 2 x 2 over z1
     dom = DomainSpec.interval(F(-1, 2), 1)
@@ -495,6 +497,7 @@ def test_oracle_refusals_keep_their_messages(call):
         "ibp_residual": lambda v, w: ibp_residual(op, v, w, dom),
         "volume_mismatch": lambda v, w: volume_mismatch(op, v, w, dom),
         "oracle": IbpOracle(op, dom).residual,
+        "sum_form": lambda v, w: boundary_pairing_sum_form(op, v, w, dom),
     }[call]
     one, alien = Poly.constant(X1, 1), Poly.variable(X12, "z1")
     for v, w in (([one], [one, one]), ([one, one], [one, one, one])):
@@ -558,69 +561,37 @@ def _reference_pairing(dom, u, mat_, v, axis):
     return prod.constant_value()
 
 
-@st.composite
-def pairing_cases(draw):
-    """Fields over ell = 1..3 axes (zero polynomials included), a matrix with
-    fractional entries and possibly zero rows or columns (or the identity),
-    rational bounds with lo negative, zero or positive, and the volume or a
-    face form."""
-    axes = ("z1", "z2", "z3")[: draw(st.integers(1, 3))]
-    lo = st.sampled_from([F(-3, 2), F(-1, 3), F(0), F(2, 5)])
-    length = st.sampled_from([F(1, 2), F(1), F(7, 3)])
-    bounds = []
-    for _ in axes:
-        a = draw(lo)
-        bounds.append((a, a + draw(length)))
-    dom = DomainSpec(axes, tuple(bounds))
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        mat_ = [[F(int(i == j)) for j in range(rows)] for i in range(rows)]
-        cols = rows
-    else:
-        entry = st.sampled_from([F(0), F(1), F(-1), F(2, 3), F(-5, 2), F(7, 4)])
-        mat_ = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-        zero_row = draw(st.sampled_from([None, *range(rows)]))
-        zero_col = draw(st.sampled_from([None, *range(cols)]))
-        for i in range(rows):
-            for j in range(cols):
-                if i == zero_row or j == zero_col:
-                    mat_[i][j] = F(0)
-    u = draw(fields(axes, rows, 3))
-    v = draw(fields(axes, cols, 3))
-    axis = draw(st.sampled_from([None, *range(len(axes))]))
-    return dom, u, mat_, v, axis
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=pairing_cases())
-def test_pairing_kernel_equals_product_then_integrate(case):
-    dom, u, mat_, v, axis = case
-    assert dom.pairing(u, mat_, v, axis=axis) == _reference_pairing(dom, u, mat_, v, axis)
-
-
 def test_pairing_kernel_on_zero_fields_is_zero():
     dom = DomainSpec.rectangle(F(-1, 2), 1, 0, F(2, 3))
     zero, z1 = Poly.zero(X12), Poly.variable(X12, "z1")
-    for axis in (None, 0, 1):
-        assert dom.pairing([zero, z1], [[F(1), F(2)], [F(3), F(4)]], [z1, zero], axis=axis) == (
-            _reference_pairing(dom, [zero, z1], [[F(1), F(2)], [F(3), F(4)]], [z1, zero], axis)
-        )
-        assert dom.pairing([zero], [[F(1)]], [z1], axis=axis) == 0
+    mat_ = [[F(1), F(2)], [F(3), F(4)]]
+    op = DiffOpMatrix(2, 2, X12, p0=mat_, pk={(1, 1): mat_, (2, 2): [[F(1, 2), 0], [0, -1]]})
+    oracle, form, adjoint = IbpOracle(op, dom), BoundaryForm(op), op.formal_adjoint()
+    v, w = [zero, z1], [z1, zero]
+    assert (oracle.volume(v, w), oracle.boundary(v, w)) == _reference_sides(op, v, w, dom, form, adjoint)
+    for v, w in (([zero, zero], [z1, z1]), ([z1, z1], [zero, zero])):
+        assert oracle.volume(v, w) == oracle.boundary(v, w) == 0
+        assert boundary_pairing_sum_form(op, v, w, dom) == 0
 
 
 def test_pairing_moment_tables_do_not_leak_between_domains():
-    # the moment table is cached per bounds: alternate two domains over the
-    # same axes and degree, and each must keep its own integrals
+    # the moment tables are cached per bounds: alternate two domains over
+    # the same axes and degree, and each must keep its own integrals
     rng = random.Random(11)
-    u = [random_poly(rng, X12, 3) for _ in range(2)]
     v = [random_poly(rng, X12, 3) for _ in range(2)]
+    w = [random_poly(rng, X12, 3) for _ in range(2)]
     mat_ = [[F(1), F(-2, 3)], [F(0), F(5)]]
+    op = DiffOpMatrix(2, 2, X12, p0=mat_, pk={(1, 1): mat_, (2, 1): [[0, 1], [F(1, 2), 0]]})
+    form, adjoint = BoundaryForm(op), op.formal_adjoint()
     doms = [DomainSpec.rectangle(0, 1, 0, 1), DomainSpec.rectangle(F(-1, 2), 2, F(1, 3), F(3, 2))]
+    kept = [IbpOracle(op, dom) for dom in doms]
     for _ in range(2):
-        for dom in doms:
-            for axis in (None, 0, 1):
-                assert dom.pairing(u, mat_, v, axis=axis) == _reference_pairing(dom, u, mat_, v, axis)
-    assert doms[0].pairing(u, mat_, v) != doms[1].pairing(u, mat_, v)
+        for dom, oracle in zip(doms, kept):
+            volume, boundary = _reference_sides(op, v, w, dom, form, adjoint)
+            for o in (oracle, IbpOracle(op, dom)):
+                assert (o.volume(v, w), o.boundary(v, w)) == (volume, boundary)
+            assert boundary_pairing_sum_form(op, v, w, dom) == boundary
+    assert kept[0].volume(v, w) != kept[1].volume(v, w)
 
 
 @pytest.mark.parametrize(
@@ -635,17 +606,37 @@ def test_pairing_moment_tables_do_not_leak_between_domains():
 def test_pairing_refuses_factors_over_other_coordinates(dom, coords):
     own = Poly.variable(dom.axes, "z1")
     alien = Poly.variable(coords, coords[0])
-    for u, v in (([own], [alien]), ([alien], [own])):
-        for axis in (None, 0):
+    op = DiffOpMatrix(1, 1, dom.axes, p0=[[1]], pk={(1, 1): [[1]]})
+    oracle = IbpOracle(op, dom)
+    calls = (oracle.volume, oracle.boundary, lambda v, w: boundary_pairing_sum_form(op, v, w, dom))
+    for v, w in (([own], [alien]), ([alien], [own])):
+        for call in calls:
             with pytest.raises(ExactError, match="paired on a domain over"):
-                dom.pairing(u, [[F(1)]], v, axis=axis)
+                call(v, w)
 
 
-def test_pairing_refuses_a_matrix_of_the_wrong_shape():
-    dom = DomainSpec.interval(0, 1)
-    one = Poly.constant(X1, 1)
-    with pytest.raises(ExactError, match="not 1 x 2"):
-        dom.pairing([one], [[F(1)]], [one, one])
+def test_oracle_and_sum_form_refuse_an_operator_over_other_axes():
+    # an operator over z2 on a rectangle over (z1, z2) used to take the flux
+    # of Q_1 through the faces of z1 (ibp_residual 4 for v = w = z2, where
+    # the symbol proof is zero);
+    # one over z1 on an interval over z2 ended in "tuple.index(x): x not in
+    # tuple"
+    cases = [
+        (DiffOpMatrix(1, 1, ("z2",), pk={(1, 1): [[1]]}), DomainSpec.rectangle(0, 1, 0, 2)),
+        (DiffOpMatrix(1, 1, X1, pk={(1, 1): [[1]]}), DomainSpec.interval(0, 1, "z2")),
+    ]
+    for op, dom in cases:
+        assert _is_zero_matrix(ibp_symbol_residual(op))
+        fields = [Poly.variable(dom.axes, "z2")]
+        message = re.escape(f"operator over {op.axes} on a domain over {dom.axes}")
+        for call in (
+            lambda: IbpOracle(op, dom),
+            lambda: ibp_residual(op, fields, fields, dom),
+            lambda: volume_mismatch(op, fields, fields, dom),
+            lambda: boundary_pairing_sum_form(op, fields, fields, dom),
+        ):
+            with pytest.raises(ExactError, match=f"^{message}$"):
+                call()
 
 
 @settings(max_examples=80, deadline=None)
