@@ -77,6 +77,11 @@ def mass_matrix(model: KinematicModel, require_spd: bool = True):
 
 def stiffness_matrix(model: KinematicModel, require_spd: bool = True):
     """Section integral of lambda2^T C lambda2 (m x m, exact)."""
+    d, widths = model.lambda2.rows, {len(row) for row in model.cmat}
+    if len(model.cmat) != d or widths != {d}:
+        shape = f"{len(model.cmat)} x {'/'.join(map(str, sorted(widths)))}"
+        raise BuildError(f"constitutive matrix C of {model.name} is {shape}, but lambda2 is {d} x "
+                         f"{model.lambda2.cols}, so C must be {d} x {d}")
     k = _section_gram(model, model.lambda2, model.cmat, model.lambda2)
     if require_spd:
         ok, detail = check_spd(k)

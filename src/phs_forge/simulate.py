@@ -39,9 +39,13 @@ from .models import KinematicModel
 if TYPE_CHECKING:
     from scipy import sparse
 
-FACES_1D = ("left", "right")
-FACES_2D = ("left", "right", "bottom", "top")
 _FACE_AXIS_SIDE = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
+
+# quadrature weight of a lattice's end node, in cells, by what that end holds:
+# the trapezoid rule's 1/2 at a kept face node; a whole cell on a half lattice
+# and next to a clamped face, whose dropped half cell carries no energy; 3/2
+# next to a restricted face, so the weights still cover the axis
+_END_WEIGHT = {"node": Fraction(1, 2), "clamped": 1, "restricted": Fraction(3, 2), "half": 1}
 
 
 class SimulationUnsupported(ValueError):
@@ -61,11 +65,18 @@ class GridSpec:
 
 @dataclass
 class FieldLayout:
+    """The nodes of one field.  ``ends`` says, per axis, what each end (low,
+    high) of its lattice holds: "node", a kept face node; "half", a half
+    lattice, which has no face node; "clamped", a momentum face node dropped
+    because its flow is held; "restricted", a strain face node dropped by the
+    difference or coupled-group rule.  The nodes and weights follow from it."""
+
     label: str
     name: str
     kind: str  # "p" or "eps"
     index: int
     shifts: Tuple[int, ...]  # 0 = integer lattice, 1 = half lattice, per axis
+    ends: Tuple[Tuple[str, str], ...]
     starts: Tuple[int, ...]
     counts: Tuple[int, ...]
     offset: int  # state index of the first node; momenta precede strains
@@ -304,15 +315,14 @@ def discretize(
     if len(grid.cells) != ell:
         raise ValueError(f"grid must have {ell} axis cell counts")
 
-    faces = FACES_1D if ell == 1 else FACES_2D
-    bc = dict(bc or {})
-    for name in bc:
+    faces = tuple(_FACE_AXIS_SIDE)[: 2 * ell]
+    bc = bc or {}
+    for name, kind in bc.items():
         if name not in faces:
-            raise ValueError(f"unknown face {name!r}; faces are {faces}")
-        if bc[name] not in ("clamped", "free"):
-            raise ValueError("boundary conditions are 'clamped' or 'free'")
-    for name in faces:
-        bc.setdefault(name, "free")
+            raise ValueError(f"unknown face {name!r}; faces are {', '.join(faces)}")
+        if kind not in ("clamped", "free"):
+            raise ValueError(f"face {name!r} is {kind!r}; boundary conditions are 'clamped' or 'free'")
+    bc = {name: bc.get(name, "free") for name in faces}
 
     dx = tuple(
         (hi - lo) / cells for (lo, hi), cells in zip(model.domain.bounds, grid.cells)
@@ -334,30 +344,27 @@ def discretize(
 
     fields: List[FieldLayout] = []
 
-    def layout(label, name, kind, index, shifts, dropped):
-        """A half lattice has ``cells`` nodes; an integer lattice ``cells + 1``,
-        less each end node that ``dropped[axis] = (low, high)`` removes."""
-        starts, counts = [], []
-        for a, shift in enumerate(shifts):
-            lo, hi = (False, False) if shift else dropped[a]
-            starts.append(int(lo))
-            counts.append(grid.cells[a] + 1 - shift - lo - hi)
-        weights = tuple(
-            _axis_weights(kind, *args) for args in zip(counts, starts, shifts, grid.cells, dx)
-        )
+    def layout(label, name, kind, index, shifts, integer_ends):
+        """A half lattice has ``cells`` nodes; an integer lattice ``cells + 1``, less
+        each end that ``integer_ends[axis] = (low, high)`` marks dropped."""
+        ends = tuple(("half", "half") if shift else e for shift, e in zip(shifts, integer_ends))
+        dropped = [[end in ("clamped", "restricted") for end in pair] for pair in ends]
+        starts = tuple(int(lo) for lo, _ in dropped)
+        counts = tuple(c + 1 - s - lo - hi for c, s, (lo, hi) in zip(grid.cells, shifts, dropped))
+        weights = tuple(_axis_weights(*args) for args in zip(ends, counts, dx))
         offset = fields[-1].offset + fields[-1].size if fields else 0
-        fields.append(
-            FieldLayout(label, name, kind, index, shifts, tuple(starts), tuple(counts), offset, weights)
-        )
+        fields.append(FieldLayout(label, name, kind, index, shifts, ends, starts, counts, offset, weights))
 
     # momenta drop the node at a clamped face
-    clamped = [(bc[faces[2 * a]] == "clamped", bc[faces[2 * a + 1]] == "clamped") for a in range(ell)]
+    held = ["clamped" if bc[face] == "clamped" else "node" for face in faces]
+    p_ends = list(zip(held[::2], held[1::2]))
     labels = sys.state_labels
     for i in range(sys.n):
-        layout(labels[i], model.r_names[i], "p", i, p_shifts[i], clamped)
+        layout(labels[i], model.r_names[i], "p", i, p_shifts[i], p_ends)
     for j in range(sys.m):
         label = labels[sys.n + j]
-        layout(label, label, "eps", j, eps_shifts[j], [(r, r) for r in eps_restrict[j]])
+        ends = [("restricted",) * 2 if r else ("node",) * 2 for r in eps_restrict[j]]
+        layout(label, label, "eps", j, eps_shifts[j], ends)
     p_fields, eps_fields = fields[: sys.n], fields[sys.n :]
 
     D, W, C, J = _assemble(sys, p_fields, eps_fields, dx, density_scale, stiffness_scale)
@@ -384,26 +391,13 @@ def _stencil(shift_src: int, shift_tgt: int, order: int, dx: Fraction):
     )
 
 
-def _axis_weights(
-    kind: str, count: int, start: int, shift: int, cells: int, dx: Fraction
-) -> List[Fraction]:
-    """Quadrature weight per node along one axis.
-
-    Half lattices use the cell size; full integer lattices the trapezoid
-    rule.  Interior-restricted strain lattices stretch their end weights to
-    3 dx / 2 so the quadrature still covers the whole axis (constant fields
-    integrate exactly); momentum lattices shrunk by clamping keep the plain
-    rule, the clamped nodes' half cells carrying no energy.
-    """
-    if shift == 1:
-        return [dx] * count
-    if kind == "eps" and start == 1 and count == cells - 1:
-        w = [dx] * count
-        w[0] = w[-1] = 3 * dx / 2
-        return w
-    return [
-        dx / 2 if (start + i == 0 or start + i == cells) else dx for i in range(count)
-    ]
+def _axis_weights(ends: Tuple[str, str], count: int, dx: Fraction) -> List[Fraction]:
+    """Quadrature weight per node along one axis: ``dx`` inside the lattice,
+    and at each end node ``dx`` times the ``_END_WEIGHT`` of what the end
+    holds (constant fields integrate exactly on every unclamped axis)."""
+    weights = [dx] * count
+    weights[0], weights[-1] = (_END_WEIGHT[end] * dx for end in ends)
+    return weights
 
 
 def _concat(parts):
@@ -567,22 +561,19 @@ def boundary_traction_input(
     output is the co-energy (velocity) there, so power = y * u exactly.
     """
     if face not in dsys.bc:
-        raise ValueError(f"unknown face {face!r}")
+        raise ValueError(f"unknown face {face!r}; faces are {', '.join(dsys.bc)}")
     if dsys.bc[face] == "clamped":
         raise ValueError(f"face {face!r} is clamped; traction needs a free face")
     axis, side = _FACE_AXIS_SIDE[face]
     f = dsys.field_by_name(component)
     if f.kind != "p":
         raise ValueError("boundary tractions drive momentum components")
-    if f.shifts[axis] != 0:
+    if f.ends[axis][side] != "node":
         raise ValueError(
             f"component {component!r} has no nodes on face {face!r} "
             "(half-shifted lattice); choose a component with face nodes"
         )
-    face_index = f.starts[axis] if side == 0 else f.starts[axis] + f.counts[axis] - 1
-    lattice_face = 0 if side == 0 else dsys.grid.cells[axis]
-    if face_index != lattice_face:
-        raise ValueError(f"face {face!r} nodes of {component!r} were eliminated")
+    face_index = (0, dsys.grid.cells[axis])[side]
     vector = np.zeros(dsys.num_dofs)
     wvector = np.zeros(dsys.num_dofs)
     for gidx in f.nodes():

@@ -356,6 +356,15 @@ def test_a_constitutive_matrix_that_is_not_square_is_refused():
         assemble_phs(model)
 
 
+@pytest.mark.parametrize("cmat, shape", [([[1, 5]], "1 x 2"), ([[1], [5]], "2 x 1")])
+def test_stiffness_matrix_refuses_a_constitutive_matrix_of_the_wrong_shape(cmat, shape):
+    # unvalidated, both used to compile as K = [[1]], the extra entry dropped
+    model = replace(builtin_model("truss"), cmat=[[F(x) for x in row] for row in cmat])
+    message = f"constitutive matrix C of truss is {shape}, but lambda2 is 1 x 1, so C must be 1 x 1"
+    with pytest.raises(BuildError, match=re.escape(message)):
+        assemble_phs(model, validate=False)
+
+
 def test_boundary_port_map_timoshenko_endpoints():
     sys_ = assemble_phs(builtin_model("timoshenko"))
     right = boundary_port_map(sys_, (1,))

@@ -414,6 +414,19 @@ def test_simulate_refuses_a_face_given_twice(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "bc, message",
+    [
+        ("left=pinned", "face 'left' is 'pinned'; boundary conditions are 'clamped' or 'free'"),
+        ("top=free", "unknown face 'top'; faces are left, right"),
+    ],
+)
+def test_simulate_names_a_refused_boundary_condition(tmp_path, capsys, bc, message):
+    assert _simulate_string(tmp_path, "--dt", "1/100", "--bc", bc) == EXIT_INVALID_MODEL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["build", "export", "simulate"])
 def test_every_compiling_command_reports_a_missing_model_file(tmp_path, capsys, command):
     extra = ["--cells", "8", "--dt", "1/100", "--steps", "2"] if command == "simulate" else []

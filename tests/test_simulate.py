@@ -151,6 +151,35 @@ def test_clamped_faces_remove_momentum_nodes():
     assert clamped.num_eps == free.num_eps
 
 
+def test_timoshenko_cantilever_face_record():
+    dsys = _dsys("timoshenko", (16,), {"left": "clamped", "right": "free"})
+    assert {f.label: f.ends for f in dsys.fields} == {
+        "p1": (("clamped", "node"),),
+        "p2": (("half", "half"),),
+        "eps1": (("half", "half"),),
+        "eps2": (("restricted", "restricted"),),
+    }
+
+
+@pytest.mark.parametrize("bc", [{"left": "pinned"}, {"left": "Clamped"}])
+def test_discretize_names_the_face_and_the_condition_it_refuses(bc):
+    ((face, kind),) = bc.items()
+    message = f"face {face!r} is {kind!r}; boundary conditions are 'clamped' or 'free'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _dsys("string", (8,), bc)
+
+
+def test_an_unknown_face_is_refused_with_the_grid_faces():
+    with pytest.raises(ValueError, match="^unknown face 'top'; faces are left, right$"):
+        _dsys("string", (8,), {"top": "free"})
+    dsys = _dsys("string", (8,))
+    with pytest.raises(ValueError, match="^unknown face 'top'; faces are left, right$"):
+        boundary_traction_input(dsys, "top", "p1", lambda t: 1.0)
+    dsys = _dsys("elasticity2d", (4, 4))
+    with pytest.raises(ValueError, match="^unknown face 'front'; faces are left, right, bottom, top$"):
+        boundary_traction_input(dsys, "front", "p1", lambda t: 1.0)
+
+
 def test_interconnection_exactly_skew():
     for name, cells in (
         ("string", (16,)),
@@ -1143,8 +1172,8 @@ def test_trajectory_csv_one_node_field_matches_the_reference(tmp_path, t):
     """A one-node field beside a three-node one; a "%" in a label stays out
     of the formatting."""
     fields = [
-        FieldLayout("p%d", "a", "p", 0, (1,), (0,), (1,), 0, ([F(1)],)),
-        FieldLayout("eps1", "eps1", "eps", 0, (1,), (0,), (3,), 1, ([F(1)] * 3,)),
+        FieldLayout("p%d", "a", "p", 0, (1,), (("half", "half"),), (0,), (1,), 0, ([F(1)],)),
+        FieldLayout("eps1", "eps1", "eps", 0, (1,), (("half", "half"),), (0,), (3,), 1, ([F(1)] * 3,)),
     ]
     dsys = types.SimpleNamespace(fields=fields)
     states = np.array([[0.1, -0.0, 5e-324, 2.0**60], [-1.5e300, 3.0, 1e-300, 0.2]])
@@ -1190,10 +1219,9 @@ def _operator_digest_update(h, dsys):
     h.update(dsys.W.tobytes())
 
 
-def test_operator_digest_of_simulable_builtins():
-    """D, J, C and W of every simulable builtin under all-free, all-clamped
-    and mixed faces, plus the scaled-material string, hash to a pinned value."""
-    h = hashlib.sha256()
+def _digest_cases():
+    """(name, bc, dsys) of every simulable builtin under all-free,
+    all-clamped and mixed faces, on one small grid."""
     for name in SIMULABLE:
         ell = _SYSTEMS[name].model.ell
         cells = (7,) if ell == 1 else (5, 4)
@@ -1203,8 +1231,16 @@ def test_operator_digest_of_simulable_builtins():
             {face: "clamped" for face in faces},
             {face: ("clamped" if k % 2 == 0 else "free") for k, face in enumerate(faces)},
         ):
-            h.update(f"{name} {sorted(bc.items())}\n".encode())
-            _operator_digest_update(h, discretize(_SYSTEMS[name], GridSpec(cells), bc))
+            yield name, bc, discretize(_SYSTEMS[name], GridSpec(cells), bc)
+
+
+def test_operator_digest_of_simulable_builtins():
+    """D, J, C and W of every simulable builtin under all-free, all-clamped
+    and mixed faces, plus the scaled-material string, hash to a pinned value."""
+    h = hashlib.sha256()
+    for name, bc, dsys in _digest_cases():
+        h.update(f"{name} {sorted(bc.items())}\n".encode())
+        _operator_digest_update(h, dsys)
     clamped = {"left": "clamped", "right": "clamped"}
     for scales in (
         {"density_scale": lambda x: 1.0 + 0.5 * x, "stiffness_scale": lambda x: 2.0 - x},
@@ -1213,6 +1249,56 @@ def test_operator_digest_of_simulable_builtins():
         h.update(f"string scaled {sorted(scales)}\n".encode())
         _operator_digest_update(h, discretize(_SYSTEMS["string"], GridSpec((48,)), clamped, **scales))
     assert h.hexdigest() == "757771e2189cdbaec60959a06c85121ed83ddaf1959728ea61c5d40f429240d4"
+
+
+def test_face_record_sets_the_layout_the_weights_and_the_tractions():
+    """Per field and axis: the nodes are the ones ``ends`` keeps, the weights
+    cover the axis less dx / 2 per clamped end, and a traction is accepted on
+    exactly the free faces where a momentum lattice keeps its face node."""
+    for name, bc, dsys in _digest_cases():
+        faces = FACES[len(dsys.grid.cells)]
+        for f in dsys.fields:
+            for axis, ((lo, hi), cells, dx) in enumerate(zip(f.ends, dsys.grid.cells, dsys.dx)):
+                case = (name, bc, f.label, axis)
+                if f.shifts[axis]:
+                    assert (lo, hi) == ("half", "half"), case
+                    nodes = range(cells)
+                else:
+                    if f.kind == "p":
+                        sides = faces[2 * axis : 2 * axis + 2]
+                        assert [lo, hi] == ["clamped" if bc.get(s) == "clamped" else "node" for s in sides], case
+                    else:
+                        assert lo == hi and lo in ("node", "restricted"), case
+                    nodes = range(lo != "node", cells + (hi == "node"))
+                assert range(f.starts[axis], f.starts[axis] + f.counts[axis]) == nodes, case
+                assert sum(f.weights[axis]) == cells * dx - (lo, hi).count("clamped") * dx / 2, case
+        for f in dsys.p_fields:
+            for k, face in enumerate(faces):
+                accepts = f.ends[k // 2][k % 2] == "node" and bc.get(face) != "clamped"
+                try:
+                    boundary_traction_input(dsys, face, f.label, lambda t: 1.0)
+                except ValueError:
+                    assert not accepts, (name, bc, f.label, face)
+                else:
+                    assert accepts, (name, bc, f.label, face)
+
+
+def test_traction_vector_digest_of_simulable_builtins():
+    """``vector`` and ``wvector`` of the traction on every free face of the
+    operator digest's cases, for each momentum component on the face's
+    integer lattice, hash to a pinned value."""
+    h = hashlib.sha256()
+    for name, bc, dsys in _digest_cases():
+        for k, face in enumerate(FACES[dsys.system.model.ell]):
+            if bc.get(face) == "clamped":
+                continue
+            for f in dsys.p_fields:
+                if f.shifts[k // 2] == 0:
+                    ch = boundary_traction_input(dsys, face, f.label, lambda t: 1.0)
+                    h.update(f"{name} {sorted(bc.items())} {face} {f.label}\n".encode())
+                    h.update(ch.vector.tobytes())
+                    h.update(ch.wvector.tobytes())
+    assert h.hexdigest() == "a52bd2a3b3c4e8fa2c97587c3a97c22d547be055d2cf04213fb790d25d0be1c3"
 
 
 @st.composite
