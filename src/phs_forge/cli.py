@@ -3,6 +3,7 @@
 Rationals print as num/den in JSON artifacts; floats appear only in the
 simulation CSVs, serialized with fixed formatting so artifacts regenerate
 byte-for-byte.  The default output directory can be set with PHS_FORGE_OUT.
+Only the commands that run the simulator import it, and numpy with it.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ from .build import assemble_phs, export_system, float_matrix, write_matrix_csv
 from .exact import ExactError
 from .modelfile import check_digits, parse_model_file, serialize_model
 from .models import ModelError, builtin_model, builtin_names, validate_model
-from .simulate import (
-    GridSpec,
-    SimulationUnsupported,
-    boundary_traction_input,
-    discretize,
-    distributed_input,
-    random_state,
-    simulate,
-    simulation_refusal,
-    write_energy_csv,
-    write_trajectory_csv,
-)
 from .verify import report_json, run_all
 
 EXIT_OK = 0
@@ -60,6 +49,8 @@ def _load_model(args):
 
 
 def cmd_list_models(args) -> int:
+    from .simulate import simulation_refusal
+
     print(f"{'name':<20} {'ell':>3} {'N':>2} {'n':>2} {'m':>2} {'d':>2}  simulator")
     for name in builtin_names():
         model = builtin_model(name)
@@ -150,6 +141,8 @@ def _parse_cells(text):
 
 
 def _parse_inputs(specs, dsys):
+    from .simulate import boundary_traction_input, distributed_input
+
     channels = []
     for spec in specs or []:
         parts = spec.split(":")
@@ -206,6 +199,9 @@ def _parse_dt(text: str) -> float:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import (GridSpec, SimulationUnsupported, discretize, random_state, simulate,
+                           write_energy_csv, write_trajectory_csv)
+
     sys_ = _compile(args)
     if sys_ is None:
         return EXIT_INVALID_MODEL

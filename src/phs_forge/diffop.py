@@ -37,7 +37,7 @@ to a face and maps its terms to integers at flat indices, ``_contract`` sums
 ``n_a n_b mu[k_a + k_b]`` against a table of box moments (``_moments``, from
 ``poly.moment_weights``, cached per bounds, skipped axis and top degree),
 and ``_flux`` takes the difference of the two faces.  An oracle encodes its
-matrices once and per field pair only flattens and contracts;
+matrices once and per field pair differentiates, flattens and contracts;
 ``boundary_pairing_sum_form``, the reference for the boundary side, calls
 ``_flux`` once per term.  The section Gram matrices are not pairings:
 ``build._section_gram`` integrates them through ``Section.integrate``.
@@ -411,15 +411,27 @@ def _block_row(op: DiffOpMatrix) -> Matrix:
     return [[x for b in blocks for x in b[r]] for r in range(op.m)]
 
 
-def _stacked(op: DiffOpMatrix, w: Sequence[Poly]) -> List[Poly]:
-    """``[w; d_k^i w; ...]`` in the order of ``op.pk``; its first block is ``w``."""
-    return list(w) + [f for k, i in op.pk for f in _diff(w, op.axes[k - 1], i)]
+def _derivatives(fields: Sequence[Poly], axes: Sequence[str], top: int):
+    """Per axis k, ``[w, d_k w, ..., d_k^top w]``, each entry the derivative
+    of the one before."""
+    table = []
+    for name in axes:
+        column = [list(fields)]
+        for _ in range(top):
+            column.append([f.diff(name) for f in column[-1]])
+        table.append(column)
+    return table
+
+
+def _stacked(op: DiffOpMatrix, table) -> List[Poly]:
+    """``[w; d_k^i w; ...]`` in ``op.pk`` order, from the ``_derivatives`` of w."""
+    return table[0][0] + [f for k, i in op.pk for f in table[k - 1][i]]
 
 
 def _check_pair(op: DiffOpMatrix, form: BoundaryForm, adjoint: DiffOpMatrix) -> None:
-    """Refuse a boundary form or an adjoint whose shape does not fit ``op``."""
+    """Refuse a boundary form or an adjoint that does not fit ``op``."""
     rows, cols = jet_layout(op.n, op.order, op.ell), jet_layout(op.m, op.order, op.ell)
-    if (adjoint.m, adjoint.n) != (op.n, op.m) or len(form.q_axes) != op.ell or any(
+    if (adjoint.m, adjoint.n, adjoint.axes, len(form.q_axes)) != (op.n, op.m, op.axes, op.ell) or any(
         len(q) != rows or any(len(row) != cols for row in q) for q in form.q_axes
     ):
         raise ExactError("adjoint or boundary form does not match the operator")
@@ -449,13 +461,14 @@ class IbpOracle:
     matrices are encoded once, here, as integer rows over one common
     denominator: the volume side as one block matrix ``[[F, 0], [0, -F*]]``
     (``F`` and ``F*`` as block rows, ``_block_row``) against
-    ``[w; d w ...; v; d v ...]``, and each ``Q_a``.  A call then finds one
-    top exponent, flattens the two stacks once (their first blocks serve as
-    ``w`` and ``v``) and each jet once per axis, and contracts.  Moment
-    tables are kept per oracle, keyed by ``(skipped axis, top)``.
+    ``[w; d w ...; v; d v ...]``, and each ``Q_a``.  A call finds one top
+    exponent, differentiates ``v`` and ``w`` once into ``_derivatives``
+    tables (the stacks and the jets are slices of them), flattens each stack
+    once and each jet once per axis, and contracts.  Moment tables are kept
+    per oracle, keyed by ``(skipped axis, top)``.
     """
 
-    __slots__ = ("op", "dom", "adjoint", "_lm", "_volume", "_q", "_tables")
+    __slots__ = ("op", "dom", "adjoint", "_lm", "_volume", "_q", "_tables", "_top")
 
     def __init__(
         self,
@@ -479,6 +492,7 @@ class IbpOracle:
         ]
         self._q = [_encode(q, lm) for q in form.q_axes]
         self._tables: Dict[Tuple[int, int], tuple] = {}
+        self._top = max(op.order, adjoint.order)  # the jet needs op.order - 1
 
     def _table(self, skip: int, top: int):
         table = self._tables.get((skip, top))
@@ -486,21 +500,23 @@ class IbpOracle:
             table = self._tables[skip, top] = _moments(self.dom.bounds, skip, top)
         return table
 
-    def _checked_degree(self, v: Sequence[Poly], w: Sequence[Poly]) -> int:
-        """The one degree bound of a call, after the fields are checked."""
+    def _prepare(self, v: Sequence[Poly], w: Sequence[Poly]):
+        """The degree bound and the ``_derivatives`` of v and w, after the fields are checked."""
         _check_fields(self.op, self.dom, v, w)
-        return _degree(chain(v, w))
+        return _degree(chain(v, w)), *(_derivatives(f, self.op.axes, self._top) for f in (v, w))
 
-    def _volume_part(self, v, w, d: int) -> Fraction:
+    def _volume_part(self, d: int, tv, tw) -> Fraction:
         mu, den, index = self._table(-1, 2 * d)
-        a, la = _flatten(_stacked(self.op, w), index)
-        b, lb = _flatten(_stacked(self.adjoint, v), index)
+        a, la = _flatten(_stacked(self.op, tw), index)
+        b, lb = _flatten(_stacked(self.adjoint, tv), index)
         us = b[: self.op.m] + a[: self.op.n]
         return Fraction(_contract(us, self._volume, a + b, mu), den * la * lb * self._lm)
 
-    def _boundary_part(self, v, w, d: int) -> Fraction:
+    def _boundary_part(self, d: int, tv, tw) -> Fraction:
         op, bounds = self.op, self.dom.bounds
-        jw, jv = jet(w, op.order, op.axes), jet(v, op.order, op.axes)
+        blocks = jet_blocks(op.order, op.ell)
+        # block (0, 0) is differentiated zero times, along any axis
+        jw, jv = ([f for j, k in blocks for f in t[k - 1][j]] for t in (tw, tv))
         total = Fraction(0)
         for axis, rows in enumerate(self._q):
             num, den = _flux(self._table(axis, 2 * d), bounds[axis], axis, d, d, jw, rows, jv)
@@ -509,18 +525,18 @@ class IbpOracle:
 
     def volume(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
         """integral_Omega (v^T F w - w^T F* v) dx, exactly."""
-        return self._volume_part(v, w, self._checked_degree(v, w))
+        return self._volume_part(*self._prepare(v, w))
 
     def boundary(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
         """The boundary side: one flux of ``jet(w)^T Q_a jet(v)`` per axis."""
-        return self._boundary_part(v, w, self._checked_degree(v, w))
+        return self._boundary_part(*self._prepare(v, w))
 
     def residual(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
         """``volume(v, w) - boundary(v, w)``: exactly zero for every operator
         of the supported class and any polynomial fields, as long as the
         form and the adjoint are (or equal) the operator's own."""
-        d = self._checked_degree(v, w)
-        return self._volume_part(v, w, d) - self._boundary_part(v, w, d)
+        prepared = self._prepare(v, w)
+        return self._volume_part(*prepared) - self._boundary_part(*prepared)
 
 
 def boundary_pairing_sum_form(

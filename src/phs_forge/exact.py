@@ -239,7 +239,8 @@ def row_reduce(a, ncols: int):
 
     Pivots are sought in the first ``ncols`` columns; later columns are
     right-hand sides.  Returns ``(rows, pivot_cols)``; the rank is
-    ``len(pivot_cols)``.
+    ``len(pivot_cols)``.  Zeros of the pivot row are skipped: ``0 / d`` and
+    ``x - f * 0`` change nothing for Fractions and PiRats as arithmetic leaves them.
     """
     work = [row[:] for row in a]
     pivots = []
@@ -250,11 +251,11 @@ def row_reduce(a, ncols: int):
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
         d = work[rank][col]
-        work[rank] = [x / d for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not is_zero(work[r][col]):
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        pivot = work[rank] = [x / d if x else x for x in work[rank]]
+        for r, row in enumerate(work):
+            f = row[col]
+            if r != rank and not is_zero(f):
+                work[r] = [x - f * y if y else x for x, y in zip(row, pivot)]
         pivots.append(col)
     return work, pivots
 

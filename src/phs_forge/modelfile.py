@@ -278,35 +278,45 @@ def check_digits(value: Fraction, what: str) -> Fraction:
 
 
 def eval_scalar(text: str, params: Dict[str, Fraction], what: str) -> Fraction:
-    env = dict(params)
-    val = _ExprParser(text, env, what).parse()
+    val = _ExprParser(text, params, what).parse()
     if not isinstance(val, Fraction):
         raise ParseError(f"expected a rational value in {what}, got {text!r}")
     return check_digits(val, what)
 
 
-def _poly_rows(lines, coords: Tuple[str, ...], params: Dict[str, Fraction], what: str):
-    """The rows of a matrix section whose entries are polynomials over
-    ``coords``; every coefficient is held to the digit limit, naming its entry
-    (``F[0][1]``)."""
-    env: Dict[str, object] = dict(params)
-    env.update((c, Poly.variable(coords, c)) for c in coords)
+def _rows(lines, what: str, evaluate) -> list:
+    """The rows of the matrix section ``what``: each distinct entry text is
+    ``evaluate(text, name)``, once, with ``name`` where it first occurs
+    (``F[0][1]``); later copies reuse that (immutable) value."""
+    seen: Dict[str, object] = {}
     rows = []
     for r, line in enumerate(lines):
-        row = []
-        for c, text in enumerate(_split_entries(line)):
-            name = f"{what}[{r}][{c}]"
-            val = _ExprParser(text, env, name).parse()
-            if isinstance(val, Fraction):
-                val = Poly.constant(coords, val)
-            # a reduced coefficient divides its numerator over the lcm and
-            # the lcm itself, so only an entry with a long one needs a look
-            if max(map(int.bit_length, (val.den, *val.num.values()))) > _MAX_BITS:
-                for coeff in val.terms.values():
-                    check_digits(coeff, name)
-            row.append(val)
-        rows.append(row)
+        rows.append(row := _split_entries(line))
+        for c, text in enumerate(row):
+            if text not in seen:
+                seen[text] = evaluate(text, f"{what}[{r}][{c}]")
+            row[c] = seen[text]
     return rows
+
+
+def _poly_rows(lines, coords: Tuple[str, ...], params: Dict[str, Fraction], what: str):
+    """The rows of a matrix section whose entries are polynomials over
+    ``coords`` (``_rows``); every coefficient is held to the digit limit,
+    naming its entry (``F[0][1]``)."""
+    env = {**params, **{c: Poly.variable(coords, c) for c in coords}}
+
+    def evaluate(text: str, name: str) -> Poly:
+        val = _ExprParser(text, env, name).parse()
+        if isinstance(val, Fraction):
+            val = Poly.constant(coords, val)
+        # a reduced coefficient divides its numerator over the lcm and
+        # the lcm itself, so only an entry with a long one needs a look
+        if max(map(int.bit_length, (val.den, *val.num.values()))) > _MAX_BITS:
+            for coeff in val.terms.values():
+                check_digits(coeff, name)
+        return val
+
+    return _rows(lines, what, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +418,7 @@ def parse_model(text: str) -> KinematicModel:
     cmat = _parse_cmat(sections["C"], params)
     bd = None
     if "Bd" in sections:
-        bd = [
-            [eval_scalar(e, params, "Bd") for e in _split_entries(line)]
-            for line in sections["Bd"]
-        ]
+        bd = _rows(sections["Bd"], "Bd", lambda text, _: eval_scalar(text, params, "Bd"))
 
     r_names, free_fields, structure, strain_check = _parse_structure(
         sections.get("structure"), lam1.cols if op is None else op.n, dist
@@ -514,7 +521,7 @@ def _parse_cmat(lines, params):
         if missing:
             raise ParseError(f"preset {preset!r} needs parameters {missing}")
         return func(*(params[p] for p in needed))
-    rows = [[eval_scalar(e, params, "C") for e in _split_entries(line)] for line in lines]
+    rows = _rows(lines, "C", lambda text, _: eval_scalar(text, params, "C"))
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ParseError("constitutive matrix must be square")

@@ -188,7 +188,7 @@ class KinematicModel:
 def random_poly(rng: random.Random, coords: Sequence[str], degree: int) -> Poly:
     """Random polynomial with integer coefficients in {-3..3}."""
     coords = tuple(coords)
-    num = {e: c for e in _exponents_up_to(len(coords), degree) if (c := rng.randint(-3, 3))}
+    num = {e: c for e in _exponents_up_to(len(coords), degree) if (c := rng.randrange(7) - 3)}
     return Poly._raw(coords, num or {(0,) * len(coords): 1})
 
 

@@ -1,12 +1,17 @@
 """The package's public names: each addition or removal is an edit here."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import phs_forge
+
+SRC = Path(phs_forge.__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
     "BoundaryForm",
@@ -64,10 +69,11 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
+    # dir(), not vars(): the simulator's names resolve on first use (PEP 562)
     public = sorted(
         name
-        for name, value in vars(phs_forge).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(phs_forge)
+        if not name.startswith("_") and not isinstance(getattr(phs_forge, name), types.ModuleType)
     )
     assert public == PUBLIC_NAMES
 
@@ -77,6 +83,14 @@ def test_package_simulate_is_the_function_and_the_module_stays_reachable():
     module = importlib.import_module("phs_forge.simulate")
     assert isinstance(module, types.ModuleType)
     assert phs_forge.simulate is module.simulate
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # only the simulator needs numpy; verify, build and export start without it
+    code = "import sys, phs_forge.cli; print(sorted({'numpy', 'phs_forge.simulate'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.stdout == "[]\n"
 
 
 # file names such as `sections.py` are not attribute references

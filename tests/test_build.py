@@ -25,7 +25,17 @@ from phs_forge.build import (
     write_matrix_csv,
 )
 from phs_forge.diffop import BoundaryForm, IbpOracle, ibp_symbol_residual, jet
-from phs_forge.exact import ExactError, PiRat, check_spd, ldl_pivots, scalar_sign
+from phs_forge.exact import (
+    ExactError,
+    PiRat,
+    check_spd,
+    identity,
+    is_zero,
+    ldl_pivots,
+    mat_inverse,
+    row_reduce,
+    scalar_sign,
+)
 from phs_forge.modelfile import serialize_model
 from phs_forge.models import builtin_model, builtin_names, random_poly, validate_model
 from phs_forge.poly import Poly, PolyMatrix, mat_apply
@@ -246,6 +256,72 @@ def test_ldl_pivots_match_the_full_update(a):
         xax = sum((witness[i] * a[i][j] * witness[j] for i in range(n) for j in range(n)), F(0))
         assert xax == pivots[-1] and scalar_sign(pivots[-1]) <= 0
         assert list(map(str, witness)) == list(map(str, ref_witness))
+
+
+def _row_reduce_every_entry(a, ncols):
+    """Gauss-Jordan that scales and updates every entry, zero or not: the
+    reference for ``row_reduce``."""
+    work = [row[:] for row in a]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(work)) if not is_zero(work[r][col])), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        d = work[rank][col]
+        work[rank] = [x / d for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and not is_zero(work[r][col]):
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+    return work, pivots
+
+
+def _scalar_kinds(rows):
+    """Each entry as (value, type, power of pi): a Fraction and a PiRat of
+    equal value are told apart."""
+    return [[(x, type(x), getattr(x, "k", 0)) for x in row] for row in rows]
+
+
+def _pi(q):
+    return PiRat(F(q), 1)
+
+
+# sparse, with a pi block (rows and columns 0 and 2) and a rational block
+SPARSE_PI = [
+    [_pi(F(1, 2)), F(0), _pi(F(1, 3)), F(0), F(0)],
+    [F(0), F(1), F(0), F(2), F(0)],
+    [_pi(F(1, 5)), F(0), _pi(1), F(0), F(0)],
+    [F(0), F(3), F(0), F(1), F(0)],
+    [F(0), F(0), F(0), F(0), F(7)],
+]
+
+
+@pytest.mark.parametrize("name", ["torsion", "reddy_plate", "sparse_pi"])
+def test_inverse_skips_zeros_with_every_value_and_type_unchanged(name):
+    a = SPARSE_PI if name == "sparse_pi" else mass_matrix(builtin_model(name))
+    n = len(a)
+    inv = mat_inverse(a)
+    ref, _ = _row_reduce_every_entry([row + e for row, e in zip(a, identity(n))], n)
+    assert _scalar_kinds(inv) == _scalar_kinds([row[n:] for row in ref])
+    product = [[sum((a[i][k] * inv[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    assert product == identity(n)
+    if name != "reddy_plate":  # the torsion mass and SPARSE_PI carry pi
+        assert any(isinstance(x, PiRat) for row in inv for x in row)
+
+
+def test_row_reduce_of_a_sparse_matrix_with_zero_rows_matches_the_reference():
+    a = [row[:] + [F(i - 2), _pi(i + 1)] for i, row in enumerate(SPARSE_PI)]
+    a[1] = [F(0)] * 7
+    a[3][:5] = [F(0)] * 5  # a zero row left of the right-hand sides
+    work, pivots = row_reduce(a, 5)
+    ref, ref_pivots = _row_reduce_every_entry(a, 5)
+    assert pivots == ref_pivots == [0, 2, 4]
+    assert _scalar_kinds(work) == _scalar_kinds(ref)
+    with pytest.raises(ExactError, match="singular"):
+        mat_inverse([row[:5] for row in a])
 
 
 def test_timoshenko_interconnection_golden():

@@ -1,5 +1,6 @@
 """End-to-end command-line flows."""
 
+import importlib
 import json
 
 import pytest
@@ -400,9 +401,8 @@ def test_simulate_stops_when_energy_overflows(tmp_path, capsys):
 
 
 def test_simulate_refuses_a_negative_seed_before_discretizing(tmp_path, capsys, monkeypatch):
-    from phs_forge import cli
-
-    monkeypatch.setattr(cli, "discretize", None)  # a call would raise TypeError
+    # cmd_simulate imports discretize when it runs; a call would raise TypeError
+    monkeypatch.setattr(importlib.import_module("phs_forge.simulate"), "discretize", None)
     assert _simulate_string(tmp_path, "--dt", "1/100", "--seed", "-1") == EXIT_INVALID_MODEL
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
     assert not (tmp_path / "e.csv").exists()

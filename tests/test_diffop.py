@@ -489,6 +489,36 @@ def test_one_oracle_reused_over_field_pairs_matches_the_references(data):
             assert res == 0 == ibp_residual(op, v, w, dom)
 
 
+@pytest.mark.parametrize("ell, order", [(1, 1), (2, 2), (1, 4), (2, 4)])
+def test_oracle_sides_at_orders_one_two_and_four(ell, order):
+    """The stacks and jets of a call are slices of one table of derivatives
+    per field set: at each order the sides equal the one-call volume, the
+    triple-sum boundary and product-then-integrate, also with an adjoint of
+    higher order than the operator, whose stack reaches deeper than F's."""
+    rng = random.Random(f"orders:{ell}:{order}")
+    axes = X12[:ell]
+
+    def matrix(m, n):
+        return [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
+
+    pk = {(k, i): matrix(2, 3) for k in range(1, ell + 1) for i in range(1, order + 1)}
+    op = DiffOpMatrix(2, 3, axes, p0=matrix(2, 3), pk=pk)
+    higher = DiffOpMatrix(3, 2, axes, p0=matrix(3, 2), pk={(ell, order + 2): matrix(3, 2), (1, 1): matrix(3, 2)})
+    dom = DomainSpec(axes, ((F(-1, 2), F(1)), (F(0), F(2, 3)))[:ell])
+    v = [random_poly(rng, axes, order + 2) for _ in range(op.m)]
+    w = [random_poly(rng, axes, order + 2) for _ in range(op.n)]
+    form = BoundaryForm(op)
+    own = IbpOracle(op, dom)
+    volume, boundary = _reference_sides(op, v, w, dom, form, op.formal_adjoint())
+    assert own.volume(v, w) == volume_mismatch(op, v, w, dom) == volume
+    assert own.boundary(v, w) == boundary_pairing_sum_form(op, v, w, dom) == boundary
+    assert own.residual(v, w) == 0
+    deeper = IbpOracle(op, dom, adjoint=higher)
+    volume, boundary = _reference_sides(op, v, w, dom, form, higher)
+    assert (deeper.volume(v, w), deeper.boundary(v, w)) == (volume, boundary)
+    assert deeper.residual(v, w) == volume - boundary != 0
+
+
 @pytest.mark.parametrize("call", ["ibp_residual", "volume_mismatch", "oracle", "sum_form"])
 def test_oracle_refusals_keep_their_messages(call):
     op = timoshenko_op()  # 2 x 2 over z1
@@ -521,6 +551,12 @@ def test_oracle_refuses_a_mismatched_form_or_adjoint():
         IbpOracle(op, dom, form=BoundaryForm(timoshenko_op()))
     with pytest.raises(ExactError, match="does not match the operator"):
         IbpOracle(op, dom, adjoint=op)
+    # the adjoint's derivatives are taken along the operator's axes
+    other_axes = DiffOpMatrix(2, 1, ("z2",), pk={(1, 1): [[1], [0]]})
+    for refuse in (lambda: IbpOracle(op, dom, adjoint=other_axes),
+                   lambda: ibp_symbol_residual(op, adjoint=other_axes)):
+        with pytest.raises(ExactError, match="does not match the operator"):
+            refuse()
 
 
 def _face_integral(p, dom, axis, value):
