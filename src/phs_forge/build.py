@@ -17,7 +17,7 @@ from typing import List
 
 from . import exact
 from .diffop import BoundaryForm, DiffOpMatrix, jet_blocks
-from .exact import PiRat, check_spd, fr, mat_inverse, scalar_json, to_float
+from .exact import check_spd, fr, mat_inverse, scalar_json, scalar_parts, to_float
 from .modelfile import check_digits
 from .models import KinematicModel, ModelError, validate_model
 from .poly import dot, mat_apply
@@ -147,7 +147,7 @@ def _bounded(matrix, what: str):
     passes the digit limit of model-file values: it could not be written out."""
     for i, row in enumerate(matrix):
         for j, x in enumerate(row):
-            check_digits(x.q if isinstance(x, PiRat) else fr(x), f"{what}[{i}][{j}]")
+            check_digits(scalar_parts(x)[0], f"{what}[{i}][{j}]")
     return matrix
 
 

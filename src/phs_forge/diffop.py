@@ -14,6 +14,8 @@ for derivatives of w, zeta for those of v).  A jet stacks a field with its
 axis derivatives in the block order of ``jet_blocks``; ``jet``, the rows and
 columns of ``BoundaryForm``, the monomials ``ibp_symbol_residual`` reads and
 the port labels of ``build.boundary_port_map`` all take it from there.
+``_derivatives`` is the one derivative table: ``jet`` and the oracle read
+jets off it (``_jet``), and ``apply``, the oracle and the sum form read it.
 Entries render as polynomials in ``d1..dl`` (``symbols``), through
 ``Poly.__str__``.
 
@@ -174,17 +176,23 @@ class DiffOpMatrix:
         """Apply to a vector of polynomials over (a superset of) the axes."""
         if len(w) != self.n:
             raise ExactError(f"operator expects {self.n} fields, got {len(w)}")
+        table = _derivatives(w, self.axes, self.order)
         out = mat_apply(self.p0, w)
         for (k, i), mat_ in self.pk.items():
-            out = [a + b for a, b in zip(out, mat_apply(mat_, _diff(w, self.axes[k - 1], i)))]
+            out = [a + b for a, b in zip(out, mat_apply(mat_, table[k - 1][i]))]
         return out
 
 
-def _diff(fields: Sequence[Poly], name: str, times: int) -> List[Poly]:
-    """Every field differentiated ``times`` times along the axis ``name``."""
-    for _ in range(times):
-        fields = [f.diff(name) for f in fields]
-    return list(fields)
+def _derivatives(fields: Sequence[Poly], axes: Sequence[str], top: int):
+    """Per axis k, ``[w, d_k w, ..., d_k^top w]``, each entry the derivative
+    of the one before: the one derivative table of the module."""
+    table = []
+    for name in axes:
+        column = [list(fields)]
+        for _ in range(top):
+            column.append([f.diff(name) for f in column[-1]])
+        table.append(column)
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -200,8 +208,13 @@ def jet_blocks(order: int, ell: int) -> Tuple[Block, ...]:
 def jet(fields: Sequence[Poly], order: int, axes: Sequence[str]) -> List[Poly]:
     """Stack a vector field with its axis derivatives in ``jet_blocks``
     order: [w; d1 w .. dl w; d1^2 w .. dl^2 w; ...]."""
+    return _jet(_derivatives(fields, axes, order - 1), order)
+
+
+def _jet(table, order: int) -> List[Poly]:
+    """The jet of the fields of a ``_derivatives`` table, up to ``order - 1``."""
     # block (0, 0) is differentiated zero times, along any axis
-    return [f for j, k in jet_blocks(order, len(axes)) for f in _diff(fields, axes[k - 1], j)]
+    return [f for j, k in jet_blocks(order, len(table)) for f in table[k - 1][j]]
 
 
 def jet_layout(n_fields: int, order: int, ell: int) -> int:
@@ -411,18 +424,6 @@ def _block_row(op: DiffOpMatrix) -> Matrix:
     return [[x for b in blocks for x in b[r]] for r in range(op.m)]
 
 
-def _derivatives(fields: Sequence[Poly], axes: Sequence[str], top: int):
-    """Per axis k, ``[w, d_k w, ..., d_k^top w]``, each entry the derivative
-    of the one before."""
-    table = []
-    for name in axes:
-        column = [list(fields)]
-        for _ in range(top):
-            column.append([f.diff(name) for f in column[-1]])
-        table.append(column)
-    return table
-
-
 def _stacked(op: DiffOpMatrix, table) -> List[Poly]:
     """``[w; d_k^i w; ...]`` in ``op.pk`` order, from the ``_derivatives`` of w."""
     return table[0][0] + [f for k, i in op.pk for f in table[k - 1][i]]
@@ -513,13 +514,10 @@ class IbpOracle:
         return Fraction(_contract(us, self._volume, a + b, mu), den * la * lb * self._lm)
 
     def _boundary_part(self, d: int, tv, tw) -> Fraction:
-        op, bounds = self.op, self.dom.bounds
-        blocks = jet_blocks(op.order, op.ell)
-        # block (0, 0) is differentiated zero times, along any axis
-        jw, jv = ([f for j, k in blocks for f in t[k - 1][j]] for t in (tw, tv))
+        jw, jv = _jet(tw, self.op.order), _jet(tv, self.op.order)
         total = Fraction(0)
         for axis, rows in enumerate(self._q):
-            num, den = _flux(self._table(axis, 2 * d), bounds[axis], axis, d, d, jw, rows, jv)
+            num, den = _flux(self._table(axis, 2 * d), self.dom.bounds[axis], axis, d, d, jw, rows, jv)
             total += Fraction(num, den * self._lm)
         return total
 
@@ -550,12 +548,13 @@ def boundary_pairing_sum_form(
     ``_flux`` call, independent of ``IbpOracle`` and ``BoundaryForm``."""
     _check_axes(op, dom)
     _check_fields(op, dom, v, w)
+    tv, tw = (_derivatives(f, op.axes, op.order - 1) for f in (v, w))
     total = Fraction(0)
     for (k, i), pki in op.pk.items():
         lm = _common_denominator(pki)
-        rows, name, axis = _encode(transpose(pki), lm), op.axes[k - 1], k - 1
+        rows, axis = _encode(transpose(pki), lm), k - 1
         for j in range(1, i + 1):
-            dw, dv = _diff(w, name, i - j), _diff(v, name, j - 1)
+            dw, dv = tw[axis][i - j], tv[axis][j - 1]
             du, dd = _degree(dw), _degree(dv)
             table = _moments(dom.bounds, axis, du + dd)
             num, den = _flux(table, dom.bounds[axis], axis, du, dd, dw, rows, dv)

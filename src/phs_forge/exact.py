@@ -2,8 +2,9 @@
 
 Every coefficient in the symbolic pipeline is a ``fractions.Fraction``.
 Circular cross sections introduce a factor of pi into section moments, so
-scalars are either plain Fractions or :class:`PiRat`, a rational multiple of
-an integer power of pi.  Sums mixing different powers of pi are refused: they
+scalars are either plain Fractions or :class:`PiRat`, a nonzero rational
+multiple of a nonzero integer power of pi; ``scalar_parts`` reads either as
+``(q, k)``.  Sums mixing different powers of pi are refused: they
 never occur for the supported section shapes, and refusing keeps every
 comparison exact instead of silently falling back to floats.
 """
@@ -30,6 +31,10 @@ def fr(x) -> Fraction:
 class PiRat:
     """A scalar of the form q * pi**k with q rational and k an integer.
 
+    Canonical by construction: ``PiRat(q, k)`` returns the Fraction ``q``
+    when ``q`` or ``k`` is zero, so a PiRat is never zero and never rational,
+    and every arithmetic result passes through that one constructor.  Zero
+    and rational values are Fractions everywhere, and only a zero is falsy.
     Addition is only defined between equal powers of pi (or with zero);
     multiplication and division are unrestricted.  This is enough for every
     cross-section moment the builders produce, where each matrix entry and
@@ -38,33 +43,23 @@ class PiRat:
 
     __slots__ = ("q", "k")
 
-    def __init__(self, q, k: int = 0):
-        q = fr(q)
-        self.q = q
-        self.k = int(k) if q != 0 else 0
-
-    # -- helpers ----------------------------------------------------------
-    @staticmethod
-    def _lift(x) -> "PiRat":
-        if isinstance(x, PiRat):
-            return x
-        return PiRat(fr(x), 0)
-
-    def _as_fraction(self):
-        if self.k == 0:
-            return self.q
+    def __new__(cls, q, k: int = 0):
+        q, k = fr(q), int(k)
+        if not q or not k:
+            return q
+        self = super().__new__(cls)
+        self.q, self.k = q, k
         return self
+
+    def __getnewargs__(self):
+        return self.q, self.k
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        o = PiRat._lift(other)
-        if self.q == 0:
-            return o._as_fraction()
-        if o.q == 0:
-            return self._as_fraction()
-        if self.k != o.k:
-            raise ExactError(f"cannot add pi^{self.k} and pi^{o.k} terms exactly")
-        return PiRat(self.q + o.q, self.k)._as_fraction()
+        q, k = scalar_parts(other)
+        if q and k != self.k:
+            raise ExactError(f"cannot add pi^{self.k} and pi^{k} terms exactly")
+        return PiRat(self.q + q, self.k)
 
     __radd__ = __add__
 
@@ -72,55 +67,59 @@ class PiRat:
         return PiRat(-self.q, self.k)
 
     def __sub__(self, other):
-        return self + (-PiRat._lift(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return PiRat._lift(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = PiRat._lift(other)
-        return PiRat(self.q * o.q, self.k + o.k)._as_fraction()
+        q, k = scalar_parts(other)
+        return PiRat(self.q * q, self.k + k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = PiRat._lift(other)
-        if o.q == 0:
+        q, k = scalar_parts(other)
+        if not q:
             raise ZeroDivisionError("division by exact zero")
-        return PiRat(self.q / o.q, self.k - o.k)._as_fraction()
+        return PiRat(self.q / q, self.k - k)
 
     def __rtruediv__(self, other):
-        return PiRat._lift(other) / self
+        q, k = scalar_parts(other)
+        return PiRat(q / self.q, k - self.k)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ExactError("only non-negative integer powers")
-        return PiRat(self.q**n, self.k * n)._as_fraction()
+        return PiRat(self.q**n, self.k * n)
 
     def __eq__(self, other):
-        o = PiRat._lift(other) if isinstance(other, (PiRat, Fraction, int)) else None
-        if o is None:
+        # a PiRat is never rational, so it equals no int or Fraction
+        if not isinstance(other, PiRat):
             return NotImplemented
-        return self.q == o.q and (self.q == 0 or self.k == o.k)
+        return self.q == other.q and self.k == other.k
 
     def __hash__(self):
-        if self.k == 0:
-            return hash(self.q)
         return hash((self.q, self.k))
 
     def __float__(self):
         return float(self.q) * math.pi**self.k
 
     def __repr__(self):
-        if self.k == 0:
-            return str(self.q)
         suffix = "pi" if self.k == 1 else f"pi^{self.k}"
         return f"{self.q}*{suffix}"
 
 
+def scalar_parts(x):
+    """``(q, k)`` with ``x = q * pi**k`` (``k = 0`` for ints and Fractions)."""
+    if isinstance(x, PiRat):
+        return x.q, x.k
+    return fr(x), 0
+
+
 def scalar_sign(x) -> int:
     """Exact sign of a Fraction or PiRat (pi > 0)."""
-    q = x.q if isinstance(x, PiRat) else fr(x)
+    q, _ = scalar_parts(x)
     return (q > 0) - (q < 0)
 
 
@@ -136,19 +135,16 @@ def to_float(value, what: str) -> float:
     except OverflowError:
         out = math.inf
     if math.isinf(out) or (out == 0.0 and value != 0):
-        q = value.q if isinstance(value, PiRat) else fr(value)
-        exponent = math.log10(abs(q.numerator)) - math.log10(q.denominator)
-        exponent += getattr(value, "k", 0) * math.log10(math.pi)
+        q, k = scalar_parts(value)
+        exponent = math.log10(abs(q.numerator)) - math.log10(q.denominator) + k * math.log10(math.pi)
         raise ValueError(f"{what} is about 1e{exponent:+.0f}, outside the range of a float")
     return out
 
 
 def scalar_json(x):
     """[num, den] for rationals, [num, den, k] for pi-tagged values."""
-    if isinstance(x, PiRat) and x.k != 0:
-        return [x.q.numerator, x.q.denominator, x.k]
-    q = x.q if isinstance(x, PiRat) else fr(x)
-    return [q.numerator, q.denominator]
+    q, k = scalar_parts(x)
+    return [q.numerator, q.denominator, k] if k else [q.numerator, q.denominator]
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +235,14 @@ def row_reduce(a, ncols: int):
 
     Pivots are sought in the first ``ncols`` columns; later columns are
     right-hand sides.  Returns ``(rows, pivot_cols)``; the rank is
-    ``len(pivot_cols)``.  Zeros of the pivot row are skipped: ``0 / d`` and
-    ``x - f * 0`` change nothing for Fractions and PiRats as arithmetic leaves them.
+    ``len(pivot_cols)``.  Zeros are skipped: every zero is a Fraction (a
+    PiRat never is), so ``0 / d`` and ``x - f * 0`` would change nothing.
     """
     work = [row[:] for row in a]
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
-        pivot_row = next((r for r in range(rank, len(work)) if not is_zero(work[r][col])), None)
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
@@ -254,7 +250,7 @@ def row_reduce(a, ncols: int):
         pivot = work[rank] = [x / d if x else x for x in work[rank]]
         for r, row in enumerate(work):
             f = row[col]
-            if r != rank and not is_zero(f):
+            if r != rank and f:
                 work[r] = [x - f * y if y else x for x, y in zip(row, pivot)]
         pivots.append(col)
     return work, pivots

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .build import PHSystem
+from .build import PHSystem, float_matrix
 from .exact import to_float
 from .models import KinematicModel
 
@@ -471,14 +471,14 @@ def _assemble(sys: PHSystem, p_fields, eps_fields, dx, density_scale=None, stiff
     inv_density = None
     if density_scale is not None:
         inv_density = lambda *pos: 1.0 / _scale_value(density_scale, pos)
-    for family, matrix, scale, symbol in (
-        (p_fields, sys.mass_inv, inv_density, "inverse mass M^-1"),
-        (eps_fields, sys.stiffness, stiffness_scale, "stiffness K"),
+    for family, matrix, scale in (
+        (p_fields, float_matrix(sys.mass_inv, "inverse mass M^-1"), inv_density),
+        (eps_fields, float_matrix(sys.stiffness, "stiffness K"), stiffness_scale),
     ):
         for i, f1 in enumerate(family):
             for j, f2 in enumerate(family):
-                if matrix[i][j] != 0:
-                    couple(f1, f2, to_float(matrix[i][j], f"{symbol}[{i}][{j}]"), scale)
+                if matrix[i][j]:
+                    couple(f1, f2, matrix[i][j], scale)
     c_rows, c_cols, c_data = _concat(c_parts)
     C = sparse.coo_matrix((c_data, (c_rows, c_cols)), shape=(num_dofs, num_dofs)).tocsr()
 

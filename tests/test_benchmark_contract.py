@@ -2,19 +2,24 @@
 
 ``benchmark/workloads.py`` imports names from ``phs_forge`` and times the
 four check families of ``verify.run_all`` by wrapping them in verify's module
-globals.  These tests load that file by path, so removing a name it imports,
+globals; its sim workloads read the steppers, ``J`` and ``W`` of a discrete
+system.  These tests load that file by path, so removing a name it imports,
 or calling a family other than through the module globals, fails here rather
 than only in a benchmark run.  Nothing under ``benchmark/`` is modified.
 """
 
 import hashlib
 import importlib.util
+import numbers
 import sys
 from pathlib import Path
 
 import pytest
 
 from phs_forge import verify
+from phs_forge.build import assemble_phs
+from phs_forge.models import builtin_model
+from phs_forge.simulate import GridSpec, discretize, random_state, simulate, step_midpoint
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
 
@@ -82,3 +87,21 @@ def test_every_result_carries_a_positive_elapsed_time(workloads):
     results = verify.run_all(workloads.REPORT_SEED, model_names=["elasticity3d", "truss"], trials=2)
     assert any(r.check_id.startswith("lemma1:elasticity3d:") for r in results)
     assert all(type(r.elapsed) is float and r.elapsed > 0 for r in results)
+
+
+@pytest.mark.parametrize("name, cells", [("truss", (8,)), ("elasticity2d", (4, 4))])
+def test_the_sim_workloads_reads_of_the_simulator_are_there(workloads, name, cells):
+    """``SimWorkload`` reads the stepper that a step caches under its ``dt``,
+    the L+U fill of its ``lu`` and the nnz of its ``forward``, checks that
+    ``J`` is skew, and builds a probe ``InputChannel`` positionally over
+    ``W`` (``_probe_channel``)."""
+    dsys = discretize(assemble_phs(builtin_model(name)), GridSpec(cells), {})
+    assert workloads.DT == 1e-3
+    step_midpoint(dsys, dsys.zero_state(), workloads.DT)
+    stepper = dsys._steppers[workloads.DT]
+    for count in (stepper.lu.L.nnz + stepper.lu.U.nnz, stepper.forward.nnz, dsys.J.nnz):
+        assert isinstance(count, numbers.Integral) and count > 0
+    assert (dsys.J + dsys.J.T).count_nonzero() == 0
+    channel = workloads._probe_channel(dsys)
+    _, log = simulate(dsys, workloads.DT, 2, inputs=[channel], state0=random_state(dsys, seed=1))
+    assert len(log.energy) == 3

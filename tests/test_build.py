@@ -2,8 +2,11 @@
 structures, boundary ports and the force side F*(K F r) of the Lagrangian
 form."""
 
+import copy
 import hashlib
 import json
+import operator
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -97,6 +100,95 @@ def test_pi_scalar_arithmetic():
     assert float(PiRat(1, 1)) == pytest.approx(3.14159265358979, rel=1e-12)
     with pytest.raises(ExactError):
         _ = a + F(1)
+
+
+# The normal form of a scalar q * pi**k, as the pair (q, k): zero and
+# rational values are Fractions, with k = 0; a PiRat has q != 0 and k != 0.
+def _normal(q, k):
+    return (q, k) if q and k else (q, 0)
+
+
+def _parts(x):
+    """``(q, k)`` of a result, asserting that it is in normal form."""
+    if isinstance(x, PiRat):
+        assert type(x.q) is F and type(x.k) is int and x.q != 0 and x.k != 0, (x.q, x.k)
+        return x.q, x.k
+    assert type(x) is F, type(x)
+    return x, 0
+
+
+def _ref_add(a, b):
+    (qa, ka), (qb, kb) = a, b
+    if qa and qb and ka != kb:
+        return ExactError
+    return _normal(qa + qb, ka if qa else kb)
+
+
+def _ref_div(a, b):
+    (qa, ka), (qb, kb) = a, b
+    return ZeroDivisionError if not qb else _normal(qa / qb, ka - kb)
+
+
+_REF_OPS = {
+    operator.add: _ref_add,
+    operator.sub: lambda a, b: _ref_add(a, (-b[0], b[1])),
+    operator.mul: lambda a, b: _normal(a[0] * b[0], a[1] + b[1]),
+    operator.truediv: _ref_div,
+}
+
+_q = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+_k = st.integers(-2, 2)
+
+
+@st.composite
+def _operands(draw):
+    """A scalar built by ``PiRat(q, k)``, ``Fraction`` or ``int``, with its
+    normal form as the reference."""
+    kind = draw(st.sampled_from(["pirat", "fraction", "int"]))
+    if kind == "pirat":
+        q, k = draw(_q), draw(_k)
+        return PiRat(q, k), _normal(q, k)
+    if kind == "fraction":
+        q = draw(_q)
+        return q, (q, 0)
+    n = draw(st.integers(-3, 3))
+    return n, (F(n), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_q, k=_k, other=_operands(), fn=st.sampled_from(list(_REF_OPS)), swap=st.booleans(),
+       n=st.integers(0, 3))
+def test_every_scalar_result_is_in_normal_form(q, k, other, fn, swap, n):
+    x, ref_x = PiRat(q, k), _normal(q, k)
+    assert _parts(x) == ref_x and bool(x) == (q != 0)
+    assert _parts(-x) == _normal(-q, k)
+    assert _parts(x**n) == _normal(q**n, k * n)
+    (a, ref_a), (b, ref_b) = (x, ref_x), other
+    if swap:  # the reflected operators
+        (a, ref_a), (b, ref_b) = (b, ref_b), (a, ref_a)
+    expected = _REF_OPS[fn](ref_a, ref_b)
+    if expected in (ExactError, ZeroDivisionError):
+        with pytest.raises(expected):
+            fn(a, b)
+        return
+    result = fn(a, b)
+    assert _parts(result) == expected
+    assert bool(result) == (expected[0] != 0)
+
+
+def test_zero_and_rational_pi_scalars_are_fractions():
+    assert not PiRat(0, 1)
+    assert type(PiRat(0, 1)) is F and PiRat(0, 1) == 0
+    assert type(-PiRat(F(1, 2), 0)) is F and -PiRat(F(1, 2), 0) == F(-1, 2)
+    assert type(PiRat(F(3, 4))) is F
+    assert PiRat(F(1, 2), 1) != F(1, 2) and PiRat(F(1, 2), 1)
+
+
+@pytest.mark.parametrize("x", [PiRat(F(1, 2), 1), PiRat(-3, -2)])
+def test_a_pi_scalar_survives_deepcopy_and_pickle(x):
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is PiRat and (y.q, y.k) == (x.q, x.k)
+        assert y == x and hash(y) == hash(x)
 
 
 def test_timoshenko_mass_and_stiffness_diagonal():
@@ -322,6 +414,25 @@ def test_row_reduce_of_a_sparse_matrix_with_zero_rows_matches_the_reference():
     assert _scalar_kinds(work) == _scalar_kinds(ref)
     with pytest.raises(ExactError, match="singular"):
         mat_inverse([row[:5] for row in a])
+
+
+def test_elimination_of_rational_pi_tagged_entries_gives_fractions():
+    """Entries entered as ``PiRat(q, 0)`` are Fractions, so ``row_reduce``
+    and ``mat_inverse`` return what the dense reference returns: Fractions,
+    in the rows elimination leaves alone too."""
+    rational = [row[:] for row in SPARSE_PI]
+    rational[0][0], rational[0][2], rational[2][0], rational[2][2] = F(1, 2), F(1, 3), F(1, 5), F(1)
+    a = [[PiRat(x, 0) for x in row] for row in rational]
+    n = len(a)
+    inv = mat_inverse(a)
+    ref, _ = _row_reduce_every_entry([row + e for row, e in zip(rational, identity(n))], n)
+    assert _scalar_kinds(inv) == _scalar_kinds([row[n:] for row in ref])
+    a[1] = [PiRat(0, 0)] * n  # a zero row, which no elimination step touches
+    work, pivots = row_reduce(a, n)
+    ref, ref_pivots = _row_reduce_every_entry(a, n)
+    assert pivots == ref_pivots
+    assert _scalar_kinds(work) == _scalar_kinds(ref)
+    assert all(type(x) is F for row in inv + work for x in row)
 
 
 def test_timoshenko_interconnection_golden():

@@ -138,6 +138,30 @@ def test_jet_second_order_2d_ordering():
     assert out == [z1 * z2, z2, z1]
 
 
+def _jet_per_block(fields, order, axes):
+    """[w; d1 w .. dl w; d1^2 w .. dl^2 w; ...] up to ``order - 1``, each
+    block differentiated from the fields afresh: the reference for ``jet``."""
+    out = list(fields)
+    for j in range(1, order):
+        for name in axes:
+            for f in fields:
+                for _ in range(j):
+                    f = f.diff(name)
+                out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_jet_matches_a_per_block_reference(order, ell):
+    axes = ("z1", "z2", "z3")[:ell]
+    rng = random.Random(f"jet-{order}-{ell}")
+    fields = [random_poly(rng, axes, 5) for _ in range(2)]
+    out = jet(fields, order, axes)
+    assert out == _jet_per_block(fields, order, axes)
+    assert len(out) == jet_layout(2, order, ell)
+
+
 def test_jet_layout_counts():
     assert jet_layout(2, 1, 1) == 2
     assert jet_layout(2, 2, 1) == 4
