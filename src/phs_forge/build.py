@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import List
 
 from . import exact
-from .diffop import BoundaryForm, DiffOpMatrix, jet_blocks
-from .exact import check_spd, fr, mat_inverse, scalar_json, scalar_parts, to_float
+from .diffop import BoundaryForm, DiffOpMatrix, _common_denominator, _encode, jet_blocks
+from .exact import ExactError, PiRat, check_spd, fr, mat_inverse, scalar_json, scalar_parts, to_float
 from .modelfile import check_digits
 from .models import KinematicModel, ModelError, validate_model
-from .poly import dot, mat_apply
+from .poly import Poly
 
 __all__ = [
     "BuildError",
@@ -39,32 +42,99 @@ class BuildError(ModelError):
     pass
 
 
-def _section_gram(model: KinematicModel, left, weight, right):
-    """Exact integral over the section of left^T * weight * right.
+def _weigh(rows, col):
+    """``W`` times one column of ``_section_gram``'s split factor, with
+    ``rows`` the integer rows of ``_encode``."""
+    out = []
+    for row in rows:
+        acc = {}
+        get = acc.get
+        for s, w in row:
+            for k, n in col[s]:
+                acc[k] = get(k, 0) + w * n
+        out.append([(k, n) for k, n in acc.items() if n])
+    return out
 
-    ``left`` and ``right`` are PolyMatrix factors over the complementary
-    coordinates, ``weight`` a rational matrix (or None for the identity).
-    When ``left is right`` and ``weight`` is exactly symmetric the result is
-    a Gram matrix, so each unordered pair is integrated once; an asymmetric
-    weight takes the full product, where ``check_spd`` finds it.
+
+def _pair(col, wcol):
+    """``{key: S_key}``: the nonzero integer coefficients of ``col^T wcol``
+    for a column of the split factor and a weighted one."""
+    acc = {}
+    get = acc.get
+    for a, b in zip(col, wcol):
+        if a and b:
+            for ka, x in a:
+                for kb, y in b:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + x * y
+    return {k: n for k, n in acc.items() if n}
+
+
+def _section_gram(model: KinematicModel, factor, weight):
+    """Exact integral over the section of factor^T * weight * factor, in one
+    integer pass.
+
+    ``factor`` is a PolyMatrix over the complementary coordinates, ``weight``
+    a rational matrix (or None for the identity).  The factor is split into
+    integer coefficient matrices over one denominator (lambda = sum_e A_e
+    z^e) and the weight is encoded as integer rows (``diffop._encode``), so
+    entry (i, j) is sum_c S_c[i][j] mu_c, with S_c = sum_{e+f=c} A_e^T W A_f
+    summed in ints and mu_c the section's ``monomial`` of z^c.  An exponent
+    is one integer key, a digit per coordinate, so e + f is one addition.
+    The section is asked for mu_c only when some S_c has a nonzero entry,
+    and a surviving term in a coordinate it does not span is refused as
+    ``Section.integrate`` refuses it.  Each entry is then one Fraction,
+    pi-tagged on a circle (a section's nonzero moments share one power of
+    pi).  An asymmetric weight gives an asymmetric result, which
+    ``check_spd`` reports.
     """
-    integrate = model.section.integrate
-    left_cols = left.transpose().entries
-    right_cols = right.transpose().entries
+    section, coords = model.section, factor.coords
+    exps = {e for row in factor.entries for p in row for e in p.num}
+    # a digit per coordinate, wide enough that two keys add without a carry
+    base = 2 * max((x for e in exps for x in e), default=0) + 1
+    place = [base**i for i in range(len(coords))]
+    key = {e: sum(map(mul, e, place)) for e in exps}
+    # column j lists, per row, the (key, numerator) of each term over ``common``
+    common = lcm(*{p.den for row in factor.entries for p in row})
+    cols = [
+        [[(key[e], n * (common // p.den)) for e, n in p.num.items()] for p in col]
+        for col in zip(*factor.entries)
+    ]
+    weighted, den = cols, common * common
     if weight is not None:
-        right_cols = [mat_apply(weight, col) for col in right_cols]
-    if left is not right or (weight is not None and not exact.is_symmetric(weight)):
-        return [[integrate(dot(col, rcol)) for rcol in right_cols] for col in left_cols]
-    gram = [[None] * len(left_cols) for _ in left_cols]
-    for i, col in enumerate(left_cols):
-        for j in range(i, len(right_cols)):
-            gram[i][j] = gram[j][i] = integrate(dot(col, right_cols[j]))
-    return gram
+        lm = _common_denominator(weight)
+        rows = _encode(weight, lm)
+        weighted = [_weigh(rows, col) for col in cols]
+        den *= lm
+    sums = [[_pair(col, wcol) for wcol in weighted] for col in cols]
+    mu = {}
+    # keys ascending is colex order, the order ``Poly.__str__`` writes
+    for k in sorted({k for row in sums for s in row for k in s}):
+        power = tuple(k // p % base for p in place)
+        for name, e in zip(coords, power):
+            if e and name not in section.spans:
+                n = next(s[k] for row in sums for s in row if k in s)
+                term = Poly(coords, {power: Fraction(n, den)})
+                raise ExactError(f"section {section.kind} does not span {name}, so it cannot integrate {term}")
+        at = dict(zip(coords, power))
+        mu[k] = scalar_parts(section.monomial(at.get("z2", 0), at.get("z3", 0)))
+    pis = {pi for q, pi in mu.values() if q}
+    if len(pis) > 1:
+        raise ExactError(f"cannot add pi^{min(pis)} and pi^{max(pis)} terms exactly")
+    pi = max(pis, default=0)
+    qden = lcm(*{q.denominator for q, _ in mu.values()})
+    mu = {k: q.numerator * (qden // q.denominator) for k, (q, _) in mu.items()}
+    den *= qden
+    zero = Fraction(0)
+    return [
+        [PiRat(Fraction(n, den), pi) if (n := sum([x * mu[k] for k, x in s.items()])) else zero for s in row]
+        for row in sums
+    ]
 
 
 def mass_matrix(model: KinematicModel, require_spd: bool = True):
     """rho times the section integral of lambda1^T lambda1 (n x n, exact)."""
-    m = _section_gram(model, model.lambda1, None, model.lambda1)
+    m = _section_gram(model, model.lambda1, None)
     m = [[model.rho * x for x in row] for row in m]
     if require_spd:
         ok, detail = check_spd(m)
@@ -82,7 +152,7 @@ def stiffness_matrix(model: KinematicModel, require_spd: bool = True):
         shape = f"{len(model.cmat)} x {'/'.join(map(str, sorted(widths)))}"
         raise BuildError(f"constitutive matrix C of {model.name} is {shape}, but lambda2 is {d} x "
                          f"{model.lambda2.cols}, so C must be {d} x {d}")
-    k = _section_gram(model, model.lambda2, model.cmat, model.lambda2)
+    k = _section_gram(model, model.lambda2, model.cmat)
     if require_spd:
         ok, detail = check_spd(k)
         if not ok:

@@ -41,8 +41,10 @@ to a face and maps its terms to integers at flat indices, ``_contract`` sums
 and ``_flux`` takes the difference of the two faces.  An oracle encodes its
 matrices once and per field pair differentiates, flattens and contracts;
 ``boundary_pairing_sum_form``, the reference for the boundary side, calls
-``_flux`` once per term.  The section Gram matrices are not pairings:
-``build._section_gram`` integrates them through ``Section.integrate``.
+``_flux`` once per term.  The section Gram matrices are not pairings, but
+``build._section_gram`` sums them the same way: ``_encode`` rows for the
+constitutive matrix, integer coefficient products per exponent, and the
+section's ``monomial`` for the exponents that survive.
 """
 
 from __future__ import annotations

@@ -103,7 +103,12 @@ class PiRat:
         return hash((self.q, self.k))
 
     def __float__(self):
-        return float(self.q) * math.pi**self.k
+        # q / 2**shift lies in (1/2, 2), so q * pi**k is a float whenever
+        # the value is, even where q alone is not
+        n, d = self.q.numerator, self.q.denominator
+        shift = n.bit_length() - d.bit_length()
+        m = n / (d << shift) if shift >= 0 else (n << -shift) / d
+        return math.ldexp(m * math.pi**self.k, shift)
 
     def __repr__(self):
         suffix = "pi" if self.k == 1 else f"pi^{self.k}"
@@ -121,10 +126,6 @@ def scalar_sign(x) -> int:
     """Exact sign of a Fraction or PiRat (pi > 0)."""
     q, _ = scalar_parts(x)
     return (q > 0) - (q < 0)
-
-
-def is_zero(x) -> bool:
-    return scalar_sign(x) == 0
 
 
 def to_float(value, what: str) -> float:

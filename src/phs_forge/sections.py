@@ -8,7 +8,12 @@ Each shape is a frozen dataclass whose fields are its model-file values; it
 states ``spans``, the coordinates it extends over, and one rule,
 ``monomial(a, b)``: the exact integral of z2^a z3^b over it (disks give
 pi-tagged rationals).  Integration, moments, equality and the ``[section]``
-text follow from that, once, in the base class.
+text follow from that, once, in the base class.  ``build._section_gram``
+reads ``spans`` and ``monomial`` directly: it sums the integer coefficients
+of each matrix entry per exponent and asks for the monomials of the
+exponents that survive, refusing an unspanned term as ``integrate`` does.
+``integrate`` is the one-polynomial form, and the tests' reference for the
+energy matrices.
 """
 
 from __future__ import annotations

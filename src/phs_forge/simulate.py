@@ -665,6 +665,12 @@ class _MidpointStepper:
     the one stepping loop."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
+        # A = W^-1 J C is formed in floats; an entry past the float range
+        # would reach SuperLU as inf and end in "Factor is exactly singular"
+        scale = float(np.max(1.0 / dsys.W)) * float(abs(dsys.J).max()) * float(abs(dsys.C).max())
+        if not math.isfinite(scale):
+            raise ValueError(f"the step matrix of {dsys.system.model.name} may pass the float range: "
+                             "max(1/W) * max|J| * max|C| overflows")
         self.dt = dt
         self._dsys = dsys
 

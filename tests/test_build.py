@@ -5,6 +5,7 @@ form."""
 import copy
 import hashlib
 import json
+import math
 import operator
 import pickle
 import random
@@ -33,18 +34,20 @@ from phs_forge.exact import (
     PiRat,
     check_spd,
     identity,
-    is_zero,
     ldl_pivots,
     mat_inverse,
     row_reduce,
     scalar_sign,
+    to_float,
 )
 from phs_forge.modelfile import serialize_model
-from phs_forge.models import builtin_model, builtin_names, random_poly, validate_model
-from phs_forge.poly import Poly, PolyMatrix, mat_apply
+from phs_forge.models import builtin_model, builtin_names, random_poly, torsion_two_strain, validate_model
+from phs_forge.poly import Poly, PolyMatrix, dot, mat_apply
 from phs_forge.sections import (
     CircleSection,
     IntervalSection,
+    MomentSection,
+    PointSection,
     RectangleSection,
     section_moment,
 )
@@ -291,6 +294,119 @@ def test_asymmetric_stiffness_weight_is_reported_not_mirrored():
         assemble_phs(model, validate=False)
 
 
+def _gram_reference(model, factor, weight=None):
+    """The section Gram matrix entry by entry: the product polynomial of each
+    pair of columns, integrated by ``Section.integrate``.  The reference for
+    ``mass_matrix`` and ``stiffness_matrix``."""
+    cols = factor.transpose().entries
+    right = cols if weight is None else [mat_apply(weight, col) for col in cols]
+    return [[model.section.integrate(dot(col, rcol)) for rcol in right] for col in cols]
+
+
+def _assert_matches_reference(model):
+    mass = _gram_reference(model, model.lambda1)
+    assert _scalar_kinds(mass_matrix(model, require_spd=False)) == _scalar_kinds(
+        [[model.rho * x for x in row] for row in mass])
+    stiffness = _gram_reference(model, model.lambda2, model.cmat)
+    assert _scalar_kinds(stiffness_matrix(model, require_spd=False)) == _scalar_kinds(stiffness)
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), "torsion_two_strain", "reddy0"])
+def test_mass_and_stiffness_equal_the_entrywise_integrals(name):
+    # reddy0 and mindlin_plate are the two sides of the Reddy-to-Mindlin reduction
+    if name == "torsion_two_strain":
+        model = torsion_two_strain()
+    elif name == "reddy0":
+        model = builtin_model("reddy_plate", {"alpha": 0})
+    else:
+        model = builtin_model(name)
+    _assert_matches_reference(model)
+
+
+def test_an_asymmetric_weight_gives_the_entrywise_integrals():
+    model = builtin_model("reddy_plate")
+    d = model.lambda2.rows
+    model.cmat = [[F(i * d + j + 1, j + 2) if i <= j else F(i - j, 7) for j in range(d)] for i in range(d)]
+    _assert_matches_reference(model)
+    k = stiffness_matrix(model, require_spd=False)
+    assert k != [list(col) for col in zip(*k)]
+
+
+def _random_factor(rng, coords, rows, cols, degree):
+    """A random PolyMatrix over ``coords``: sparse, with rational
+    coefficients over several denominators."""
+    def entry():
+        if rng.random() < 0.3:
+            return Poly.zero(coords)
+        p = random_poly(rng, coords, degree)
+        return Poly(coords, {e: F(c, rng.choice([1, 2, 3, 7])) for e, c in p.terms.items()})
+    return PolyMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+# section kind: (builtin over the section's coordinates, section, coordinates
+# a random factor may use, its top degree)
+RANDOM_SECTIONS = {
+    "interval": ("mindlin_plate", IntervalSection(F(1, 3)), ("z3",), 3),
+    "rectangle": ("timoshenko", RectangleSection(F(2, 5), F(3, 7)), ("z2", "z3"), 2),
+    "circle": ("torsion", CircleSection(F(3, 4)), ("z2", "z3"), 2),
+    "moments": ("truss", MomentSection({0: F(2), 2: F(1, 9), 4: F(5, 3), 6: F(1, 11)}), ("z3",), 3),
+    "none": ("elasticity3d", PointSection(), (), 0),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", sorted(RANDOM_SECTIONS))
+def test_random_factors_give_the_entrywise_integrals_on_every_section_kind(kind, seed):
+    name, section, used, degree = RANDOM_SECTIONS[kind]
+    rng = random.Random(seed)
+    model = builtin_model(name)
+    model.section = section
+    d = rng.randint(1, 4)
+    # factors over the model's complementary coordinates, in ``used`` only
+    model.lambda1 = _random_factor(rng, used, 3, rng.randint(1, 4), degree).extend(model.comp)
+    model.lambda2 = _random_factor(rng, used, d, rng.randint(1, 4), degree).extend(model.comp)
+    model.cmat = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d)] for _ in range(d)]
+    _assert_matches_reference(model)
+
+
+BEAM = ("z2", "z3")
+Z2, Z3 = Poly.variable(BEAM, "z2"), Poly.variable(BEAM, "z3")
+
+
+def _moment_model(*column):
+    """truss on a section known only by its area and fourth moment, with
+    lambda1 the one column given."""
+    model = builtin_model("truss")
+    assert model.comp == BEAM
+    model.section = MomentSection({0: 1, 4: F(1, 80)})
+    model.lambda1 = PolyMatrix([[p] for p in column])
+    return model
+
+
+def test_mass_of_a_moment_section_asks_only_for_surviving_moments():
+    # (1 + z3^2)^2 + (1 - z3^2)^2 = 2 + 2 z3^4: the z3^2 terms cancel, so I2 is not needed
+    model = _moment_model(1 + Z3**2, 1 - Z3**2, Poly.zero(BEAM))
+    assert mass_matrix(model) == [[model.rho * (2 + 2 * F(1, 80))]]
+
+
+def test_mass_of_a_moment_section_refuses_a_moment_it_was_not_given():
+    # (1 + z3^2)^2 + z3^2 = 1 + 3 z3^2 + z3^4
+    model = _moment_model(1 + Z3**2, Z3, Poly.zero(BEAM))
+    with pytest.raises(ExactError, match="moment of order 2 not supplied"):
+        mass_matrix(model)
+
+
+def test_mass_of_a_moment_section_names_a_term_in_z2_as_integrate_does():
+    model = _moment_model(F(1, 3) * Z2 + Z3**2, Poly.constant(BEAM, 1), Poly.zero(BEAM))
+    col = model.lambda1.transpose().entries[0]
+    with pytest.raises(ExactError) as expected:
+        model.section.integrate(dot(col, col))
+    with pytest.raises(ExactError) as got:
+        mass_matrix(model)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("section moments does not span z2, so it cannot integrate ")
+
+
 def _ldl_full_update(a):
     """The elimination that updates every trailing entry and every
     multiplier, zero or not: the reference for ``ldl_pivots``."""
@@ -348,6 +464,10 @@ def test_ldl_pivots_match_the_full_update(a):
         xax = sum((witness[i] * a[i][j] * witness[j] for i in range(n) for j in range(n)), F(0))
         assert xax == pivots[-1] and scalar_sign(pivots[-1]) <= 0
         assert list(map(str, witness)) == list(map(str, ref_witness))
+
+
+def is_zero(x) -> bool:
+    return scalar_sign(x) == 0
 
 
 def _row_reduce_every_entry(a, ncols):
@@ -681,6 +801,27 @@ def test_write_matrix_csv_refuses_a_value_past_float_range_before_opening(tmp_pa
     with pytest.raises(ValueError, match=re.escape("matrix[1][0] is about 1e-400, outside the range of a float")):
         write_matrix_csv(str(path), [[F(1), F(2)], [F(1, 10**400), F(3)]])
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(PiRat(4 * 10**308, -1), 4 / math.pi * 1e308), (PiRat(F(2, 10**324), 1), math.ldexp(1, -1074))],
+    ids=["q-past-the-largest-float", "q-below-the-smallest-subnormal"],
+)
+def test_a_pi_scalar_converts_where_its_rational_part_would_not(value, expected):
+    # float(q) overflows or rounds to 0, yet q * pi**k is a float
+    assert to_float(value, "x") == pytest.approx(expected, rel=1e-15)
+    assert float(value) == to_float(value, "x") != 0
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(PiRat(10**400, -1), "x is about 1e+400"), (PiRat(F(1, 10**400), 1), "x is about 1e-400")],
+    ids=["overflow", "underflow"],
+)
+def test_a_pi_scalar_past_float_range_is_refused(value, message):
+    with pytest.raises(ValueError, match=re.escape(f"{message}, outside the range of a float")):
+        to_float(value, "x")
 
 
 def test_export_structure_and_rational_pairs():

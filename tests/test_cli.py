@@ -712,6 +712,32 @@ def test_simulate_rejects_a_material_value_past_float_range(tmp_path, capsys, pa
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_runs_a_pi_tagged_stiffness_whose_rational_part_underflows(tmp_path, capsys):
+    # K = G pi R^4 / 2 is about 4.7e-324, a subnormal float, though G R^4 / 2 is not
+    args = ["simulate", "--builtin", "torsion", "--param", "G=3e-324", "--cells", "8", "--dt", "1/100",
+            "--steps", "2", "--out-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out.startswith("torsion: 2 steps")
+
+
+@pytest.mark.parametrize(
+    "param, code, message",
+    [
+        # M^-1 is about 1.27e308, a float, but W^-1 J C is not
+        ("rho=5e-309", EXIT_ERROR, "the step matrix of torsion may pass the float range"),
+        ("rho=1e-400", EXIT_INVALID_MODEL, "inverse mass M^-1[0][0] is about 1e+400, outside the range of a float"),
+    ],
+    ids=["step-matrix", "inverse-mass"],
+)
+def test_simulate_refuses_a_pi_tagged_system_past_float_range(tmp_path, capsys, param, code, message):
+    args = ["simulate", "--builtin", "torsion", "--param", param, "--cells", "8", "--dt", "1/100",
+            "--steps", "2", "--out-dir", str(tmp_path)]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err[:200]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "param, message",
     [("E=1e400", "stiffness K[0][0] is about 1e+400"), ("E=1e-400", "stiffness K[0][0] is about 1e-400")],
