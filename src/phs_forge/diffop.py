@@ -14,8 +14,9 @@ for derivatives of w, zeta for those of v).  A jet stacks a field with its
 axis derivatives in the block order of ``jet_blocks``; ``jet``, the rows and
 columns of ``BoundaryForm``, the monomials ``ibp_symbol_residual`` reads and
 the port labels of ``build.boundary_port_map`` all take it from there.
-``_derivatives`` is the one derivative table: ``jet`` and the oracle read
-jets off it (``_jet``), and ``apply``, the oracle and the sum form read it.
+``_derivatives`` is the one derivative table, of ``Poly`` fields or of the
+oracle's flat ones: ``jet`` and the oracle read jets off it (``_jet``), and
+``apply``, the oracle and the sum form read it.
 Entries render as polynomials in ``d1..dl`` (``symbols``), through
 ``Poly.__str__``.
 
@@ -34,14 +35,20 @@ Control Optim. 36(5), 1998.)
 Every integral of the identity, volume term or boundary flux, is ``u^T M v``
 over the box or through the two faces of one axis, integrated by one kernel
 that never builds the product polynomial.  ``_encode`` turns ``M`` into
-integer rows over a common denominator, ``_flatten`` restricts each factor
-to a face and maps its terms to integers at flat indices, ``_contract`` sums
-``n_a n_b mu[k_a + k_b]`` against a table of box moments (``_moments``, from
-``poly.moment_weights``, cached per bounds, skipped axis and top degree),
-and ``_flux`` takes the difference of the two faces.  An oracle encodes its
-matrices once and per field pair differentiates, flattens and contracts;
-``boundary_pairing_sum_form``, the reference for the boundary side, calls
-``_flux`` once per term.  The section Gram matrices are not pairings, but
+integer rows over a common denominator.  ``_flatten`` maps each field once to
+integers at flat indices, exponent ``e_k`` the digit of weight ``n^k`` with
+``n = 2d + 1`` for ``d`` the top exponent of the fields, so the index of a
+product is the sum of the indices; the derivatives are taken on that form
+(``_flat_diff``).  Each integral is then a linear functional on monomials,
+held as integers over one denominator (``_functional``): the box moments for
+the volume, and per axis a the flux functional
+``B_a[e] = (hi^e_a - lo^e_a) prod_(k != a) integral z_k^e_k``, the upper face
+minus the lower.  ``_contract`` sums ``n_a n_b mu[k_a + k_b]`` against one
+of them.  An oracle encodes its matrices once, keeps its functionals per
+(axis, top degree), and per field pair flattens, differentiates and makes
+one contraction for the volume and one per axis;
+``boundary_pairing_sum_form``, the reference for the boundary side, makes one
+contraction per term.  The section Gram matrices are not pairings, but
 ``build._section_gram`` sums them the same way: ``_encode`` rows for the
 constitutive matrix, integer coefficient products per exponent, and the
 section's ``monomial`` for the exponents that survive.
@@ -51,10 +58,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, product
+from functools import lru_cache, partial
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import methodcaller, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact import ExactError, fr, mat_scale, transpose, zeros
@@ -178,23 +185,30 @@ class DiffOpMatrix:
         """Apply to a vector of polynomials over (a superset of) the axes."""
         if len(w) != self.n:
             raise ExactError(f"operator expects {self.n} fields, got {len(w)}")
-        table = _derivatives(w, self.axes, self.order)
+        table = _derivatives(w, _poly_diffs(self.axes), self.order)
         out = mat_apply(self.p0, w)
         for (k, i), mat_ in self.pk.items():
             out = [a + b for a, b in zip(out, mat_apply(mat_, table[k - 1][i]))]
         return out
 
 
-def _derivatives(fields: Sequence[Poly], axes: Sequence[str], top: int):
+def _derivatives(fields, diffs, top: int):
     """Per axis k, ``[w, d_k w, ..., d_k^top w]``, each entry the derivative
-    of the one before: the one derivative table of the module."""
+    of the one before by ``diffs[k - 1]``: the one derivative table of the
+    module, of ``Poly`` fields (``_poly_diffs``) or of flat ones
+    (``_flat_derivatives``)."""
     table = []
-    for name in axes:
+    for diff in diffs:
         column = [list(fields)]
         for _ in range(top):
-            column.append([f.diff(name) for f in column[-1]])
+            column.append([diff(f) for f in column[-1]])
         table.append(column)
     return table
+
+
+def _poly_diffs(axes: Sequence[str]):
+    """Per axis, ``Poly.diff`` along it."""
+    return [methodcaller("diff", name) for name in axes]
 
 
 @lru_cache(maxsize=64)
@@ -210,10 +224,10 @@ def jet_blocks(order: int, ell: int) -> Tuple[Block, ...]:
 def jet(fields: Sequence[Poly], order: int, axes: Sequence[str]) -> List[Poly]:
     """Stack a vector field with its axis derivatives in ``jet_blocks``
     order: [w; d1 w .. dl w; d1^2 w .. dl^2 w; ...]."""
-    return _jet(_derivatives(fields, axes, order - 1), order)
+    return _jet(_derivatives(fields, _poly_diffs(axes), order - 1), order)
 
 
-def _jet(table, order: int) -> List[Poly]:
+def _jet(table, order: int) -> list:
     """The jet of the fields of a ``_derivatives`` table, up to ``order - 1``."""
     # block (0, 0) is differentiated zero times, along any axis
     return [f for j, k in jet_blocks(order, len(table)) for f in table[k - 1][j]]
@@ -313,29 +327,31 @@ class DomainSpec:
                 raise ExactError(f"factor over {p.coords} paired on a domain over {self.axes}")
 
 
-@lru_cache(maxsize=256)
-def _moments(bounds, skip: int, top: int):
-    """``(mu, den, index)`` for the box ``bounds`` without axis ``skip``.
+def _functional(bounds, top: int, face: int) -> Tuple[List[int], int]:
+    """``(mu, den)``, a linear functional on the monomials of the box
+    ``bounds`` up to exponent ``top`` per axis: ``mu[k] / den`` is its value
+    on the monomial at flat index ``k = sum_i e_i (top + 1)^i`` (``_flatten``).
 
-    ``index`` maps every exponent tuple with entries up to ``top`` to its flat
-    index ``sum_k e_k (top + 1)^k``, axis ``skip`` left out of the sum.
-    Exponents add without carries, so the index of a product is the sum of
-    the indices.  ``mu[k] / den`` is the integral over the box of the
-    monomial at index ``k``.
+    With ``face = -1`` it is the integral over the box.  With ``face = a`` it
+    is the flux through the two faces of axis a,
+    ``B_a[e] = (hi^e_a - lo^e_a) prod_(i != a) integral z_i^e_i``: the
+    integral of the upper face value minus the lower.  Per axis the weights
+    are integers over one denominator (``moment_weights``, or the
+    ``power_table`` of each bound), and the table is their outer product.
     """
     n = top + 1
-    mu, den, places = [1], 1, []
+    mu, den = [1], 1
     for k, (lo, hi) in enumerate(bounds):
-        if k == skip:
-            places.append(0)
-            continue
-        places.append(len(mu))  # this axis is the next digit
-        w, axis_den = moment_weights(lo, hi, n)
+        if k == face:
+            q_hi, q_lo = hi.denominator**top, lo.denominator**top
+            w = [u * q_lo - l * q_hi for u, l in zip(power_table(hi, top), power_table(lo, top))]
+            axis_den = q_hi * q_lo
+        else:
+            w, axis_den = moment_weights(lo, hi, n)
         g = gcd(axis_den, *w)
-        mu = [x * (y // g) for y in w for x in mu]
+        mu = [x * (y // g) for y in w for x in mu]  # this axis is the next digit
         den *= axis_den // g
-    index = {e: sum(map(mul, e, places)) for e in product(range(n), repeat=len(bounds))}
-    return tuple(mu), den, index
+    return mu, den
 
 
 def _common_denominator(*matrices: Matrix) -> int:
@@ -357,30 +373,35 @@ def _degree(polys: Iterable[Poly]) -> int:
     return max((max(map(max, p.num)) for p in polys if p.num), default=0)
 
 
-def _flatten(polys: Sequence[Poly], index, axis: int = -1, faces=None):
+def _flatten(polys: Sequence[Poly], places: Sequence[int]) -> Tuple[List[Dict[int, int]], int]:
     """Each polynomial as ``{flat index: numerator}`` over one common
-    denominator, which is returned too.  Without ``faces`` the result is one
-    list; with ``faces``, the power tables (``power_table``) of the upper and
-    the lower face value, it is one list per face, the exponent of ``axis``
-    folded into the numerator."""
+    denominator, which is returned too; exponent ``e_k`` weighs
+    ``places[k]``."""
     common = lcm(*{p.den for p in polys})
-    if faces is None:
-        return [{index[e]: n * (common // p.den) for e, n in p.num.items()} for p in polys], common
-    upper, lower = faces
-    ups, lows = [], []
-    for p in polys:
-        s = common // p.den
-        up: Dict[int, int] = {}
-        low: Dict[int, int] = {}
-        for e, n in p.num.items():
-            k, j, n = index[e], e[axis], n * s
-            if upper[j]:
-                up[k] = up.get(k, 0) + n * upper[j]
-            if lower[j]:
-                low[k] = low.get(k, 0) + n * lower[j]
-        ups.append(up)
-        lows.append(low)
-    return (ups, lows), common
+    flat = [{sum(map(mul, e, places)): c * (common // p.den) for e, c in p.num.items()} for p in polys]
+    return flat, common
+
+
+def _flat_diff(place: int, n: int, f: Dict[int, int]) -> Dict[int, int]:
+    """The derivative of a ``_flatten`` dict along the axis of weight
+    ``place`` in base ``n``: the term at index i, with digit e there, moves
+    to i - place, times e."""
+    return {i - place: c * e for i, c in f.items() if (e := i // place % n)}
+
+
+def _flat_derivatives(v: Sequence[Poly], w: Sequence[Poly], ell: int, depth: int):
+    """``(top, den, tv, tw)``: ``v`` and ``w`` flattened once each, in base
+    ``n = 2d + 1`` for d the largest exponent of any of their terms, so that
+    exponents of a product stay below n and its index is the sum of the
+    indices; ``top = 2d`` bounds those exponents, ``den`` is the product of
+    the two denominators, and ``tv``, ``tw`` are the ``_derivatives`` tables
+    of the flat fields up to ``depth``."""
+    d = _degree(chain(v, w))
+    n = 2 * d + 1
+    places = [n**k for k in range(ell)]
+    diffs = [partial(_flat_diff, place, n) for place in places]
+    (fv, lv), (fw, lw) = _flatten(v, places), _flatten(w, places)
+    return 2 * d, lv * lw, _derivatives(fv, diffs, depth), _derivatives(fw, diffs, depth)
 
 
 def _contract(us, rows, vs, mu) -> int:
@@ -399,24 +420,9 @@ def _contract(us, rows, vs, mu) -> int:
             for j, c in row:
                 for k, n in vs[j].items():
                     w[k] = get(k, 0) + c * n
-        terms = list(w.items())
-        total += scale * sum(n * sum([m * mu[k + kb] for kb, m in terms]) for k, n in ui.items())
+        terms = w.items()
+        total += scale * sum([n * m * mu[k + kb] for k, n in ui.items() for kb, m in terms])
     return total
-
-
-def _flux(table, bound, axis: int, du: int, dv: int, u, rows, v) -> Tuple[int, int]:
-    """The flux of ``u^T M v`` through the faces ``bound = (lo, hi)`` of
-    ``axis``, as ``(numerator, denominator)``.  ``rows`` is ``M`` encoded by
-    ``_encode``, whose factor ``lm`` the denominator leaves out; ``table``
-    is ``_moments`` without ``axis`` up to ``du + dv``; and ``du``, ``dv``
-    bound the exponents of ``u`` and ``v``."""
-    mu, den, index = table
-    lo, hi = bound
-    us, lu = _flatten(u, index, axis, (power_table(hi, du), power_table(lo, du)))
-    vs, lv = _flatten(v, index, axis, (power_table(hi, dv), power_table(lo, dv)))
-    s_hi, s_lo = (_contract(a, rows, b, mu) for a, b in zip(us, vs))
-    q_hi, q_lo = hi.denominator ** (du + dv), lo.denominator ** (du + dv)
-    return s_hi * q_lo - s_lo * q_hi, den * lu * lv * q_hi * q_lo
 
 
 def _block_row(op: DiffOpMatrix) -> Matrix:
@@ -426,7 +432,7 @@ def _block_row(op: DiffOpMatrix) -> Matrix:
     return [[x for b in blocks for x in b[r]] for r in range(op.m)]
 
 
-def _stacked(op: DiffOpMatrix, table) -> List[Poly]:
+def _stacked(op: DiffOpMatrix, table) -> list:
     """``[w; d_k^i w; ...]`` in ``op.pk`` order, from the ``_derivatives`` of w."""
     return table[0][0] + [f for k, i in op.pk for f in table[k - 1][i]]
 
@@ -465,10 +471,12 @@ class IbpOracle:
     denominator: the volume side as one block matrix ``[[F, 0], [0, -F*]]``
     (``F`` and ``F*`` as block rows, ``_block_row``) against
     ``[w; d w ...; v; d v ...]``, and each ``Q_a``.  A call finds one top
-    exponent, differentiates ``v`` and ``w`` once into ``_derivatives``
-    tables (the stacks and the jets are slices of them), flattens each stack
-    once and each jet once per axis, and contracts.  Moment tables are kept
-    per oracle, keyed by ``(skipped axis, top)``.
+    exponent, flattens ``v`` and ``w`` once each and differentiates them on
+    the flat form into ``_derivatives`` tables (the stacks and the jets are
+    slices of them), then contracts the volume against the box moments and
+    each axis's jets against its flux functional.  The functionals
+    (``_functional``) are kept per oracle in ``_tables``, keyed by
+    ``(axis, top)``, the box under axis -1.
     """
 
     __slots__ = ("op", "dom", "adjoint", "_lm", "_volume", "_q", "_tables", "_top")
@@ -497,31 +505,33 @@ class IbpOracle:
         self._tables: Dict[Tuple[int, int], tuple] = {}
         self._top = max(op.order, adjoint.order)  # the jet needs op.order - 1
 
-    def _table(self, skip: int, top: int):
-        table = self._tables.get((skip, top))
+    def _table(self, axis: int, top: int):
+        """``_functional(bounds, top, axis)``, built once per key."""
+        table = self._tables.get((axis, top))
         if table is None:
-            table = self._tables[skip, top] = _moments(self.dom.bounds, skip, top)
+            table = self._tables[axis, top] = _functional(self.dom.bounds, top, axis)
         return table
 
     def _prepare(self, v: Sequence[Poly], w: Sequence[Poly]):
-        """The degree bound and the ``_derivatives`` of v and w, after the fields are checked."""
+        """After the fields are checked: the top exponent of a product, the
+        denominator of the flat v and w, and their flat ``_derivatives``."""
         _check_fields(self.op, self.dom, v, w)
-        return _degree(chain(v, w)), *(_derivatives(f, self.op.axes, self._top) for f in (v, w))
+        return _flat_derivatives(v, w, self.op.ell, self._top)
 
-    def _volume_part(self, d: int, tv, tw) -> Fraction:
-        mu, den, index = self._table(-1, 2 * d)
-        a, la = _flatten(_stacked(self.op, tw), index)
-        b, lb = _flatten(_stacked(self.adjoint, tv), index)
+    def _volume_part(self, top: int, den: int, tv, tw) -> Fraction:
+        mu, mu_den = self._table(-1, top)
+        a, b = _stacked(self.op, tw), _stacked(self.adjoint, tv)
         us = b[: self.op.m] + a[: self.op.n]
-        return Fraction(_contract(us, self._volume, a + b, mu), den * la * lb * self._lm)
+        return Fraction(_contract(us, self._volume, a + b, mu), mu_den * den * self._lm)
 
-    def _boundary_part(self, d: int, tv, tw) -> Fraction:
+    def _boundary_part(self, top: int, den: int, tv, tw) -> Fraction:
         jw, jv = _jet(tw, self.op.order), _jet(tv, self.op.order)
-        total = Fraction(0)
+        num, flux_den = 0, 1
         for axis, rows in enumerate(self._q):
-            num, den = _flux(self._table(axis, 2 * d), self.dom.bounds[axis], axis, d, d, jw, rows, jv)
-            total += Fraction(num, den * self._lm)
-        return total
+            b, b_den = self._table(axis, top)
+            num = num * b_den + _contract(jw, rows, jv, b) * flux_den
+            flux_den *= b_den
+        return Fraction(num, flux_den * den * self._lm)
 
     def volume(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
         """integral_Omega (v^T F w - w^T F* v) dx, exactly."""
@@ -547,21 +557,20 @@ def boundary_pairing_sum_form(
         sum_(k, i) sum_(j = 1..i) (-1)^(j-1) flux_k (d_k^(i-j) w)^T Pk(k, i)^T d_k^(j-1) v,
 
     a reference for the tests and the benchmark's replay.  Each term is one
-    ``_flux`` call, independent of ``IbpOracle`` and ``BoundaryForm``."""
+    ``_contract`` against the flux functional of its axis (``_functional``),
+    independent of ``IbpOracle`` and ``BoundaryForm``."""
     _check_axes(op, dom)
     _check_fields(op, dom, v, w)
-    tv, tw = (_derivatives(f, op.axes, op.order - 1) for f in (v, w))
+    top, den, tv, tw = _flat_derivatives(v, w, op.ell, op.order - 1)
     total = Fraction(0)
     for (k, i), pki in op.pk.items():
         lm = _common_denominator(pki)
         rows, axis = _encode(transpose(pki), lm), k - 1
+        b, b_den = _functional(dom.bounds, top, axis)
         for j in range(1, i + 1):
-            dw, dv = tw[axis][i - j], tv[axis][j - 1]
-            du, dd = _degree(dw), _degree(dv)
-            table = _moments(dom.bounds, axis, du + dd)
-            num, den = _flux(table, dom.bounds[axis], axis, du, dd, dw, rows, dv)
-            total += (-1) ** (j - 1) * Fraction(num, den * lm)
-    return total
+            flux = _contract(tw[axis][i - j], rows, tv[axis][j - 1], b)
+            total += (-1) ** (j - 1) * Fraction(flux, b_den * lm)
+    return total / den
 
 
 def volume_mismatch(

@@ -305,7 +305,9 @@ def discretize(
     ``density_scale`` and ``stiffness_scale`` optionally vary the material
     per node: callables of the spatial position multiplying the compiled
     (constant-coefficient) mass and stiffness.  The exact stage stays
-    constant-coefficient; spatial variation enters only here.
+    constant-coefficient; spatial variation enters only here.  A system
+    whose step matrix ``W^-1 J C`` may pass the float range is refused with
+    a ``ValueError``, before any stepper is built.
     """
     model = sys.model
     ell = model.ell
@@ -368,6 +370,11 @@ def discretize(
     p_fields, eps_fields = fields[: sys.n], fields[sys.n :]
 
     D, W, C, J = _assemble(sys, p_fields, eps_fields, dx, density_scale, stiffness_scale)
+    # a stepper forms A = W^-1 J C in floats; an entry past the float range
+    # would reach SuperLU as inf and end in "Factor is exactly singular"
+    if not math.isfinite(float(np.max(1.0 / W)) * float(abs(J).max()) * float(abs(C).max())):
+        raise ValueError(f"the step matrix of {model.name} may pass the float range: "
+                         "max(1/W) * max|J| * max|C| overflows")
     return DiscreteSystem(sys, grid, bc, p_fields, eps_fields, dx, D, J, C, W)
 
 
@@ -665,12 +672,6 @@ class _MidpointStepper:
     the one stepping loop."""
 
     def __init__(self, dsys: DiscreteSystem, dt: float):
-        # A = W^-1 J C is formed in floats; an entry past the float range
-        # would reach SuperLU as inf and end in "Factor is exactly singular"
-        scale = float(np.max(1.0 / dsys.W)) * float(abs(dsys.J).max()) * float(abs(dsys.C).max())
-        if not math.isfinite(scale):
-            raise ValueError(f"the step matrix of {dsys.system.model.name} may pass the float range: "
-                             "max(1/W) * max|J| * max|C| overflows")
         self.dt = dt
         self._dsys = dsys
 

@@ -80,7 +80,8 @@ def _residuals(key: str, op: DiffOpMatrix, domain, trials: int, form=None, adjoi
     ``next`` with ``form`` and ``adjoint``, each on fresh fields drawn from
     ``random.Random(key)``: ``v`` (``op.m`` fields), then ``w`` (``op.n``),
     of degree ``op.order + 2``.  The oracle encodes its matrices once; a
-    trial differentiates each field set once, flattens and contracts."""
+    trial flattens each field set once, differentiates it on the flat form
+    and contracts."""
     oracle = IbpOracle(op, domain, form=form, adjoint=adjoint)
     rng = random.Random(key)  # string seeding is deterministic across processes (unlike hash())
     for _ in range(trials):

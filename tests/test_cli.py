@@ -724,7 +724,7 @@ def test_simulate_runs_a_pi_tagged_stiffness_whose_rational_part_underflows(tmp_
     "param, code, message",
     [
         # M^-1 is about 1.27e308, a float, but W^-1 J C is not
-        ("rho=5e-309", EXIT_ERROR, "the step matrix of torsion may pass the float range"),
+        ("rho=5e-309", EXIT_INVALID_MODEL, "the step matrix of torsion may pass the float range"),
         ("rho=1e-400", EXIT_INVALID_MODEL, "inverse mass M^-1[0][0] is about 1e+400, outside the range of a float"),
     ],
     ids=["step-matrix", "inverse-mass"],

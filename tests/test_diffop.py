@@ -21,13 +21,17 @@ from phs_forge.diffop import (
     jet,
     jet_layout,
     volume_mismatch,
+    _flatten,
+    _functional,
 )
 from phs_forge.exact import ExactError, mat_scale, transpose
 from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.poly import Poly, dot, mat_apply
+from phs_forge.verify import _mutations
 
 X1 = ("z1",)
 X12 = ("z1", "z2")
+X123 = ("z1", "z2", "z3")
 
 
 def timoshenko_op():
@@ -635,8 +639,9 @@ def test_pairing_kernel_on_zero_fields_is_zero():
 
 
 def test_pairing_moment_tables_do_not_leak_between_domains():
-    # the moment tables are cached per bounds: alternate two domains over
-    # the same axes and degree, and each must keep its own integrals
+    # each oracle keeps its functionals per (axis, top): alternate two
+    # domains over the same axes and degree, and each must keep its own
+    # integrals
     rng = random.Random(11)
     v = [random_poly(rng, X12, 3) for _ in range(2)]
     w = [random_poly(rng, X12, 3) for _ in range(2)]
@@ -735,3 +740,80 @@ def _apply_per_entry(op, w):
                 acc = acc + mat_[r][c] * d
         out.append(acc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The moment functionals of the pairing kernel, on boxes that are not unit
+# boxes: every builtin domain is one, so the sampled checks never reach a
+# negative bound or a bound denominator other than 1
+# ---------------------------------------------------------------------------
+
+
+def _random_box(rng, axes):
+    """A box whose bounds are drawn negative, fractional or both."""
+    bounds = []
+    for _ in axes:
+        lo = F(rng.randint(-9, 4), rng.randint(1, 7))
+        bounds.append((lo, lo + F(rng.randint(1, 9), rng.randint(1, 5))))
+    return DomainSpec(axes, tuple(bounds))
+
+
+def _rational_poly(rng, axes, degree):
+    """``random_poly`` over a random denominator."""
+    return random_poly(rng, axes, degree) * F(rng.choice([-5, -2, 1, 3, 7]), rng.randint(1, 6))
+
+
+def _evaluate(table, p, top):
+    """The functional ``table`` of ``_functional(bounds, top, face)`` on ``p``."""
+    mu, den = table
+    (flat,), p_den = _flatten([p], [(top + 1) ** k for k in range(len(p.coords))])
+    return F(sum(c * mu[k] for k, c in flat.items()), den * p_den)
+
+
+@pytest.mark.parametrize("degree", range(7))
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_moment_functionals_equal_integrate_and_subs(ell, degree):
+    """The box table is ``Poly.integrate`` over every axis, and the flux
+    functional B_a the integral over the other axes of the upper face value
+    (``Poly.subs``) minus the lower, for tables wider than the degree too."""
+    rng = random.Random(f"functionals:{ell}:{degree}")
+    axes = X123[:ell]
+    boxes = [DomainSpec(axes, ((F(-3, 7), F(5, 2)), (F(-2), F(-1, 3)), (F(1, 5), F(4)))[:ell])]
+    boxes += [_random_box(rng, axes) for _ in range(3)]
+    for dom in boxes:
+        p = _rational_poly(rng, axes, degree)
+        top = degree + rng.randint(0, 3)
+        integral = p
+        for name, (lo, hi) in zip(axes, dom.bounds):
+            integral = integral.integrate(name, lo, hi)
+        assert _evaluate(_functional(dom.bounds, top, -1), p, top) == integral.constant_value()
+        for a, (name, (lo, hi)) in enumerate(zip(axes, dom.bounds)):
+            flux = p.subs({name: hi}) - p.subs({name: lo})
+            for other, (o_lo, o_hi) in zip(axes, dom.bounds):
+                if other != name:
+                    flux = flux.integrate(other, o_lo, o_hi)
+            assert _evaluate(_functional(dom.bounds, top, a), p, top) == flux.constant_value()
+
+
+MUTATIONS = _mutations()
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+def test_oracle_under_the_planted_mutations_equals_product_then_integrate(mutation):
+    """Each planted mutation of ``verify``, moved to boxes with negative and
+    fractional bounds and rational fields: the oracle's volume, boundary and
+    residual are the product-then-integrate ones, and the residual is not
+    zero."""
+    _, model, form, adjoint = mutation
+    op = model.op
+    rng = random.Random(f"mutation-boxes:{mutation[0]}")
+    for _ in range(2):
+        dom = _random_box(rng, op.axes)
+        oracle = IbpOracle(op, dom, form=form, adjoint=adjoint)
+        v = [_rational_poly(rng, op.axes, op.order + 2) for _ in range(op.m)]
+        w = [_rational_poly(rng, op.axes, op.order + 2) for _ in range(op.n)]
+        volume, boundary = _reference_sides(
+            op, v, w, dom, form or BoundaryForm(op), adjoint or op.formal_adjoint()
+        )
+        assert (oracle.volume(v, w), oracle.boundary(v, w)) == (volume, boundary)
+        assert oracle.residual(v, w) == volume - boundary != 0

@@ -180,6 +180,15 @@ def test_an_unknown_face_is_refused_with_the_grid_faces():
         boundary_traction_input(dsys, "front", "p1", lambda t: 1.0)
 
 
+def test_discretize_refuses_a_step_matrix_past_float_range():
+    # M^-1 is about 1.27e308, a float, but W^-1 J C is not; the refusal used
+    # to come from the stepper, after discretize had returned
+    sys_ = assemble_phs(builtin_model("torsion", {"rho": F("5e-309")}))
+    message = "the step matrix of torsion may pass the float range: max(1/W) * max|J| * max|C| overflows"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        discretize(sys_, GridSpec((8,)))
+
+
 def test_interconnection_exactly_skew():
     for name, cells in (
         ("string", (16,)),
