@@ -38,15 +38,19 @@ that never builds the product polynomial.  ``_encode`` turns ``M`` into
 integer rows over a common denominator.  ``_flatten`` maps each field once to
 integers at flat indices, exponent ``e_k`` the digit of weight ``n^k`` with
 ``n = 2d + 1`` for ``d`` the top exponent of the fields, so the index of a
-product is the sum of the indices; the derivatives are taken on that form
-(``_flat_diff``).  Each integral is then a linear functional on monomials,
-held as integers over one denominator (``_functional``): the box moments for
-the volume, and per axis a the flux functional
+product is the sum of the indices; one call flattens both field sets of a
+pair through one map from exponent tuple to flat index, filled once per
+distinct tuple, whose keys also give ``d``.  The derivatives are taken on
+that form (``_flat_diff``).  Each integral is then a linear functional on
+monomials, held as integers over one denominator (``_functional``): the box
+moments for the volume, and per axis a the flux functional
 ``B_a[e] = (hi^e_a - lo^e_a) prod_(k != a) integral z_k^e_k``, the upper face
 minus the lower.  ``_contract`` sums ``n_a n_b mu[k_a + k_b]`` against one
-of them.  An oracle encodes its matrices once, keeps its functionals per
-(axis, top degree), and per field pair flattens, differentiates and makes
-one contraction for the volume and one per axis;
+of them.  An oracle encodes its matrices once, the volume's two zero-order
+blocks folded into one, ``v^T P0 w - w^T Q0 v = v^T (P0 - Q0^T) w`` (zero
+for a formal adjoint), keeps its functionals per (axis, top degree), and
+per field pair flattens, differentiates, makes one contraction for the
+volume and one per axis, and one ``Fraction`` of their difference;
 ``boundary_pairing_sum_form``, the reference for the boundary side, makes one
 contraction per term.  The section Gram matrices are not pairings, but
 ``build._section_gram`` sums them the same way: ``_encode`` rows for the
@@ -61,10 +65,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, lcm
-from operator import methodcaller, mul
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact import ExactError, fr, mat_scale, transpose, zeros
+from .exact import ExactError, fr, transpose, zeros
 from .poly import Poly, _over_lcm, mat_apply, moment_weights, power_table
 
 Matrix = List[List[Fraction]]
@@ -174,9 +178,10 @@ class DiffOpMatrix:
 
     # -- core operations -------------------------------------------------------
     def formal_adjoint(self) -> "DiffOpMatrix":
-        """F* v = P0^T v + sum (-1)^i Pk(k,i)^T d_k^i v."""
+        """F* v = P0^T v + sum (-1)^i Pk(k,i)^T d_k^i v: the odd-order
+        blocks negated."""
         pk = {
-            (k, i): mat_scale(transpose(mat_), Fraction((-1) ** i))
+            (k, i): [[-x for x in row] for row in transpose(mat_)] if i % 2 else transpose(mat_)
             for (k, i), mat_ in self.pk.items()
         }
         return DiffOpMatrix(self.n, self.m, self.axes, transpose(self.p0), pk)
@@ -193,22 +198,27 @@ class DiffOpMatrix:
 
 
 def _derivatives(fields, diffs, top: int):
-    """Per axis k, ``[w, d_k w, ..., d_k^top w]``, each entry the derivative
-    of the one before by ``diffs[k - 1]``: the one derivative table of the
-    module, of ``Poly`` fields (``_poly_diffs``) or of flat ones
+    """Per axis k, ``[w, d_k w, ..., d_k^top w]``, each entry the derivatives
+    of the fields of the one before by ``diffs[k - 1]``: the one derivative
+    table of the module, of ``Poly`` fields (``_poly_diffs``) or of flat ones
     (``_flat_derivatives``)."""
     table = []
     for diff in diffs:
         column = [list(fields)]
         for _ in range(top):
-            column.append([diff(f) for f in column[-1]])
+            column.append(diff(column[-1]))
         table.append(column)
     return table
 
 
+def _poly_diff(name: str, fields: Sequence[Poly]) -> List[Poly]:
+    """Each field differentiated along ``name``."""
+    return [f.diff(name) for f in fields]
+
+
 def _poly_diffs(axes: Sequence[str]):
-    """Per axis, ``Poly.diff`` along it."""
-    return [methodcaller("diff", name) for name in axes]
+    """Per axis, ``Poly.diff`` along it of each field of a list."""
+    return [partial(_poly_diff, name) for name in axes]
 
 
 @lru_cache(maxsize=64)
@@ -269,7 +279,7 @@ class BoundaryForm:
                 rows, cols = self.block((i - 1 - c, k), (c, k))
                 for b, row in enumerate(mat_):
                     for a, x in enumerate(row):
-                        q[rows[a]][cols[b]] = (-1) ** c * x
+                        q[rows[a]][cols[b]] = -x if c % 2 else x
 
     def block(self, row: Block, col: Block) -> Tuple[range, range]:
         """The indices of row block ``row`` (of the jet of w) and column block
@@ -368,40 +378,50 @@ def _encode(mat_: Matrix, lm: int) -> List[List[Tuple[int, int]]]:
     return [[(j, x.numerator * (lm // x.denominator)) for j, x in enumerate(row) if x] for row in mat_]
 
 
-def _degree(polys: Iterable[Poly]) -> int:
-    """The largest single exponent in any term of ``polys`` (0 if none)."""
-    return max((max(map(max, p.num)) for p in polys if p.num), default=0)
-
-
-def _flatten(polys: Sequence[Poly], places: Sequence[int]) -> Tuple[List[Dict[int, int]], int]:
+def _flatten(
+    polys: Sequence[Poly], places: Sequence[int], index: Optional[dict] = None
+) -> Tuple[List[Dict[int, int]], int]:
     """Each polynomial as ``{flat index: numerator}`` over one common
     denominator, which is returned too; exponent ``e_k`` weighs
-    ``places[k]``."""
+    ``places[k]``.  The polynomials share one map from exponent tuple to
+    flat index, filled once per distinct tuple: ``index``, whose keys are
+    those tuples, if the caller has it (its values are overwritten)."""
+    if index is None:
+        index = dict.fromkeys(chain.from_iterable(p.num for p in polys))
+    for e in index:
+        index[e] = sum(map(mul, e, places))
     common = lcm(*{p.den for p in polys})
-    flat = [{sum(map(mul, e, places)): c * (common // p.den) for e, c in p.num.items()} for p in polys]
+    flat = []
+    for p in polys:
+        keys, nums = map(index.__getitem__, p.num), p.num.values()
+        scale = common // p.den
+        flat.append(dict(zip(keys, nums if scale == 1 else map(scale.__mul__, nums))))
     return flat, common
 
 
-def _flat_diff(place: int, n: int, f: Dict[int, int]) -> Dict[int, int]:
-    """The derivative of a ``_flatten`` dict along the axis of weight
+def _flat_diff(place: int, n: int, fields: Sequence[Dict[int, int]]) -> List[Dict[int, int]]:
+    """The derivatives of ``_flatten`` dicts along the axis of weight
     ``place`` in base ``n``: the term at index i, with digit e there, moves
     to i - place, times e."""
-    return {i - place: c * e for i, c in f.items() if (e := i // place % n)}
+    return [{i - place: c * e for i, c in f.items() if (e := i // place % n)} for f in fields]
 
 
 def _flat_derivatives(v: Sequence[Poly], w: Sequence[Poly], ell: int, depth: int):
-    """``(top, den, tv, tw)``: ``v`` and ``w`` flattened once each, in base
-    ``n = 2d + 1`` for d the largest exponent of any of their terms, so that
-    exponents of a product stay below n and its index is the sum of the
-    indices; ``top = 2d`` bounds those exponents, ``den`` is the product of
-    the two denominators, and ``tv``, ``tw`` are the ``_derivatives`` tables
-    of the flat fields up to ``depth``."""
-    d = _degree(chain(v, w))
-    n = 2 * d + 1
+    """``(top, den, tv, tw)``: ``v`` and ``w`` flattened in one ``_flatten``
+    call, in base ``n = 2d + 1`` for d the largest exponent of any of their
+    terms (one scan over the keys of the index map), so that exponents of a
+    product stay below n and its index is the sum of the indices; ``top =
+    2d`` bounds those exponents, ``den`` is the square of the common
+    denominator (one factor from v, one from w), and ``tv``, ``tw`` are the
+    ``_derivatives`` tables of the flat fields up to ``depth``."""
+    polys = [*v, *w]
+    index = dict.fromkeys(chain.from_iterable(p.num for p in polys))
+    n = 2 * max(chain.from_iterable(index), default=0) + 1
     places = [n**k for k in range(ell)]
+    flat, common = _flatten(polys, places, index)
     diffs = [partial(_flat_diff, place, n) for place in places]
-    (fv, lv), (fw, lw) = _flatten(v, places), _flatten(w, places)
-    return 2 * d, lv * lw, _derivatives(fv, diffs, depth), _derivatives(fw, diffs, depth)
+    fv, fw = flat[: len(v)], flat[len(v) :]
+    return n - 1, common * common, _derivatives(fv, diffs, depth), _derivatives(fw, diffs, depth)
 
 
 def _contract(us, rows, vs, mu) -> int:
@@ -425,16 +445,17 @@ def _contract(us, rows, vs, mu) -> int:
     return total
 
 
-def _block_row(op: DiffOpMatrix) -> Matrix:
-    """F's block row ``[P0 | Pk(k, i) ...]``, which pairs with the stacked
-    ``[w; d_k^i w; ...]`` (``_stacked``) to give ``F w``."""
-    blocks = [op.p0, *op.pk.values()]
-    return [[x for b in blocks for x in b[r]] for r in range(op.m)]
+def _block_row(blocks: Iterable[Matrix], m: int) -> Matrix:
+    """The m rows of ``[B1 | B2 | ...]``: with the blocks ``[P0, Pk(k, i)
+    ...]`` of F it pairs with the stacked ``[w; d_k^i w; ...]`` to give
+    ``F w``."""
+    return [[x for b in blocks for x in b[r]] for r in range(m)]
 
 
 def _stacked(op: DiffOpMatrix, table) -> list:
-    """``[w; d_k^i w; ...]`` in ``op.pk`` order, from the ``_derivatives`` of w."""
-    return table[0][0] + [f for k, i in op.pk for f in table[k - 1][i]]
+    """``[d_k^i w; ...]`` in ``op.pk`` order, from the ``_derivatives`` of w:
+    the stack without its zero-order block ``w``."""
+    return [f for k, i in op.pk for f in table[k - 1][i]]
 
 
 def _check_pair(op: DiffOpMatrix, form: BoundaryForm, adjoint: DiffOpMatrix) -> None:
@@ -468,15 +489,21 @@ class IbpOracle:
     default to the operator's own ``BoundaryForm`` and ``formal_adjoint()``.
     The operator must be over the domain's axes, in order.  The constant
     matrices are encoded once, here, as integer rows over one common
-    denominator: the volume side as one block matrix ``[[F, 0], [0, -F*]]``
-    (``F`` and ``F*`` as block rows, ``_block_row``) against
-    ``[w; d w ...; v; d v ...]``, and each ``Q_a``.  A call finds one top
-    exponent, flattens ``v`` and ``w`` once each and differentiates them on
-    the flat form into ``_derivatives`` tables (the stacks and the jets are
+    denominator: each ``Q_a``, and the volume side as one block matrix
+    against ``[w; d w ...; d v ...]`` (block rows, ``_block_row``).  Its
+    zero-order blocks are folded, ``v^T P0 w - w^T Q0 v = v^T (P0 - Q0^T)
+    w`` for ``Q0`` the adjoint's, so the rows of v carry
+    ``[P0 - Q0^T | Pk(k, i) ...]`` against ``[w; d w ...]`` (zero-order
+    block zero for a formal adjoint) and the rows of w the adjoint's
+    ``[-Qk(k, i) ...]`` against ``[d v ...]``, with no zero-order block.
+    A call flattens ``v`` and ``w`` in one ``_flatten``, through one index
+    map that also gives the top exponent, and differentiates them on the
+    flat form into ``_derivatives`` tables (the stacks and the jets are
     slices of them), then contracts the volume against the box moments and
-    each axis's jets against its flux functional.  The functionals
-    (``_functional``) are kept per oracle in ``_tables``, keyed by
-    ``(axis, top)``, the box under axis -1.
+    each axis's jets against its flux functional.  Each side is an integer
+    over a denominator until the end: ``residual`` subtracts the two and
+    makes one ``Fraction``.  The functionals (``_functional``) are kept per
+    oracle in ``_tables``, keyed by ``(axis, top)``, the box under axis -1.
     """
 
     __slots__ = ("op", "dom", "adjoint", "_lm", "_volume", "_q", "_tables", "_top")
@@ -495,9 +522,11 @@ class IbpOracle:
             adjoint = op.formal_adjoint()
         _check_pair(op, form, adjoint)
         self.op, self.dom, self.adjoint = op, dom, adjoint
-        f, f_star = _block_row(op), _block_row(adjoint)
+        p0 = [[a - b for a, b in zip(row, col)] for row, col in zip(op.p0, transpose(adjoint.p0))]
+        f = _block_row([p0, *op.pk.values()], op.m)
+        f_star = _block_row(adjoint.pk.values(), op.n)
         self._lm = lm = _common_denominator(f, f_star, *form.q_axes)
-        shift = len(f[0])  # [v; d v ...] follows [w; d w ...]
+        shift = len(f[0])  # [d v ...] follows [w; d w ...]
         self._volume = _encode(f, lm) + [
             [(shift + j, -x) for j, x in row] for row in _encode(f_star, lm)
         ]
@@ -518,35 +547,44 @@ class IbpOracle:
         _check_fields(self.op, self.dom, v, w)
         return _flat_derivatives(v, w, self.op.ell, self._top)
 
-    def _volume_part(self, top: int, den: int, tv, tw) -> Fraction:
+    def _volume_part(self, top: int, tv, tw) -> Tuple[int, int]:
+        """``(num, d)``: the volume is ``num / (d * den * lm)``, for ``den``
+        the fields' denominator and ``lm`` the matrices'."""
         mu, mu_den = self._table(-1, top)
-        a, b = _stacked(self.op, tw), _stacked(self.adjoint, tv)
-        us = b[: self.op.m] + a[: self.op.n]
-        return Fraction(_contract(us, self._volume, a + b, mu), mu_den * den * self._lm)
+        v, w = tv[0][0], tw[0][0]
+        vs = w + _stacked(self.op, tw) + _stacked(self.adjoint, tv)
+        return _contract(v + w, self._volume, vs, mu), mu_den
 
-    def _boundary_part(self, top: int, den: int, tv, tw) -> Fraction:
+    def _boundary_part(self, top: int, tv, tw) -> Tuple[int, int]:
+        """``(num, d)`` of the boundary side, as ``_volume_part``'s."""
         jw, jv = _jet(tw, self.op.order), _jet(tv, self.op.order)
         num, flux_den = 0, 1
         for axis, rows in enumerate(self._q):
             b, b_den = self._table(axis, top)
             num = num * b_den + _contract(jw, rows, jv, b) * flux_den
             flux_den *= b_den
-        return Fraction(num, flux_den * den * self._lm)
+        return num, flux_den
 
     def volume(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
         """integral_Omega (v^T F w - w^T F* v) dx, exactly."""
-        return self._volume_part(*self._prepare(v, w))
+        top, den, tv, tw = self._prepare(v, w)
+        num, d = self._volume_part(top, tv, tw)
+        return Fraction(num, d * den * self._lm)
 
     def boundary(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
         """The boundary side: one flux of ``jet(w)^T Q_a jet(v)`` per axis."""
-        return self._boundary_part(*self._prepare(v, w))
+        top, den, tv, tw = self._prepare(v, w)
+        num, d = self._boundary_part(top, tv, tw)
+        return Fraction(num, d * den * self._lm)
 
     def residual(self, v: Sequence[Poly], w: Sequence[Poly]) -> Fraction:
         """``volume(v, w) - boundary(v, w)``: exactly zero for every operator
         of the supported class and any polynomial fields, as long as the
-        form and the adjoint are (or equal) the operator's own."""
-        prepared = self._prepare(v, w)
-        return self._volume_part(*prepared) - self._boundary_part(*prepared)
+        form and the adjoint are (or equal) the operator's own.  The two
+        sides are subtracted as integers, so one ``Fraction`` is made."""
+        top, den, tv, tw = self._prepare(v, w)
+        (nv, dv), (nb, db) = self._volume_part(top, tv, tw), self._boundary_part(top, tv, tw)
+        return Fraction(nv * db - nb * dv, dv * db * den * self._lm)
 
 
 def boundary_pairing_sum_form(

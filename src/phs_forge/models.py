@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diffop import DiffOpMatrix, DomainSpec, derivative_symbols
 from .exact import check_spd, fr, row_reduce
-from .poly import Poly, PolyMatrix
+from .poly import Poly, PolyMatrix, _distinct
 from .sections import (
     CircleSection,
     IntervalSection,
@@ -186,9 +186,24 @@ class KinematicModel:
 
 
 def random_poly(rng: random.Random, coords: Sequence[str], degree: int) -> Poly:
-    """Random polynomial with integer coefficients in {-3..3}."""
-    coords = tuple(coords)
-    num = {e: c for e in _exponents_up_to(len(coords), degree) if (c := rng.randrange(7) - 3)}
+    """Random polynomial of total degree <= ``degree`` with integer
+    coefficients in {-3..3}, one draw per exponent of ``_exponents_up_to``
+    in its order; the constant 1 if every draw is 0.
+
+    A coefficient is ``rng.getrandbits(3) - 3``, a draw of 7 rejected and
+    redrawn: the stream of ``rng.randrange(7) - 3``, which CPython's
+    ``Random._randbelow`` takes from ``getrandbits(3)`` the same way.
+    """
+    coords = _distinct(coords)
+    if degree < 0:
+        raise ValueError(f"random_poly degree must be >= 0, got {degree}")
+    draw, num = rng.getrandbits, {}
+    for e in _exponents_up_to(len(coords), degree):
+        c = draw(3)
+        while c == 7:
+            c = draw(3)
+        if c != 3:
+            num[e] = c - 3
     return Poly._raw(coords, num or {(0,) * len(coords): 1})
 
 

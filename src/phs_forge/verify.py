@@ -79,9 +79,11 @@ def _residuals(key: str, op: DiffOpMatrix, domain, trials: int, form=None, adjoi
     """Yield ``trials`` residuals of one ``IbpOracle``, built on the first
     ``next`` with ``form`` and ``adjoint``, each on fresh fields drawn from
     ``random.Random(key)``: ``v`` (``op.m`` fields), then ``w`` (``op.n``),
-    of degree ``op.order + 2``.  The oracle encodes its matrices once; a
-    trial flattens each field set once, differentiates it on the flat form
-    and contracts."""
+    of degree ``op.order + 2``, each coefficient one ``getrandbits(3)``
+    with 7 redrawn (``random_poly``).  The oracle encodes its matrices once,
+    the volume's zero-order blocks folded into one; a trial flattens both
+    field sets in one call, through one map from exponent to flat index,
+    differentiates them on the flat form and contracts."""
     oracle = IbpOracle(op, domain, form=form, adjoint=adjoint)
     rng = random.Random(key)  # string seeding is deterministic across processes (unlike hash())
     for _ in range(trials):

@@ -4,6 +4,7 @@ integration-by-parts identity that anchors everything else."""
 import random
 import re
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from phs_forge.diffop import (
     jet,
     jet_layout,
     volume_mismatch,
+    _flat_derivatives,
     _flatten,
     _functional,
 )
@@ -817,3 +819,70 @@ def test_oracle_under_the_planted_mutations_equals_product_then_integrate(mutati
         )
         assert (oracle.volume(v, w), oracle.boundary(v, w)) == (volume, boundary)
         assert oracle.residual(v, w) == volume - boundary != 0
+
+
+# ---------------------------------------------------------------------------
+# The folded zero-order block and the shared index map of one oracle call
+# ---------------------------------------------------------------------------
+
+WITH_P0 = [name for name in builtin_names() if any(x for row in builtin_model(name).op.p0 for x in row)]
+
+
+def test_builtins_with_a_zero_order_block():
+    assert WITH_P0 == ["mindlin_plate", "reddy_beam", "reddy_plate", "timoshenko"]
+
+
+@pytest.mark.parametrize("name", WITH_P0)
+def test_folded_zero_order_block_keeps_the_volume(name):
+    """The oracle pairs ``v^T (P0 - Q0^T) w`` once where the identity has
+    ``v^T P0 w - w^T Q0 v``: on a box with negative and fractional bounds
+    and rational fields its volume is the product-then-integrate one, a
+    ``Fraction`` of the same value, with the formal adjoint and with an
+    adjoint whose P0 alone is perturbed."""
+    op = builtin_model(name).op
+    rng = random.Random(f"folded:{name}")
+    dom = DomainSpec(op.axes, ((F(-3, 7), F(5, 2)), (F(-2), F(-1, 3)))[: op.ell])
+    own = op.formal_adjoint()
+    p0 = [row[:] for row in own.p0]
+    for _ in range(3):
+        p0[rng.randrange(own.m)][rng.randrange(own.n)] += F(rng.choice([-5, -1, 2, 7]), rng.randint(1, 6))
+    perturbed = DiffOpMatrix(own.m, own.n, own.axes, p0=p0, pk=own.pk)
+    form = BoundaryForm(op)
+    v = [_rational_poly(rng, op.axes, op.order + 2) for _ in range(op.m)]
+    w = [_rational_poly(rng, op.axes, op.order + 2) for _ in range(op.n)]
+    volumes = []
+    for adjoint in (own, perturbed):
+        volume = IbpOracle(op, dom, adjoint=adjoint).volume(v, w)
+        reference, _ = _reference_sides(op, v, w, dom, form, adjoint)
+        assert type(volume) is type(reference) is F
+        assert volume == reference
+        volumes.append(volume)
+    assert volumes[0] != volumes[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_derivatives_share_one_index_map(data):
+    """``_flat_derivatives`` flattens v and w in one call over one index
+    map and one denominator: each entry of its tables is the derivative of
+    one field flattened on its own, and that is its terms at their flat
+    indices."""
+    ell = data.draw(st.integers(1, 3))
+    axes, depth = X123[:ell], data.draw(st.integers(0, 3))
+    v = data.draw(fields(axes, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4)), RATIONAL))
+    w = data.draw(fields(axes, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4)), SMALL))
+    top, den, tv, tw = _flat_derivatives(v, w, ell, depth)
+    assert top == 2 * max((max(e) for p in v + w for e in p.num), default=0)
+    common = lcm(*(p.den for p in v + w))
+    assert den == common * common
+    places = [(top + 1) ** k for k in range(ell)]
+    for table, polys in ((tv, v), (tw, w)):
+        for k, name in enumerate(axes):
+            for j in range(depth + 1):
+                for flat, p in zip(table[k][j], polys):
+                    for _ in range(j):
+                        p = p.diff(name)
+                    (alone,), p_den = _flatten([p], places)
+                    terms = {sum(x * place for x, place in zip(e, places)): c for e, c in p.terms.items()}
+                    shared = {i: F(c, common) for i, c in flat.items()}
+                    assert shared == {i: F(c, p_den) for i, c in alone.items()} == terms

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from phs_forge.build import assemble_phs, export_system
 from phs_forge.diffop import DiffOpMatrix, DomainSpec
-from phs_forge.exact import PiRat
+from phs_forge.exact import ExactError, PiRat
 from phs_forge.modelfile import (
     ParseError,
     _parse_operator,
@@ -25,6 +25,7 @@ from phs_forge.modelfile import (
 )
 from phs_forge.models import (
     ModelError,
+    _exponents_up_to,
     builtin_model,
     builtin_names,
     derive_operator,
@@ -678,6 +679,39 @@ def test_random_poly_draws_are_pinned():
         "-2*z1^2 - z1^3 + z2 + 2*z1*z2 - 3*z1^2*z2 - 3*z2^2 + 3*z1*z2^2 - 3*z2^3 + 3*z3"
         " + 3*z1*z3 - 2*z1^2*z3 + z2*z3 - z2^2*z3 + z3^2 + 2*z1*z3^2 + z2*z3^2 + z3^3"
     )
+
+
+def _reference_random_poly(rng, coords, degree):
+    """``random_poly`` as ``rng.randrange(7) - 3`` per exponent."""
+    num = {e: c for e in _exponents_up_to(len(coords), degree) if (c := rng.randrange(7) - 3)}
+    return Poly._raw(tuple(coords), num or {(0,) * len(coords): 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(1, 3), st.integers(0, 6), st.integers(1, 4))
+def test_random_poly_draws_the_randrange_stream(seed, arity, degree, count):
+    # getrandbits(3) with 7 rejected is what randrange(7) takes from the
+    # generator: the same polynomials, the same terms in the same order, and
+    # the generator left in the same state
+    coords = Z123[:arity]
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        p, q = random_poly(ours, coords, degree), _reference_random_poly(reference, coords, degree)
+        assert p == q and list(p.num.items()) == list(q.num.items())
+    assert ours.getstate() == reference.getstate()
+
+
+def test_random_poly_refuses_repeated_coordinates():
+    # _raw requires distinct names: this used to return a Poly that printed
+    # "-2 + 3*z1 - 3*z1^2 + z1 + 3*z1*z1 + 3*z1^2"
+    with pytest.raises(ExactError, match=re.escape("duplicate coordinate names: ('z1', 'z1')")):
+        random_poly(random.Random(0), ("z1", "z1"), 2)
+
+
+def test_random_poly_refuses_a_negative_degree():
+    # this used to return the constant 1 without a draw
+    with pytest.raises(ValueError, match="^random_poly degree must be >= 0, got -1$"):
+        random_poly(random.Random(0), Z123, -1)
 
 
 @settings(max_examples=25, deadline=None)
