@@ -15,15 +15,13 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import List
 
 from . import exact
-from .diffop import BoundaryForm, DiffOpMatrix, _common_denominator, _encode, jet_blocks
+from .diffop import BoundaryForm, DiffOpMatrix, _combine, _common_denominator, _encode, _flat_pairs, jet_blocks
 from .exact import ExactError, PiRat, check_spd, fr, mat_inverse, scalar_json, scalar_parts, to_float
 from .modelfile import check_digits
-from .models import KinematicModel, ModelError, validate_model
-from .poly import Poly
+from .models import KinematicModel, ModelError, state_labels, validate_model
 
 __all__ = [
     "BuildError",
@@ -42,29 +40,16 @@ class BuildError(ModelError):
     pass
 
 
-def _weigh(rows, col):
-    """``W`` times one column of ``_section_gram``'s split factor, with
-    ``rows`` the integer rows of ``_encode``."""
-    out = []
-    for row in rows:
-        acc = {}
-        get = acc.get
-        for s, w in row:
-            for k, n in col[s]:
-                acc[k] = get(k, 0) + w * n
-        out.append([(k, n) for k, n in acc.items() if n])
-    return out
-
-
 def _pair(col, wcol):
     """``{key: S_key}``: the nonzero integer coefficients of ``col^T wcol``
-    for a column of the split factor and a weighted one."""
+    for a column of flat factor entries and a weighted one."""
     acc = {}
     get = acc.get
     for a, b in zip(col, wcol):
         if a and b:
-            for ka, x in a:
-                for kb, y in b:
+            terms = b.items()
+            for ka, x in a.items():
+                for kb, y in terms:
                     k = ka + kb
                     acc[k] = get(k, 0) + x * y
     return {k: n for k, n in acc.items() if n}
@@ -75,49 +60,34 @@ def _section_gram(model: KinematicModel, factor, weight):
     integer pass.
 
     ``factor`` is a PolyMatrix over the complementary coordinates, ``weight``
-    a rational matrix (or None for the identity).  The factor is split into
-    integer coefficient matrices over one denominator (lambda = sum_e A_e
-    z^e) and the weight is encoded as integer rows (``diffop._encode``), so
-    entry (i, j) is sum_c S_c[i][j] mu_c, with S_c = sum_{e+f=c} A_e^T W A_f
-    summed in ints and mu_c the section's ``monomial`` of z^c.  An exponent
-    is one integer key, a digit per coordinate, so e + f is one addition.
-    The section is asked for mu_c only when some S_c has a nonzero entry,
-    and a surviving term in a coordinate it does not span is refused as
-    ``Section.integrate`` refuses it.  Each entry is then one Fraction,
-    pi-tagged on a circle (a section's nonzero moments share one power of
-    pi).  An asymmetric weight gives an asymmetric result, which
-    ``check_spd`` reports.
+    a rational matrix (or None for the identity).  The oracle's kernel does
+    the integer work: ``diffop._flat_pairs`` flattens the factor (lambda =
+    sum_e A_e z^e, integer A_e, an exponent one flat index, so e + f is one
+    addition) and ``diffop._combine`` applies the ``_encode`` rows of W.
+    Entry (i, j) is sum_c S_c[i][j] mu_c, with S_c = sum_{e+f=c} A_e^T W A_f
+    summed in ints and mu_c the section's ``moment`` of z^c, asked for (and
+    refused as ``Section.integrate`` refuses it) only when some S_c has a
+    nonzero entry.  Each entry is then one Fraction, pi-tagged on a circle (a
+    section's nonzero moments share one power of pi).  An asymmetric weight
+    gives an asymmetric result, which ``check_spd`` reports.
     """
     section, coords = model.section, factor.coords
-    exps = {e for row in factor.entries for p in row for e in p.num}
-    # a digit per coordinate, wide enough that two keys add without a carry
-    base = 2 * max((x for e in exps for x in e), default=0) + 1
-    place = [base**i for i in range(len(coords))]
-    key = {e: sum(map(mul, e, place)) for e in exps}
-    # column j lists, per row, the (key, numerator) of each term over ``common``
-    common = lcm(*{p.den for row in factor.entries for p in row})
-    cols = [
-        [[(key[e], n * (common // p.den)) for e, n in p.num.items()] for p in col]
-        for col in zip(*factor.entries)
-    ]
+    polys = [p for row in factor.entries for p in row]
+    n, places, flat, common = _flat_pairs(polys, len(coords))
+    cols = [flat[j :: factor.cols] for j in range(factor.cols)]
     weighted, den = cols, common * common
     if weight is not None:
         lm = _common_denominator(weight)
         rows = _encode(weight, lm)
-        weighted = [_weigh(rows, col) for col in cols]
+        weighted = [[_combine(row, col) for row in rows] for col in cols]
         den *= lm
     sums = [[_pair(col, wcol) for wcol in weighted] for col in cols]
     mu = {}
-    # keys ascending is colex order, the order ``Poly.__str__`` writes
+    # flat indices ascending is colex order, the order ``Poly.__str__`` writes
     for k in sorted({k for row in sums for s in row for k in s}):
-        power = tuple(k // p % base for p in place)
-        for name, e in zip(coords, power):
-            if e and name not in section.spans:
-                n = next(s[k] for row in sums for s in row if k in s)
-                term = Poly(coords, {power: Fraction(n, den)})
-                raise ExactError(f"section {section.kind} does not span {name}, so it cannot integrate {term}")
-        at = dict(zip(coords, power))
-        mu[k] = scalar_parts(section.monomial(at.get("z2", 0), at.get("z3", 0)))
+        exps = tuple(k // place % n for place in places)
+        coeff = lambda k=k: Fraction(next(s[k] for row in sums for s in row if k in s), den)
+        mu[k] = scalar_parts(section.moment(coords, exps, coeff))
     pis = {pi for q, pi in mu.values() if q}
     if len(pis) > 1:
         raise ExactError(f"cannot add pi^{min(pis)} and pi^{max(pis)} terms exactly")
@@ -127,7 +97,7 @@ def _section_gram(model: KinematicModel, factor, weight):
     den *= qden
     zero = Fraction(0)
     return [
-        [PiRat(Fraction(n, den), pi) if (n := sum([x * mu[k] for k, x in s.items()])) else zero for s in row]
+        [PiRat(Fraction(num, den), pi) if (num := sum([x * mu[k] for k, x in s.items()])) else zero for s in row]
         for row in sums
     ]
 
@@ -189,7 +159,7 @@ class PHSystem:
 
     @property
     def state_labels(self) -> List[str]:
-        return [f"p{i + 1}" for i in range(self.n)] + [f"eps{j + 1}" for j in range(self.m)]
+        return state_labels(self.n, self.m)
 
     def j_block_strings(self) -> List[List[str]]:
         """The (n+m) x (n+m) interconnection block as entry strings: -F* is

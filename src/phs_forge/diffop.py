@@ -38,24 +38,24 @@ that never builds the product polynomial.  ``_encode`` turns ``M`` into
 integer rows over a common denominator.  ``_flatten`` maps each field once to
 integers at flat indices, exponent ``e_k`` the digit of weight ``n^k`` with
 ``n = 2d + 1`` for ``d`` the top exponent of the fields, so the index of a
-product is the sum of the indices; one call flattens both field sets of a
-pair through one map from exponent tuple to flat index, filled once per
-distinct tuple, whose keys also give ``d``.  The derivatives are taken on
+product is the sum of the indices; one call (``_flat_pairs``) flattens both
+field sets of a pair through one map from exponent tuple to flat index,
+filled once per distinct tuple, whose keys also give ``d``.  The derivatives are taken on
 that form (``_flat_diff``).  Each integral is then a linear functional on
 monomials, held as integers over one denominator (``_functional``): the box
 moments for the volume, and per axis a the flux functional
 ``B_a[e] = (hi^e_a - lo^e_a) prod_(k != a) integral z_k^e_k``, the upper face
 minus the lower.  ``_contract`` sums ``n_a n_b mu[k_a + k_b]`` against one
-of them.  An oracle encodes its matrices once, the volume's two zero-order
+of them (``_combine`` first sums a row of several entries into one flat
+dict).  An oracle encodes its matrices once, the volume's two zero-order
 blocks folded into one, ``v^T P0 w - w^T Q0 v = v^T (P0 - Q0^T) w`` (zero
 for a formal adjoint), keeps its functionals per (axis, top degree), and
 per field pair flattens, differentiates, makes one contraction for the
 volume and one per axis, and one ``Fraction`` of their difference;
 ``boundary_pairing_sum_form``, the reference for the boundary side, makes one
 contraction per term.  The section Gram matrices are not pairings, but
-``build._section_gram`` sums them the same way: ``_encode`` rows for the
-constitutive matrix, integer coefficient products per exponent, and the
-section's ``monomial`` for the exponents that survive.
+``build._section_gram`` sums them on the same form: ``_flat_pairs`` for the
+factor, ``_combine`` for its product with the constitutive matrix's rows.
 """
 
 from __future__ import annotations
@@ -391,11 +391,10 @@ def _flatten(
     for e in index:
         index[e] = sum(map(mul, e, places))
     common = lcm(*{p.den for p in polys})
-    flat = []
+    get, flat = index.__getitem__, []
     for p in polys:
-        keys, nums = map(index.__getitem__, p.num), p.num.values()
-        scale = common // p.den
-        flat.append(dict(zip(keys, nums if scale == 1 else map(scale.__mul__, nums))))
+        nums, scale = p.num.values(), common // p.den
+        flat.append(dict(zip(map(get, p.num), nums if scale == 1 else map(scale.__mul__, nums))) if nums else {})
     return flat, common
 
 
@@ -406,22 +405,38 @@ def _flat_diff(place: int, n: int, fields: Sequence[Dict[int, int]]) -> List[Dic
     return [{i - place: c * e for i, c in f.items() if (e := i // place % n)} for f in fields]
 
 
-def _flat_derivatives(v: Sequence[Poly], w: Sequence[Poly], ell: int, depth: int):
-    """``(top, den, tv, tw)``: ``v`` and ``w`` flattened in one ``_flatten``
-    call, in base ``n = 2d + 1`` for d the largest exponent of any of their
-    terms (one scan over the keys of the index map), so that exponents of a
-    product stay below n and its index is the sum of the indices; ``top =
-    2d`` bounds those exponents, ``den`` is the square of the common
-    denominator (one factor from v, one from w), and ``tv``, ``tw`` are the
-    ``_derivatives`` tables of the flat fields up to ``depth``."""
-    polys = [*v, *w]
+def _flat_pairs(polys: Sequence[Poly], arity: int):
+    """``(n, places, flat, common)``: ``polys`` flattened in one ``_flatten``
+    call, ``places[k] = n^k`` for the ``arity`` coordinates in base ``n = 2d
+    + 1``, d their top exponent (one scan over the index map's keys), so that
+    a product of two has exponents below n and the sum of their indices."""
     index = dict.fromkeys(chain.from_iterable(p.num for p in polys))
     n = 2 * max(chain.from_iterable(index), default=0) + 1
-    places = [n**k for k in range(ell)]
+    places = [n**k for k in range(arity)]
     flat, common = _flatten(polys, places, index)
+    return n, places, flat, common
+
+
+def _flat_derivatives(v: Sequence[Poly], w: Sequence[Poly], ell: int, depth: int):
+    """``(top, den, tv, tw)``: ``v`` and ``w`` flattened together by
+    ``_flat_pairs``, ``top = n - 1`` the bound on a product's exponents,
+    ``den`` the square of their denominator (one factor from each side), and
+    ``tv``, ``tw`` their flat ``_derivatives`` tables up to ``depth``."""
+    n, places, flat, common = _flat_pairs([*v, *w], ell)
     diffs = [partial(_flat_diff, place, n) for place in places]
     fv, fw = flat[: len(v)], flat[len(v) :]
     return n - 1, common * common, _derivatives(fv, diffs, depth), _derivatives(fw, diffs, depth)
+
+
+def _combine(row, vs) -> Dict[int, int]:
+    """``sum_j c_j vs[j]`` over flat dicts, for ``row`` the ``(j, c_j)`` of
+    one ``_encode`` row; a key whose terms cancel stays, with value zero."""
+    w = {}
+    get = w.get
+    for j, c in row:
+        for k, n in vs[j].items():
+            w[k] = get(k, 0) + c * n
+    return w
 
 
 def _contract(us, rows, vs, mu) -> int:
@@ -435,11 +450,7 @@ def _contract(us, rows, vs, mu) -> int:
             j, scale = row[0]
             w = vs[j]
         else:
-            scale, w = 1, {}
-            get = w.get
-            for j, c in row:
-                for k, n in vs[j].items():
-                    w[k] = get(k, 0) + c * n
+            scale, w = 1, _combine(row, vs)
         terms = w.items()
         total += scale * sum([n * m * mu[k + kb] for k, n in ui.items() for kb, m in terms])
     return total

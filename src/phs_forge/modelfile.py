@@ -536,6 +536,9 @@ def _parse_structure(lines, n, dist):
     if names and len(names) != n:
         raise ParseError(f"structure names line has {len(names)} entries, operator expects {n}")
     fields = tuple(_split_entries(kv["fields"])) if "fields" in kv else ()
+    for j, f in enumerate(fields):
+        if f in fields[:j]:
+            raise ParseError(f"free field {f!r} is repeated in the structure fields line")
     strain_check = kv.get("strain_check", "true")
     if strain_check not in ("true", "false"):
         raise ParseError(f"strain_check must be true or false, got {strain_check!r}")

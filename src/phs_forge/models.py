@@ -119,6 +119,11 @@ CONSTITUTIVE_PRESETS = {
 # Model container
 # ---------------------------------------------------------------------------
 
+def state_labels(n: int, m: int) -> List[str]:
+    """The momenta ``p1..pn``, then the strains ``eps1..epsm``."""
+    return [f"p{i + 1}" for i in range(n)] + [f"eps{j + 1}" for j in range(m)]
+
+
 # How each generalized-displacement component relates to the model's free
 # fields: ("free", j) takes free field j as-is, ("d", j, k) differentiates it
 # once along axis k.  Needed to generate admissible test displacement fields
@@ -160,6 +165,10 @@ class KinematicModel:
             self.r_names = tuple(f"r{i + 1}" for i in range(self.n))
         elif len(self.r_names) != self.n:
             raise ModelError(f"{len(self.r_names)} r_names for an operator on {self.n} fields")
+        labels = state_labels(self.n, self.m)
+        for i, name in enumerate(self.r_names):
+            if name in self.r_names[:i] or name in labels[:i] + labels[i + 1 :]:
+                raise ModelError(f"r_name {name!r} of field p{i + 1} also names another field, by name or label")
         if not self.structure:
             self.free_fields = self.r_names
             self.structure = tuple(("free", i) for i in range(self.n))

@@ -8,18 +8,18 @@ Each shape is a frozen dataclass whose fields are its model-file values; it
 states ``spans``, the coordinates it extends over, and one rule,
 ``monomial(a, b)``: the exact integral of z2^a z3^b over it (disks give
 pi-tagged rationals).  Integration, moments, equality and the ``[section]``
-text follow from that, once, in the base class.  ``build._section_gram``
-reads ``spans`` and ``monomial`` directly: it sums the integer coefficients
-of each matrix entry per exponent and asks for the monomials of the
-exponents that survive, refusing an unspanned term as ``integrate`` does.
-``integrate`` is the one-polynomial form, and the tests' reference for the
-energy matrices.
+text follow from that, once, in the base class.  ``moment`` adds the one
+refusal of a power outside ``spans``; ``integrate`` asks it for each term,
+and ``build._section_gram`` for each exponent whose summed integer
+coefficients survive.  ``integrate`` is the one-polynomial form, and the
+tests' reference for the energy matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from math import prod
 from typing import ClassVar, Tuple
 
@@ -54,17 +54,23 @@ class Section:
         """Exact integral of z2^a z3^b; a power is nonzero only in a spanned coordinate."""
         raise NotImplementedError
 
+    def moment(self, coords, exps, coeff):
+        """``monomial`` at the z2 and z3 powers of ``exps`` over ``coords``;
+        a power outside ``spans`` is refused, naming the term ``coeff() *
+        z^exps`` (``coeff`` is called only then)."""
+        power = dict(zip(coords, exps))
+        for c, k in power.items():
+            if k and c not in self.spans:
+                term = Poly(coords, {exps: coeff()})
+                raise ExactError(f"section {self.kind} does not span {c}, so it cannot integrate {term}")
+        return self.monomial(power.get("z2", 0), power.get("z3", 0))
+
     def integrate(self, p: Poly):
         """Exact integral of ``p``: its integer numerators summed against
-        ``monomial``, divided by its denominator once."""
+        their ``moment``, divided by its denominator once."""
         total = Fraction(0)
         for exps, n in p.num.items():
-            power = dict(zip(p.coords, exps))
-            for c, k in power.items():
-                if k and c not in self.spans:
-                    term = Poly(p.coords, {exps: Fraction(n, p.den)})
-                    raise ExactError(f"section {self.kind} does not span {c}, so it cannot integrate {term}")
-            total += n * self.monomial(power.get("z2", 0), power.get("z3", 0))
+            total += n * self.moment(p.coords, exps, partial(Fraction, n, p.den))
         return total / p.den
 
     def descriptor(self) -> str:

@@ -144,7 +144,7 @@ def check_energy_structure(sys, trials: int = 5, seed: int = 0) -> CheckResult:
     adjoint, and the vanishing residual of the adjoint identity, taken with
     the same stored pair, on random co-energy fields, which runs the pairing
     kernel too.  With M^-1 and K symmetric, the energy rate of a state is
-    ``volume_mismatch`` on its co-energies, so these settle the balance for
+    ``IbpOracle.volume`` on its co-energies, so these settle the balance for
     every entry type, pi-tagged ones included.
     """
     if trials < 1:

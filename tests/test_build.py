@@ -330,6 +330,14 @@ def test_an_asymmetric_weight_gives_the_entrywise_integrals():
     _assert_matches_reference(model)
     k = stiffness_matrix(model, require_spd=False)
     assert k != [list(col) for col in zip(*k)]
+    # W times the first column cancels at z3 in its first row (z3 - z3), so
+    # the weighted column holds a term whose coefficient is zero
+    model = builtin_model("timoshenko")
+    z3 = Poly.variable(model.comp, "z3")
+    model.lambda2 = PolyMatrix([[z3, 1 + z3], [z3, z3**2]])
+    model.cmat = [[F(1), F(-1)], [F(2), F(3)]]
+    _assert_matches_reference(model)
+    assert stiffness_matrix(model, require_spd=False)[0][0] == model.section.integrate(5 * z3**2)
 
 
 def _random_factor(rng, coords, rows, cols, degree):

@@ -781,10 +781,16 @@ def test_build_refuses_constrained_file_without_operator(tmp_path, capsys):
         ("names = psi, w", "names = psi", "structure names line has 1 entries, operator expects 2"),
         ("fields = psi, w", "fields = psi, w, q", "free field 'q' is used by no r item"),
         ("\nr = psi, w", "", "with a fields line needs an r line"),
+        ("fields = psi, w\nr = psi, w", "fields = psi, psi\nr = psi, psi",
+         "free field 'psi' is repeated in the structure fields line"),
+        ("names = psi, w", "names = w, w", "r_name 'w' of field p2 also names another field"),
+        ("names = psi, w", "names = eps1, w", "r_name 'eps1' of field p1 also names another field"),
     ],
-    ids=["names-short", "field-unused", "no-r-line"],
+    ids=["names-short", "field-unused", "no-r-line", "field-repeated", "names-repeated", "name-is-a-label"],
 )
 def test_build_refuses_structure_that_does_not_match_r(tmp_path, capsys, old, new, message):
+    # the names rows used to build and simulate, a field found by name before
+    # label, so an input on 'w' or 'eps1' drove momentum p1
     path = tmp_path / "timoshenko.phsm"
     path.write_text(_model_text("timoshenko", **{old: new}))
     assert main(["build", "--file", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_INVALID_MODEL

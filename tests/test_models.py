@@ -303,6 +303,28 @@ def test_model_refuses_r_names_of_the_wrong_length():
         dataclasses.replace(model, r_names=("psi", "w", "extra"))
 
 
+@pytest.mark.parametrize(
+    "r_names, message",
+    [
+        (("w", "w"), "r_name 'w' of field p2 also names another field, by name or label"),
+        (("eps1", "w"), "r_name 'eps1' of field p1 also names another field, by name or label"),
+        (("psi", "p1"), "r_name 'p1' of field p2 also names another field, by name or label"),
+    ],
+    ids=["repeated", "strain-label", "other-momentum-label"],
+)
+def test_model_refuses_r_names_that_do_not_name_one_field(r_names, message):
+    # a field is looked up by name before label, so each of these used to
+    # resolve to the wrong field (or always the first of two)
+    model = builtin_model("timoshenko")
+    with pytest.raises(ModelError, match=re.escape(message)):
+        dataclasses.replace(model, r_names=r_names)
+
+
+def test_model_accepts_its_own_state_label_as_a_name():
+    model = dataclasses.replace(builtin_model("timoshenko"), r_names=("p1", "w"))
+    assert model.r_names == ("p1", "w")
+
+
 def test_parse_rejects_unknown_coordinate():
     model = builtin_model("string")
     text = serialize_model(model).replace("[lambda1]\n0\n0\n1", "[lambda1]\n0\n0\nz9")
