@@ -145,9 +145,12 @@ class PHSystem:
     mass: list
     mass_inv: list
     stiffness: list
-    op: DiffOpMatrix
     op_adjoint: DiffOpMatrix
     boundary: BoundaryForm
+
+    @property
+    def op(self) -> DiffOpMatrix:
+        return self.model.op
 
     @property
     def n(self) -> int:
@@ -204,7 +207,6 @@ def assemble_phs(model: KinematicModel, validate: bool = True) -> PHSystem:
         mass=mass,
         mass_inv=_bounded(mat_inverse(mass), "inverse mass matrix M^-1"),
         stiffness=stiffness,
-        op=model.op,
         op_adjoint=model.op.formal_adjoint(),
         boundary=BoundaryForm(model.op),
     )

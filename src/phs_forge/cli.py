@@ -3,7 +3,8 @@
 Rationals print as num/den in JSON artifacts; floats appear only in the
 simulation CSVs, serialized with fixed formatting so artifacts regenerate
 byte-for-byte.  The default output directory can be set with PHS_FORGE_OUT.
-Only the commands that run the simulator import it, and numpy with it.
+Only the commands that run the simulator import it, and numpy with it;
+list-models reads its simulator column from ``models.simulation_refusal``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .build import assemble_phs, export_system, float_matrix, write_matrix_csv
 from .exact import ExactError
 from .modelfile import check_digits, parse_model_file, serialize_model
-from .models import ModelError, builtin_model, builtin_names, validate_model
+from .models import ModelError, builtin_model, builtin_names, simulation_refusal, validate_model
 from .verify import report_json, run_all
 
 EXIT_OK = 0
@@ -49,8 +50,6 @@ def _load_model(args):
 
 
 def cmd_list_models(args) -> int:
-    from .simulate import simulation_refusal
-
     print(f"{'name':<20} {'ell':>3} {'N':>2} {'n':>2} {'m':>2} {'d':>2}  simulator")
     for name in builtin_names():
         model = builtin_model(name)

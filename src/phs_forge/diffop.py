@@ -378,16 +378,12 @@ def _encode(mat_: Matrix, lm: int) -> List[List[Tuple[int, int]]]:
     return [[(j, x.numerator * (lm // x.denominator)) for j, x in enumerate(row) if x] for row in mat_]
 
 
-def _flatten(
-    polys: Sequence[Poly], places: Sequence[int], index: Optional[dict] = None
-) -> Tuple[List[Dict[int, int]], int]:
+def _flatten(polys: Sequence[Poly], places: Sequence[int], index: dict) -> Tuple[List[Dict[int, int]], int]:
     """Each polynomial as ``{flat index: numerator}`` over one common
     denominator, which is returned too; exponent ``e_k`` weighs
     ``places[k]``.  The polynomials share one map from exponent tuple to
-    flat index, filled once per distinct tuple: ``index``, whose keys are
-    those tuples, if the caller has it (its values are overwritten)."""
-    if index is None:
-        index = dict.fromkeys(chain.from_iterable(p.num for p in polys))
+    flat index, filled once per distinct tuple: ``index``, whose keys hold
+    at least their exponent tuples (its values are overwritten)."""
     for e in index:
         index[e] = sum(map(mul, e, places))
     common = lcm(*{p.den for p in polys})

@@ -424,25 +424,21 @@ def parse_model(text: str) -> KinematicModel:
         sections.get("structure"), lam1.cols if op is None else op.n, dist
     )
 
-    model = KinematicModel(
+    return KinematicModel(
         name=name,
-        dist=dist,
-        comp=comp,
         domain=domain,
         section=section,
         lambda1=lam1,
         lambda2=lam2,
         op=op,
         cmat=cmat,
-        rho=params["rho"],
-        bd=bd,
         params=params,
+        bd=bd,
         r_names=r_names,
         free_fields=free_fields,
         structure=structure,
         strain_check=strain_check,
     )
-    return model
 
 
 def _split_entries(line: str) -> List[str]:
@@ -600,8 +596,6 @@ def serialize_model(model: KinematicModel) -> str:
     out.append("")
     out.append("[params]")
     out.extend(f"{k} = {model.params[k]}" for k in sorted(model.params))
-    if "rho" not in model.params:
-        out.append(f"rho = {model.rho}")
     out.append("")
     out.append("[lambda1]")
     out.extend(_poly_rows_text(model.lambda1.entries))

@@ -2,10 +2,13 @@
 
 A model is the input to the compiler: a displacement-field factor map
 (lambda1), a strain factor map (lambda2) together with the matrix
-differential operator F it multiplies, a constitutive matrix, a density, and
-the geometry (spatial domain plus cross-section).  When every component of r
-is free, F follows from lambda1 and lambda2 (``derive_operator``); reduced
-models and those whose r holds a slope of another component state it.
+differential operator F it multiplies, a constitutive matrix, parameters
+(the density ``rho`` among them), and the geometry (spatial domain plus
+cross-section); the frozen record holds each of these facts once, and
+``simulation_refusal`` says whether the simulator takes it.  When every
+component of r is free, F follows from lambda1 and lambda2
+(``derive_operator``); reduced models and those whose r holds a slope of
+another component state it.
 Both read the strain symbol of ``lambda1 r`` (``strain_symbol``).
 Validation enforces the structural conditions the compiler relies on: no
 zero columns in lambda1, no zero rows or columns in lambda2 or the operator,
@@ -16,7 +19,7 @@ the factorization reproduces the strain of the kinematics (``V S = lambda2 F S``
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -131,20 +134,20 @@ def state_labels(n: int, m: int) -> List[str]:
 RComp = Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class KinematicModel:
+    """Frozen: change a model with ``dataclasses.replace``, which checks it
+    again.  ``dist``, ``comp`` and ``rho`` read the domain, lambda1 and params."""
+
     name: str
-    dist: Tuple[str, ...]
-    comp: Tuple[str, ...]
     domain: DomainSpec
     section: Section
     lambda1: PolyMatrix
     lambda2: PolyMatrix
     op: Optional[DiffOpMatrix]  # None: derived from lambda1 and lambda2
     cmat: list
-    rho: Fraction
+    params: Dict[str, Fraction]
     bd: Optional[list] = None
-    params: Dict[str, Fraction] = field(default_factory=dict)
     r_names: Tuple[str, ...] = ()
     free_fields: Tuple[str, ...] = ()
     structure: Tuple[RComp, ...] = ()
@@ -154,15 +157,14 @@ class KinematicModel:
     strain_check: bool = True
 
     def __post_init__(self):
-        if self.domain.axes != tuple(self.dist):
-            raise ModelError(
-                f"domain axes {' '.join(self.domain.axes)} are not the distributed "
-                f"coordinates {' '.join(self.dist)}"
-            )
+        if "rho" not in self.params:
+            raise ModelError("density parameter 'rho' is required in params")
         if self.op is None:
-            self.op = derive_operator(self.dist, self.lambda1, self.lambda2)
+            object.__setattr__(self, "op", derive_operator(self.dist, self.lambda1, self.lambda2))
+        if self.op.axes != self.dist:
+            raise ModelError(f"operator over {' '.join(self.op.axes)} on a domain over {' '.join(self.dist)}")
         if not self.r_names:
-            self.r_names = tuple(f"r{i + 1}" for i in range(self.n))
+            object.__setattr__(self, "r_names", tuple(f"r{i + 1}" for i in range(self.n)))
         elif len(self.r_names) != self.n:
             raise ModelError(f"{len(self.r_names)} r_names for an operator on {self.n} fields")
         labels = state_labels(self.n, self.m)
@@ -170,8 +172,20 @@ class KinematicModel:
             if name in self.r_names[:i] or name in labels[:i] + labels[i + 1 :]:
                 raise ModelError(f"r_name {name!r} of field p{i + 1} also names another field, by name or label")
         if not self.structure:
-            self.free_fields = self.r_names
-            self.structure = tuple(("free", i) for i in range(self.n))
+            object.__setattr__(self, "free_fields", self.r_names)
+            object.__setattr__(self, "structure", tuple(("free", i) for i in range(self.n)))
+
+    @property
+    def dist(self) -> Tuple[str, ...]:
+        return self.domain.axes
+
+    @property
+    def comp(self) -> Tuple[str, ...]:
+        return self.lambda1.coords
+
+    @property
+    def rho(self) -> Fraction:
+        return self.params["rho"]
 
     @property
     def n(self) -> int:
@@ -192,6 +206,21 @@ class KinematicModel:
     @property
     def order(self) -> int:
         return self.op.order
+
+
+def simulation_refusal(model: KinematicModel) -> Optional[str]:
+    """Why the discrete stage refuses ``model``, or None when it simulates
+    it: 1D models up to second order and 2D first-order models."""
+    if model.ell == 3:
+        return "3D elasticity is symbolic-stage only; no 3D grids"
+    if model.ell == 2 and model.order >= 2:
+        return (
+            f"{model.name}: second-order operators on 2D domains (e.g. the "
+            "fourth-order plate) are supported in the symbolic stage only"
+        )
+    if model.order > 2:
+        return "operators of order greater than two are not discretized"
+    return None
 
 
 def random_poly(rng: random.Random, coords: Sequence[str], degree: int) -> Poly:
@@ -482,17 +511,15 @@ def _beam_section(p: Dict[str, Fraction]) -> Section:
     return RectangleSection(p["b"], p["h"])
 
 
-# family -> (distributed, complementary coordinates, domain, section of the params)
+# family -> (complementary coordinates, domain, section of the params)
 _FAMILIES = {
-    "beam": (("z1",), ("z2", "z3"), lambda: DomainSpec.interval(0, 1), _beam_section),
+    "beam": (("z2", "z3"), lambda: DomainSpec.interval(0, 1), _beam_section),
     "plate": (
-        ("z1", "z2"),
         ("z3",),
         lambda: DomainSpec.rectangle(0, 1, 0, 1),
         lambda p: IntervalSection(p["h"]),
     ),
     "solid": (
-        ("z1", "z2", "z3"),
         (),
         lambda: DomainSpec.box(((0, 1), (0, 1), (0, 1))),
         lambda p: PointSection(),
@@ -754,22 +781,19 @@ def builtin_model(name: str, params: Optional[Dict] = None) -> KinematicModel:
     for k in spec.positive:
         if p[k] <= 0:
             raise ModelError(f"parameter {k} must be positive, got {p[k]}")
-    dist, comp, domain, section = _FAMILIES[spec.family]
+    comp, domain, section = _FAMILIES[spec.family]
     z2, z3 = (Poly.variable(comp, c) if c in comp else None for c in ("z2", "z3"))
     lam1, lam2 = spec.kinematics(p, z2, z3)
     return KinematicModel(
         name,
-        dist,
-        comp,
         domain(),
         section(p),
         _poly_rows(comp, lam1),
         _poly_rows(comp, lam2),
         spec.op,
         spec.cmat(p),
-        p["rho"],
+        p,
         bd=spec.bd,
-        params=p,
         r_names=spec.r_names,
         free_fields=spec.free_fields,
         structure=spec.structure,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .build import PHSystem, float_matrix
 from .exact import to_float
-from .models import KinematicModel
+from .models import simulation_refusal
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -276,21 +276,6 @@ def _solve_shifts(sys: PHSystem, ell: int):
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
-
-
-def simulation_refusal(model: KinematicModel) -> Optional[str]:
-    """Why the discrete stage refuses ``model``, or None when it simulates
-    it: 1D models up to second order and 2D first-order models."""
-    if model.ell == 3:
-        return "3D elasticity is symbolic-stage only; no 3D grids"
-    if model.ell == 2 and model.order >= 2:
-        return (
-            f"{model.name}: second-order operators on 2D domains (e.g. the "
-            "fourth-order plate) are supported in the symbolic stage only"
-        )
-    if model.order > 2:
-        return "operators of order greater than two are not discretized"
-    return None
 
 
 def discretize(

@@ -93,6 +93,15 @@ def test_importing_the_cli_loads_no_numpy():
     assert out.stdout == "[]\n"
 
 
+def test_list_models_loads_no_numpy():
+    # its simulator column reads models.simulation_refusal, not the simulator
+    code = ("import sys, phs_forge.cli; phs_forge.cli.main(['list-models']); "
+            "print(sorted({'numpy', 'phs_forge.simulate'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.stdout.splitlines()[-1] == "[]" and "symbolic only" in out.stdout
+
+
 # file names such as `sections.py` are not attribute references
 _FILE_NAME = re.compile(r"\w+\.(py|md|json|csv|toml|phsm)$")
 

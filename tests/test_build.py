@@ -10,7 +10,7 @@ import operator
 import pickle
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import accumulate
 from operator import mul
@@ -279,7 +279,7 @@ def test_mass_failure_surfaces_with_witness():
     one = Poly.constant(model.comp, 1)
     zero = Poly.zero(model.comp)
     # linearly dependent displacement columns: singular mass
-    model.lambda1 = PolyMatrix([[one, one], [zero, zero], [zero, zero]])
+    model = replace(model, lambda1=PolyMatrix([[one, one], [zero, zero], [zero, zero]]))
     with pytest.raises(BuildError, match="positive definite"):
         mass_matrix(model)
 
@@ -287,11 +287,16 @@ def test_mass_failure_surfaces_with_witness():
 def test_asymmetric_stiffness_weight_is_reported_not_mirrored():
     model = builtin_model("timoshenko")
     one, zero = Poly.constant(model.comp, 1), Poly.zero(model.comp)
-    model.lambda2 = PolyMatrix([[one, zero], [zero, one]])
+    model = replace(model, lambda2=PolyMatrix([[one, zero], [zero, one]]))
     e, kg = model.cmat[0][0], model.cmat[1][1]
-    model.cmat = [[e, F(1)], [F(0), kg]]  # K = A C, with area A = 1 by default
+    model = replace(model, cmat=[[e, F(1)], [F(0), kg]])  # K = A C, with area A = 1 by default
     with pytest.raises(BuildError, match=r"stiffness matrix .*asymmetric at \(1,2\): 1 vs 0"):
         assemble_phs(model, validate=False)
+
+
+def test_a_system_reads_its_operator_from_its_model():
+    sys_ = assemble_phs(builtin_model("timoshenko"))
+    assert len(fields(sys_)) == 6 and sys_.op is sys_.model.op
 
 
 def _gram_reference(model, factor, weight=None):
@@ -326,7 +331,8 @@ def test_mass_and_stiffness_equal_the_entrywise_integrals(name):
 def test_an_asymmetric_weight_gives_the_entrywise_integrals():
     model = builtin_model("reddy_plate")
     d = model.lambda2.rows
-    model.cmat = [[F(i * d + j + 1, j + 2) if i <= j else F(i - j, 7) for j in range(d)] for i in range(d)]
+    cmat = [[F(i * d + j + 1, j + 2) if i <= j else F(i - j, 7) for j in range(d)] for i in range(d)]
+    model = replace(model, cmat=cmat)
     _assert_matches_reference(model)
     k = stiffness_matrix(model, require_spd=False)
     assert k != [list(col) for col in zip(*k)]
@@ -334,8 +340,8 @@ def test_an_asymmetric_weight_gives_the_entrywise_integrals():
     # the weighted column holds a term whose coefficient is zero
     model = builtin_model("timoshenko")
     z3 = Poly.variable(model.comp, "z3")
-    model.lambda2 = PolyMatrix([[z3, 1 + z3], [z3, z3**2]])
-    model.cmat = [[F(1), F(-1)], [F(2), F(3)]]
+    model = replace(model, lambda2=PolyMatrix([[z3, 1 + z3], [z3, z3**2]]))
+    model = replace(model, cmat=[[F(1), F(-1)], [F(2), F(3)]])
     _assert_matches_reference(model)
     assert stiffness_matrix(model, require_spd=False)[0][0] == model.section.integrate(5 * z3**2)
 
@@ -368,12 +374,12 @@ def test_random_factors_give_the_entrywise_integrals_on_every_section_kind(kind,
     name, section, used, degree = RANDOM_SECTIONS[kind]
     rng = random.Random(seed)
     model = builtin_model(name)
-    model.section = section
+    model = replace(model, section=section)
     d = rng.randint(1, 4)
     # factors over the model's complementary coordinates, in ``used`` only
-    model.lambda1 = _random_factor(rng, used, 3, rng.randint(1, 4), degree).extend(model.comp)
-    model.lambda2 = _random_factor(rng, used, d, rng.randint(1, 4), degree).extend(model.comp)
-    model.cmat = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d)] for _ in range(d)]
+    model = replace(model, lambda1=_random_factor(rng, used, 3, rng.randint(1, 4), degree).extend(model.comp))
+    model = replace(model, lambda2=_random_factor(rng, used, d, rng.randint(1, 4), degree).extend(model.comp))
+    model = replace(model, cmat=[[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d)] for _ in range(d)])
     _assert_matches_reference(model)
 
 
@@ -386,8 +392,8 @@ def _moment_model(*column):
     lambda1 the one column given."""
     model = builtin_model("truss")
     assert model.comp == BEAM
-    model.section = MomentSection({0: 1, 4: F(1, 80)})
-    model.lambda1 = PolyMatrix([[p] for p in column])
+    model = replace(model, section=MomentSection({0: 1, 4: F(1, 80)}))
+    model = replace(model, lambda1=PolyMatrix([[p] for p in column]))
     return model
 
 

@@ -768,7 +768,7 @@ def _rational_poly(rng, axes, degree):
 def _evaluate(table, p, top):
     """The functional ``table`` of ``_functional(bounds, top, face)`` on ``p``."""
     mu, den = table
-    (flat,), p_den = _flatten([p], [(top + 1) ** k for k in range(len(p.coords))])
+    (flat,), p_den = _flatten([p], [(top + 1) ** k for k in range(len(p.coords))], dict.fromkeys(p.num))
     return F(sum(c * mu[k] for k, c in flat.items()), den * p_den)
 
 
@@ -882,7 +882,7 @@ def test_flat_derivatives_share_one_index_map(data):
                 for flat, p in zip(table[k][j], polys):
                     for _ in range(j):
                         p = p.diff(name)
-                    (alone,), p_den = _flatten([p], places)
+                    (alone,), p_den = _flatten([p], places, dict.fromkeys(p.num))
                     terms = {sum(x * place for x, place in zip(e, places)): c for e, c in p.terms.items()}
                     shared = {i: F(c, common) for i, c in flat.items()}
                     assert shared == {i: F(c, p_den) for i, c in alone.items()} == terms

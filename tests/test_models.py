@@ -102,15 +102,50 @@ def test_reddy_plate_dimensions_and_alpha():
 def test_model_refuses_a_domain_over_other_axes_than_distributed(domain):
     # the pairing kernel integrates fields over dist on the domain's axes
     plate = builtin_model("mindlin_plate")
-    with pytest.raises(ModelError, match="are not the distributed coordinates z1 z2"):
+    with pytest.raises(ModelError, match="operator over z1 z2 on a domain over z"):
         dataclasses.replace(plate, domain=domain)
+
+
+def test_model_refuses_an_operator_over_other_axes_than_the_domain():
+    # the same matrices over z2 used to pass validate_model and assemble_phs
+    truss = builtin_model("truss")
+    op = DiffOpMatrix(truss.op.m, truss.op.n, ("z2",), truss.op.p0, truss.op.pk)
+    with pytest.raises(ModelError, match="operator over z2 on a domain over z1"):
+        dataclasses.replace(truss, op=op)
+
+
+def test_model_refuses_params_without_density():
+    truss = builtin_model("truss")
+    params = {k: v for k, v in truss.params.items() if k != "rho"}
+    with pytest.raises(ModelError, match="density parameter 'rho' is required"):
+        dataclasses.replace(truss, params=params)
+
+
+def test_model_is_frozen_and_holds_each_fact_once():
+    model = builtin_model("timoshenko")
+    names = [f.name for f in dataclasses.fields(model)]
+    assert len(names) == 13 and not {"dist", "comp", "rho"} & set(names)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, getattr(model, name))
+    assert (model.dist, model.comp, model.rho) == (model.domain.axes, model.lambda1.coords, model.params["rho"])
+    with pytest.raises(TypeError, match="rho"):
+        dataclasses.replace(model, rho=F(2))
+
+
+def test_density_is_read_from_params_through_a_round_trip():
+    # a density stored beside params used to export rho = 1 next to a mass of 2
+    truss = builtin_model("truss")
+    heavy = dataclasses.replace(truss, params={**truss.params, "rho": F(2)})
+    again = parse_model(serialize_model(heavy))
+    assert assemble_phs(again).mass == assemble_phs(heavy).mass == [[F(2)]]
 
 
 def test_zero_lambda1_column_fails_validation():
     model = builtin_model("timoshenko")
     zero = Poly.zero(model.comp)
     one = Poly.constant(model.comp, 1)
-    model.lambda1 = PolyMatrix([[zero, zero], [zero, zero], [zero, one]])
+    model = dataclasses.replace(model, lambda1=PolyMatrix([[zero, zero], [zero, zero], [zero, one]]))
     report = validate_model(model)
     bad = {c.check_id for c in report.failures()}
     assert "lambda1-columns" in bad
@@ -131,14 +166,14 @@ def test_zero_lambda1_column_fails_validation():
 def test_shapes_check_reads_the_input_map(bd, detail):
     # a ragged Bd used to pass and end in an IndexError in distributed_input
     model = builtin_model("timoshenko")
-    model.bd = bd
+    model = dataclasses.replace(model, bd=bd)
     (shapes,) = [c for c in validate_model(model).checks if c.check_id == "shapes"]
     assert (shapes.ok, shapes.detail) == (detail.startswith("lambda1"), detail)
 
 
 def test_indefinite_constitutive_matrix_fails_with_witness():
     model = builtin_model("timoshenko")
-    model.cmat = [[F(1), F(2)], [F(2), F(1)]]  # det = -3
+    model = dataclasses.replace(model, cmat=[[F(1), F(2)], [F(2), F(1)]])  # det = -3
     report = validate_model(model)
     fail = [c for c in report.failures() if c.check_id == "constitutive-spd"]
     assert fail and "witness" in fail[0].detail
@@ -150,7 +185,7 @@ def test_perturbed_lambda2_breaks_strain_consistency():
     zero = Poly.zero(model.comp)
     one = Poly.constant(model.comp, 1)
     # wrong sign in the bending factor
-    model.lambda2 = PolyMatrix([[z3, zero], [zero, one]])
+    model = dataclasses.replace(model, lambda2=PolyMatrix([[z3, zero], [zero, one]]))
     report = validate_model(model)
     fail = [c for c in report.failures() if c.check_id == "strain-consistency"]
     assert fail and "component 1" in fail[0].detail
@@ -295,6 +330,65 @@ def test_parse_refuses_input_it_would_drop(old, new, message):
     assert old in text
     with pytest.raises(ParseError, match=re.escape(message)):
         parse_model(text.replace(old, new, 1))
+
+
+# id: (builtin, old, new, message), one edit of the builtin's text per refusal
+_MALFORMED_INPUT = {
+    "duplicate-section": ("timoshenko", "[C]\n", "[F]\nd1\n\n[C]\n", "duplicate section [F]"),
+    "version": ("timoshenko", "version = 1", "version = 2", "unsupported model format version '2'"),
+    "missing-section": ("timoshenko", "[C]\n1, 0\n0, 5/6\n", "", "missing required section [C]"),
+    "no-distributed": ("timoshenko", "distributed = z1", "distributed =", "no distributed coordinates declared"),
+    "unknown-coordinate": ("timoshenko", "complementary = z2 z3", "complementary = z2 z4",
+        "unknown coordinate 'z4' (coordinates are z1, z2, z3)"),
+    "overlap": ("timoshenko", "complementary = z2 z3", "complementary = z1 z3",
+        "distributed and complementary coordinate sets overlap"),
+    "param-line": ("timoshenko", "kappa = 5/6", "kappa = 5/6\nkappa",
+        "expected 'name = value' in [params], got 'kappa'"),
+    "empty-entry": ("timoshenko", "[C]\n1, 0", "[C]\n1,", "empty entry in row '1,'"),
+    "domain-kind": ("timoshenko", "interval = 0, 1", "", "domain must declare interval, rectangle or box"),
+    "domain-bounds": ("timoshenko", "interval = 0, 1", "interval = 0, 1, 2", "domain needs 2 bounds, got 3"),
+    "section-kind": ("timoshenko", "rectangle = 1, 1", "",
+        "section must declare interval, rectangle, circle, moments or none"),
+    "moment-entry": ("timoshenko", "rectangle = 1, 1", "moments = I0 1",
+        "moment entries look like 'I0: value', got 'I0 1'"),
+    "preset-not-alone": ("timoshenko", "[C]\n1, 0", "[C]\npreset = shear_pair\n1, 0",
+        "a preset line stands alone in [C]"),
+    "unknown-preset": ("timoshenko", "[C]\n1, 0\n0, 5/6", "[C]\npreset = bogus",
+        "unknown constitutive preset 'bogus'"),
+    "preset-parameters": ("timoshenko", "[C]\n1, 0\n0, 5/6", "[C]\npreset = string_tension",
+        "preset 'string_tension' needs parameters ['T']"),
+    "non-square-C": ("timoshenko", "[C]\n1, 0\n0, 5/6", "[C]\n1, 0\n0", "constitutive matrix must be square"),
+    "r-without-fields": ("timoshenko", "fields = psi, w\n", "",
+        "[structure] with an r line needs a fields line"),
+    "unknown-free-field": ("timoshenko", "r = psi, w", "r = psi, v", "unknown free field 'v' in structure"),
+    "unknown-slope-field": ("rayleigh_beam", "r = d1(w), w", "r = d1(v), w",
+        "unknown free field 'v' in structure"),
+    "axis-range": ("rayleigh_beam", "r = d1(w), w", "r = d2(w), w", "axis d2 out of range in structure"),
+    "r-length": ("timoshenko", "r = psi, w", "r = psi, w, w",
+        "structure r line has 3 entries, operator expects 2"),
+    "trailing-input": ("timoshenko", "kappa = 5/6", "kappa = 5/6 2", "trailing input in '5/6 2'"),
+    "symbolic-exponent": ("timoshenko", "kappa = 5/6", "kappa = 5/6^E",
+        "exponent must be an integer literal in '5/6^E'"),
+    "negative-exponent": ("timoshenko", "kappa = 5/6", "kappa = 5/6^-1", "negative exponents are not supported"),
+    "derivative-token": ("timoshenko", "[lambda1]\n-z3, 0", "[lambda1]\n-z3*d1, 0",
+        "derivative token 'd1' is not allowed in lambda1[0][0]"),
+    "unexpected-token": ("timoshenko", "kappa = 5/6", "kappa = 5/6*)", "unexpected token in '5/6*)'"),
+}
+
+
+@pytest.mark.parametrize("name, old, new, message", list(_MALFORMED_INPUT.values()), ids=list(_MALFORMED_INPUT))
+def test_parse_refuses_malformed_input(name, old, new, message):
+    text = serialize_model(builtin_model(name))
+    assert old in text
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_model(text.replace(old, new, 1))
+
+
+def test_a_scalar_must_evaluate_to_a_rational():
+    # no file reaches this: every scalar environment of the parser is rational
+    z1 = Poly.variable(("z1",), "z1")
+    with pytest.raises(ParseError, match=re.escape("expected a rational value in C, got '2*x'")):
+        eval_scalar("2*x", {"x": z1}, "C")
 
 
 def test_model_refuses_r_names_of_the_wrong_length():
@@ -682,7 +776,7 @@ def test_symbol_proof_agrees_with_monomial_field_reference(name):
 
 def test_strain_failure_names_the_field_and_both_symbols():
     model = builtin_model("rayleigh_beam")
-    model.lambda2 = PolyMatrix([[Poly.variable(model.comp, "z3") * F(1, 2)]])
+    model = dataclasses.replace(model, lambda2=PolyMatrix([[Poly.variable(model.comp, "z3") * F(1, 2)]]))
     detail = [c for c in validate_model(model).failures() if c.check_id == "strain-consistency"][0].detail
     assert detail == (
         "free field w: strain component 1 (voigt 1) mismatch: "

@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from phs_forge.build import assemble_phs
-from phs_forge.modelfile import parse_model
+from phs_forge.modelfile import parse_model, serialize_model
 from phs_forge.models import builtin_model, builtin_names, random_poly
 from phs_forge.simulate import (
     ENERGY_CSV_CHUNK,
@@ -215,6 +215,11 @@ def test_unsupported_models_refused():
     sys3 = assemble_phs(builtin_model("elasticity3d"))
     with pytest.raises(SimulationUnsupported, match="3D"):
         discretize(sys3, GridSpec((4, 4)))
+    third = parse_model(serialize_model(builtin_model("truss")).replace("[F]\nd1\n", "[F]\nd1^3\n"))
+    with pytest.raises(SimulationUnsupported, match="operators of order greater than two are not discretized"):
+        discretize(assemble_phs(third, validate=False), GridSpec((8,)))
+    with pytest.raises(ValueError, match="grid must have 1 axis cell counts"):
+        discretize(_SYSTEMS["string"], GridSpec((8, 8)))
 
 
 def test_grid_requires_three_cells():
